@@ -71,6 +71,14 @@ def small_chain(rng: random.Random, shape: Sequence[int]) -> Tuple[Atoms, ...]:
             return tuple(chain)
 
 
+def gap_pattern(mu: Atoms, nu: Atoms) -> str:
+    """'+' where the put-potential gap P_nu - P_mu is positive, '0' where it
+    is zero, at each point of the union of the supports, left to right.
+    Its runs of '+' are the irreducible components of mu <=_c nu."""
+    grid = sorted({x for x, _ in mu} | {x for x, _ in nu})
+    return "".join("+" if a > b else "0" for a, b in zip(put_potential(nu, grid), put_potential(mu, grid)))
+
+
 def _irreducible(mu: Atoms, nu: Atoms) -> bool:
     """mu <=_c nu with one irreducible component whose domain is everything.
 

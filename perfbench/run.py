@@ -24,6 +24,8 @@ import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import speed  # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
@@ -85,18 +87,23 @@ def timed_run(wl, args, setup_s: float) -> dict:
     # Set-up is repeated in fresh processes spread over the run, so that
     # its median does not hang on the machine's speed at one moment.
     setups = [setup_s]
-    durations, failed = [], 0
+    clock = speed.Clock()
+    walls, failed = [], 0
     start = time.perf_counter()
     i = 0
     while i < MIN_OPS or i % wl.cycle or time.perf_counter() - start < args.seconds:
-        if len(setups) <= SETUP_PROBES * (time.perf_counter() - start) / args.seconds:
+        if len(setups) <= min(SETUP_PROBES, SETUP_PROBES * (time.perf_counter() - start) / args.seconds):
             setups.append(setup_probe(args))
+        clock.maybe_sample()
         seconds, _, ok = run_one(wl, wl.instance(i))
-        durations.append(seconds)
+        walls.append(seconds)
         failed += not ok
         i += 1
+    clock.sample()
     while len(setups) <= SETUP_PROBES:
         setups.append(setup_probe(args))
+    factor = clock.factor()
+    durations = [s * factor for s in walls]
     n = len(durations)
     ordered = sorted(durations)
     rss_kb = getattr(wl, "peak_child_rss_kb", 0) or resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -108,8 +115,13 @@ def timed_run(wl, args, setup_s: float) -> dict:
         "ok_ratio": (n - failed) / n,
         "peak_rss_mb": rss_kb / 1024,
     }
+    chunks = [s for _, s in clock.samples]
     print(f"{wl.name} seed {args.seed}: {n} operations, {failed} failed "
-          f"(failed_ratio {failed / n}), {sum(durations):.2f} s timed")
+          f"(failed_ratio {failed / n}), {sum(walls):.2f} s timed")
+    print(f"times are at nominal speed: {len(chunks)} reference chunks took "
+          f"{min(chunks) * 1e3:.3f}-{max(chunks) * 1e3:.3f} ms, factor {factor:.4f} from "
+          f"nominal {speed.NOMINAL_S * 1e3:.3f} ms; unscaled: {(n - failed) / sum(walls):.4g} ops/s, "
+          f"median {statistics.median(walls):.4g} s")
     print(f"op_tail_s is p{100 * (n - TAIL_BEYOND) / n:.1f} of {n} operations; "
           f"setup_s is the median of {len(setups)} set-ups: {', '.join(f'{s:.3f}' for s in setups)}")
     return report(metrics, END_TO_END, n, failed)
@@ -214,6 +226,11 @@ def main() -> int:
     parser.add_argument("--tiny", action="store_true", help="tiny sizes for self-tests")
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if hasattr(os, "sched_setaffinity"):
+        # One CPU for the run and every process it starts: the reference
+        # chunks (speed.py) then run where the operations run, and no
+        # operation moves between CPUs.
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     if not (SRC / "leftcurtain" / "__init__.py").is_file():
         print(f"error: no library source at {SRC}; run from a source checkout", file=sys.stderr)
         return 2
@@ -234,7 +251,7 @@ def main() -> int:
     (HERE / "out").mkdir(exist_ok=True)
     wl = workloads.WORKLOADS[args.workload](args.seed, args.tiny)
     wl.setup()
-    setup_s = time.perf_counter() - START
+    setup_s = speed.scale_now(time.perf_counter() - START)
     if args.setup_only:
         print(repr(setup_s))
         return 0

@@ -95,22 +95,23 @@ def first_op(cls, i: int = 0):
 
 class CorruptedOutputsFail(unittest.TestCase):
     def test_perturbed_coupling_weight(self):
-        wl, inst, (P, strong) = first_op(workloads.CurtainGrid)
+        wl, inst, out = first_op(workloads.CurtainGrid)
+        P, strong = out[-1]
         (path, w), *rest = P.paths
         bad = lc.PathMeasure(P.n, [(path, w + F(1, 1000))] + rest)
-        self.assertFalse(wl.check(inst, (bad, strong)))
-        self.assertFalse(wl.check(inst, (P, not strong)))
+        self.assertFalse(wl.check(inst, out[:-1] + [(bad, strong)]))
+        self.assertFalse(wl.check(inst, out[:-1] + [(P, not strong)]))
 
     def test_martingale_coupling_that_is_not_left_monotone(self):
         chain = (((F(-1), F(1, 2)), (F(1), F(1, 2))), ((F(-3), F(1, 4)), (F(0), F(1, 2)), (F(3), F(1, 4))))
-        inst = SimpleNamespace(chain=chain, marginals=[lc.DiscreteMeasure(m) for m in chain], params={})
+        inst = SimpleNamespace(chains=[chain], marginals=[[lc.DiscreteMeasure(m) for m in chain]], params={})
         wl = workloads.CurtainGrid(5, True)
         self.assertTrue(wl.check(inst, wl.run(inst)))
         other = lc.PathMeasure(1, [
             ((-1, -3), F(1, 4)), ((-1, 0), F(1, 6)), ((-1, 3), F(1, 12)), ((1, 0), F(1, 3)), ((1, 3), F(1, 6)),
         ])
         self.assertTrue(oracle.is_martingale_coupling(other.paths, dict(enumerate(chain)), 1))
-        self.assertFalse(wl.check(inst, (other, True)))
+        self.assertFalse(wl.check(inst, [(other, True)]))
 
     def test_wrong_lp_value_or_dual(self):
         wl, inst, (sol, cert) = first_op(workloads.LpCertify)
@@ -124,23 +125,24 @@ class CorruptedOutputsFail(unittest.TestCase):
     def test_wrong_probe_values(self):
         wl = workloads.ProbeSweep(5, True)
         wl.setup()
+        inst = wl.instance(0)
+        out = wl.run(inst)
+        self.assertTrue(wl.check(inst, out))
         kinds = {}
-        for i in range(wl.cycle):
-            kinds.setdefault(wl.ops[i][0], i)
-        for kind, i in kinds.items():
-            inst = wl.instance(i)
-            out = wl.run(inst)
-            self.assertTrue(wl.check(inst, out), kind)
+        for j, (kind, _) in enumerate(inst.probes):
+            kinds.setdefault(kind, j)
+        self.assertEqual(set(kinds), {"primal", "free", "chain-min", "verify"})
+        for kind, j in kinds.items():
             if kind == "primal":
-                sol, cert = out
+                sol, cert = out[j]
                 bad = (dataclasses.replace(sol, value=sol.value - 1, exact_value=sol.exact_value - 1), cert)
             elif kind == "free":
-                bad = dataclasses.replace(out, value=out.value + 1, exact_value=out.exact_value + 1)
+                bad = dataclasses.replace(out[j], value=out[j].value + 1, exact_value=out[j].exact_value + 1)
             elif kind == "chain-min":
-                bad = out + F(1, 7)
+                bad = out[j] + F(1, 7)
             else:
                 bad = (True, False, True)
-            self.assertFalse(wl.check(inst, bad), kind)
+            self.assertFalse(wl.check(inst, out[:j] + [bad] + out[j + 1 :]), kind)
 
     def test_wrong_cli_output(self):
         wl = workloads.CliFresh(5, True)

@@ -59,41 +59,47 @@ def _primal_certified(chain, probe, sol, cert, product: bool) -> bool:
 
 
 class CurtainGrid:
-    """left_monotone_multistep + strong_order_holds, the work of `leftcurtain left-monotone`."""
+    """left_monotone_multistep + strong_order_holds, the work of `leftcurtain left-monotone`.
+
+    One operation does it for one grid of each size.  One grid per
+    operation would leave each percentile to a third of the operations,
+    those of one size, and make it move with the draws of that size.
+    """
 
     name = "curtain-grid"
 
     def __init__(self, seed: int, tiny: bool):
         self.seed = seed
         self.sizes = (3, 4) if tiny else (8, 10, 12)
-        self.cycle = len(self.sizes)
-        self.trace_ops = 4 * self.cycle
+        self.cycle = 1
+        self.trace_ops = 4
 
-    def _make(self, key, k: int) -> Instance:
-        chain = gen.grid_chain(gen.rng_for(self.name, self.seed, key), k)
+    def _make(self, key) -> Instance:
+        chains = [gen.grid_chain(gen.rng_for(self.name, self.seed, key, k), k) for k in self.sizes]
         return Instance(
-            chain=chain,
-            marginals=[lc.DiscreteMeasure(m) for m in chain],
-            params={"k": k, "atoms": [len(m) for m in chain]},
+            chains=chains,
+            marginals=[[lc.DiscreteMeasure(m) for m in chain] for chain in chains],
+            params={"k": list(self.sizes), "atoms": [[len(m) for m in chain] for chain in chains]},
         )
 
     def setup(self) -> None:
-        self.run(self._make("warm-up", self.sizes[0]))
+        self.run(self._make("warm-up"))
 
     def instance(self, i: int) -> Instance:
-        return self._make(i, self.sizes[i % self.cycle])
+        return self._make(i)
 
     def run(self, inst):
-        return lc.left_monotone_multistep(inst.marginals), lc.strong_order_holds(inst.marginals)
+        return [(lc.left_monotone_multistep(ms), lc.strong_order_holds(ms)) for ms in inst.marginals]
 
     def check(self, inst, out) -> bool:
-        P, strong = out
-        inst.params["paths_out"] = len(P)
-        return (
-            oracle.is_martingale_coupling(P.paths, dict(enumerate(inst.chain)), len(inst.chain) - 1)
-            and oracle.prefix_images_match(P.paths, inst.chain)
-            and strong == oracle.strong_order(inst.chain)
-        )
+        inst.params["paths_out"] = [len(P) for P, _ in out]
+        # every grid is checked, also after one has failed
+        return all([
+            oracle.is_martingale_coupling(P.paths, dict(enumerate(chain)), len(chain) - 1)
+            and oracle.prefix_images_match(P.paths, chain)
+            and strong == oracle.strong_order(chain)
+            for chain, (P, strong) in zip(inst.chains, out)
+        ])
 
     def canon(self, out):
         return out
@@ -149,35 +155,58 @@ class LpCertify:
 
 
 class ProbeSweep:
-    """A few fixed chains, each re-solved for its probe family."""
+    """A few fixed chains, each re-solved for its whole probe family.
+
+    One operation sweeps one small chain, every probe of its family one
+    after the other, or a third of the irreducible chain's probes.  A
+    single probe is too small a unit: the probe kinds cost different
+    amounts, so the median probe would sit on the boundary between two
+    kinds and move with the share of each.
+    """
 
     name = "probe-sweep"
 
     def __init__(self, seed: int, tiny: bool):
         rng = gen.rng_for(self.name, seed)
         small = []
-        while len(small) < (1 if tiny else 8):
+        while len(small) < (1 if tiny else 6):
             chain = gen.small_chain(rng, (2, 3, 4))
-            # disjoint first and last supports fix the free family's size
-            if not set(points(chain[0])) & set(points(chain[-1])):
+            # Each first atom spreads into a component of its own, apart
+            # from the other's: six grid points mean disjoint first and last
+            # supports, which fixes the free family's size, and the pattern
+            # fixes the LP sizes.  Chains of one component end to end cost
+            # twice as much, other patterns a tenth more, and seeds drawing
+            # more or fewer of them would move the median sweep by that much.
+            if gen.gap_pattern(chain[0], chain[-1]) == "0+00+0":
                 small.append(chain)
         # The irreducible chain does not depend on the seed: its sweep is
         # most of the workload's time, and one random draw of it would move
         # a run's figures by more than the bounds allow.
         fixed = gen.irreducible_chain(gen.rng_for(self.name), (2, 3, 3) if tiny else (3, 4, 5), 1)
         self.chains = small + [fixed]
-        self.ops = []
-        for c, chain in enumerate(self.chains):
+        families = []
+        for chain in self.chains:
             n = len(chain) - 1
             # On the irreducible chain the free family alone would take
             # longer than the rest of the sweep, so it runs on the small
             # chains only.
             free_grid = sorted(set(points(chain[0])) | set(points(chain[n]))) if chain is not fixed else []
+            family = []
             for a, t in itertools.product(points(chain[0]), range(1, n + 1)):
-                self.ops += [("primal", c, (a, t, b)) for b in points(chain[t])]
-                self.ops += [("free", c, (a, t, b)) for b in free_grid]
-                self.ops += [("chain-min", c, (a, t, b)) for b in points(chain[t])]
-            self.ops.append(("verify", c, None))
+                family += [("primal", (a, t, b)) for b in points(chain[t])]
+                family += [("free", (a, t, b)) for b in free_grid]
+                family += [("chain-min", (a, t, b)) for b in points(chain[t])]
+            family.append(("verify", None))
+            families.append(family)
+        # The irreducible chain's sweep takes as long as all small ones
+        # together.  Its probes are dealt out in turn, kind by kind, to three
+        # operations of about the same cost (each gets nine primal and nine
+        # chain-minimum probes), so that the slowest operations are all its
+        # own and op_tail_s does not hang on which of them it falls on.
+        self.ops = list(enumerate(families))
+        c, family = self.ops.pop()
+        family.sort(key=lambda probe: probe[0])
+        self.ops += [(c, family[j::3]) for j in range(3)]
         self.cycle = self.trace_ops = len(self.ops)
 
     def setup(self) -> None:
@@ -191,23 +220,28 @@ class ProbeSweep:
         self.run(self.instance(0))
 
     def instance(self, i: int) -> Instance:
-        kind, c, probe = self.ops[i % self.cycle]
+        c, probes = self.ops[i % self.cycle]
+        kinds = [kind for kind, _ in probes]
         return Instance(
-            kind=kind, c=c, probe=probe,
-            params={"kind": kind, "chain": c, "atoms": [len(m) for m in self.chains[c]]},
+            c=c, probes=probes,
+            params={"chain": c, "atoms": [len(m) for m in self.chains[c]],
+                    "probes": {kind: kinds.count(kind) for kind in dict.fromkeys(kinds)}},
         )
 
     def run(self, inst):
-        ms = self.marginals[inst.c]
-        if inst.kind == "primal":
-            sol = lc.solve_primal(ms, lc.left_tail_put_reward(*inst.probe))
+        return [self._probe(inst.c, kind, probe) for kind, probe in inst.probes]
+
+    def _probe(self, c: int, kind: str, probe):
+        ms = self.marginals[c]
+        if kind == "primal":
+            sol = lc.solve_primal(ms, lc.left_tail_put_reward(*probe))
             return sol, lc.extract_dual(sol.program, sol)
-        if inst.kind == "free":
-            return lc.solve_free(ms[0], ms[-1], len(ms) - 1, lc.left_tail_put_reward(*inst.probe))
-        if inst.kind == "chain-min":
-            a, t, b = inst.probe
-            return lc.chain_min_call(self.prefixes[inst.c][a], ms[1 : t + 1], t, b)
-        P = self.couplings[inst.c]
+        if kind == "free":
+            return lc.solve_free(ms[0], ms[-1], len(ms) - 1, lc.left_tail_put_reward(*probe))
+        if kind == "chain-min":
+            a, t, b = probe
+            return lc.chain_min_call(self.prefixes[c][a], ms[1 : t + 1], t, b)
+        P = self.couplings[c]
         gamma = lc.SupportSet.of(P)
         return (
             lc.verify_left_monotone(P, ms)[0],
@@ -216,27 +250,32 @@ class ProbeSweep:
         )
 
     def check(self, inst, out) -> bool:
+        # every probe is checked, also after one has failed
+        return all([self._check(inst, kind, probe, o) for (kind, probe), o in zip(inst.probes, out)])
+
+    def _check(self, inst, kind: str, probe, out) -> bool:
         chain = self.chains[inst.c]
         n = len(chain) - 1
-        if inst.kind == "primal":
+        if kind == "primal":
             sol, cert = out
-            inst.params.update(lp_vars=len(sol.program.paths), pivots=sol.lp.iterations)
-            return sol.exact_value == oracle.left_tail_put_optimum(chain, *inst.probe) and _primal_certified(
-                chain, inst.probe, sol, cert, product=False
+            inst.params["primal_vars"] = len(sol.program.paths)
+            inst.params["primal_pivots"] = inst.params.get("primal_pivots", 0) + sol.lp.iterations
+            return sol.exact_value == oracle.left_tail_put_optimum(chain, *probe) and _primal_certified(
+                chain, probe, sol, cert, product=False
             )
-        if inst.kind == "free":
+        if kind == "free":
             cert = out.certificate
-            inst.params["lp_vars"] = len(cert.program.paths)
-            reward = left_tail_put(*inst.probe)
+            inst.params["free_vars"] = len(cert.program.paths)
+            reward = left_tail_put(*probe)
             pinned = {0: chain[0], n: chain[n]}
             return (
-                out.value == out.exact_value == oracle.free_left_tail_put_optimum(chain[0], chain[n], n, *inst.probe)
+                out.value == out.exact_value == oracle.free_left_tail_put_optimum(chain[0], chain[n], n, *probe)
                 and oracle.is_martingale_coupling(out.optimizer.paths, pinned, n)
                 and sum(w * reward(p) for p, w in out.optimizer.paths) == out.exact_value
                 and oracle.certifies(out.exact_value, pinned, {0: cert.phi, n: cert.psi}, cert.H, cert.program.paths, reward)
             )
-        if inst.kind == "chain-min":
-            a, t, b = inst.probe
+        if kind == "chain-min":
+            a, t, b = probe
             theta = oracle.obstructed_shadow(oracle.restrict_at_most(chain[0], a), chain[1 : t + 1])
             return out == oracle.call_value(theta, b)
         if inst.c not in self._coupling_ok:
@@ -247,6 +286,10 @@ class ProbeSweep:
         return self._coupling_ok[inst.c] and out == (True, True, True)
 
     def canon(self, out):
+        return [self._canon_one(o) for o in out]
+
+    @staticmethod
+    def _canon_one(out):
         if isinstance(out, tuple) and len(out) == 2:
             sol, cert = out
             return sol.exact_value, sol.optimizer, cert.phi, cert.H
@@ -270,7 +313,14 @@ class CliFresh:
     name = "cli-fresh"
 
     def __init__(self, seed: int, tiny: bool):
-        self.chain = gen.small_chain(gen.rng_for(self.name, seed), (2, 3, 3) if tiny else (2, 4, 5))
+        rng = gen.rng_for(self.name, seed)
+        while True:
+            self.chain = gen.small_chain(rng, (2, 3, 3) if tiny else (2, 3, 4))
+            # As in probe-sweep: each first atom spreading into a component
+            # of its own keeps the LPs, and so the commands' costs, the same
+            # from seed to seed.
+            if tiny or gen.gap_pattern(self.chain[0], self.chain[-1]) == "0+00+0":
+                break
         self.dir = OUT / "cli"
         a = self.chain[0][0][0]
         b = self.chain[2][len(self.chain[2]) // 2][0]
