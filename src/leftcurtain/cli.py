@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -33,7 +32,7 @@ from .coupling import (
 )
 from .decomposition import decompose_step, free_polar_test, polar_test
 from .geometry import SupportSet, is_left_monotone_set, is_nondegenerate_set
-from .lpsolver import EXACT, FLOAT, extract_dual, parse_reward, solve_free, solve_primal
+from .lpsolver import EXACT, FLOAT, RewardSpec, extract_dual, parse_reward, solve_free, solve_primal
 from .measure import (
     DiscreteMeasure,
     NegativeWeight,
@@ -102,7 +101,6 @@ def _manifest(args, inputs: Sequence[str]) -> dict:
     return {
         "command": args.command,
         "inputs": list(inputs),
-        "seed": getattr(args, "seed", 0),
         "mode": {
             "csv": bool(getattr(args, "csv", False)),
             "approx": bool(getattr(args, "approx", False)),
@@ -225,14 +223,25 @@ def cmd_left_monotone(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    marginals = [_load_measure(path) for path in args.files]
-    spec = parse_reward(args.reward)
-    mode = args.mode
+def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
+    """Parse a --reward argument for paths of dates 0..horizon in the given mode."""
+    try:
+        spec = parse_reward(text)
+    except ZeroDivisionError:
+        raise SchemaError("", f"reward {text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise SchemaError("", str(exc)) from None
     if not spec.is_rational and mode == EXACT:
         raise SchemaError("", "reward has irrational factors; use --mode float")
-    if spec.max_index > len(marginals) - 1:
+    if spec.max_index > horizon:
         raise SchemaError("", f"reward references date {spec.max_index} beyond the horizon")
+    return spec
+
+
+def cmd_solve(args) -> int:
+    marginals = [_load_measure(path) for path in args.files]
+    mode = args.mode
+    spec = _reward_spec(args.reward, mode, len(marginals) - 1)
     solution = solve_primal(marginals, spec, mode)
     payload = {
         "manifest": _manifest(args, args.files),
@@ -338,15 +347,15 @@ def cmd_polar(args) -> int:
 def cmd_free(args) -> int:
     mu0 = _load_measure(args.mu0)
     mun = _load_measure(args.mun)
+    if args.steps < 1:
+        raise SchemaError("", "--steps must be at least 1")
+    spec = None if args.reward is None else _reward_spec(args.reward, args.mode, args.steps)
     P = free_monotone_transport(mu0, mun, args.steps)
     payload = {
         "manifest": _manifest(args, [args.mu0, args.mun]),
         "transport": _coupling_json(P, args.approx),
     }
-    if args.reward is not None:
-        spec = parse_reward(args.reward)
-        if not spec.is_rational and args.mode == EXACT:
-            raise SchemaError("", "reward has irrational factors; use --mode float")
+    if spec is not None:
         solution = solve_free(mu0, mun, args.steps, spec, mode=args.mode)
         payload["reward"] = args.reward
         payload["value"] = str(solution.exact_value) if args.mode == EXACT else solution.value
@@ -489,11 +498,7 @@ def cmd_examples(args) -> int:
             raise SchemaError("", f"unknown example {args.name!r}; choose from {sorted(_EXAMPLES)}")
     else:
         names = sorted(_EXAMPLES)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda n: _EXAMPLES[n](), names))
-    else:
-        results = [_EXAMPLES[n]() for n in names]
+    results = [_EXAMPLES[n]() for n in names]
     payload = {
         "manifest": _manifest(args, []),
         "results": results,
@@ -515,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
             "polar -> path,polar,reason; verify-support -> check,ok; examples -> name,pass."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the run manifest")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -586,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="reproduce the built-in example instances")
     p.add_argument("--name", help="run a single example")
     p.add_argument("--all", action="store_true", help="run every example (default)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, deterministic merge")
     common(p)
     p.set_defaults(func=cmd_examples)
 

@@ -250,34 +250,11 @@ def left_curtain_one_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasu
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
     """First basic feasible point of the martingale transport polytope."""
-    from .simplex import solve_lp
+    from .lpsolver import EXACT, _pinned_program, _solve_program
 
-    xs, ys = mu.support, nu.support
-    cols = [(x, y) for x in xs for y in ys]
-    col_index = {c: k for k, c in enumerate(cols)}
-    rows, rhs = [], []
-    for x, w in mu.atoms:
-        row = [Fraction(0)] * len(cols)
-        for y in ys:
-            row[col_index[(x, y)]] = Fraction(1)
-        rows.append(row)
-        rhs.append(w)
-    for y, w in nu.atoms:
-        row = [Fraction(0)] * len(cols)
-        for x in xs:
-            row[col_index[(x, y)]] = Fraction(1)
-        rows.append(row)
-        rhs.append(w)
-    for x, _ in mu.atoms:
-        row = [Fraction(0)] * len(cols)
-        for y in ys:
-            row[col_index[(x, y)]] = y - x
-        rows.append(row)
-        rhs.append(Fraction(0))
-    result = solve_lp([Fraction(0)] * len(cols), rows, rhs)
-    return PathMeasure(
-        1, ((cols[k], v) for k, v in enumerate(result.x) if v != 0)
-    )
+    paths = [(x, y) for x in mu.support for y in nu.support]
+    program = _pinned_program({0: mu, 1: nu}, 1, paths, lambda path: 0, EXACT)
+    return _solve_program(program).optimizer
 
 
 def _one_step_kernels(coupling: PathMeasure) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:

@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .coupling import Path, PathMeasure
-from .decomposition import (
-    NStepComponent,
-    StepDecomposition,
-    decompose_step,
-    n_step_components,
-)
+from .decomposition import StepDecomposition, decompose_step, n_step_components
 from .geometry import SupportSet
 from .measure import (
     DiscreteMeasure,
@@ -53,40 +48,48 @@ def _ingest(value, mode: str) -> Fraction:
 class MotProgram:
     """The LP data of one martingale transport instance.
 
-    `paths` are the effective-domain grid paths (the LP variables) and
-    `row_keys` names each constraint row: ('marginal', t, point) rows pin the
-    marginals, ('martingale', t, prefix) rows force the conditional
-    barycenters.  Martingale rows exist for every history prefix of a
-    variable path; prefixes extendable by no variable are vacuous and their
-    dual is reported as zero.
+    `marginals` maps each pinned date to its marginal: every date 0..n for
+    the constrained problem, only 0 and n when the intermediate marginals
+    are free.  `paths` are the LP variables and `row_keys` names each
+    constraint row: ('marginal', t, point) rows pin the marginal of date t,
+    ('martingale', t, prefix) rows force the conditional barycenters.
+    Martingale rows exist for every history prefix of a variable path;
+    prefixes extendable by no variable are vacuous and their dual is
+    reported as zero.
     """
 
-    marginals: Tuple[DiscreteMeasure, ...]
-    grids: Tuple[Tuple[Fraction, ...], ...]
+    marginals: Dict[int, DiscreteMeasure]
+    n: int
     paths: Tuple[Path, ...]
     reward_values: Tuple[Fraction, ...]
     mode: str
-    row_keys: Tuple[tuple, ...] = field(default_factory=tuple)
-
-    @property
-    def n(self) -> int:
-        return len(self.marginals) - 1
+    row_keys: Tuple[tuple, ...]
 
     def lp_rows(self) -> Tuple[List[List[Fraction]], List[Fraction]]:
         index: Dict[tuple, int] = {key: i for i, key in enumerate(self.row_keys)}
         width = len(self.paths)
         rows = [[Fraction(0)] * width for _ in self.row_keys]
         rhs = [Fraction(0)] * len(self.row_keys)
-        for key in self.row_keys:
-            if key[0] == "marginal":
-                _, t, point = key
-                rhs[index[key]] = self.marginals[t].weight_at(point)
+        for t, mu in self.marginals.items():
+            for point, w in mu.atoms:
+                rhs[index[("marginal", t, point)]] = w
         for j, path in enumerate(self.paths):
-            for t in range(self.n + 1):
+            for t in self.marginals:
                 rows[index[("marginal", t, path[t])]][j] = Fraction(1)
             for t in range(1, self.n + 1):
                 rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
         return rows, rhs
+
+
+def _pinned_program(
+    pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path], reward: Reward, mode: str
+) -> MotProgram:
+    """The program over `paths` with the marginals of the `pinned` dates fixed."""
+    keys: List[tuple] = [("marginal", t, x) for t in sorted(pinned) for x in pinned[t].support]
+    for t in range(1, n + 1):
+        keys.extend(("martingale", t, prefix) for prefix in sorted({p[:t] for p in paths}))
+    values = tuple(_ingest(reward(p), mode) for p in paths)
+    return MotProgram(pinned, n, tuple(paths), values, mode, tuple(keys))
 
 
 def _effective_paths(
@@ -103,35 +106,15 @@ def _effective_paths(
     return paths
 
 
-def _row_keys_for(marginals, grids, paths) -> Tuple[tuple, ...]:
-    keys: List[tuple] = []
-    for t, grid in enumerate(grids):
-        for point in grid:
-            keys.append(("marginal", t, point))
-    for t in range(1, len(grids)):
-        prefixes = sorted({p[:t] for p in paths})
-        for prefix in prefixes:
-            keys.append(("martingale", t, prefix))
-    return tuple(keys)
-
-
 def build_program(
     marginals: Sequence[DiscreteMeasure], reward: Reward, mode: str = EXACT
 ) -> MotProgram:
+    """The constrained program: every date pinned, effective-domain paths."""
     marginals = tuple(marginals)
     require_convex_order_chain(marginals)
     decomps = [decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))]
-    grids = tuple(mu.support for mu in marginals)
-    paths = tuple(_effective_paths(grids, decomps))
-    values = tuple(_ingest(reward(p), mode) for p in paths)
-    return MotProgram(
-        marginals=marginals,
-        grids=grids,
-        paths=paths,
-        reward_values=values,
-        mode=mode,
-        row_keys=_row_keys_for(marginals, grids, paths),
-    )
+    paths = _effective_paths([mu.support for mu in marginals], decomps)
+    return _pinned_program(dict(enumerate(marginals)), len(marginals) - 1, paths, reward, mode)
 
 
 @dataclass
@@ -172,11 +155,19 @@ def solve_primal(
     return _solve_program(build_program(marginals, reward, mode))
 
 
+def _H_json(H: Dict[Tuple[int, Path], Fraction]) -> List[dict]:
+    return [
+        {"t": t, "prefix": [str(c) for c in prefix], "value": str(v)}
+        for (t, prefix), v in sorted(H.items())
+    ]
+
+
 @dataclass
 class DualCertificate:
     """Dual optimizer: static positions phi_t and trading strategy H.
 
-    Superhedging holds on every effective-domain grid path:
+    `phi` has one entry per pinned date of the program.  Superhedging holds
+    on every program path:
     sum_t phi_t(x_t) + sum_t H_t(x_0..x_{t-1}) (x_t - x_{t-1}) >= f(x),
     and the objective sum_t mu_t(phi_t) equals the primal value exactly.
     """
@@ -207,24 +198,20 @@ class DualCertificate:
                 {"t": t, "values": {str(x): str(v) for x, v in sorted(values.items())}}
                 for t, values in sorted(self.phi.items())
             ],
-            "H": [
-                {"t": t, "prefix": [str(c) for c in prefix], "value": str(v)}
-                for (t, prefix), v in sorted(self.H.items())
-            ],
+            "H": _H_json(self.H),
         }
 
 
 def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
     """Read the dual optimizer off the optimal basis and verify it.
 
-    The superhedging inequality is checked on every effective-domain grid
-    path and complementary slackness on the support of the optimizer before
-    the certificate is returned.
+    Zero duality gap, the superhedging inequality on every program path and
+    complementary slackness on the support of the optimizer are checked
+    before the certificate is returned.
     """
-    duals = solution.lp.duals
-    phi: Dict[int, Dict[Fraction, Fraction]] = {t: {} for t in range(program.n + 1)}
+    phi: Dict[int, Dict[Fraction, Fraction]] = {t: {} for t in program.marginals}
     H: Dict[Tuple[int, Path], Fraction] = {}
-    for key, y in zip(program.row_keys, duals):
+    for key, y in zip(program.row_keys, solution.lp.duals):
         if key[0] == "marginal":
             _, t, point = key
             phi[t][point] = y
@@ -243,12 +230,11 @@ def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
     certificate = DualCertificate(phi, H, objective, program)
     if objective != solution.exact_value:
         raise AssertionError("dual objective does not match the primal value")
-    for path, f_val in zip(program.paths, program.reward_values):
-        if certificate.superhedge(path) < f_val:
+    for path, f_val, w in zip(program.paths, program.reward_values, solution.lp.x):
+        hedge = certificate.superhedge(path)
+        if hedge < f_val:
             raise AssertionError(f"superhedging fails on {path}")
-    for path, w in solution.optimizer.paths:
-        f_val = program.reward_values[program.paths.index(path)]
-        if w > 0 and certificate.superhedge(path) != f_val:
+        if w > 0 and hedge != f_val:
             raise AssertionError(f"complementary slackness fails on {path}")
     return certificate
 
@@ -348,29 +334,18 @@ def chain_min_call(
 
 
 @dataclass
-class FreeProgram:
-    """LP data of the problem with free intermediate marginals."""
-
-    mu0: DiscreteMeasure
-    mun: DiscreteMeasure
-    n: int
-    grid: Tuple[Fraction, ...]
-    paths: Tuple[Path, ...]
-    reward_values: Tuple[Fraction, ...]
-    mode: str
-    row_keys: Tuple[tuple, ...]
-    components: Tuple[NStepComponent, ...]
-
-
-@dataclass
 class FreeDualCertificate:
-    """Dual optimizer (phi, psi, H) of the free-marginal problem."""
+    """Dual optimizer (phi, psi, H) of the free-marginal problem.
+
+    phi and psi are the static positions of dates 0 and n, the only pinned
+    dates of `program`.
+    """
 
     phi: Dict[Fraction, Fraction]
     psi: Dict[Fraction, Fraction]
     H: Dict[Tuple[int, Path], Fraction]
     objective: Fraction
-    program: FreeProgram
+    program: MotProgram
 
     def superhedge(self, path: Path) -> Fraction:
         total = self.phi.get(path[0], Fraction(0)) + self.psi.get(path[-1], Fraction(0))
@@ -383,10 +358,7 @@ class FreeDualCertificate:
             "objective": str(self.objective),
             "phi": {str(x): str(v) for x, v in sorted(self.phi.items())},
             "psi": {str(x): str(v) for x, v in sorted(self.psi.items())},
-            "H": [
-                {"t": t, "prefix": [str(c) for c in prefix], "value": str(v)}
-                for (t, prefix), v in sorted(self.H.items())
-            ],
+            "H": _H_json(self.H),
         }
 
 
@@ -408,10 +380,11 @@ def solve_free(
 ) -> FreeSolution:
     """Solve the transport problem with only the first and last marginals pinned.
 
-    Paths run over the intermediate grid (default: union of the two supports;
-    the canonical monotone transport lives on it) intersected with the n-step
-    components; the dual returns (phi, psi, H) with superhedging on every
-    such path.
+    This is the constrained program with the intermediate marginal rows
+    dropped.  Paths run over the intermediate grid (default: union of the
+    two supports; the canonical monotone transport lives on it) intersected
+    with the n-step components; the dual (phi, psi, H) is verified by
+    `extract_dual` like any other certificate.
     """
     require_convex_order(mu0, mun)
     if n < 1:
@@ -428,61 +401,11 @@ def solve_free(
         paths = [p + (y,) for p in paths for y in coords]
     paths = [p for p in paths if any(c.contains(p) for c in components)]
 
-    values = tuple(_ingest(reward(p), mode) for p in paths)
-    row_keys: List[tuple] = []
-    for point in mu0.support:
-        row_keys.append(("marginal", 0, point))
-    for point in mun.support:
-        row_keys.append(("marginal", n, point))
-    for t in range(1, n + 1):
-        for prefix in sorted({p[:t] for p in paths}):
-            row_keys.append(("martingale", t, prefix))
-
-    index = {key: i for i, key in enumerate(row_keys)}
-    rows = [[Fraction(0)] * len(paths) for _ in row_keys]
-    rhs = [Fraction(0)] * len(row_keys)
-    for point, w in mu0.atoms:
-        rhs[index[("marginal", 0, point)]] = w
-    for point, w in mun.atoms:
-        rhs[index[("marginal", n, point)]] = w
-    for j, path in enumerate(paths):
-        rows[index[("marginal", 0, path[0])]][j] = Fraction(1)
-        rows[index[("marginal", n, path[-1])]][j] = Fraction(1)
-        for t in range(1, n + 1):
-            rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
-
-    try:
-        lp = solve_lp(list(values), rows, rhs)
-    except Infeasible:
-        raise AssertionError(
-            "free transport polytope empty although marginals are in convex order"
-        ) from None
-
-    optimizer = PathMeasure(n, ((paths[k], v) for k, v in enumerate(lp.x) if v != 0))
-    program = FreeProgram(
-        mu0, mun, n, inner, tuple(paths), values, mode, tuple(row_keys), components
-    )
-    phi: Dict[Fraction, Fraction] = {}
-    psi: Dict[Fraction, Fraction] = {}
-    H: Dict[Tuple[int, Path], Fraction] = {}
-    for key, y in zip(row_keys, lp.duals):
-        if key[0] == "marginal" and key[1] == 0:
-            phi[key[2]] = y
-        elif key[0] == "marginal":
-            psi[key[2]] = y
-        elif y != 0:
-            H[(key[1], key[2])] = y
-    objective = sum((mu0.weight_at(x) * v for x, v in phi.items()), Fraction(0)) + sum(
-        (mun.weight_at(x) * v for x, v in psi.items()), Fraction(0)
-    )
-    certificate = FreeDualCertificate(phi, psi, H, objective, program)
-    if objective != lp.value:
-        raise AssertionError("free dual objective does not match the primal value")
-    for path, f_val in zip(paths, values):
-        if certificate.superhedge(path) < f_val:
-            raise AssertionError(f"free superhedging fails on {path}")
-    value: Union[Fraction, float] = lp.value if mode == EXACT else float(lp.value)
-    return FreeSolution(value, optimizer, certificate, lp.value)
+    program = _pinned_program({0: mu0, n: mun}, n, paths, reward, mode)
+    solution = _solve_program(program)
+    dual = extract_dual(program, solution)
+    certificate = FreeDualCertificate(dual.phi[0], dual.phi[n], dual.H, dual.objective, program)
+    return FreeSolution(solution.value, solution.optimizer, certificate, solution.exact_value)
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

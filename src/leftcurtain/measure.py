@@ -429,13 +429,8 @@ def require_convex_order_chain(marginals: Iterable[DiscreteMeasure]) -> None:
             raise NotInConvexOrder(f"marginals {t-1} and {t} are not in convex order")
 
 
-def measure_to_json_str(mu: DiscreteMeasure, approx: bool = False) -> str:
-    obj = mu.to_json()
-    if approx:
-        for entry in obj["atoms"]:
-            entry["x_approx"] = float(Fraction(entry["x"]))
-            entry["w_approx"] = float(Fraction(entry["w"]))
-    return json.dumps(obj)
+def measure_to_json_str(mu: DiscreteMeasure) -> str:
+    return json.dumps(mu.to_json())
 
 
 def measure_from_json_str(text: str) -> DiscreteMeasure:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -204,10 +205,29 @@ class TestCommands:
         assert code == 0
         assert payload["results"][0]["projections_mismatch"] is True
 
-    def test_examples_jobs_deterministic(self, capsys):
-        _, solo, _ = run(capsys, ["examples", "--all"])
-        _, fanned, _ = run(capsys, ["examples", "--all", "--jobs", "3"])
-        assert solo == fanned
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutput:
+    """Payloads written by an earlier release, compared without the manifest."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("solve", ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=-1) * -1 * call(2, 0)"]),
+            ("free", ["free", "mu0", "mu2", "--steps", "2", "--reward", "indicator(t=0, <=-1) * -1 * call(1, 0)"]),
+            ("left_monotone_lp_feasible", ["left-monotone", "mu0", "mu1", "mu2", "--policy", "lp-feasible"]),
+        ],
+    )
+    def test_payload_matches_golden(self, capsys, files, name, argv):
+        code, out, _ = run(capsys, [files.get(arg, arg) for arg in argv])
+        payload = json.loads(out)
+        manifest = payload.pop("manifest")
+        assert code == 0
+        assert sorted(manifest) == ["command", "inputs", "mode", "outputs"]
+        expected = (GOLDEN / f"{name}.json").read_text()
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
 
 
 class TestErrorHandling:
@@ -229,6 +249,22 @@ class TestErrorHandling:
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "mu0", "mu1", "mu2", "--reward", "foo(1)"],
+            ["solve", "mu0", "mu1", "mu2", "--reward", "1/0"],
+            ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=1/0)"],
+            ["free", "mu0", "mu2", "--steps", "2", "--reward", "call(5, 0)"],
+            ["free", "mu0", "mu2", "--steps", "0"],
+        ],
+        ids=["unknown-factor", "zero-denominator", "zero-denominator-in-indicator", "beyond-horizon", "zero-steps"],
+    )
+    def test_bad_reward_or_steps_exit_1(self, capsys, files, argv):
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "schema"
 
     def test_csv_output(self, capsys, files):
         code, out, _ = run(
