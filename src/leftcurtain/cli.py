@@ -39,8 +39,8 @@ from .measure import (
     NotInConvexOrder,
     NotInPositiveConvexOrder,
     SchemaError,
+    _rat_from_json,
     potential,
-    rat,
 )
 from .shadow import obstructed_shadow, shadow, shadow_atom
 from .simplex import Infeasible, Unbounded
@@ -174,7 +174,9 @@ def cmd_shadow(args) -> int:
     else:
         if args.mass is None or args.at is None:
             raise SchemaError("", "either --source or both --mass and --at are required")
-        result = shadow_atom(rat(args.mass), rat(args.at), nu)
+        result = shadow_atom(
+            _rat_from_json(args.mass, "--mass"), _rat_from_json(args.at, "--at"), nu
+        )
         inputs = [args.target]
     payload = {
         "manifest": _manifest(args, inputs),
@@ -208,6 +210,8 @@ def _paths_csv(P: PathMeasure) -> List[dict]:
 
 def cmd_left_monotone(args) -> int:
     marginals = [_load_measure(path) for path in args.files]
+    if len(marginals) < 2:
+        raise SchemaError("", "left-monotone needs at least two marginal files")
     policy = (
         KernelPolicy.LP_FEASIBLE
         if args.policy == "lp-feasible"
@@ -305,7 +309,12 @@ def _load_paths(path: str) -> List[List[Fraction]]:
     for i, entry in enumerate(node):
         if not isinstance(entry, list):
             raise SchemaError(f"{path}#/{i}", "each path must be an array of rationals")
-        out.append([rat(c) if not isinstance(c, float) else Fraction(c) for c in entry])
+        out.append(
+            [
+                Fraction(c) if isinstance(c, float) else _rat_from_json(c, f"{path}#/{i}/{j}")
+                for j, c in enumerate(entry)
+            ]
+        )
     return out
 
 
@@ -314,10 +323,16 @@ def cmd_polar(args) -> int:
     if args.free:
         if args.steps is None or len(args.files) != 2:
             raise SchemaError("", "--free needs --steps and exactly two marginal files")
-        mu0, mun = (_load_measure(p) for p in args.files)
-        verdicts = free_polar_test(mu0, mun, args.steps, paths)
+        if args.steps < 1:
+            raise SchemaError("", "--steps must be at least 1")
+    marginals = [_load_measure(p) for p in args.files]
+    dates = args.steps + 1 if args.free else len(marginals)
+    for i, path in enumerate(paths):
+        if len(path) != dates:
+            raise SchemaError(f"{args.paths}#/{i}", f"expected {dates} coordinates")
+    if args.free:
+        verdicts = free_polar_test(marginals[0], marginals[1], args.steps, paths)
     else:
-        marginals = [_load_measure(p) for p in args.files]
         verdicts = polar_test(marginals, paths)
     rows = [
         {
@@ -596,6 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(error: dict, code: int) -> int:
+    json.dump(error, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -605,13 +626,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        json.dump({"error": "schema", "pointer": exc.pointer, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_IO
+        return _report({"error": "schema", "pointer": exc.pointer, "message": str(exc)}, EXIT_IO)
     except OSError as exc:
-        json.dump({"error": "io", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_IO
+        return _report({"error": "io", "message": str(exc)}, EXIT_IO)
     except (
         NotInConvexOrder,
         NotInPositiveConvexOrder,
@@ -622,9 +639,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Unbounded,
         PathCountExceeded,
     ) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_MATH
+        return _report({"error": type(exc).__name__, "message": str(exc)}, EXIT_MATH)
+    except ValueError as exc:  # any other malformed input the checks above let through
+        return _report({"error": "schema", "pointer": "", "message": str(exc)}, EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -385,22 +385,14 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     """
     marginals = list(marginals)
     require_convex_order_chain(marginals)
-    n = len(marginals) - 1
-    if n <= 1:
+    if len(marginals) <= 2:
         return True
     mu0 = marginals[0]
-    residuals = list(marginals[1:])
-    prefix_shadows = [DiscreteMeasure.zero()] * n
-    for x, q in mu0.atoms:
-        for t in range(n):
-            piece = shadow(DiscreteMeasure.dirac(x, q), residuals[t])
-            residuals[t] = piece.residual
-            prefix_shadows[t] = DiscreteMeasure(
-                list(prefix_shadows[t]) + list(piece.shadow)
-            )
-        for t in range(1, n):
-            if not convex_order_leq(prefix_shadows[t - 1], prefix_shadows[t]):
-                return False
+    for i in range(1, len(mu0) + 1):
+        prefix = DiscreteMeasure(mu0.atoms[:i])
+        shadows = [shadow(prefix, nu).shadow for nu in marginals[1:]]
+        if not all(convex_order_leq(a, b) for a, b in zip(shadows, shadows[1:])):
+            return False
     return True
 
 

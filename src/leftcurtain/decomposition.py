@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 from .measure import (
     DiscreteMeasure,
     Interval,
+    _put_gap,
     add,
-    potential,
     require_convex_order,
     require_convex_order_chain,
     subtract,
@@ -103,14 +103,13 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     """Decompose a one-step problem per the irreducible-component theorem.
 
     The components are found by exact sign analysis of the piecewise-linear
-    difference u_nu - u_mu between consecutive breakpoints; rational slopes
-    make every zero-crossing exact, so there is no tolerance anywhere.
-    Raises NotInConvexOrder if the pair is not in convex order.
+    difference u_nu - u_mu = 2 (P_nu - P_mu) of the potentials between
+    consecutive breakpoints; rational slopes make every zero-crossing exact,
+    so there is no tolerance anywhere.  Raises NotInConvexOrder if the pair
+    is not in convex order.
     """
     require_convex_order(mu, nu)
-    u_mu, u_nu = potential(mu), potential(nu)
-    grid = sorted(set(mu.support) | set(nu.support))
-    values = [u_nu(x) - u_mu(x) for x in grid]
+    grid, values = _put_gap(mu, nu)
 
     # The difference vanishes outside the support hull (equal mass and
     # barycenter), so {u_mu < u_nu} is a union of open intervals whose
@@ -203,6 +202,8 @@ def polar_test(
     verdicts = []
     for raw in paths:
         path = tuple(Fraction(x) for x in raw)
+        if len(path) != len(marginals):
+            raise ValueError("path length must be the number of marginals")
         nullset = next(
             (t for t, x in enumerate(path) if marginals[t].weight_at(x) == 0), None
         )
@@ -245,9 +246,11 @@ class NStepComponent:
                 iv.contains(x) for iv in self.diagonal_intervals
             )
         if self.kind == "interior":
-            assert self.I is not None and self.J is not None
+            if self.I is None or self.J is None:
+                raise ValueError("an interior component needs I and J")
             return all(self.I.contains(x) for x in path[:-1]) and self.J.contains(path[-1])
-        assert self.I is not None and self.pin is not None
+        if self.I is None or self.pin is None:
+            raise ValueError("a pinned component needs I and pin")
         t = self.pin_from
         return all(self.I.contains(x) for x in path[:t]) and all(
             x == self.pin for x in path[t:]

@@ -1,23 +1,25 @@
 """Shadows and obstructed shadows of discrete measures.
 
 The shadow of mu in nu is the convex-order least element of
-{theta : mu <=_c theta <= nu}.  For a single atom it is a restriction of nu
-to an interval, with fractional atoms allowed at the two endpoints; general
-measures fold their atoms left to right through the additivity law, and
-obstructed shadows iterate the construction through a chain of targets.
+{theta : mu <=_c theta <= nu}.  It is read off put potentials: the residual
+nu - shadow has potential conv(P_nu - P_mu), the largest convex minorant of
+the potential gap (Beiglboeck-Hobson-Norgilas, "The potential of the shadow
+measure", 2022), so one lower-hull pass over the merged support gives the
+shadow of any measure or atom.  Obstructed shadows iterate the construction
+through a chain of targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
     NotInPositiveConvexOrder,
     RationalLike,
-    add,
+    _put_gap,
     positive_convex_order_leq,
     rat,
     subtract,
@@ -32,94 +34,57 @@ class ShadowResult:
     residual: DiscreteMeasure
 
 
+def _slope(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Fraction:
+    return (b[1] - a[1]) / (b[0] - a[0])
+
+
+def _shadow_from_potentials(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ShadowResult:
+    """Shadow of mu <=_pc nu from P_shadow = P_nu - conv(P_nu - P_mu).
+
+    The gap P_nu - P_mu is 0 left of both supports and affine with slope
+    excess = nu.mass - mu.mass right of them.  The order mu <=_pc nu keeps
+    the gap above 0 (puts) and above that right asymptote (calls), so its
+    convex minorant is the lower hull of its grid values, with slope 0 before
+    and slope excess after.  The minorant is the put potential of the
+    residual, whose atoms are the slope jumps at the hull vertices.
+    """
+    grid, gap = _put_gap(mu, nu)
+    excess = nu.mass - mu.mass
+    hull: List[Tuple[Fraction, Fraction]] = []
+    for point in zip(grid, gap):
+        while len(hull) >= 2 and _slope(hull[-2], hull[-1]) >= _slope(hull[-1], point):
+            hull.pop()
+        hull.append(point)
+    slopes = [Fraction(0)] + [_slope(a, b) for a, b in zip(hull, hull[1:])] + [excess]
+    residual = DiscreteMeasure(
+        (x, slopes[i + 1] - slopes[i]) for i, (x, _) in enumerate(hull)
+    )
+    return ShadowResult(subtract(nu, residual), residual)
+
+
 def shadow_atom(q: RationalLike, x: RationalLike, nu: DiscreteMeasure) -> ShadowResult:
     """Shadow of the atom q*delta_x in nu.
 
-    Searches over interval restrictions of nu around x: interior atoms are
-    taken whole and the two endpoint fractions solve the 2x2 mass/barycenter
-    system.  Every feasible candidate lies in the cast set, so the least
-    element is the feasible candidate of minimal second moment; the search is
-    complete because the shadow of an atom is known to be of this form.
+    The shadow of a one-atom measure: a restriction of nu to an interval
+    around x, with fractional atoms allowed at the two endpoints.
     """
     q, x = rat(q), rat(x)
     if q < 0:
         raise NotInPositiveConvexOrder(f"atom mass {q} is negative")
-    if q == 0:
-        return ShadowResult(DiscreteMeasure.zero(), nu)
-    if not positive_convex_order_leq(DiscreteMeasure.dirac(x, q), nu):
+    atom = DiscreteMeasure.dirac(x, q)
+    if not positive_convex_order_leq(atom, nu):
         raise NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target")
-
-    atoms = nu.atoms
-    positions = [a for a, _ in atoms]
-    left_ids = [i for i, p in enumerate(positions) if p <= x]
-    right_ids = [i for i, p in enumerate(positions) if p >= x]
-
-    # prefix sums make every candidate's interior mass/moments O(1)
-    zero = Fraction(0)
-    pre_mass, pre_fm, pre_m2 = [zero], [zero], [zero]
-    for p, w in atoms:
-        pre_mass.append(pre_mass[-1] + w)
-        pre_fm.append(pre_fm[-1] + w * p)
-        pre_m2.append(pre_m2[-1] + w * p * p)
-
-    best: Optional[Tuple[Fraction, int, int, Fraction, Fraction]] = None
-    for i in left_ids:
-        for j in right_ids:
-            if positions[i] > positions[j]:
-                continue
-            yi, yj = positions[i], positions[j]
-            inner_mass = pre_mass[j] - pre_mass[i + 1] if j > i else zero
-            need_mass = q - inner_mass
-            if need_mass < 0:
-                break  # interiors only grow with j
-            inner_fm = pre_fm[j] - pre_fm[i + 1] if j > i else zero
-            inner_m2 = pre_m2[j] - pre_m2[i + 1] if j > i else zero
-            need_fm = q * x - inner_fm
-            if yi == yj:
-                if need_fm != need_mass * yi or need_mass < 0 or need_mass > atoms[i][1]:
-                    continue
-                frac_i, frac_j = need_mass, zero
-            else:
-                frac_j = (need_fm - yi * need_mass) / (yj - yi)
-                frac_i = need_mass - frac_j
-                if (
-                    frac_i < 0
-                    or frac_j < 0
-                    or frac_i > atoms[i][1]
-                    or frac_j > atoms[j][1]
-                ):
-                    continue
-            moment = inner_m2 + frac_i * yi * yi + frac_j * yj * yj
-            if best is None or moment < best[0]:
-                best = (moment, i, j, frac_i, frac_j)
-    if best is None:
-        raise NotInPositiveConvexOrder(
-            f"no interval of the target can host {q}*d[{x}]"
-        )
-    _, i, j, frac_i, frac_j = best
-    rows = [(positions[i], frac_i)] + list(atoms[i + 1 : j]) + (
-        [(positions[j], frac_j)] if j > i else []
-    )
-    result = DiscreteMeasure(rows)
-    return ShadowResult(result, subtract(nu, result))
+    return _shadow_from_potentials(atom, nu)
 
 
 def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ShadowResult:
-    """Shadow of mu in nu, folding atoms left to right.
+    """Shadow of mu in nu.
 
-    The additivity law makes the fold independent of the order in which the
-    atoms are consumed; position order is the canonical choice.  Raises
-    NotInPositiveConvexOrder when mu is not <=_pc nu.
+    Raises NotInPositiveConvexOrder when mu is not <=_pc nu.
     """
     if not positive_convex_order_leq(mu, nu):
         raise NotInPositiveConvexOrder("source measure is not <=_pc the target")
-    total = DiscreteMeasure.zero()
-    residual = nu
-    for x, w in mu.atoms:
-        piece = shadow_atom(w, x, residual)
-        total = add(total, piece.shadow)
-        residual = piece.residual
-    return ShadowResult(total, residual)
+    return _shadow_from_potentials(mu, nu)
 
 
 def obstructed_shadow(

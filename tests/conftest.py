@@ -1,8 +1,9 @@
-"""Shared instance generators and independent LP oracles.
+"""Shared instance generators, independent LP oracles and slow references.
 
 The generators build random marginal chains by mean-preserving spreads, so
-convex order holds by construction.  The oracles solve small LPs directly on
-the raw simplex engine; they share no code with the combinatorial
+convex order holds by construction.  The LP oracles solve small LPs directly
+on the raw simplex engine, and the slow references are the direct per-point
+and per-atom algorithms; neither shares code with the combinatorial
 implementations they are used to check.
 """
 
@@ -14,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from leftcurtain import DiscreteMeasure, PathMeasure
+from leftcurtain import DiscreteMeasure, NotInPositiveConvexOrder, PathMeasure, add, subtract
 from leftcurtain.simplex import Infeasible, solve_lp
 
 F = Fraction
@@ -257,6 +258,107 @@ def lp_cast_min_call(mu: DiscreteMeasure, nu: DiscreteMeasure, b: Fraction) -> F
     cols, rows, rhs, senses = _coupling_rows(mu, nu, martingale=True, nu_cap=True)
     objective = [max(y - b, F(0)) for _, y in cols]
     return solve_lp(objective, rows, rhs, senses, maximize=False).value
+
+
+# --- slow reference implementations ------------------------------------------
+#
+# The per-point order tests and the atom-by-atom interval search that the
+# put-potential sweep replaced.  They call no library order test or shadow.
+
+
+def oracle_positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """mu <=_pc nu from call and put integrals summed afresh at every grid point."""
+
+    def call(m, b):
+        return sum((w * (x - b) for x, w in m if x > b), F(0))
+
+    def put(m, b):
+        return sum((w * (b - x) for x, w in m if x < b), F(0))
+
+    if mu.mass > nu.mass:
+        return False
+    grid = sorted(set(mu.support) | set(nu.support))
+    return all(call(mu, b) <= call(nu, b) and put(mu, b) <= put(nu, b) for b in grid)
+
+
+def oracle_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """mu <=_c nu from equal mass and mean and integrals of |x - y| at the grid."""
+
+    def u(m, x):
+        return sum((w * abs(x - y) for y, w in m), F(0))
+
+    if mu.mass != nu.mass or mu.first_moment != nu.first_moment:
+        return False
+    return all(u(mu, x) <= u(nu, x) for x in sorted(set(mu.support) | set(nu.support)))
+
+
+def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
+    """(shadow, residual) of q*delta_x in nu by search over interval restrictions.
+
+    Interior atoms are taken whole and the two endpoint fractions solve the
+    2x2 mass/barycenter system; the least element is the feasible candidate
+    of minimal second moment.  Raises NotInPositiveConvexOrder as
+    `shadow_atom` does.
+    """
+    q, x = F(q), F(x)
+    if q < 0:
+        raise NotInPositiveConvexOrder(f"atom mass {q} is negative")
+    if q == 0:
+        return DiscreteMeasure.zero(), nu
+    if not oracle_positive_convex_order_leq(DiscreteMeasure.dirac(x, q), nu):
+        raise NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target")
+    atoms = nu.atoms
+    positions = [a for a, _ in atoms]
+    zero = F(0)
+    pre_mass, pre_fm, pre_m2 = [zero], [zero], [zero]
+    for p, w in atoms:
+        pre_mass.append(pre_mass[-1] + w)
+        pre_fm.append(pre_fm[-1] + w * p)
+        pre_m2.append(pre_m2[-1] + w * p * p)
+    best = None
+    for i in (i for i, p in enumerate(positions) if p <= x):
+        for j in (j for j, p in enumerate(positions) if p >= x):
+            if positions[i] > positions[j]:
+                continue
+            yi, yj = positions[i], positions[j]
+            inner_mass = pre_mass[j] - pre_mass[i + 1] if j > i else zero
+            need_mass = q - inner_mass
+            if need_mass < 0:
+                break  # interiors only grow with j
+            inner_fm = pre_fm[j] - pre_fm[i + 1] if j > i else zero
+            inner_m2 = pre_m2[j] - pre_m2[i + 1] if j > i else zero
+            need_fm = q * x - inner_fm
+            if yi == yj:
+                if need_fm != need_mass * yi or need_mass > atoms[i][1]:
+                    continue
+                frac_i, frac_j = need_mass, zero
+            else:
+                frac_j = (need_fm - yi * need_mass) / (yj - yi)
+                frac_i = need_mass - frac_j
+                if not (0 <= frac_i <= atoms[i][1] and 0 <= frac_j <= atoms[j][1]):
+                    continue
+            moment = inner_m2 + frac_i * yi * yi + frac_j * yj * yj
+            if best is None or moment < best[0]:
+                best = (moment, i, j, frac_i, frac_j)
+    if best is None:
+        raise NotInPositiveConvexOrder(f"no interval of the target can host {q}*d[{x}]")
+    _, i, j, frac_i, frac_j = best
+    rows = [(positions[i], frac_i)] + list(atoms[i + 1 : j])
+    if j > i:
+        rows.append((positions[j], frac_j))
+    result = DiscreteMeasure(rows)
+    return result, subtract(nu, result)
+
+
+def oracle_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
+    """(shadow, residual) of mu in nu, folding atom shadows left to right."""
+    if not oracle_positive_convex_order_leq(mu, nu):
+        raise NotInPositiveConvexOrder("source measure is not <=_pc the target")
+    total, residual = DiscreteMeasure.zero(), nu
+    for x, w in mu:
+        piece, residual = oracle_shadow_atom(w, x, residual)
+        total = add(total, piece)
+    return total, residual
 
 
 # --- misc helpers -------------------------------------------------------------

@@ -24,7 +24,16 @@ def files(tmp_path):
         {"atoms": [{"x": "-4", "w": "1/4"}, {"x": "0", "w": "1/2"}, {"x": "4", "w": "1/4"}]},
     )
     paths = write("paths.json", [["-1", "-2", "-4"], ["1", "2", "-4"]])
-    return {"mu0": mu0, "mu1": mu1, "mu2": mu2, "paths": paths, "write": write}
+    return {
+        "mu0": mu0,
+        "mu1": mu1,
+        "mu2": mu2,
+        "paths": paths,
+        "short_paths": write("short.json", [["-1", "-2"]]),
+        "long_paths": write("long.json", [["-1", "-2", "-4", "0"]]),
+        "zero_den_paths": write("zero_den.json", [["-1", "1/0", "-4"]]),
+        "write": write,
+    }
 
 
 def run(capsys, argv):
@@ -258,8 +267,30 @@ class TestErrorHandling:
             ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=1/0)"],
             ["free", "mu0", "mu2", "--steps", "2", "--reward", "call(5, 0)"],
             ["free", "mu0", "mu2", "--steps", "0"],
+            ["polar", "mu0", "mu2", "--free", "--steps", "0", "--paths", "paths"],
+            ["left-monotone", "mu0"],
+            ["polar", "mu0", "mu1", "mu2", "--paths", "short_paths"],
+            ["polar", "mu0", "mu1", "mu2", "--paths", "long_paths"],
+            ["polar", "mu0", "mu2", "--free", "--steps", "2", "--paths", "long_paths"],
+            ["shadow", "--mass", "1/0", "--at", "0", "--target", "mu2"],
+            ["shadow", "--mass", "1/2", "--at", "abc", "--target", "mu2"],
+            ["polar", "mu0", "mu1", "mu2", "--paths", "zero_den_paths"],
         ],
-        ids=["unknown-factor", "zero-denominator", "zero-denominator-in-indicator", "beyond-horizon", "zero-steps"],
+        ids=[
+            "unknown-factor",
+            "zero-denominator",
+            "zero-denominator-in-indicator",
+            "beyond-horizon",
+            "zero-steps",
+            "polar-free-zero-steps",
+            "left-monotone-one-marginal",
+            "polar-path-too-short",
+            "polar-path-too-long",
+            "polar-free-path-too-long",
+            "shadow-mass-zero-denominator",
+            "shadow-at-not-rational",
+            "paths-zero-denominator",
+        ],
     )
     def test_bad_reward_or_steps_exit_1(self, capsys, files, argv):
         code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])

@@ -155,6 +155,11 @@ class TestPolar:
         with pytest.raises(NotInConvexOrder):
             polar_test([measure([(0, 1)]), measure([(1, 1)])], [(0, 1)])
 
+    @pytest.mark.parametrize("path", [(9, 9), (0, -1), (0, -1, 0, 0)])
+    def test_rejects_wrong_path_length(self, rigid_marginals, path):
+        with pytest.raises(ValueError, match="path length"):
+            polar_test(rigid_marginals, [path])
+
 
 class TestNStepComponents:
     def test_single_irreducible_pair(self):

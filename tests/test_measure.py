@@ -27,6 +27,8 @@ from conftest import (
     lp_martingale_coupling_exists,
     measure,
     mean_preserving_spread,
+    oracle_convex_order_leq,
+    oracle_positive_convex_order_leq,
     random_measure,
     random_pc_pair,
 )
@@ -205,6 +207,29 @@ class TestPositiveConvexOrder:
             positives += claim
             negatives += not claim
         assert positives >= 40 and negatives >= 20
+
+
+class TestOrderTestsAgainstSlowReference:
+    """The merged put sweep against per-point call, put and |x - y| integrals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["pc", "spread", "shifted spread", "random"]),
+    )
+    def test_order_tests_equal_per_point_references(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "pc":
+            mu, nu = random_pc_pair(rng)
+        elif kind.endswith("spread"):
+            mu = random_measure(rng, max_atoms=4)
+            shift = rng.choice([-1, 1]) if kind == "shifted spread" else 0
+            nu = DiscreteMeasure((x + shift, w) for x, w in mean_preserving_spread(rng, mu))
+        else:
+            mu, nu = random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
+        for a, b in ((mu, nu), (nu, mu)):
+            assert positive_convex_order_leq(a, b) == oracle_positive_convex_order_leq(a, b)
+            assert convex_order_leq(a, b) == oracle_convex_order_leq(a, b)
 
 
 class TestArithmetic:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
@@ -22,9 +24,42 @@ from conftest import (
     lp_min_second_moment_atom,
     measure,
     mean_preserving_spread,
+    oracle_shadow,
+    oracle_shadow_atom,
     random_measure,
     random_pc_pair,
 )
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestAgainstSlowReference:
+    """The put-potential hull against the atom-by-atom interval search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, st.integers(1, 6))
+    def test_shadow_equals_interval_search_fold(self, seed, max_atoms):
+        mu, nu = random_pc_pair(random.Random(seed), max_atoms=max_atoms)
+        result = shadow(mu, nu)
+        assert (result.shadow, result.residual) == oracle_shadow(mu, nu)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seeds,
+        st.fractions(min_value=-1, max_value=5, max_denominator=4),
+        st.fractions(min_value=-8, max_value=8, max_denominator=3),
+    )
+    def test_shadow_atom_equals_interval_search(self, seed, share, x):
+        nu = random_measure(random.Random(seed), max_atoms=6)
+        q = nu.mass * share
+        try:
+            expected = oracle_shadow_atom(q, x, nu)
+        except NotInPositiveConvexOrder as exc:
+            with pytest.raises(type(exc)):
+                shadow_atom(q, x, nu)
+            return
+        result = shadow_atom(q, x, nu)
+        assert (result.shadow, result.residual) == expected
 
 
 class TestShadowAtom:
