@@ -309,12 +309,7 @@ def _load_paths(path: str) -> List[List[Fraction]]:
     for i, entry in enumerate(node):
         if not isinstance(entry, list):
             raise SchemaError(f"{path}#/{i}", "each path must be an array of rationals")
-        out.append(
-            [
-                Fraction(c) if isinstance(c, float) else _rat_from_json(c, f"{path}#/{i}/{j}")
-                for j, c in enumerate(entry)
-            ]
-        )
+        out.append([_rat_from_json(c, f"{path}#/{i}/{j}") for j, c in enumerate(entry)])
     return out
 
 

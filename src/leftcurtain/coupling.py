@@ -27,7 +27,7 @@ from .measure import (
     require_convex_order,
     require_convex_order_chain,
 )
-from .shadow import obstructed_shadow, shadow, shadow_atom
+from .shadow import shadow, shadow_atom
 
 Path = Tuple[Fraction, ...]
 
@@ -239,6 +239,11 @@ def left_curtain_one_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasu
     the shadows of the prefix restrictions.
     """
     require_convex_order(mu, nu)
+    return _left_curtain(mu, nu)
+
+
+def _left_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
+    """`left_curtain_one_step` for a pair already known to be in convex order."""
     residual = nu
     rows = []
     for x, q in mu.atoms:
@@ -317,7 +322,7 @@ def left_monotone_multistep(
             if not convex_order_leq(lower, upper):
                 raise AssertionError("increment pair fails convex order")
             if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
-                step = left_curtain_one_step(lower, upper)
+                step = _left_curtain(lower, upper)
             else:
                 step = _feasible_martingale_coupling(lower, upper)
             kernels = _one_step_kernels(step)
@@ -351,7 +356,8 @@ def verify_left_monotone(
     Verifies the marginals and the martingale property first (raising
     MarginalMismatch / NotMartingale), then compares, for every atom prefix
     of the first marginal and every date, the image measure with the
-    obstructed shadow computed from scratch.
+    obstructed shadow of the prefix, walked once along the chain: the one at
+    date t is the shadow of the one at date t - 1 in marginal t.
     """
     marginals = list(marginals)
     if P.n != len(marginals) - 1:
@@ -367,10 +373,10 @@ def verify_left_monotone(
     all_match = True
     for a in marginals[0].support:
         restricted = P.restrict_first(a)
-        part = marginals[0].restrict(Interval.at_most(a))
+        expected = marginals[0].restrict(Interval.at_most(a))
         for t in range(1, P.n + 1):
             image = restricted.marginal(t)
-            expected = obstructed_shadow(part, marginals[1 : t + 1])
+            expected = shadow(expected, marginals[t]).shadow
             matches = image == expected
             all_match = all_match and matches
             records.append(PrefixImageRecord(a, t, matches, image, expected))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -283,18 +283,22 @@ def restrict(mu: DiscreteMeasure, interval: Interval) -> DiscreteMeasure:
     return mu.restrict(interval)
 
 
-def _put_values(mu: DiscreteMeasure, grid: Iterable[Fraction]) -> List[Fraction]:
-    """Put potential P_mu(k) = sum_i w_i * max(k - y_i, 0) on a sorted grid.
+def _put_values(
+    atoms: Sequence[Tuple[Fraction, Fraction]], grid: Iterable[Fraction]
+) -> List[Fraction]:
+    """Put potential P(k) = sum_i w_i * max(k - y_i, 0) on a sorted grid.
 
-    One merged pass, P_mu(k) = k * mass_below(k) - moment_below(k).  Calls
-    and potential functions are read off it by parity:
+    `atoms` are (y_i, w_i) pairs sorted by position; weights may be negative,
+    so a signed merge of two measures gives the gap of their potentials.  One
+    merged pass, P(k) = k * mass_below(k) - moment_below(k).  Calls and
+    potential functions are read off it by parity:
     C = P - mass * k + first moment and u = 2P - mass * x + first moment.
     """
     values: List[Fraction] = []
     i, mass_below, moment_below = 0, Fraction(0), Fraction(0)
     for k in grid:
-        while i < len(mu.atoms) and mu.atoms[i][0] < k:
-            x, w = mu.atoms[i]
+        while i < len(atoms) and atoms[i][0] < k:
+            x, w = atoms[i]
             mass_below += w
             moment_below += w * x
             i += 1
@@ -303,9 +307,13 @@ def _put_values(mu: DiscreteMeasure, grid: Iterable[Fraction]) -> List[Fraction]
 
 
 def _put_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[List[Fraction], List[Fraction]]:
-    """The merged support grid of mu and nu, and P_nu - P_mu on it."""
+    """The merged support grid of mu and nu, and P_nu - P_mu on it.
+
+    One sweep over the atoms of nu with weight +w and of mu with weight -w.
+    """
     grid = sorted(set(mu.support) | set(nu.support))
-    return grid, [q - p for p, q in zip(_put_values(mu, grid), _put_values(nu, grid))]
+    signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms))
+    return grid, _put_values(signed, grid)
 
 
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
@@ -316,7 +324,7 @@ def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
 
 def put_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the put integral sum_i w_i * max(b - y_i, 0)."""
-    return _put_values(mu, [rat(b)])[0]
+    return _put_values(mu.atoms, [rat(b)])[0]
 
 
 @dataclass(frozen=True)
@@ -389,7 +397,7 @@ class PotentialFunction:
 def potential(mu: DiscreteMeasure) -> PotentialFunction:
     """The potential function u_mu(x) = integral of |x - y| mu(dy), exactly."""
     total_mass, total_fm = mu.mass, mu.first_moment
-    puts = _put_values(mu, mu.support)
+    puts = _put_values(mu.atoms, mu.support)
     breakpoints = tuple(
         (x, 2 * p - total_mass * x + total_fm) for x, p in zip(mu.support, puts)
     )

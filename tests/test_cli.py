@@ -32,6 +32,7 @@ def files(tmp_path):
         "short_paths": write("short.json", [["-1", "-2"]]),
         "long_paths": write("long.json", [["-1", "-2", "-4", "0"]]),
         "zero_den_paths": write("zero_den.json", [["-1", "1/0", "-4"]]),
+        "float_paths": write("float.json", [["-1", 0.1, "-4"]]),
         "write": write,
     }
 
@@ -275,6 +276,7 @@ class TestErrorHandling:
             ["shadow", "--mass", "1/0", "--at", "0", "--target", "mu2"],
             ["shadow", "--mass", "1/2", "--at", "abc", "--target", "mu2"],
             ["polar", "mu0", "mu1", "mu2", "--paths", "zero_den_paths"],
+            ["polar", "mu0", "mu1", "mu2", "--paths", "float_paths"],
         ],
         ids=[
             "unknown-factor",
@@ -290,6 +292,7 @@ class TestErrorHandling:
             "shadow-mass-zero-denominator",
             "shadow-at-not-rational",
             "paths-zero-denominator",
+            "paths-float",
         ],
     )
     def test_bad_reward_or_steps_exit_1(self, capsys, files, argv):

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
+    Interval,
     KernelPolicy,
     MarginalMismatch,
     NotInConvexOrder,
@@ -23,12 +26,14 @@ from leftcurtain import (
     strong_order_holds,
     verify_left_monotone,
 )
-from leftcurtain.coupling import coupling_from_json_str
+from leftcurtain.coupling import PrefixImageRecord, coupling_from_json_str
 
 from conftest import (
     measure,
     mirror_coupling,
     mirror_measure,
+    oracle_convex_order_leq,
+    oracle_shadow,
     random_marginal_chain,
 )
 
@@ -261,6 +266,35 @@ class TestStrongOrder:
                 holds += 1
             else:
                 fails += 1
+
+
+class TestAgainstOracleShadows:
+    """Constructions against shadows from the interval-search fold of conftest."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 3))
+    def test_prefix_images_and_strong_order(self, seed, steps):
+        # about one chain in five has prefix shadows out of convex order
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=6, start_atoms=3)
+        mu0 = chain[0]
+        couplings = [left_monotone_multistep(chain, policy) for policy in KernelPolicy]
+        curtains = [left_curtain_one_step(mu0, nu) for nu in chain[1:]]
+        records, strong = [], True
+        for a in mu0.support:
+            prefix = mu0.restrict(Interval.at_most(a))
+            obstructed = prefix
+            plain = []
+            for t, nu in enumerate(chain[1:], start=1):
+                obstructed = oracle_shadow(obstructed, nu)[0]
+                plain.append(oracle_shadow(prefix, nu)[0])
+                for P in couplings:
+                    assert P.restrict_first(a).marginal(t) == obstructed
+                assert curtains[t - 1].restrict_first(a).marginal(1) == plain[-1]
+                records.append(PrefixImageRecord(a, t, True, obstructed, obstructed))
+            strong = strong and all(map(oracle_convex_order_leq, plain, plain[1:]))
+        assert strong_order_holds(chain) == strong
+        for P in couplings:
+            assert verify_left_monotone(P, chain) == (True, records)
 
 
 class TestFreeMonotone:

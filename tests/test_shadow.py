@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from leftcurtain import (
     DiscreteMeasure,
     NotInPositiveConvexOrder,
+    ShadowResult,
     add,
     call_value,
     convex_order_leq,
@@ -24,6 +25,7 @@ from conftest import (
     lp_min_second_moment_atom,
     measure,
     mean_preserving_spread,
+    oracle_positive_convex_order_leq,
     oracle_shadow,
     oracle_shadow_atom,
     random_measure,
@@ -44,6 +46,29 @@ class TestAgainstSlowReference:
         assert (result.shadow, result.residual) == oracle_shadow(mu, nu)
 
     @settings(max_examples=300, deadline=None)
+    @given(seeds, st.sampled_from(["pc", "random", "spread", "reversed", "shrunk"]))
+    def test_shadow_decides_order_as_interval_search(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "pc":
+            mu, nu = random_pc_pair(rng, max_atoms=6)
+        elif kind == "random":
+            mu, nu = random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
+        else:
+            mu = random_measure(rng, max_atoms=4)
+            nu = mean_preserving_spread(rng, mu)
+            if kind == "reversed":
+                mu, nu = nu, mu
+            elif kind == "shrunk":
+                mu = mu.scaled(F(rng.randint(1, 4), 4))
+        if oracle_positive_convex_order_leq(mu, nu):
+            result = shadow(mu, nu)
+            assert (result.shadow, result.residual) == oracle_shadow(mu, nu)
+        else:
+            with pytest.raises(NotInPositiveConvexOrder) as info:
+                shadow(mu, nu)
+            assert str(info.value) == "source measure is not <=_pc the target"
+
+    @settings(max_examples=300, deadline=None)
     @given(
         seeds,
         st.fractions(min_value=-1, max_value=5, max_denominator=4),
@@ -55,8 +80,9 @@ class TestAgainstSlowReference:
         try:
             expected = oracle_shadow_atom(q, x, nu)
         except NotInPositiveConvexOrder as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(type(exc)) as info:
                 shadow_atom(q, x, nu)
+            assert str(info.value) == str(exc)
             return
         result = shadow_atom(q, x, nu)
         assert (result.shadow, result.residual) == expected
@@ -134,6 +160,36 @@ class TestShadow:
     def test_rejects_outside_positive_order(self):
         with pytest.raises(NotInPositiveConvexOrder):
             shadow(DiscreteMeasure.dirac(0, 2), DiscreteMeasure.dirac(0, 1))
+
+    def test_both_zero(self):
+        zero = DiscreteMeasure.zero()
+        assert shadow(zero, zero) == ShadowResult(zero, zero)
+
+    def test_source_equals_target(self):
+        mu = measure([(-1, F(1, 3)), (0, F(1, 6)), (2, F(1, 2))])
+        assert shadow(mu, mu) == ShadowResult(mu, DiscreteMeasure.zero())
+
+    def test_one_point_grid(self):
+        mu, nu = DiscreteMeasure.dirac(3, F(1, 4)), DiscreteMeasure.dirac(3, 1)
+        assert shadow(mu, nu) == ShadowResult(mu, DiscreteMeasure.dirac(3, F(3, 4)))
+        assert shadow_atom(F(1, 4), 3, nu) == shadow(mu, nu)
+
+    def test_more_mass_than_target(self):
+        # on a one-point grid every put and call gap is 0: only the mass decides
+        mu, nu = DiscreteMeasure.dirac(3, 1), DiscreteMeasure.dirac(3, F(1, 4))
+        with pytest.raises(NotInPositiveConvexOrder, match="source measure is not"):
+            shadow(mu, nu)
+        with pytest.raises(NotInPositiveConvexOrder, match=r"^1\*d\[3\] is not"):
+            shadow_atom(1, 3, nu)
+
+    def test_source_atom_outside_target_hull(self):
+        nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        for mu in (DiscreteMeasure.dirac(2, F(1, 8)), DiscreteMeasure.dirac(-2, F(1, 8))):
+            # right of the hull a call fails (last slope), left of it a put (first slope)
+            with pytest.raises(NotInPositiveConvexOrder, match="source measure is not"):
+                shadow(mu, nu)
+            with pytest.raises(NotInPositiveConvexOrder, match=r"1/8\*d\["):
+                shadow_atom(F(1, 8), mu.support[0], nu)
 
     def test_fold_order_does_not_matter(self):
         rng = random.Random(43)
