@@ -1,14 +1,33 @@
-"""Exact rational linear programming via primal simplex.
+"""Exact rational linear programming via a revised primal simplex.
 
-The tableau is kept as integers with a common denominator (fraction-free
-pivoting): a pivot on element p replaces every other row entry a by
-(a*p - f*b)/delta where delta is the previous pivot element.  Sylvester's
-determinant identity makes the division exact, and every division is verified
-at runtime, so results are exact rationals with no possibility of silent
-arithmetic corruption.  Bland's rule (lowest index entering, lowest basic
-index on ratio ties) makes the pivot sequence cycle-free and deterministic.
+Every row and the objective are scaled to integers and pivoted fraction-free
+(Bareiss): a pivot on element p replaces every other tableau entry a by
+(a*p - f*b)/delta, where f is the row's entry in the pivot column, b the
+pivot row's entry and delta the previous pivot element, kept positive.
+Sylvester's determinant identity makes the division exact.
 
-Scale target is desk-sized programs (hundreds of rows/columns), dense storage.
+The tableau is kept in revised form.  The initial basic columns (the slacks
+of '<=' rows and the artificials) form the identity, so after any pivots the
+tableau's entries in those columns are R = delta * B^-1, the row operations
+applied so far, and only R and the right-hand side are stored: m + 1
+integers per constraint row and per objective row.  Every other entry is
+computed from the sparse input column A_j when it is needed:
+
+    constraint row i:   T_ij = R_i . A_j
+    objective row:      z_j  = delta * z_init_j + u . A_j
+
+where u is the objective row's R part; the form holds because z_init is zero
+on the initial basic columns and every pivot z <- (p*z - f*prow)/delta keeps
+it.  A pivot therefore updates at most (m + 2) x (m + 1) integers (the
+phase-1 row is dropped after phase 1), not the whole tableau.  Every
+division is verified at runtime: with delta > 0 each floor remainder lies in
+[0, delta), so a row divides exactly if and only if
+sum(num) == delta * sum(num // delta).
+
+Bland's rule (lowest index entering, lowest basic index on ratio ties) makes
+the pivot sequence cycle-free and deterministic; the reduced costs are
+priced in column order up to the first negative one, and only the entering
+column is computed for the ratio test.
 """
 
 from __future__ import annotations
@@ -19,6 +38,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 _MAX_PIVOTS = 200_000
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+Column = List[Tuple[int, int]]  # (row, nonzero coefficient)
 
 
 class Infeasible(Exception):
@@ -35,7 +57,10 @@ class LpResult:
 
     `duals` has one entry per input row and satisfies duals . b == value; for a
     maximization they are feasible for the dual (y.A_j >= c_j on every column),
-    for a minimization the reversed inequality holds.
+    for a minimization the reversed inequality holds.  `iterations` counts
+    every pivot, `phase1_iterations` those made before phase 2 (including the
+    pivots that drive zero-level artificials out of the basis), and
+    `max_delta_bits` is the largest bit length the common denominator reached.
     """
 
     value: Fraction
@@ -43,75 +68,103 @@ class LpResult:
     duals: List[Fraction]
     basis: Tuple[int, ...]
     iterations: int
+    phase1_iterations: int
+    max_delta_bits: int
+
+
+def _fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _scale_to_int(row: Sequence[Fraction]) -> Tuple[List[int], int]:
     denom = math.lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * denom) for f in row], denom
+    return [f.numerator * (denom // f.denominator) for f in row], denom
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("fraction-free pivot produced a non-integer entry")
-    return q
+def _dot(row: List[int], column: Column) -> int:
+    return sum(row[k] * a for k, a in column)
 
 
 class _Tableau:
-    def __init__(self, rows: List[List[int]], basis: List[int]):
-        self.rows = rows          # constraint rows, then phase-2 z-row, then phase-1 z-row
+    def __init__(
+        self, columns: List[Column], costs: List[List[int]], rhs: List[int], basis: List[int]
+    ):
+        m = len(rhs)
+        self.columns = columns    # sparse input column of every column that may enter
+        self.costs = costs        # z_init per objective row (phase 2, 1), right side last
+        # R_i and the right side per constraint row, then u and the right side
+        # per objective row.
+        self.rows = [[int(k == i) for k in range(m)] + [b] for i, b in enumerate(rhs)]
+        self.rows += [[0] * m + [cost[-1]] for cost in costs]
         self.basis = basis        # basic column per constraint row
         self.delta = 1
         self.iterations = 0
+        self.max_delta_bits = 1
 
-    @property
-    def m(self) -> int:
-        return len(self.basis)
+    def column(self, j: int) -> List[int]:
+        """Tableau column j: one entry per constraint row, then per objective row."""
+        col = self.columns[j]
+        m = len(self.basis)
+        entries = [_dot(row, col) for row in self.rows[:m]]
+        entries += [
+            self.delta * cost[j] + _dot(u, col) for cost, u in zip(self.costs, self.rows[m:])
+        ]
+        return entries
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, c: int, column: List[int]) -> None:
+        """Pivot column c, whose entries are `column`, into the basis at row r."""
         rows, delta = self.rows, self.delta
         prow = rows[r]
-        p = prow[c]
+        p = column[r]
         if p == 0:
             raise AssertionError("zero pivot")
+        # Negating every row keeps delta positive; fold the sign into p and f.
+        sign = 1 if p > 0 else -1
+        p *= sign
         for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = row[c]
+            f = column[i] * sign
             if f == 0:
-                if p != delta:
-                    rows[i] = [_exact_div(v * p, delta) for v in row]
+                if p == delta:
+                    continue
+                num = [v * p for v in row]
             else:
-                rows[i] = [
-                    _exact_div(v * p - f * pv, delta) for v, pv in zip(row, prow)
-                ]
-        self.delta = p
-        if self.delta < 0:
-            self.delta = -self.delta
-            self.rows = [[-v for v in row] for row in self.rows]
+                num = [v * p - f * w for v, w in zip(row, prow)]
+            if delta != 1:
+                quot = [v // delta for v in num]
+                if sum(num) != delta * sum(quot):
+                    raise AssertionError("fraction-free pivot produced a non-integer entry")
+                num = quot
+            rows[i] = num
+        if sign < 0:
+            rows[r] = [-v for v in prow]
         self.basis[r] = c
+        self.delta = p
+        self.max_delta_bits = max(self.max_delta_bits, p.bit_length())
         self.iterations += 1
         if self.iterations > _MAX_PIVOTS:
             raise AssertionError("pivot limit exceeded")
 
-    def run(self, zrow_index: int, allowed: Sequence[bool]) -> None:
-        """Bland-rule simplex loop on the given objective row."""
-        rhs = len(self.rows[0]) - 1
+    def run(self, objective: int) -> None:
+        """Bland-rule simplex loop on the given objective row (0: phase 2, 1: phase 1)."""
+        m = len(self.basis)
+        cost = self.costs[objective]
         while True:
-            zrow = self.rows[zrow_index]
-            entering = -1
-            for j in range(rhs):
-                if allowed[j] and zrow[j] < 0:
-                    entering = j
-                    break
+            u, delta = self.rows[m + objective], self.delta
+            entering = next(
+                (j for j, col in enumerate(self.columns) if delta * cost[j] + _dot(u, col) < 0),
+                -1,
+            )
             if entering < 0:
                 return
+            column = self.column(entering)
             leave = -1
             best_num = best_den = 0
-            for i in range(self.m):
-                a = self.rows[i][entering]
+            for i in range(m):
+                a = column[i]
                 if a > 0:
-                    b = self.rows[i][rhs]
+                    b = self.rows[i][-1]
                     if (
                         leave < 0
                         or b * best_den < best_num * a
@@ -120,7 +173,7 @@ class _Tableau:
                         leave, best_num, best_den = i, b, a
             if leave < 0:
                 raise Unbounded("no blocking row for entering column")
-            self.pivot(leave, entering)
+            self.pivot(leave, entering, column)
 
 
 def solve_lp(
@@ -132,15 +185,26 @@ def solve_lp(
 ) -> LpResult:
     """Solve {max (or min) objective . x : rows x (senses) rhs, x >= 0} exactly.
 
-    senses entries are '=', '<=', '>=' (default all '=').  Raises Infeasible
-    or Unbounded.  Deterministic: identical inputs give identical pivots and
-    an identical optimal vertex.
+    senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
+    on malformed input (a row without one coefficient per objective entry,
+    rhs or senses without one entry per row, an unknown sense), and
+    Infeasible or Unbounded.  Deterministic: identical inputs give identical
+    pivots and an identical optimal vertex.
     """
     n = len(objective)
     m = len(rows)
     if senses is None:
         senses = ["="] * m
-    obj = [Fraction(v) if not isinstance(v, Fraction) else v for v in objective]
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
+    if len(senses) != m:
+        raise ValueError(f"senses has {len(senses)} entries for {m} rows")
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise ValueError(f"row {i} has {len(rows[i])} coefficients, expected {n}")
+        if senses[i] not in _FLIPPED:
+            raise ValueError(f"row {i} has sense {senses[i]!r}, expected '=', '<=' or '>='")
+    obj = [_fraction(v) for v in objective]
     if not maximize:
         obj = [-v for v in obj]
 
@@ -150,118 +214,77 @@ def solve_lp(
     row_mult: List[Fraction] = []
     eff_senses: List[str] = []
     for i in range(m):
-        frac_row = [Fraction(v) for v in rows[i]] + [Fraction(rhs[i])]
+        frac_row = [_fraction(v) for v in rows[i]] + [_fraction(rhs[i])]
         ints, denom = _scale_to_int(frac_row)
         mult = Fraction(denom)
         sense = senses[i]
         if ints[-1] < 0:
             ints = [-v for v in ints]
             mult = -mult
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+            sense = _FLIPPED[sense]
         int_rows.append(ints)
         row_mult.append(mult)
         eff_senses.append(sense)
     obj_ints, obj_denom = _scale_to_int(obj)
 
-    # Column layout: structural | slack/surplus | artificial | rhs.
-    aux_cols: List[Tuple[int, int]] = []  # (row, +1 slack / -1 surplus)
-    art_rows: List[int] = []              # rows that get an artificial
+    # Column layout: structural | slack/surplus | artificial.  Artificials
+    # never enter, so only the first two groups get a stored column.
+    columns: List[Column] = [
+        [(i, ints[j]) for i, ints in enumerate(int_rows) if ints[j]] for j in range(n)
+    ]
+    basis: List[int] = [-1] * m
     for i, sense in enumerate(eff_senses):
         if sense == "<=":
-            aux_cols.append((i, 1))
+            basis[i] = len(columns)
+            columns.append([(i, 1)])
         elif sense == ">=":
-            aux_cols.append((i, -1))
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    n_aux = len(aux_cols)
-    n_art = len(art_rows)
-    width = n + n_aux + n_art + 1
-    rhs_col = width - 1
-
-    aux_col_of_row = {}
-    art_col_of_row = {}
-    tab_rows: List[List[int]] = []
-    basis: List[int] = [-1] * m
-    for i in range(m):
-        row = [0] * width
-        row[:n] = int_rows[i][:n]
-        row[rhs_col] = int_rows[i][n]
-        tab_rows.append(row)
-    for k, (i, sign) in enumerate(aux_cols):
-        col = n + k
-        tab_rows[i][col] = sign
-        aux_col_of_row[i] = col
-        if sign == 1:
-            basis[i] = col
+            columns.append([(i, -1)])
+    n_real = len(columns)
+    art_rows = [i for i, sense in enumerate(eff_senses) if sense != "<="]
     for k, i in enumerate(art_rows):
-        col = n + n_aux + k
-        tab_rows[i][col] = 1
-        art_col_of_row[i] = col
-        basis[i] = col
+        basis[i] = n_real + k
 
-    # Phase-2 objective row (z - c), already priced out: initial basic
-    # columns are slacks/artificials with zero cost.
-    z2 = [0] * width
-    z2[:n] = [-v for v in obj_ints]
-    # Phase-1 objective row for max(-sum of artificials), priced out.
-    z1 = [0] * width
-    for i in art_rows:
-        z1[art_col_of_row[i]] = 1
-    for i in art_rows:
-        z1 = [a - b for a, b in zip(z1, tab_rows[i])]
+    # Phase-2 objective row (z - c) and phase-1 row for max(-sum of
+    # artificials), both priced out: initial basic columns cost nothing.
+    z2 = [-v for v in obj_ints] + [0] * (n_real - n) + [0]
+    z1 = [-sum(a for i, a in col if eff_senses[i] != "<=") for col in columns]
+    z1.append(-sum(int_rows[i][n] for i in art_rows))
+    tab = _Tableau(columns, [z2, z1], [ints[n] for ints in int_rows], basis)
 
-    tab = _Tableau(tab_rows + [z2, z1], basis)
-    z2_index, z1_index = m, m + 1
-
-    is_artificial = [False] * width
-    for i in art_rows:
-        is_artificial[art_col_of_row[i]] = True
-
-    if n_art:
-        allowed = [not is_artificial[j] for j in range(width)]
-        tab.run(z1_index, allowed)
-        if tab.rows[z1_index][rhs_col] != 0:
+    if art_rows:
+        tab.run(1)
+        if tab.rows[m + 1][-1] != 0:
             raise Infeasible("phase 1 terminated with positive artificial mass")
         # Drive remaining zero-level artificials out of the basis.
         for i in range(m):
-            if is_artificial[tab.basis[i]]:
+            if tab.basis[i] >= n_real:
                 row = tab.rows[i]
-                pivot_col = next(
-                    (j for j in range(n + n_aux) if row[j] != 0),
-                    None,
-                )
+                pivot_col = next((j for j, col in enumerate(columns) if _dot(row, col)), None)
                 if pivot_col is not None:
-                    tab.pivot(i, pivot_col)
+                    tab.pivot(i, pivot_col, tab.column(pivot_col))
+    phase1_iterations = tab.iterations
 
-    # Redundant rows: basic artificial with no pivotable entry left.
-    keep = [i for i in range(m) if not is_artificial[tab.basis[i]]]
-    redundant = set(range(m)) - set(keep)
-    tab.rows = [tab.rows[i] for i in keep] + [tab.rows[z2_index], tab.rows[z1_index]]
+    # Redundant rows: basic artificial with no pivotable entry left.  The
+    # phase-1 row is no longer needed.
+    keep = [i for i in range(m) if tab.basis[i] < n_real]
+    tab.rows = [tab.rows[i] for i in keep] + [tab.rows[m]]
     tab.basis = [tab.basis[i] for i in keep]
-    z2_index = len(keep)
-
-    allowed = [not is_artificial[j] for j in range(width)]
-    tab.run(z2_index, allowed)
+    tab.costs = [z2]
+    tab.run(0)
 
     delta = tab.delta
-    zrow = tab.rows[z2_index]
     x = [Fraction(0)] * n
-    for i, col in enumerate(tab.basis):
-        value = Fraction(tab.rows[i][rhs_col], delta)
-        if tab.rows[i][col] != delta:
+    for row, col in zip(tab.rows, tab.basis):
+        if _dot(row, columns[col]) != delta:
             raise AssertionError("basic column is not the scaled identity")
         if col < n:
-            x[col] = value
-    raw_value = Fraction(zrow[rhs_col], delta) / obj_denom
+            x[col] = Fraction(row[-1], delta)
+    u = tab.rows[-1]
+    raw_value = Fraction(u[-1], delta) / obj_denom
 
-    duals = [Fraction(0)] * m
-    for i in range(m):
-        if i in redundant:
-            continue
-        col = art_col_of_row.get(i, aux_col_of_row.get(i))
-        y_scaled = Fraction(zrow[col], delta)
-        duals[i] = y_scaled * row_mult[i] / obj_denom
+    # Row i's dual is the phase-2 row's entry on its initial basic column; a
+    # redundant row's artificial stayed basic, so that entry is zero.
+    duals = [Fraction(u[i], delta) * row_mult[i] / obj_denom for i in range(m)]
 
     if not maximize:
         raw_value = -raw_value
@@ -274,4 +297,6 @@ def solve_lp(
         duals=duals,
         basis=basis_structural,
         iterations=tab.iterations,
+        phase1_iterations=phase1_iterations,
+        max_delta_bits=tab.max_delta_bits,
     )

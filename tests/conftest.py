@@ -4,19 +4,21 @@ The generators build random marginal chains by mean-preserving spreads, so
 convex order holds by construction.  The LP oracles solve small LPs directly
 on the raw simplex engine, and the slow references are the direct per-point
 and per-atom algorithms; neither shares code with the combinatorial
-implementations they are used to check.
+implementations they are used to check.  `oracle_solve_lp` is the dense
+simplex tableau that the revised engine replaced.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
 from leftcurtain import DiscreteMeasure, NotInPositiveConvexOrder, PathMeasure, add, subtract
-from leftcurtain.simplex import Infeasible, solve_lp
+from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
 
@@ -359,6 +361,254 @@ def oracle_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMea
         piece, residual = oracle_shadow_atom(w, x, residual)
         total = add(total, piece)
     return total, residual
+
+
+# --- dense simplex oracle ------------------------------------------------------
+#
+# The dense fraction-free tableau that the revised engine in `simplex`
+# replaced: every pivot rewrites every entry of every row.  The revised
+# engine must pivot exactly like it, so results are compared with `==`; the
+# oracle counts its phase-1 pivots and peak delta bit length too, so whole
+# `LpResult`s compare.
+
+_MAX_PIVOTS = 200_000
+
+
+def _scale_to_int(row: Sequence[Fraction]) -> Tuple[List[int], int]:
+    denom = math.lcm(*(f.denominator for f in row)) if row else 1
+    return [int(f * denom) for f in row], denom
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("fraction-free pivot produced a non-integer entry")
+    return q
+
+
+class _Tableau:
+    def __init__(self, rows: List[List[int]], basis: List[int]):
+        self.rows = rows          # constraint rows, then phase-2 z-row, then phase-1 z-row
+        self.basis = basis        # basic column per constraint row
+        self.delta = 1
+        self.iterations = 0
+        self.max_delta_bits = 1
+
+    @property
+    def m(self) -> int:
+        return len(self.basis)
+
+    def pivot(self, r: int, c: int) -> None:
+        rows, delta = self.rows, self.delta
+        prow = rows[r]
+        p = prow[c]
+        if p == 0:
+            raise AssertionError("zero pivot")
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f == 0:
+                if p != delta:
+                    rows[i] = [_exact_div(v * p, delta) for v in row]
+            else:
+                rows[i] = [
+                    _exact_div(v * p - f * pv, delta) for v, pv in zip(row, prow)
+                ]
+        self.delta = p
+        if self.delta < 0:
+            self.delta = -self.delta
+            self.rows = [[-v for v in row] for row in self.rows]
+        self.basis[r] = c
+        self.max_delta_bits = max(self.max_delta_bits, self.delta.bit_length())
+        self.iterations += 1
+        if self.iterations > _MAX_PIVOTS:
+            raise AssertionError("pivot limit exceeded")
+
+    def run(self, zrow_index: int, allowed: Sequence[bool]) -> None:
+        """Bland-rule simplex loop on the given objective row."""
+        rhs = len(self.rows[0]) - 1
+        while True:
+            zrow = self.rows[zrow_index]
+            entering = -1
+            for j in range(rhs):
+                if allowed[j] and zrow[j] < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            leave = -1
+            best_num = best_den = 0
+            for i in range(self.m):
+                a = self.rows[i][entering]
+                if a > 0:
+                    b = self.rows[i][rhs]
+                    if (
+                        leave < 0
+                        or b * best_den < best_num * a
+                        or (b * best_den == best_num * a and self.basis[i] < self.basis[leave])
+                    ):
+                        leave, best_num, best_den = i, b, a
+            if leave < 0:
+                raise Unbounded("no blocking row for entering column")
+            self.pivot(leave, entering)
+
+
+def oracle_solve_lp(
+    objective: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    senses: Optional[Sequence[str]] = None,
+    maximize: bool = True,
+) -> LpResult:
+    """Solve {max (or min) objective . x : rows x (senses) rhs, x >= 0} exactly.
+
+    senses entries are '=', '<=', '>=' (default all '=').  Raises Infeasible
+    or Unbounded.  Deterministic: identical inputs give identical pivots and
+    an identical optimal vertex.
+    """
+    n = len(objective)
+    m = len(rows)
+    if senses is None:
+        senses = ["="] * m
+    obj = [Fraction(v) if not isinstance(v, Fraction) else v for v in objective]
+    if not maximize:
+        obj = [-v for v in obj]
+
+    # Scale every row (and the objective) to integers; remember the per-row
+    # multiplier including the sign flip used to make the right side >= 0.
+    int_rows: List[List[int]] = []
+    row_mult: List[Fraction] = []
+    eff_senses: List[str] = []
+    for i in range(m):
+        frac_row = [Fraction(v) for v in rows[i]] + [Fraction(rhs[i])]
+        ints, denom = _scale_to_int(frac_row)
+        mult = Fraction(denom)
+        sense = senses[i]
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+            mult = -mult
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        int_rows.append(ints)
+        row_mult.append(mult)
+        eff_senses.append(sense)
+    obj_ints, obj_denom = _scale_to_int(obj)
+
+    # Column layout: structural | slack/surplus | artificial | rhs.
+    aux_cols: List[Tuple[int, int]] = []  # (row, +1 slack / -1 surplus)
+    art_rows: List[int] = []              # rows that get an artificial
+    for i, sense in enumerate(eff_senses):
+        if sense == "<=":
+            aux_cols.append((i, 1))
+        elif sense == ">=":
+            aux_cols.append((i, -1))
+            art_rows.append(i)
+        else:
+            art_rows.append(i)
+    n_aux = len(aux_cols)
+    n_art = len(art_rows)
+    width = n + n_aux + n_art + 1
+    rhs_col = width - 1
+
+    aux_col_of_row = {}
+    art_col_of_row = {}
+    tab_rows: List[List[int]] = []
+    basis: List[int] = [-1] * m
+    for i in range(m):
+        row = [0] * width
+        row[:n] = int_rows[i][:n]
+        row[rhs_col] = int_rows[i][n]
+        tab_rows.append(row)
+    for k, (i, sign) in enumerate(aux_cols):
+        col = n + k
+        tab_rows[i][col] = sign
+        aux_col_of_row[i] = col
+        if sign == 1:
+            basis[i] = col
+    for k, i in enumerate(art_rows):
+        col = n + n_aux + k
+        tab_rows[i][col] = 1
+        art_col_of_row[i] = col
+        basis[i] = col
+
+    # Phase-2 objective row (z - c), already priced out: initial basic
+    # columns are slacks/artificials with zero cost.
+    z2 = [0] * width
+    z2[:n] = [-v for v in obj_ints]
+    # Phase-1 objective row for max(-sum of artificials), priced out.
+    z1 = [0] * width
+    for i in art_rows:
+        z1[art_col_of_row[i]] = 1
+    for i in art_rows:
+        z1 = [a - b for a, b in zip(z1, tab_rows[i])]
+
+    tab = _Tableau(tab_rows + [z2, z1], basis)
+    z2_index, z1_index = m, m + 1
+
+    is_artificial = [False] * width
+    for i in art_rows:
+        is_artificial[art_col_of_row[i]] = True
+
+    if n_art:
+        allowed = [not is_artificial[j] for j in range(width)]
+        tab.run(z1_index, allowed)
+        if tab.rows[z1_index][rhs_col] != 0:
+            raise Infeasible("phase 1 terminated with positive artificial mass")
+        # Drive remaining zero-level artificials out of the basis.
+        for i in range(m):
+            if is_artificial[tab.basis[i]]:
+                row = tab.rows[i]
+                pivot_col = next(
+                    (j for j in range(n + n_aux) if row[j] != 0),
+                    None,
+                )
+                if pivot_col is not None:
+                    tab.pivot(i, pivot_col)
+    phase1_iterations = tab.iterations
+
+    # Redundant rows: basic artificial with no pivotable entry left.
+    keep = [i for i in range(m) if not is_artificial[tab.basis[i]]]
+    redundant = set(range(m)) - set(keep)
+    tab.rows = [tab.rows[i] for i in keep] + [tab.rows[z2_index], tab.rows[z1_index]]
+    tab.basis = [tab.basis[i] for i in keep]
+    z2_index = len(keep)
+
+    allowed = [not is_artificial[j] for j in range(width)]
+    tab.run(z2_index, allowed)
+
+    delta = tab.delta
+    zrow = tab.rows[z2_index]
+    x = [Fraction(0)] * n
+    for i, col in enumerate(tab.basis):
+        value = Fraction(tab.rows[i][rhs_col], delta)
+        if tab.rows[i][col] != delta:
+            raise AssertionError("basic column is not the scaled identity")
+        if col < n:
+            x[col] = value
+    raw_value = Fraction(zrow[rhs_col], delta) / obj_denom
+
+    duals = [Fraction(0)] * m
+    for i in range(m):
+        if i in redundant:
+            continue
+        col = art_col_of_row.get(i, aux_col_of_row.get(i))
+        y_scaled = Fraction(zrow[col], delta)
+        duals[i] = y_scaled * row_mult[i] / obj_denom
+
+    if not maximize:
+        raw_value = -raw_value
+        duals = [-y for y in duals]
+
+    basis_structural = tuple(sorted(col for col in tab.basis if col < n))
+    return LpResult(
+        value=raw_value,
+        x=x,
+        duals=duals,
+        basis=basis_structural,
+        iterations=tab.iterations,
+        phase1_iterations=phase1_iterations,
+        max_delta_bits=tab.max_delta_bits,
+    )
 
 
 # --- misc helpers -------------------------------------------------------------

@@ -29,3 +29,19 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(source.read_text(), filename=str(source))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{source.name}: assert statements at lines {lines}"
+
+
+def test_library_imports_only_stdlib():
+    """The library has no runtime dependencies (`dependencies = []`)."""
+    for source in sorted((ROOT / "src" / "leftcurtain").glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{source.name}:{node.lineno} imports {name}"

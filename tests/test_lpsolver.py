@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,10 +9,12 @@ from leftcurtain import (
     DiscreteMeasure,
     DualCertificate,
     Infeasible,
+    NotInConvexOrder,
     build_program,
     call_value,
     chain_min_call,
     contact_set,
+    decompose_step,
     extract_dual,
     feasible_transport,
     free_monotone_transport,
@@ -24,9 +27,10 @@ from leftcurtain import (
     solve_primal,
     tanh_sm_reward,
 )
+from leftcurtain import lpsolver
 from leftcurtain.simplex import solve_lp
 
-from conftest import measure, random_marginal_chain, random_pc_pair
+from conftest import measure, oracle_solve_lp, random_marginal_chain, random_pc_pair
 
 
 def brute_force_optimum(program):
@@ -325,3 +329,52 @@ class TestRewardLanguage:
             parse_reward("call(1)")
         with pytest.raises(ValueError):
             parse_reward("frobnicate(2, 3)")
+
+
+def irreducible_chain(rng, sizes):
+    """Marginals with the given support sizes, each step one irreducible
+    component holding every atom, so the effective domain is the full product."""
+    chain = []
+    for t, size in enumerate(sizes):
+        while True:
+            xs = rng.sample(range(-3 * t - 2, 3 * t + 3), size)
+            ws = [rng.randint(1, 4) for _ in xs]
+            mu = DiscreteMeasure((F(x), F(w, sum(ws))) for x, w in zip(xs, ws))
+            if not chain:
+                break
+            shift = chain[0].barycenter - mu.barycenter
+            mu = DiscreteMeasure((x + shift, w) for x, w in mu)
+            try:
+                step = decompose_step(chain[-1], mu)
+            except NotInConvexOrder:
+                continue
+            if step.diagonal.is_zero and len(step.components) == 1 and step.components[0].nu_k == mu:
+                break
+        chain.append(mu)
+    return chain
+
+
+class TestAgainstDenseOracle:
+    def test_program_lps_solve_alike(self, monkeypatch):
+        """Every LP that `lpsolver` builds gives the same result, pivot for
+        pivot, on the dense tableau of `conftest.oracle_solve_lp`."""
+        lps = []
+
+        def recording_solve_lp(*args, **kwargs):
+            lps.append((args, kwargs))
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(lpsolver, "solve_lp", recording_solve_lp)
+        rng = random.Random(149)
+        for sizes in [(2, 4, 6), (2, 4, 6), (2, 3, 5)]:
+            chain = irreducible_chain(rng, sizes)
+            reward = left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2])
+            assert len(solve_primal(chain, reward).program.paths) == math.prod(sizes)
+            solve_free(chain[0], chain[2], 2, reward)
+            part = DiscreteMeasure(list(chain[0])[:1])
+            for b in chain[2].support[1:3]:
+                chain_min_call(part, chain[1:], 2, b)
+        # Per chain: the primal, the free problem and two chain minima (with '<=' rows).
+        assert len(lps) == 12
+        for args, kwargs in lps:
+            assert solve_lp(*args, **kwargs) == oracle_solve_lp(*args, **kwargs)

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leftcurtain.simplex import Infeasible, Unbounded, solve_lp
+from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, solve_lp
+
+from conftest import oracle_solve_lp
 
 
 def reference_solve(c, rows, rhs, senses=None, maximize=True):
@@ -199,6 +203,47 @@ class TestHandPicked:
         )
         assert r.value == F(4, 7)
 
+    def test_pivot_counts_without_artificials(self):
+        # Only slacks start basic, so phase 1 makes no pivot.  Bland enters x0
+        # (ratios 4/1 < 6/1, delta 1), then x1 in the second row (ratios 4/1
+        # and 2/2) on the pivot element 2.
+        r = solve_lp([F(1), F(2)], [[F(1), F(1)], [F(1), F(3)]], [F(4), F(6)], ["<=", "<="])
+        assert (r.iterations, r.phase1_iterations, r.max_delta_bits) == (2, 0, 2)
+
+    def test_pivot_counts_with_drive_out(self):
+        # Phase 1 enters x0 on the pivot element 2 and is then optimal with
+        # the second row's artificial basic at level zero; driving it out
+        # pivots on x2 (element -2, so every row is negated and delta stays
+        # 2).  Phase 2 enters x1 on the element 1, and delta falls back to 1.
+        r = solve_lp([F(0), F(1), F(0)], [[F(2), F(1), F(1)], [F(0), F(0), F(-1)]], [F(4), F(0)])
+        assert r.value == 4 and r.x == [F(0), F(4), F(0)]
+        assert (r.iterations, r.phase1_iterations, r.max_delta_bits) == (3, 2, 2)
+
+    def test_inexact_division_is_detected(self):
+        # A forged denominator 2 that the next pivot's row entries do not divide.
+        tab = _Tableau([[(0, 1)], [(1, 1)]], [[0, 0, 0]], [1, 1], [2, 3])
+        tab.delta = 2
+        with pytest.raises(AssertionError, match="non-integer"):
+            tab.pivot(0, 0, tab.column(0))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "objective, rows, rhs, senses, message",
+        [
+            ([1], [[1, 5]], [2], None, "row 0 has 2 coefficients, expected 1"),
+            ([1, 1], [[1, 1], [1]], [2, 2], None, "row 1 has 1 coefficients, expected 2"),
+            ([1], [[1]], [2], ["<"], "row 0 has sense '<'"),
+            ([1], [[1], [1]], [2, -2], ["=", "<"], "row 1 has sense '<'"),
+            ([1], [[1], [1]], [2], None, "rhs has 1 entries for 2 rows"),
+            ([1], [[1]], [2, 3], None, "rhs has 2 entries for 1 rows"),
+            ([1], [[1], [1]], [2, 2], ["="], "senses has 1 entries for 2 rows"),
+        ],
+    )
+    def test_rejected_with_value_error(self, objective, rows, rhs, senses, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lp(objective, rows, rhs, senses)
+
 
 def random_lp(rng):
     m = rng.randint(1, 5)
@@ -221,12 +266,21 @@ def random_lp(rng):
     return c, rows, rhs, senses, maximize
 
 
+def outcome_of(solver, lp):
+    """The solver's LpResult, or the type of the exception it raised."""
+    try:
+        return solver(*lp)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
 class TestRandomized:
     def test_against_reference_and_certificates(self):
         rng = random.Random(2024)
         solved = infeasible = unbounded = 0
         for _ in range(250):
-            c, rows, rhs, senses, maximize = random_lp(rng)
+            lp = random_lp(rng)
+            c, rows, rhs, senses, maximize = lp
             try:
                 result = solve_lp(c, rows, rhs, senses, maximize)
                 outcome = ("optimal", result.value)
@@ -242,6 +296,7 @@ class TestRandomized:
             except Unbounded:
                 ref = ("unbounded", None)
             assert outcome == ref
+            assert outcome_of(solve_lp, lp) == outcome_of(oracle_solve_lp, lp)
             if outcome[0] == "optimal":
                 check_certificates(c, rows, rhs, senses, maximize, result)
                 solved += 1
@@ -263,3 +318,32 @@ class TestRandomized:
             second = solve_lp(c, rows, rhs, senses, maximize)
             assert first == second
             checked += 1
+
+
+coefficients = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=3))
+
+
+@st.composite
+def lps(draw):
+    """Small LPs of every sense, with zero, negative and all-zero right sides,
+    duplicated (redundant) rows, and infeasible and unbounded cases."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(coefficients, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        rhs = [F(0)] * m
+    else:
+        rhs = draw(st.lists(coefficients, min_size=m, max_size=m))
+    senses = draw(st.lists(st.sampled_from(["=", "<=", ">="]), min_size=m, max_size=m))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else []:
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i])
+        senses.append(senses[i])
+    objective = draw(st.lists(coefficients, min_size=n, max_size=n))
+    return objective, rows, rhs, senses, draw(st.booleans())
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(lps())
+    def test_same_pivots_vertex_and_exception(self, lp):
+        assert outcome_of(solve_lp, lp) == outcome_of(oracle_solve_lp, lp)
