@@ -255,11 +255,10 @@ def _left_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
     """First basic feasible point of the martingale transport polytope."""
-    from .lpsolver import EXACT, _pinned_program, _solve_program
+    from .lpsolver import EXACT, _skeleton
 
     paths = [(x, y) for x in mu.support for y in nu.support]
-    program = _pinned_program({0: mu, 1: nu}, 1, paths, lambda path: 0, EXACT)
-    return _solve_program(program).optimizer
+    return _skeleton({0: mu, 1: nu}, 1, paths).solve(lambda path: 0, EXACT).optimizer
 
 
 def _one_step_kernels(coupling: PathMeasure) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:

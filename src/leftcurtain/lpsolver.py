@@ -8,10 +8,17 @@ strategy H, and together they form a superhedge that touches the reward
 exactly on the contact set.  Everything is exact; 'float' mode only changes
 how reward values are ingested (floats are dyadic rationals and are embedded
 exactly), so the advertised 1e-9 tolerances hold trivially.
+
+Everything that does not depend on the reward (the paths, the rows, the
+convex-order precondition, the decomposition and the end state of simplex
+phase 1) is a skeleton, built once per problem and kept in a small cache
+per problem kind: a probe family solves one polytope for many rewards.
+Reward ingestion, phase 2 and the dual checks run on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -28,12 +35,23 @@ from .measure import (
     require_convex_order,
     require_convex_order_chain,
 )
-from .simplex import Infeasible, LpResult, solve_lp
+from .simplex import Infeasible, LpResult, Phase1, phase1, solve_from
 
 Reward = Callable[[Path], Union[Fraction, int, float]]
 
 EXACT = "exact"
 FLOAT = "float"
+
+# Skeletons kept per problem kind.  A probe family asks for one polytope
+# over and over, and a caller working through several families returns to
+# at most the previous one; every entry keeps its paths and phase-1 rows
+# alive, so the bound stays at that working set.
+_CACHE_SIZE = 2
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, not {mode!r}")
 
 
 def _ingest(value, mode: str) -> Fraction:
@@ -66,30 +84,60 @@ class MotProgram:
     row_keys: Tuple[tuple, ...]
 
     def lp_rows(self) -> Tuple[List[List[Fraction]], List[Fraction]]:
-        index: Dict[tuple, int] = {key: i for i, key in enumerate(self.row_keys)}
-        width = len(self.paths)
-        rows = [[Fraction(0)] * width for _ in self.row_keys]
-        rhs = [Fraction(0)] * len(self.row_keys)
-        for t, mu in self.marginals.items():
-            for point, w in mu.atoms:
-                rhs[index[("marginal", t, point)]] = w
-        for j, path in enumerate(self.paths):
-            for t in self.marginals:
-                rows[index[("marginal", t, path[t])]][j] = Fraction(1)
-            for t in range(1, self.n + 1):
-                rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
-        return rows, rhs
+        return _lp_rows(self.marginals, self.n, self.paths, self.row_keys)
 
 
-def _pinned_program(
-    pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path], reward: Reward, mode: str
-) -> MotProgram:
-    """The program over `paths` with the marginals of the `pinned` dates fixed."""
+def _lp_rows(
+    marginals: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path], row_keys: Sequence[tuple]
+) -> Tuple[List[List[Fraction]], List[Fraction]]:
+    index: Dict[tuple, int] = {key: i for i, key in enumerate(row_keys)}
+    width = len(paths)
+    rows = [[Fraction(0)] * width for _ in row_keys]
+    rhs = [Fraction(0)] * len(row_keys)
+    for t, mu in marginals.items():
+        for point, w in mu.atoms:
+            rhs[index[("marginal", t, point)]] = w
+    for j, path in enumerate(paths):
+        for t in marginals:
+            rows[index[("marginal", t, path[t])]][j] = Fraction(1)
+        for t in range(1, n + 1):
+            rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
+    return rows, rhs
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """A program up to its reward: the variables, the rows and the phase-1 end state."""
+
+    marginals: Dict[int, DiscreteMeasure]
+    n: int
+    paths: Tuple[Path, ...]
+    row_keys: Tuple[tuple, ...]
+    start: Phase1
+
+    def program(self, reward: Reward, mode: str) -> MotProgram:
+        values = tuple(_ingest(reward(p), mode) for p in self.paths)
+        return MotProgram(dict(self.marginals), self.n, self.paths, values, mode, self.row_keys)
+
+    def solve(self, reward: Reward, mode: str) -> LPSolution:
+        program = self.program(reward, mode)
+        lp = solve_from(self.start, program.reward_values)
+        optimizer = PathMeasure(self.n, ((self.paths[k], v) for k, v in enumerate(lp.x) if v != 0))
+        value: Union[Fraction, float] = lp.value if mode == EXACT else float(lp.value)
+        return LPSolution(value, optimizer, program, lp.value, lp)
+
+
+def _skeleton(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path]) -> _Skeleton:
+    """The program over `paths` with the marginals of the `pinned` dates fixed.
+
+    Raises Infeasible when no martingale transport of the pinned marginals
+    lives on `paths`.
+    """
     keys: List[tuple] = [("marginal", t, x) for t in sorted(pinned) for x in pinned[t].support]
     for t in range(1, n + 1):
         keys.extend(("martingale", t, prefix) for prefix in sorted({p[:t] for p in paths}))
-    values = tuple(_ingest(reward(p), mode) for p in paths)
-    return MotProgram(pinned, n, tuple(paths), values, mode, tuple(keys))
+    rows, rhs = _lp_rows(pinned, n, paths, keys)
+    return _Skeleton(pinned, n, tuple(paths), tuple(keys), phase1(len(paths), rows, rhs))
 
 
 def _effective_paths(
@@ -106,15 +154,22 @@ def _effective_paths(
     return paths
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _constrained_skeleton(marginals: Tuple[DiscreteMeasure, ...]) -> _Skeleton:
+    if not marginals:
+        raise ValueError("need at least one marginal")
+    require_convex_order_chain(marginals)
+    decomps = [decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))]
+    paths = _effective_paths([mu.support for mu in marginals], decomps)
+    return _skeleton(dict(enumerate(marginals)), len(marginals) - 1, paths)
+
+
 def build_program(
     marginals: Sequence[DiscreteMeasure], reward: Reward, mode: str = EXACT
 ) -> MotProgram:
     """The constrained program: every date pinned, effective-domain paths."""
-    marginals = tuple(marginals)
-    require_convex_order_chain(marginals)
-    decomps = [decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))]
-    paths = _effective_paths([mu.support for mu in marginals], decomps)
-    return _pinned_program(dict(enumerate(marginals)), len(marginals) - 1, paths, reward, mode)
+    _require_mode(mode)
+    return _constrained_skeleton(tuple(marginals)).program(reward, mode)
 
 
 @dataclass
@@ -128,22 +183,6 @@ class LPSolution:
     lp: LpResult
 
 
-def _solve_program(program: MotProgram) -> LPSolution:
-    rows, rhs = program.lp_rows()
-    try:
-        lp = solve_lp(list(program.reward_values), rows, rhs)
-    except Infeasible:
-        raise AssertionError(
-            "transport polytope empty although marginals are in convex order"
-        ) from None
-    optimizer = PathMeasure(
-        program.n,
-        ((program.paths[k], v) for k, v in enumerate(lp.x) if v != 0),
-    )
-    value: Union[Fraction, float] = lp.value if program.mode == EXACT else float(lp.value)
-    return LPSolution(value, optimizer, program, lp.value, lp)
-
-
 def solve_primal(
     marginals: Sequence[DiscreteMeasure], reward: Reward, mode: str = EXACT
 ) -> LPSolution:
@@ -152,7 +191,8 @@ def solve_primal(
     Exact mode requires rational reward values and returns exact rationals;
     float mode embeds float rewards exactly and returns a float value.
     """
-    return _solve_program(build_program(marginals, reward, mode))
+    _require_mode(mode)
+    return _constrained_skeleton(tuple(marginals)).solve(reward, mode)
 
 
 def _H_json(H: Dict[Tuple[int, Path], Fraction]) -> List[dict]:
@@ -273,6 +313,18 @@ def chain_min_call(
         raise ValueError("t must lie between 1 and the chain length")
     if mu0_part.is_zero:
         return Fraction(0)
+    cols, start = _chain_min_skeleton(mu0_part, tuple(chain[:t]))
+    objective = [y - b if s == t and y > b else Fraction(0) for s, _, y in cols]
+    return solve_from(start, objective, maximize=False).value
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _chain_min_skeleton(
+    mu0_part: DiscreteMeasure, chain: Tuple[DiscreteMeasure, ...]
+) -> Tuple[Tuple[Tuple[int, Fraction, Fraction], ...], Phase1]:
+    """The columns (step s, x, y) and phase-1 end state of `chain_min_call`'s
+    rows, which do not depend on the strike."""
+    t = len(chain)
     grids: List[Tuple[Fraction, ...]] = [mu0_part.support]
     grids += [chain[s].support for s in range(t)]
 
@@ -323,14 +375,7 @@ def chain_min_call(
             rows.append(row)
             rhs.append(w)
             senses.append("<=")
-
-    objective = blank()
-    for x in grids[t - 1]:
-        for y in grids[t]:
-            if y > b:
-                objective[col_index[(t, x, y)]] = y - b
-    result = solve_lp(objective, rows, rhs, senses, maximize=False)
-    return result.value
+    return tuple(cols), phase1(width, rows, rhs, senses)
 
 
 @dataclass
@@ -384,15 +429,30 @@ def solve_free(
     dropped.  Paths run over the intermediate grid (default: union of the
     two supports; the canonical monotone transport lives on it) intersected
     with the n-step components; the dual (phi, psi, H) is verified by
-    `extract_dual` like any other certificate.
+    `extract_dual` like any other certificate.  Raises Infeasible when a
+    given grid carries no martingale transport of the marginals.
     """
+    _require_mode(mode)
+    skeleton = _free_skeleton(
+        mu0, mun, n, None if grid is None else tuple(sorted({rat(g) for g in grid}))
+    )
+    solution = skeleton.solve(reward, mode)
+    dual = extract_dual(solution.program, solution)
+    certificate = FreeDualCertificate(
+        dual.phi[0], dual.phi[n], dual.H, dual.objective, solution.program
+    )
+    return FreeSolution(solution.value, solution.optimizer, certificate, solution.exact_value)
+
+
+# Typed, so that a float n, which raises TypeError, is not served an int's entry.
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _free_skeleton(
+    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, grid: Optional[Tuple[Fraction, ...]]
+) -> _Skeleton:
     require_convex_order(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if grid is None:
-        inner: Tuple[Fraction, ...] = tuple(sorted(set(mu0.support) | set(mun.support)))
-    else:
-        inner = tuple(sorted({rat(g) for g in grid}))
+    inner = tuple(sorted(set(mu0.support) | set(mun.support))) if grid is None else grid
     components = tuple(n_step_components(mu0, mun, n))
 
     paths: List[Path] = [(x,) for x in mu0.support]
@@ -400,12 +460,13 @@ def solve_free(
         coords = mun.support if t == n else inner
         paths = [p + (y,) for p in paths for y in coords]
     paths = [p for p in paths if any(c.contains(p) for c in components)]
-
-    program = _pinned_program({0: mu0, n: mun}, n, paths, reward, mode)
-    solution = _solve_program(program)
-    dual = extract_dual(program, solution)
-    certificate = FreeDualCertificate(dual.phi[0], dual.phi[n], dual.H, dual.objective, program)
-    return FreeSolution(solution.value, solution.optimizer, certificate, solution.exact_value)
+    try:
+        return _skeleton({0: mu0, n: mun}, n, paths)
+    except Infeasible:
+        raise Infeasible(
+            f"no martingale transport of the marginals in {n} steps lives on the grid "
+            f"[{', '.join(map(str, inner))}]"
+        ) from None
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

@@ -18,16 +18,26 @@ computed from the sparse input column A_j when it is needed:
 
 where u is the objective row's R part; the form holds because z_init is zero
 on the initial basic columns and every pivot z <- (p*z - f*prow)/delta keeps
-it.  A pivot therefore updates at most (m + 2) x (m + 1) integers (the
-phase-1 row is dropped after phase 1), not the whole tableau.  Every
-division is verified at runtime: with delta > 0 each floor remainder lies in
-[0, delta), so a row divides exactly if and only if
-sum(num) == delta * sum(num // delta).
+it.  A pivot therefore updates at most (m + 1) x (m + 1) integers (one
+objective row per phase), not the whole tableau.  Every division is
+verified at runtime: with delta > 0 each floor remainder lies in [0, delta),
+so a row divides exactly if and only if sum(num) == delta * sum(num // delta).
 
 Bland's rule (lowest index entering, lowest basic index on ratio ties) makes
 the pivot sequence cycle-free and deterministic; the reduced costs are
 priced in column order up to the first negative one, and only the entering
 column is computed for the ratio test.
+
+A solve is split at the one point where the objective enters.  `phase1`
+returns the end state of phase 1 (`Phase1`: R and the right side, the basis,
+delta and the pivot counts) and `solve_from` runs phase 2 from it;
+`solve_lp` is the two in a row.  Bland's phase-1 choices and the pivots that
+drive zero-level artificials out read only the phase-1 row and the
+constraint rows, so the end state is the same for every objective.  The
+phase-2 row for the final basis is determined by that basis: it is
+u = -sum_i z_init[B(i)] * R_i, right side included.  One state therefore
+serves any number of objectives, each with the pivots, vertex, duals and
+counts of a solve from scratch.
 """
 
 from __future__ import annotations
@@ -87,28 +97,24 @@ def _dot(row: List[int], column: Column) -> int:
 
 class _Tableau:
     def __init__(
-        self, columns: List[Column], costs: List[List[int]], rhs: List[int], basis: List[int]
+        self, columns: Sequence[Column], cost: List[int], rows: List[Sequence[int]],
+        basis: List[int], delta: int = 1, iterations: int = 0, max_delta_bits: int = 1,
     ):
-        m = len(rhs)
         self.columns = columns    # sparse input column of every column that may enter
-        self.costs = costs        # z_init per objective row (phase 2, 1), right side last
+        self.cost = cost          # z_init of the objective row, right side last
         # R_i and the right side per constraint row, then u and the right side
-        # per objective row.
-        self.rows = [[int(k == i) for k in range(m)] + [b] for i, b in enumerate(rhs)]
-        self.rows += [[0] * m + [cost[-1]] for cost in costs]
+        # of the objective row.  A pivot replaces rows and never edits one.
+        self.rows = rows
         self.basis = basis        # basic column per constraint row
-        self.delta = 1
-        self.iterations = 0
-        self.max_delta_bits = 1
+        self.delta = delta
+        self.iterations = iterations
+        self.max_delta_bits = max_delta_bits
 
     def column(self, j: int) -> List[int]:
-        """Tableau column j: one entry per constraint row, then per objective row."""
+        """Tableau column j: one entry per constraint row, then the objective row's."""
         col = self.columns[j]
-        m = len(self.basis)
-        entries = [_dot(row, col) for row in self.rows[:m]]
-        entries += [
-            self.delta * cost[j] + _dot(u, col) for cost, u in zip(self.costs, self.rows[m:])
-        ]
+        entries = [_dot(row, col) for row in self.rows]
+        entries[-1] += self.delta * self.cost[j]
         return entries
 
     def pivot(self, r: int, c: int, column: List[int]) -> None:
@@ -146,12 +152,12 @@ class _Tableau:
         if self.iterations > _MAX_PIVOTS:
             raise AssertionError("pivot limit exceeded")
 
-    def run(self, objective: int) -> None:
-        """Bland-rule simplex loop on the given objective row (0: phase 2, 1: phase 1)."""
+    def run(self) -> None:
+        """Bland-rule simplex loop on the objective row."""
         m = len(self.basis)
-        cost = self.costs[objective]
+        cost = self.cost
         while True:
-            u, delta = self.rows[m + objective], self.delta
+            u, delta = self.rows[m], self.delta
             entering = next(
                 (j for j, col in enumerate(self.columns) if delta * cost[j] + _dot(u, col) < 0),
                 -1,
@@ -176,22 +182,40 @@ class _Tableau:
             self.pivot(leave, entering, column)
 
 
-def solve_lp(
-    objective: Sequence[Fraction],
+@dataclass(frozen=True)
+class Phase1:
+    """The end state of phase 1 on one constraint system, for any objective.
+
+    `columns` are the sparse structural and slack/surplus columns, `rows`
+    R_i and the right side of every row that is not redundant, `basis` their
+    basic columns, and `row_mult` each input row's integer scale, negated
+    where its right side was.  `iterations` and `max_delta_bits` count
+    phase 1 and the drive-out pivots.  Every field is immutable, so
+    `solve_from` can start any number of phase-2 runs from one state.
+    """
+
+    n: int
+    columns: Tuple[Tuple[Tuple[int, int], ...], ...]
+    rows: Tuple[Tuple[int, ...], ...]
+    basis: Tuple[int, ...]
+    delta: int
+    iterations: int
+    max_delta_bits: int
+    row_mult: Tuple[Fraction, ...]
+
+
+def phase1(
+    n: int,
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
     senses: Optional[Sequence[str]] = None,
-    maximize: bool = True,
-) -> LpResult:
-    """Solve {max (or min) objective . x : rows x (senses) rhs, x >= 0} exactly.
+) -> Phase1:
+    """Find a basic feasible point of {x >= 0 : rows x (senses) rhs} in n variables.
 
     senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
-    on malformed input (a row without one coefficient per objective entry,
-    rhs or senses without one entry per row, an unknown sense), and
-    Infeasible or Unbounded.  Deterministic: identical inputs give identical
-    pivots and an identical optimal vertex.
+    on malformed input (a row without n coefficients, rhs or senses without
+    one entry per row, an unknown sense) and Infeasible.
     """
-    n = len(objective)
     m = len(rows)
     if senses is None:
         senses = ["="] * m
@@ -204,12 +228,9 @@ def solve_lp(
             raise ValueError(f"row {i} has {len(rows[i])} coefficients, expected {n}")
         if senses[i] not in _FLIPPED:
             raise ValueError(f"row {i} has sense {senses[i]!r}, expected '=', '<=' or '>='")
-    obj = [_fraction(v) for v in objective]
-    if not maximize:
-        obj = [-v for v in obj]
 
-    # Scale every row (and the objective) to integers; remember the per-row
-    # multiplier including the sign flip used to make the right side >= 0.
+    # Scale every row to integers; remember the per-row multiplier including
+    # the sign flip used to make the right side >= 0.
     int_rows: List[List[int]] = []
     row_mult: List[Fraction] = []
     eff_senses: List[str] = []
@@ -225,7 +246,6 @@ def solve_lp(
         int_rows.append(ints)
         row_mult.append(mult)
         eff_senses.append(sense)
-    obj_ints, obj_denom = _scale_to_int(obj)
 
     # Column layout: structural | slack/surplus | artificial.  Artificials
     # never enter, so only the first two groups get a stored column.
@@ -244,16 +264,15 @@ def solve_lp(
     for k, i in enumerate(art_rows):
         basis[i] = n_real + k
 
-    # Phase-2 objective row (z - c) and phase-1 row for max(-sum of
-    # artificials), both priced out: initial basic columns cost nothing.
-    z2 = [-v for v in obj_ints] + [0] * (n_real - n) + [0]
+    # Phase-1 row for max(-sum of artificials), priced out: initial basic
+    # columns cost nothing.
     z1 = [-sum(a for i, a in col if eff_senses[i] != "<=") for col in columns]
     z1.append(-sum(int_rows[i][n] for i in art_rows))
-    tab = _Tableau(columns, [z2, z1], [ints[n] for ints in int_rows], basis)
-
+    tab_rows = [[int(k == i) for k in range(m)] + [ints[n]] for i, ints in enumerate(int_rows)]
+    tab = _Tableau(columns, z1, tab_rows + [[0] * m + [z1[-1]]], basis)
     if art_rows:
-        tab.run(1)
-        if tab.rows[m + 1][-1] != 0:
+        tab.run()
+        if tab.rows[m][-1] != 0:
             raise Infeasible("phase 1 terminated with positive artificial mass")
         # Drive remaining zero-level artificials out of the basis.
         for i in range(m):
@@ -262,20 +281,54 @@ def solve_lp(
                 pivot_col = next((j for j, col in enumerate(columns) if _dot(row, col)), None)
                 if pivot_col is not None:
                     tab.pivot(i, pivot_col, tab.column(pivot_col))
-    phase1_iterations = tab.iterations
 
-    # Redundant rows: basic artificial with no pivotable entry left.  The
-    # phase-1 row is no longer needed.
+    # Redundant rows: basic artificial with no pivotable entry left.
     keep = [i for i in range(m) if tab.basis[i] < n_real]
-    tab.rows = [tab.rows[i] for i in keep] + [tab.rows[m]]
-    tab.basis = [tab.basis[i] for i in keep]
-    tab.costs = [z2]
-    tab.run(0)
+    return Phase1(
+        n=n,
+        columns=tuple(tuple(col) for col in columns),
+        rows=tuple(tuple(tab.rows[i]) for i in keep),
+        basis=tuple(tab.basis[i] for i in keep),
+        delta=tab.delta,
+        iterations=tab.iterations,
+        max_delta_bits=tab.max_delta_bits,
+        row_mult=tuple(row_mult),
+    )
+
+
+def solve_from(state: Phase1, objective: Sequence[Fraction], maximize: bool = True) -> LpResult:
+    """Run phase 2 for `objective` from the end state of phase 1.
+
+    Gives the `LpResult` of `solve_lp` on the rows that `state` was built
+    from, pivot counts included; `state` is not changed.  Raises ValueError
+    when the objective does not have `state.n` coefficients, and Unbounded.
+    """
+    n = state.n
+    if len(objective) != n:
+        raise ValueError(f"objective has {len(objective)} coefficients, expected {n}")
+    obj = [_fraction(v) for v in objective]
+    if not maximize:
+        obj = [-v for v in obj]
+    obj_ints, obj_denom = _scale_to_int(obj)
+    m = len(state.row_mult)
+
+    # Phase-2 row (z - c) priced out against the basis (see the module notes).
+    z2 = [-v for v in obj_ints] + [0] * (len(state.columns) - n) + [0]
+    u = [0] * (m + 1)
+    for row, col in zip(state.rows, state.basis):
+        c = z2[col]
+        if c:
+            u = [a - c * b for a, b in zip(u, row)]
+    tab = _Tableau(
+        state.columns, z2, [*state.rows, u], list(state.basis),
+        state.delta, state.iterations, state.max_delta_bits,
+    )
+    tab.run()
 
     delta = tab.delta
     x = [Fraction(0)] * n
     for row, col in zip(tab.rows, tab.basis):
-        if _dot(row, columns[col]) != delta:
+        if _dot(row, state.columns[col]) != delta:
             raise AssertionError("basic column is not the scaled identity")
         if col < n:
             x[col] = Fraction(row[-1], delta)
@@ -284,7 +337,7 @@ def solve_lp(
 
     # Row i's dual is the phase-2 row's entry on its initial basic column; a
     # redundant row's artificial stayed basic, so that entry is zero.
-    duals = [Fraction(u[i], delta) * row_mult[i] / obj_denom for i in range(m)]
+    duals = [Fraction(u[i], delta) * state.row_mult[i] / obj_denom for i in range(m)]
 
     if not maximize:
         raw_value = -raw_value
@@ -297,6 +350,24 @@ def solve_lp(
         duals=duals,
         basis=basis_structural,
         iterations=tab.iterations,
-        phase1_iterations=phase1_iterations,
+        phase1_iterations=state.iterations,
         max_delta_bits=tab.max_delta_bits,
     )
+
+
+def solve_lp(
+    objective: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    senses: Optional[Sequence[str]] = None,
+    maximize: bool = True,
+) -> LpResult:
+    """Solve {max (or min) objective . x : rows x (senses) rhs, x >= 0} exactly.
+
+    senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
+    on malformed input (a row without one coefficient per objective entry,
+    rhs or senses without one entry per row, an unknown sense), and
+    Infeasible or Unbounded.  Deterministic: identical inputs give identical
+    pivots and an identical optimal vertex.
+    """
+    return solve_from(phase1(len(objective), rows, rhs, senses), objective, maximize)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -28,7 +29,7 @@ from leftcurtain import (
     tanh_sm_reward,
 )
 from leftcurtain import lpsolver
-from leftcurtain.simplex import solve_lp
+from leftcurtain.simplex import phase1, solve_from, solve_lp
 
 from conftest import measure, oracle_solve_lp, random_marginal_chain, random_pc_pair
 
@@ -354,17 +355,37 @@ def irreducible_chain(rng, sizes):
     return chain
 
 
+def lpsolver_caches():
+    """Every skeleton cache of `lpsolver`, found by its `cache_info`."""
+    return [f for f in vars(lpsolver).values() if hasattr(f, "cache_info")]
+
+
+def clear_lpsolver_caches():
+    for cache in lpsolver_caches():
+        cache.cache_clear()
+
+
 class TestAgainstDenseOracle:
     def test_program_lps_solve_alike(self, monkeypatch):
-        """Every LP that `lpsolver` builds gives the same result, pivot for
-        pivot, on the dense tableau of `conftest.oracle_solve_lp`."""
-        lps = []
+        """Every LP that `lpsolver` solves, cache hits included, gives the same
+        result, pivot for pivot, as a solve from scratch and as the dense
+        tableau of `conftest.oracle_solve_lp`."""
+        systems, lps = {}, []
 
-        def recording_solve_lp(*args, **kwargs):
-            lps.append((args, kwargs))
-            return solve_lp(*args, **kwargs)
+        def recording_phase1(n, rows, rhs, senses=None):
+            state = phase1(n, rows, rhs, senses)
+            systems[id(state)] = (state, rows, rhs, senses)
+            return state
 
-        monkeypatch.setattr(lpsolver, "solve_lp", recording_solve_lp)
+        def recording_solve_from(state, objective, maximize=True):
+            result = solve_from(state, objective, maximize)
+            _, rows, rhs, senses = systems[id(state)]
+            lps.append(((objective, rows, rhs, senses, maximize), result))
+            return result
+
+        clear_lpsolver_caches()
+        monkeypatch.setattr(lpsolver, "phase1", recording_phase1)
+        monkeypatch.setattr(lpsolver, "solve_from", recording_solve_from)
         rng = random.Random(149)
         for sizes in [(2, 4, 6), (2, 4, 6), (2, 3, 5)]:
             chain = irreducible_chain(rng, sizes)
@@ -374,7 +395,121 @@ class TestAgainstDenseOracle:
             part = DiscreteMeasure(list(chain[0])[:1])
             for b in chain[2].support[1:3]:
                 chain_min_call(part, chain[1:], 2, b)
-        # Per chain: the primal, the free problem and two chain minima (with '<=' rows).
+        # Per chain: the primal, the free problem and two chain minima (with
+        # '<=' rows), which share their rows and so one phase 1.
         assert len(lps) == 12
-        for args, kwargs in lps:
-            assert solve_lp(*args, **kwargs) == oracle_solve_lp(*args, **kwargs)
+        assert len(systems) == 9
+        for lp, result in lps:
+            assert result == solve_lp(*lp) == oracle_solve_lp(*lp)
+
+
+class TestSkeletonCache:
+    def test_probe_families_run_phase1_once_per_polytope(self, monkeypatch, curtain_gap_marginals):
+        calls = []
+
+        def counting_phase1(*args):
+            calls.append(args)
+            return phase1(*args)
+
+        clear_lpsolver_caches()
+        monkeypatch.setattr(lpsolver, "phase1", counting_phase1)
+        mu0, mu1, mu2 = chain = curtain_gap_marginals
+        grid = sorted(set(mu0.support) | set(mu2.support))
+        probes = [(a, t) for a in mu0.support for t in (1, 2)]
+        for a, t in probes:
+            for b in chain[t].support:
+                sol = solve_primal(chain, left_tail_put_reward(a, t, b))
+                extract_dual(sol.program, sol)
+                rows, rhs = sol.program.lp_rows()
+                assert sol.lp == solve_lp(list(sol.program.reward_values), rows, rhs)
+        assert len(calls) == 1
+        for a, t in probes:
+            for b in grid:
+                solve_free(mu0, mu2, 2, left_tail_put_reward(a, t, b))
+        assert len(calls) == 2
+        for a, t in probes:
+            part = DiscreteMeasure([(x, w) for x, w in mu0 if x <= a])
+            for b in chain[t].support:
+                chain_min_call(part, chain[1:], t, b)
+        assert len(calls) == 2 + len(probes)
+
+    def test_failures_are_not_cached(self):
+        clear_lpsolver_caches()
+        mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
+        reward = lambda p: p[-1]
+        failing = [
+            (NotInConvexOrder, lambda: solve_primal([nu, mu], reward)),
+            (NotInConvexOrder, lambda: solve_free(nu, mu, 2, reward)),
+            (Infeasible, lambda: solve_free(mu, nu, 2, reward, grid=[5])),
+            (Infeasible, lambda: chain_min_call(DiscreteMeasure.dirac(0, 2), [mu], 1, 0)),
+            (ValueError, lambda: solve_primal([], reward)),
+            (ValueError, lambda: solve_free(mu, nu, 0, reward)),
+        ]
+        for kind, call in failing:
+            with pytest.raises(kind) as first:
+                call()
+            with pytest.raises(kind) as again:
+                call()
+            assert again.value.args == first.value.args
+        assert all(cache.cache_info().currsize == 0 for cache in lpsolver_caches())
+        # A float n fails as it always did, also once the int's entry is cached.
+        solve_free(mu, nu, 2, reward)
+        with pytest.raises(TypeError):
+            solve_free(mu, nu, 2.0, reward)
+
+    def test_returned_objects_do_not_reach_the_cache(self, curtain_gap_marginals):
+        mu0, _, mu2 = chain = curtain_gap_marginals
+        reward = left_tail_put_reward(-1, 2, 0)
+        clear_lpsolver_caches()
+        first = solve_primal(chain, reward)
+        free = solve_free(mu0, mu2, 2, reward)
+        expected = copy.deepcopy((first.lp, first.program, free.certificate.program))
+        for program in (first.program, free.certificate.program, build_program(chain, reward)):
+            program.marginals[0] = DiscreteMeasure.dirac(7)
+            program.marginals.clear()
+        first.lp.x[0] += 1
+        first.lp.duals[0] += 1
+        again = solve_primal(chain, reward)
+        free_again = solve_free(mu0, mu2, 2, reward)
+        assert (again.lp, again.program, free_again.certificate.program) == expected
+        extract_dual(again.program, again)
+
+    def test_caches_stay_within_their_bound(self):
+        rng = random.Random(151)
+        for _ in range(6):
+            chain = random_marginal_chain(rng, 2, max_support=3)
+            reward = lambda p: p[0] * p[-1]
+            solve_primal(chain, reward)
+            solve_free(chain[0], chain[2], 2, reward)
+            for b in chain[2].support:
+                chain_min_call(DiscreteMeasure(list(chain[0])[:1]), chain[1:], 2, b)
+            for cache in lpsolver_caches():
+                info = cache.cache_info()
+                assert info.maxsize == lpsolver._CACHE_SIZE and info.currsize <= info.maxsize
+        assert len(lpsolver_caches()) == 3
+
+
+class TestMalformedProblems:
+    def test_unknown_mode_is_rejected(self, curtain_gap_marginals):
+        mu0, _, mu2 = chain = curtain_gap_marginals
+        reward = lambda p: 1
+        solve_primal(chain, reward)
+        solve_free(mu0, mu2, 2, reward)
+        # The caches now hold both problems; the mode is checked before them.
+        for call in (
+            lambda: solve_primal(chain, reward, mode="flaot"),
+            lambda: build_program(chain, reward, mode="flaot"),
+            lambda: solve_free(mu0, mu2, 2, reward, mode="flaot"),
+        ):
+            with pytest.raises(ValueError, match="mode must be 'exact' or 'float', not 'flaot'"):
+                call()
+
+    @pytest.mark.parametrize("grid, named", [([5], r"\[5\]"), ([], r"\[\]")])
+    def test_grid_without_transport_is_infeasible(self, grid, named):
+        mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(Infeasible, match="lives on the grid " + named):
+            solve_free(mu, nu, 2, lambda p: p[-1], grid=grid)
+
+    def test_no_marginals(self):
+        with pytest.raises(ValueError, match="need at least one marginal"):
+            solve_primal([], lambda p: 0)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, solve_lp
+from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, phase1, solve_from, solve_lp
 
 from conftest import oracle_solve_lp
 
@@ -221,7 +222,7 @@ class TestHandPicked:
 
     def test_inexact_division_is_detected(self):
         # A forged denominator 2 that the next pivot's row entries do not divide.
-        tab = _Tableau([[(0, 1)], [(1, 1)]], [[0, 0, 0]], [1, 1], [2, 3])
+        tab = _Tableau([[(0, 1)], [(1, 1)]], [0, 0, 0], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [2, 3])
         tab.delta = 2
         with pytest.raises(AssertionError, match="non-integer"):
             tab.pivot(0, 0, tab.column(0))
@@ -347,3 +348,35 @@ class TestAgainstDenseOracle:
     @given(lps())
     def test_same_pivots_vertex_and_exception(self, lp):
         assert outcome_of(solve_lp, lp) == outcome_of(oracle_solve_lp, lp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lps(), st.data())
+    def test_one_phase1_serves_every_objective(self, lp, data):
+        """phase1 once, then solve_from for several objectives in a drawn
+        order and the first one again: each result is that of a cold
+        solve_lp and of the dense oracle, and the state is never changed."""
+        objective, rows, rhs, senses, maximize = lp
+        n = len(objective)
+        others = data.draw(
+            st.lists(
+                st.tuples(st.lists(coefficients, min_size=n, max_size=n), st.booleans()),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        objectives = [(objective, maximize)] + others
+        try:
+            state = phase1(n, rows, rhs, senses)
+        except Infeasible:
+            for c, mx in objectives:
+                lp_c = (c, rows, rhs, senses, mx)
+                assert outcome_of(solve_lp, lp_c) is Infeasible
+                assert outcome_of(oracle_solve_lp, lp_c) is Infeasible
+            return
+        before = copy.deepcopy(state)
+        for c, mx in objectives + objectives[:1]:
+            lp_c = (c, rows, rhs, senses, mx)
+            warm = outcome_of(lambda *args: solve_from(state, c, mx), lp_c)
+            assert warm is not Infeasible
+            assert warm == outcome_of(solve_lp, lp_c) == outcome_of(oracle_solve_lp, lp_c)
+            assert state == before
