@@ -258,7 +258,8 @@ def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> P
     from .lpsolver import EXACT, _skeleton
 
     paths = [(x, y) for x in mu.support for y in nu.support]
-    return _skeleton({0: mu, 1: nu}, 1, paths).solve(lambda path: 0, EXACT).optimizer
+    skeleton = _skeleton({0: mu, 1: nu}, 1, paths)
+    return skeleton.solve(skeleton.program(lambda path: 0, EXACT)).optimizer
 
 
 def _one_step_kernels(coupling: PathMeasure) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:

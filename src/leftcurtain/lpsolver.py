@@ -10,10 +10,12 @@ how reward values are ingested (floats are dyadic rationals and are embedded
 exactly), so the advertised 1e-9 tolerances hold trivially.
 
 Everything that does not depend on the reward (the paths, the rows, the
-convex-order precondition, the decomposition and the end state of simplex
-phase 1) is a skeleton, built once per problem and kept in a small cache
-per problem kind: a probe family solves one polytope for many rewards.
-Reward ingestion, phase 2 and the dual checks run on every call.
+convex-order precondition and the decomposition) is a skeleton, built once
+per problem and kept in a small cache per problem kind: a probe family
+solves one polytope for many rewards.  The skeleton's rows are tuples, so
+`simplex.phase1` remembers its end state for them and each probe's
+`solve_lp` runs phase 2 only.  Reward ingestion, the LP and the dual checks
+run on every call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .measure import (
     require_convex_order,
     require_convex_order_chain,
 )
-from .simplex import Infeasible, LpResult, Phase1, phase1, solve_from
+from .simplex import Infeasible, LpResult, solve_lp
 
 Reward = Callable[[Path], Union[Fraction, int, float]]
 
@@ -43,10 +45,9 @@ EXACT = "exact"
 FLOAT = "float"
 
 # Skeletons kept per problem kind.  A probe family asks for one polytope
-# over and over, and a caller working through several families returns to
-# at most the previous one; every entry keeps its paths and phase-1 rows
-# alive, so the bound stays at that working set.
-_CACHE_SIZE = 2
+# over and over before it moves on to the next, and every entry keeps its
+# paths and rows alive, so one entry per kind is the working set.
+_CACHE_SIZE = 1
 
 
 def _require_mode(mode: str) -> None:
@@ -84,60 +85,51 @@ class MotProgram:
     row_keys: Tuple[tuple, ...]
 
     def lp_rows(self) -> Tuple[List[List[Fraction]], List[Fraction]]:
-        return _lp_rows(self.marginals, self.n, self.paths, self.row_keys)
-
-
-def _lp_rows(
-    marginals: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path], row_keys: Sequence[tuple]
-) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    index: Dict[tuple, int] = {key: i for i, key in enumerate(row_keys)}
-    width = len(paths)
-    rows = [[Fraction(0)] * width for _ in row_keys]
-    rhs = [Fraction(0)] * len(row_keys)
-    for t, mu in marginals.items():
-        for point, w in mu.atoms:
-            rhs[index[("marginal", t, point)]] = w
-    for j, path in enumerate(paths):
-        for t in marginals:
-            rows[index[("marginal", t, path[t])]][j] = Fraction(1)
-        for t in range(1, n + 1):
-            rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
-    return rows, rhs
+        index: Dict[tuple, int] = {key: i for i, key in enumerate(self.row_keys)}
+        width = len(self.paths)
+        rows = [[Fraction(0)] * width for _ in self.row_keys]
+        rhs = [Fraction(0)] * len(self.row_keys)
+        for t, mu in self.marginals.items():
+            for point, w in mu.atoms:
+                rhs[index[("marginal", t, point)]] = w
+        for j, path in enumerate(self.paths):
+            for t in self.marginals:
+                rows[index[("marginal", t, path[t])]][j] = Fraction(1)
+            for t in range(1, self.n + 1):
+                rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
+        return rows, rhs
 
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """A program up to its reward: the variables, the rows and the phase-1 end state."""
+    """A program up to its reward: `frame` has no reward values, and its rows
+    are kept as the tuples that `simplex.phase1` remembers."""
 
-    marginals: Dict[int, DiscreteMeasure]
-    n: int
-    paths: Tuple[Path, ...]
-    row_keys: Tuple[tuple, ...]
-    start: Phase1
+    frame: MotProgram
+    rows: Tuple[Tuple[Fraction, ...], ...]
+    rhs: Tuple[Fraction, ...]
 
     def program(self, reward: Reward, mode: str) -> MotProgram:
-        values = tuple(_ingest(reward(p), mode) for p in self.paths)
-        return MotProgram(dict(self.marginals), self.n, self.paths, values, mode, self.row_keys)
+        f = self.frame
+        values = tuple(_ingest(reward(p), mode) for p in f.paths)
+        return MotProgram(dict(f.marginals), f.n, f.paths, values, mode, f.row_keys)
 
-    def solve(self, reward: Reward, mode: str) -> LPSolution:
-        program = self.program(reward, mode)
-        lp = solve_from(self.start, program.reward_values)
-        optimizer = PathMeasure(self.n, ((self.paths[k], v) for k, v in enumerate(lp.x) if v != 0))
-        value: Union[Fraction, float] = lp.value if mode == EXACT else float(lp.value)
+    def solve(self, program: MotProgram) -> LPSolution:
+        lp = solve_lp(program.reward_values, self.rows, self.rhs)
+        paths = program.paths
+        optimizer = PathMeasure(program.n, ((paths[k], v) for k, v in enumerate(lp.x) if v != 0))
+        value: Union[Fraction, float] = lp.value if program.mode == EXACT else float(lp.value)
         return LPSolution(value, optimizer, program, lp.value, lp)
 
 
 def _skeleton(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path]) -> _Skeleton:
-    """The program over `paths` with the marginals of the `pinned` dates fixed.
-
-    Raises Infeasible when no martingale transport of the pinned marginals
-    lives on `paths`.
-    """
+    """The program over `paths` with the marginals of the `pinned` dates fixed."""
     keys: List[tuple] = [("marginal", t, x) for t in sorted(pinned) for x in pinned[t].support]
     for t in range(1, n + 1):
         keys.extend(("martingale", t, prefix) for prefix in sorted({p[:t] for p in paths}))
-    rows, rhs = _lp_rows(pinned, n, paths, keys)
-    return _Skeleton(pinned, n, tuple(paths), tuple(keys), phase1(len(paths), rows, rhs))
+    frame = MotProgram(pinned, n, tuple(paths), (), EXACT, tuple(keys))
+    rows, rhs = frame.lp_rows()
+    return _Skeleton(frame, tuple(map(tuple, rows)), tuple(rhs))
 
 
 def _effective_paths(
@@ -191,8 +183,9 @@ def solve_primal(
     Exact mode requires rational reward values and returns exact rationals;
     float mode embeds float rewards exactly and returns a float value.
     """
-    _require_mode(mode)
-    return _constrained_skeleton(tuple(marginals)).solve(reward, mode)
+    marginals = tuple(marginals)
+    program = build_program(marginals, reward, mode)
+    return _constrained_skeleton(marginals).solve(program)
 
 
 def _H_json(H: Dict[Tuple[int, Path], Fraction]) -> List[dict]:
@@ -313,17 +306,15 @@ def chain_min_call(
         raise ValueError("t must lie between 1 and the chain length")
     if mu0_part.is_zero:
         return Fraction(0)
-    cols, start = _chain_min_skeleton(mu0_part, tuple(chain[:t]))
+    cols, rows, rhs, senses = _chain_min_skeleton(mu0_part, tuple(chain[:t]))
     objective = [y - b if s == t and y > b else Fraction(0) for s, _, y in cols]
-    return solve_from(start, objective, maximize=False).value
+    return solve_lp(objective, rows, rhs, senses, maximize=False).value
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _chain_min_skeleton(
-    mu0_part: DiscreteMeasure, chain: Tuple[DiscreteMeasure, ...]
-) -> Tuple[Tuple[Tuple[int, Fraction, Fraction], ...], Phase1]:
-    """The columns (step s, x, y) and phase-1 end state of `chain_min_call`'s
-    rows, which do not depend on the strike."""
+def _chain_min_skeleton(mu0_part: DiscreteMeasure, chain: Tuple[DiscreteMeasure, ...]) -> tuple:
+    """The columns (step s, x, y), rows, rhs and senses of `chain_min_call`'s
+    LP, which do not depend on the strike."""
     t = len(chain)
     grids: List[Tuple[Fraction, ...]] = [mu0_part.support]
     grids += [chain[s].support for s in range(t)]
@@ -375,7 +366,7 @@ def _chain_min_skeleton(
             rows.append(row)
             rhs.append(w)
             senses.append("<=")
-    return tuple(cols), phase1(width, rows, rhs, senses)
+    return tuple(cols), tuple(map(tuple, rows)), tuple(rhs), tuple(senses)
 
 
 @dataclass
@@ -433,10 +424,16 @@ def solve_free(
     given grid carries no martingale transport of the marginals.
     """
     _require_mode(mode)
-    skeleton = _free_skeleton(
-        mu0, mun, n, None if grid is None else tuple(sorted({rat(g) for g in grid}))
-    )
-    solution = skeleton.solve(reward, mode)
+    points = set(mu0.support) | set(mun.support) if grid is None else {rat(g) for g in grid}
+    inner = tuple(sorted(points))
+    skeleton = _free_skeleton(mu0, mun, n, inner)
+    try:
+        solution = skeleton.solve(skeleton.program(reward, mode))
+    except Infeasible:
+        raise Infeasible(
+            f"no martingale transport of the marginals in {n} steps lives on the grid "
+            f"[{', '.join(map(str, inner))}]"
+        ) from None
     dual = extract_dual(solution.program, solution)
     certificate = FreeDualCertificate(
         dual.phi[0], dual.phi[n], dual.H, dual.objective, solution.program
@@ -447,12 +444,11 @@ def solve_free(
 # Typed, so that a float n, which raises TypeError, is not served an int's entry.
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _free_skeleton(
-    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, grid: Optional[Tuple[Fraction, ...]]
+    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Tuple[Fraction, ...]
 ) -> _Skeleton:
     require_convex_order(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
-    inner = tuple(sorted(set(mu0.support) | set(mun.support))) if grid is None else grid
     components = tuple(n_step_components(mu0, mun, n))
 
     paths: List[Path] = [(x,) for x in mu0.support]
@@ -460,13 +456,7 @@ def _free_skeleton(
         coords = mun.support if t == n else inner
         paths = [p + (y,) for p in paths for y in coords]
     paths = [p for p in paths if any(c.contains(p) for c in components)]
-    try:
-        return _skeleton({0: mu0, n: mun}, n, paths)
-    except Infeasible:
-        raise Infeasible(
-            f"no martingale transport of the marginals in {n} steps lives on the grid "
-            f"[{', '.join(map(str, inner))}]"
-        ) from None
+    return _skeleton({0: mu0, n: mun}, n, paths)
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

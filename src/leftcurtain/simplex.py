@@ -38,11 +38,20 @@ phase-2 row for the final basis is determined by that basis: it is
 u = -sum_i z_init[B(i)] * R_i, right side included.  One state therefore
 serves any number of objectives, each with the pivots, vertex, duals and
 counts of a solve from scratch.
+
+`phase1` remembers the end states of the last few constraint systems given
+to it as tuples of tuples, keyed on the identity of rows, rhs and senses.
+Each entry holds those objects, so their ids are not reused while it lives,
+and a tuple of tuples of numbers cannot change, so the same objects are the
+same system.  A caller that solves one system for many objectives passes
+the same tuples every time, and each `solve_lp` on them runs phase 2 only.
+Any other input runs phase 1 afresh.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -204,6 +213,12 @@ class Phase1:
     row_mult: Tuple[Fraction, ...]
 
 
+# One system per problem kind that lpsolver interleaves in a probe sweep:
+# the constrained, the free and the chain-minimum polytope.
+_REMEMBERED = 3
+_remembered: "OrderedDict[tuple, Tuple[tuple, Phase1]]" = OrderedDict()
+
+
 def phase1(
     n: int,
     rows: Sequence[Sequence[Fraction]],
@@ -214,8 +229,32 @@ def phase1(
 
     senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
     on malformed input (a row without n coefficients, rhs or senses without
-    one entry per row, an unknown sense) and Infeasible.
+    one entry per row, an unknown sense) and Infeasible.  Tuple input is
+    remembered (see the module notes); failures are not.
     """
+    frozen = (
+        type(rows) is tuple and type(rhs) is tuple and (senses is None or type(senses) is tuple)
+        and all(type(row) is tuple for row in rows)
+    )
+    if not frozen:
+        return _phase1(n, rows, rhs, senses)
+    key = (n, id(rows), id(rhs), id(senses))
+    entry = _remembered.get(key)
+    if entry is not None:
+        _remembered.move_to_end(key)
+    else:
+        entry = _remembered[key] = ((rows, rhs, senses), _phase1(n, rows, rhs, senses))
+        if len(_remembered) > _REMEMBERED:
+            _remembered.popitem(last=False)
+    return entry[1]
+
+
+def _phase1(
+    n: int,
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    senses: Optional[Sequence[str]],
+) -> Phase1:
     m = len(rows)
     if senses is None:
         senses = ["="] * m

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import pytest
 
 from leftcurtain import DiscreteMeasure, NotInPositiveConvexOrder, PathMeasure, add, subtract
+from leftcurtain import simplex
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -28,6 +29,22 @@ def measure(pairs) -> DiscreteMeasure:
 
 
 # --- named instances used across modules -----------------------------------
+
+
+@pytest.fixture
+def phase1_runs(monkeypatch):
+    """Every phase-1 run that `simplex.phase1` does not answer from its
+    memory, which starts empty."""
+    runs = []
+    original = simplex._phase1
+
+    def run(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simplex, "_phase1", run)
+    monkeypatch.setattr(simplex, "_remembered", type(simplex._remembered)())
+    return runs
 
 
 @pytest.fixture

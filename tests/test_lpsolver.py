@@ -28,8 +28,8 @@ from leftcurtain import (
     solve_primal,
     tanh_sm_reward,
 )
-from leftcurtain import lpsolver
-from leftcurtain.simplex import phase1, solve_from, solve_lp
+from leftcurtain import lpsolver, simplex
+from leftcurtain.simplex import solve_lp
 
 from conftest import measure, oracle_solve_lp, random_marginal_chain, random_pc_pair
 
@@ -365,27 +365,26 @@ def clear_lpsolver_caches():
         cache.cache_clear()
 
 
+def thawed(value):
+    """`value` with every tuple turned into a list, which `simplex.phase1`
+    does not remember: a solve of it runs from scratch."""
+    return [thawed(v) for v in value] if isinstance(value, tuple) else value
+
+
 class TestAgainstDenseOracle:
-    def test_program_lps_solve_alike(self, monkeypatch):
+    def test_program_lps_solve_alike(self, monkeypatch, phase1_runs):
         """Every LP that `lpsolver` solves, cache hits included, gives the same
         result, pivot for pivot, as a solve from scratch and as the dense
         tableau of `conftest.oracle_solve_lp`."""
-        systems, lps = {}, []
+        lps = []
 
-        def recording_phase1(n, rows, rhs, senses=None):
-            state = phase1(n, rows, rhs, senses)
-            systems[id(state)] = (state, rows, rhs, senses)
-            return state
-
-        def recording_solve_from(state, objective, maximize=True):
-            result = solve_from(state, objective, maximize)
-            _, rows, rhs, senses = systems[id(state)]
-            lps.append(((objective, rows, rhs, senses, maximize), result))
+        def recording_solve_lp(*args, **kwargs):
+            result = solve_lp(*args, **kwargs)
+            lps.append((args, kwargs, result))
             return result
 
         clear_lpsolver_caches()
-        monkeypatch.setattr(lpsolver, "phase1", recording_phase1)
-        monkeypatch.setattr(lpsolver, "solve_from", recording_solve_from)
+        monkeypatch.setattr(lpsolver, "solve_lp", recording_solve_lp)
         rng = random.Random(149)
         for sizes in [(2, 4, 6), (2, 4, 6), (2, 3, 5)]:
             chain = irreducible_chain(rng, sizes)
@@ -398,60 +397,61 @@ class TestAgainstDenseOracle:
         # Per chain: the primal, the free problem and two chain minima (with
         # '<=' rows), which share their rows and so one phase 1.
         assert len(lps) == 12
-        assert len(systems) == 9
-        for lp, result in lps:
-            assert result == solve_lp(*lp) == oracle_solve_lp(*lp)
+        assert len(phase1_runs) == 9
+        for args, kwargs, result in lps:
+            cold = solve_lp(*map(thawed, args), **kwargs)
+            assert result == cold == oracle_solve_lp(*args, **kwargs)
 
 
 class TestSkeletonCache:
-    def test_probe_families_run_phase1_once_per_polytope(self, monkeypatch, curtain_gap_marginals):
-        calls = []
-
-        def counting_phase1(*args):
-            calls.append(args)
-            return phase1(*args)
-
+    def test_probe_families_run_phase1_once_per_polytope(self, phase1_runs, curtain_gap_marginals):
         clear_lpsolver_caches()
-        monkeypatch.setattr(lpsolver, "phase1", counting_phase1)
         mu0, mu1, mu2 = chain = curtain_gap_marginals
         grid = sorted(set(mu0.support) | set(mu2.support))
         probes = [(a, t) for a in mu0.support for t in (1, 2)]
+        solutions = []
         for a, t in probes:
             for b in chain[t].support:
-                sol = solve_primal(chain, left_tail_put_reward(a, t, b))
-                extract_dual(sol.program, sol)
-                rows, rhs = sol.program.lp_rows()
-                assert sol.lp == solve_lp(list(sol.program.reward_values), rows, rhs)
-        assert len(calls) == 1
+                solutions.append(solve_primal(chain, left_tail_put_reward(a, t, b)))
+                extract_dual(solutions[-1].program, solutions[-1])
+        assert len(phase1_runs) == 1
         for a, t in probes:
             for b in grid:
                 solve_free(mu0, mu2, 2, left_tail_put_reward(a, t, b))
-        assert len(calls) == 2
+        assert len(phase1_runs) == 2
         for a, t in probes:
             part = DiscreteMeasure([(x, w) for x, w in mu0 if x <= a])
             for b in chain[t].support:
                 chain_min_call(part, chain[1:], t, b)
-        assert len(calls) == 2 + len(probes)
+        assert len(phase1_runs) == 2 + len(probes)
+        for sol in solutions:
+            rows, rhs = sol.program.lp_rows()
+            assert sol.lp == solve_lp(list(sol.program.reward_values), rows, rhs)
 
-    def test_failures_are_not_cached(self):
-        clear_lpsolver_caches()
+    def test_failures_are_not_cached(self, phase1_runs):
         mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
         reward = lambda p: p[-1]
         failing = [
             (NotInConvexOrder, lambda: solve_primal([nu, mu], reward)),
             (NotInConvexOrder, lambda: solve_free(nu, mu, 2, reward)),
-            (Infeasible, lambda: solve_free(mu, nu, 2, reward, grid=[5])),
-            (Infeasible, lambda: chain_min_call(DiscreteMeasure.dirac(0, 2), [mu], 1, 0)),
             (ValueError, lambda: solve_primal([], reward)),
             (ValueError, lambda: solve_free(mu, nu, 0, reward)),
+            (Infeasible, lambda: solve_free(mu, nu, 2, reward, grid=[5])),
+            (Infeasible, lambda: chain_min_call(DiscreteMeasure.dirac(0, 2), [mu], 1, 0)),
         ]
         for kind, call in failing:
+            clear_lpsolver_caches()
+            runs = len(phase1_runs)
             with pytest.raises(kind) as first:
                 call()
             with pytest.raises(kind) as again:
                 call()
             assert again.value.args == first.value.args
-        assert all(cache.cache_info().currsize == 0 for cache in lpsolver_caches())
+            if kind is Infeasible:
+                # The rows are cached, but phase 1 on them runs every time.
+                assert len(phase1_runs) == runs + 2
+            else:
+                assert all(cache.cache_info().currsize == 0 for cache in lpsolver_caches())
         # A float n fails as it always did, also once the int's entry is cached.
         solve_free(mu, nu, 2, reward)
         with pytest.raises(TypeError):
@@ -486,6 +486,7 @@ class TestSkeletonCache:
             for cache in lpsolver_caches():
                 info = cache.cache_info()
                 assert info.maxsize == lpsolver._CACHE_SIZE and info.currsize <= info.maxsize
+            assert len(simplex._remembered) <= simplex._REMEMBERED
         assert len(lpsolver_caches()) == 3
 
 

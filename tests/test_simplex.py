@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leftcurtain import simplex
 from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, phase1, solve_from, solve_lp
 
 from conftest import oracle_solve_lp
@@ -380,3 +381,74 @@ class TestAgainstDenseOracle:
             assert warm is not Infeasible
             assert warm == outcome_of(solve_lp, lp_c) == outcome_of(oracle_solve_lp, lp_c)
             assert state == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(lps(), st.lists(st.lists(coefficients, min_size=6, max_size=6), min_size=1, max_size=3))
+    def test_remembered_phase1_solves_alike(self, lp, others):
+        """solve_lp on one system given as tuples, for several objectives and
+        the first again, gives each time what the same lists give cold."""
+        objective, rows, rhs, senses, maximize = lp
+        frozen = (tuple(map(tuple, rows)), tuple(rhs), tuple(senses))
+        for c in [objective] + [o[: len(objective)] for o in others] + [objective]:
+            cold = outcome_of(solve_lp, (c, rows, rhs, senses, maximize))
+            assert outcome_of(solve_lp, (c, *frozen, maximize)) == cold
+
+
+class TestRememberedPhase1:
+    rows = ((F(1), F(1), F(1)), (F(1), F(-1), F(0)))
+    rhs = (F(2), F(0))
+    senses = ("<=", "=")
+
+    def test_tuples_run_phase1_once(self, phase1_runs):
+        state = phase1(3, self.rows, self.rhs, self.senses)
+        for objective in ([F(1), F(0), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]):
+            assert solve_lp(objective, self.rows, self.rhs, self.senses) == solve_lp(
+                objective, [list(r) for r in self.rows], list(self.rhs), list(self.senses)
+            )
+        assert phase1(3, self.rows, self.rhs, self.senses) is state
+        # The three cold solves above ran phase 1 each; the tuples once.
+        assert len(phase1_runs) == 4
+
+    def test_other_tuples_run_phase1_again(self, phase1_runs):
+        phase1(3, self.rows, self.rhs, self.senses)
+        phase1(3, tuple(tuple(r) for r in self.rows), self.rhs, self.senses)
+        assert len(phase1_runs) == 2
+        objective = [F(0), F(0), F(1)]
+        for senses in (None, ("=", "=")):
+            assert solve_lp(objective, self.rows, self.rhs, senses) == solve_lp(
+                objective, list(self.rows), self.rhs, senses
+            ) != solve_lp(objective, self.rows, self.rhs, self.senses)
+
+    def test_mutable_input_is_never_remembered(self, phase1_runs):
+        objective = [F(1), F(1), F(0)]
+        lists = [list(r) for r in self.rows]
+        inner_lists = tuple(lists)
+        for rows in (lists, inner_lists):
+            rows[0][0] = F(2)
+            first = solve_lp(objective, rows, self.rhs, self.senses)
+            rows[0][0] = F(1)
+            assert solve_lp(objective, rows, self.rhs, self.senses) == solve_lp(
+                objective, self.rows, self.rhs, self.senses
+            ) != first
+        assert all(key[1] not in (id(lists), id(inner_lists)) for key in simplex._remembered)
+
+    def test_failures_are_not_remembered(self, phase1_runs):
+        rows, rhs = ((F(1), F(1)),), (F(-1),)
+        for _ in range(2):
+            with pytest.raises(Infeasible):
+                solve_lp([F(1), F(0)], rows, rhs)
+        assert len(phase1_runs) == 2
+        # Another objective length is the cold solve's ValueError, not a reuse.
+        solve_lp([F(1)] * 3, self.rows, self.rhs, self.senses)
+        with pytest.raises(ValueError, match="row 0 has 3 coefficients, expected 2"):
+            solve_lp([F(1)] * 2, self.rows, self.rhs, self.senses)
+
+    def test_memory_is_bounded(self, phase1_runs):
+        size, rhs = simplex._REMEMBERED, (F(1),)
+        systems = [((F(1), F(1)),) for _ in range(size + 1)]
+        for rows in systems + systems[1:]:
+            phase1(2, rows, rhs)
+        assert len(simplex._remembered) == size
+        assert len(phase1_runs) == size + 1
+        phase1(2, systems[0], rhs)
+        assert len(phase1_runs) == size + 2
