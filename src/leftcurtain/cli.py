@@ -212,6 +212,8 @@ def cmd_left_monotone(args) -> int:
     marginals = [_load_measure(path) for path in args.files]
     if len(marginals) < 2:
         raise SchemaError("", "left-monotone needs at least two marginal files")
+    if args.max_paths < 1:
+        raise SchemaError("--max-paths", "must be at least 1")
     policy = (
         KernelPolicy.LP_FEASIBLE
         if args.policy == "lp-feasible"

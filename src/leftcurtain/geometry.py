@@ -148,39 +148,25 @@ def find_improving_competitor(
     grid = sorted(grid)
     history_list = sorted(histories)
 
+    # Per history its mass and barycenter rows, then one row per last value.
     cols: List[Tuple[Path, Fraction]] = []
+    rows: List[List[Tuple[int, Fraction]]] = []
+    rhs: List[Fraction] = []
+    last_rows: Dict[Fraction, List[Tuple[int, Fraction]]] = {y: [] for y in grid}
+    one = Fraction(1)
     for h in history_list:
+        ks = []
         for y in grid:
             if effective_domain_contains(effective_domain, h + (y,)) is not None:
+                ks.append(len(cols))
+                last_rows[y].append((len(cols), one))
                 cols.append((h, y))
+        rows += [[(k, one) for k in ks], [(k, cols[k][1]) for k in ks]]
+        rhs += [histories[h], bary_sum[h]]
     if not cols:
         return None
-    col_index = {c: k for k, c in enumerate(cols)}
-
-    rows, rhs = [], []
-    for h in history_list:
-        row = [Fraction(0)] * len(cols)
-        for y in grid:
-            k = col_index.get((h, y))
-            if k is not None:
-                row[k] = Fraction(1)
-        rows.append(row)
-        rhs.append(histories[h])
-        row = [Fraction(0)] * len(cols)
-        for y in grid:
-            k = col_index.get((h, y))
-            if k is not None:
-                row[k] = y
-        rows.append(row)
-        rhs.append(bary_sum[h])
-    for y in grid:
-        row = [Fraction(0)] * len(cols)
-        for h in history_list:
-            k = col_index.get((h, y))
-            if k is not None:
-                row[k] = Fraction(1)
-        rows.append(row)
-        rhs.append(last.get(y, Fraction(0)))
+    rows += [last_rows[y] for y in grid]
+    rhs += [last.get(y, Fraction(0)) for y in grid]
 
     objective = [Fraction(reward(h + (y,))) for h, y in cols]
     result = solve_lp(objective, rows, rhs)

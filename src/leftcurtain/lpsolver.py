@@ -12,10 +12,10 @@ exactly), so the advertised 1e-9 tolerances hold trivially.
 Everything that does not depend on the reward (the paths, the rows, the
 convex-order precondition and the decomposition) is a skeleton, built once
 per problem and kept in a small cache per problem kind: a probe family
-solves one polytope for many rewards.  The skeleton's rows are tuples, so
-`simplex.phase1` remembers its end state for them and each probe's
-`solve_lp` runs phase 2 only.  Reward ingestion, the LP and the dual checks
-run on every call.
+solves one polytope for many rewards.  The skeleton's sparse rows are
+tuples of (column, coefficient) tuples, so `simplex.phase1` remembers its
+end state for them and each probe's `solve_lp` runs phase 2 only.  Reward
+ingestion, the LP and the dual checks run on every call.
 """
 
 from __future__ import annotations
@@ -84,19 +84,21 @@ class MotProgram:
     mode: str
     row_keys: Tuple[tuple, ...]
 
-    def lp_rows(self) -> Tuple[List[List[Fraction]], List[Fraction]]:
+    def lp_rows(self) -> Tuple[List[List[Tuple[int, Fraction]]], List[Fraction]]:
+        """The constraint rows as `simplex` reads them, (column, coefficient)
+        pairs, and their right sides, in the order of `row_keys`."""
         index: Dict[tuple, int] = {key: i for i, key in enumerate(self.row_keys)}
-        width = len(self.paths)
-        rows = [[Fraction(0)] * width for _ in self.row_keys]
+        rows: List[List[Tuple[int, Fraction]]] = [[] for _ in self.row_keys]
         rhs = [Fraction(0)] * len(self.row_keys)
+        one = Fraction(1)
         for t, mu in self.marginals.items():
             for point, w in mu.atoms:
                 rhs[index[("marginal", t, point)]] = w
         for j, path in enumerate(self.paths):
             for t in self.marginals:
-                rows[index[("marginal", t, path[t])]][j] = Fraction(1)
+                rows[index[("marginal", t, path[t])]].append((j, one))
             for t in range(1, self.n + 1):
-                rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
+                rows[index[("martingale", t, path[:t])]].append((j, path[t] - path[t - 1]))
         return rows, rhs
 
 
@@ -106,7 +108,7 @@ class _Skeleton:
     are kept as the tuples that `simplex.phase1` remembers."""
 
     frame: MotProgram
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
     rhs: Tuple[Fraction, ...]
 
     def program(self, reward: Reward, mode: str) -> MotProgram:
@@ -325,48 +327,23 @@ def _chain_min_skeleton(mu0_part: DiscreteMeasure, chain: Tuple[DiscreteMeasure,
             for y in grids[s]:
                 cols.append((s, x, y))
     col_index = {c: k for k, c in enumerate(cols)}
-    width = len(cols)
 
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    senses: List[str] = []
-
-    def blank() -> List[Fraction]:
-        return [Fraction(0)] * width
-
+    one, zero = Fraction(1), Fraction(0)
+    system: List[tuple] = []  # (sparse row, right side, sense)
     for x, w in mu0_part.atoms:
-        row = blank()
-        for y in grids[1]:
-            row[col_index[(1, x, y)]] = Fraction(1)
-        rows.append(row)
-        rhs.append(w)
-        senses.append("=")
+        system.append(([(col_index[(1, x, y)], one) for y in grids[1]], w, "="))
     for s in range(1, t):
         for y in grids[s]:
-            row = blank()
-            for z in grids[s + 1]:
-                row[col_index[(s + 1, y, z)]] = Fraction(1)
-            for x in grids[s - 1]:
-                row[col_index[(s, x, y)]] -= Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-            senses.append("=")
+            row = [(col_index[(s + 1, y, z)], one) for z in grids[s + 1]]
+            row += [(col_index[(s, x, y)], -one) for x in grids[s - 1]]
+            system.append((row, zero, "="))
     for s in range(1, t + 1):
         for x in grids[s - 1]:
-            row = blank()
-            for y in grids[s]:
-                row[col_index[(s, x, y)]] = y - x
-            rows.append(row)
-            rhs.append(Fraction(0))
-            senses.append("=")
+            system.append(([(col_index[(s, x, y)], y - x) for y in grids[s]], zero, "="))
         for y, w in chain[s - 1].atoms:
-            row = blank()
-            for x in grids[s - 1]:
-                row[col_index[(s, x, y)]] = Fraction(1)
-            rows.append(row)
-            rhs.append(w)
-            senses.append("<=")
-    return tuple(cols), tuple(map(tuple, rows)), tuple(rhs), tuple(senses)
+            system.append(([(col_index[(s, x, y)], one) for x in grids[s - 1]], w, "<="))
+    rows, rhs, senses = zip(*system)
+    return tuple(cols), tuple(map(tuple, rows)), rhs, senses
 
 
 @dataclass

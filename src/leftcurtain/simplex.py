@@ -1,5 +1,11 @@
 """Exact rational linear programming via a revised primal simplex.
 
+Constraints are given sparse: each row is a sequence of (column, coefficient)
+pairs with distinct int columns in range(n), in any order, and zero
+coefficients are dropped.  Phase 1 scales each row to integers and files its
+entries under their columns in row order, so the columns A_j that the
+pivots read are built once, straight from the rows.
+
 Every row and the objective are scaled to integers and pivoted fraction-free
 (Bareiss): a pivot on element p replaces every other tableau entry a by
 (a*p - f*b)/delta, where f is the row's entry in the pivot column, b the
@@ -40,12 +46,13 @@ serves any number of objectives, each with the pivots, vertex, duals and
 counts of a solve from scratch.
 
 `phase1` remembers the end states of the last few constraint systems given
-to it as tuples of tuples, keyed on the identity of rows, rhs and senses.
-Each entry holds those objects, so their ids are not reused while it lives,
-and a tuple of tuples of numbers cannot change, so the same objects are the
-same system.  A caller that solves one system for many objectives passes
-the same tuples every time, and each `solve_lp` on them runs phase 2 only.
-Any other input runs phase 1 afresh.
+to it as tuples all the way down (rows, every row and every pair, rhs and
+senses), keyed on the identity of rows, rhs and senses.  Each entry holds
+those objects, so their ids are not reused while it lives, and such tuples
+of numbers cannot change, so the same objects are the same system.  A
+caller that solves one system for many objectives passes the same tuples
+every time, and each `solve_lp` on them runs phase 2 only.  Any other input
+runs phase 1 afresh.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ _MAX_PIVOTS = 200_000
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 Column = List[Tuple[int, int]]  # (row, nonzero coefficient)
+Row = Sequence[Tuple[int, Fraction]]  # (column, coefficient)
 
 
 class Infeasible(Exception):
@@ -221,20 +229,23 @@ _remembered: "OrderedDict[tuple, Tuple[tuple, Phase1]]" = OrderedDict()
 
 def phase1(
     n: int,
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Row],
     rhs: Sequence[Fraction],
     senses: Optional[Sequence[str]] = None,
 ) -> Phase1:
     """Find a basic feasible point of {x >= 0 : rows x (senses) rhs} in n variables.
 
+    Each row is a sequence of (column, coefficient) pairs: distinct int
+    columns in range(n), in any order; zero coefficients are dropped.
     senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
-    on malformed input (a row without n coefficients, rhs or senses without
-    one entry per row, an unknown sense) and Infeasible.  Tuple input is
+    on malformed input (a column out of range, not an int or named twice in
+    a row, rhs or senses without one entry per row, an unknown sense) and
+    Infeasible.  A system whose rows, every row and every pair are tuples is
     remembered (see the module notes); failures are not.
     """
     frozen = (
         type(rows) is tuple and type(rhs) is tuple and (senses is None or type(senses) is tuple)
-        and all(type(row) is tuple for row in rows)
+        and all(type(row) is tuple and all(type(p) is tuple for p in row) for row in rows)
     )
     if not frozen:
         return _phase1(n, rows, rhs, senses)
@@ -251,7 +262,7 @@ def phase1(
 
 def _phase1(
     n: int,
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Row],
     rhs: Sequence[Fraction],
     senses: Optional[Sequence[str]],
 ) -> Phase1:
@@ -262,35 +273,39 @@ def _phase1(
         raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
     if len(senses) != m:
         raise ValueError(f"senses has {len(senses)} entries for {m} rows")
-    for i in range(m):
-        if len(rows[i]) != n:
-            raise ValueError(f"row {i} has {len(rows[i])} coefficients, expected {n}")
-        if senses[i] not in _FLIPPED:
-            raise ValueError(f"row {i} has sense {senses[i]!r}, expected '=', '<=' or '>='")
 
-    # Scale every row to integers; remember the per-row multiplier including
-    # the sign flip used to make the right side >= 0.
-    int_rows: List[List[int]] = []
+    # Scale every row to integers and file its nonzero entries under their
+    # columns in row order; remember the per-row multiplier including the
+    # sign flip used to make the right side >= 0.
+    columns: List[Column] = [[] for _ in range(n)]
+    b: List[int] = []
     row_mult: List[Fraction] = []
     eff_senses: List[str] = []
     for i in range(m):
-        frac_row = [_fraction(v) for v in rows[i]] + [_fraction(rhs[i])]
-        ints, denom = _scale_to_int(frac_row)
-        mult = Fraction(denom)
+        js = [j for j, _ in rows[i]]
+        for j in js:
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"row {i} has column {j!r}, expected an int in range({n})")
+        if len(set(js)) != len(js):
+            raise ValueError(f"row {i} names a column twice")
         sense = senses[i]
+        if sense not in _FLIPPED:
+            raise ValueError(f"row {i} has sense {sense!r}, expected '=', '<=' or '>='")
+        ints, denom = _scale_to_int([_fraction(a) for _, a in rows[i]] + [_fraction(rhs[i])])
+        mult = Fraction(denom)
         if ints[-1] < 0:
             ints = [-v for v in ints]
             mult = -mult
             sense = _FLIPPED[sense]
-        int_rows.append(ints)
+        for j, v in zip(js, ints):
+            if v:
+                columns[j].append((i, v))
+        b.append(ints[-1])
         row_mult.append(mult)
         eff_senses.append(sense)
 
     # Column layout: structural | slack/surplus | artificial.  Artificials
     # never enter, so only the first two groups get a stored column.
-    columns: List[Column] = [
-        [(i, ints[j]) for i, ints in enumerate(int_rows) if ints[j]] for j in range(n)
-    ]
     basis: List[int] = [-1] * m
     for i, sense in enumerate(eff_senses):
         if sense == "<=":
@@ -306,8 +321,8 @@ def _phase1(
     # Phase-1 row for max(-sum of artificials), priced out: initial basic
     # columns cost nothing.
     z1 = [-sum(a for i, a in col if eff_senses[i] != "<=") for col in columns]
-    z1.append(-sum(int_rows[i][n] for i in art_rows))
-    tab_rows = [[int(k == i) for k in range(m)] + [ints[n]] for i, ints in enumerate(int_rows)]
+    z1.append(-sum(b[i] for i in art_rows))
+    tab_rows = [[int(k == i) for k in range(m)] + [b[i]] for i in range(m)]
     tab = _Tableau(columns, z1, tab_rows + [[0] * m + [z1[-1]]], basis)
     if art_rows:
         tab.run()
@@ -396,17 +411,17 @@ def solve_from(state: Phase1, objective: Sequence[Fraction], maximize: bool = Tr
 
 def solve_lp(
     objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Row],
     rhs: Sequence[Fraction],
     senses: Optional[Sequence[str]] = None,
     maximize: bool = True,
 ) -> LpResult:
     """Solve {max (or min) objective . x : rows x (senses) rhs, x >= 0} exactly.
 
-    senses entries are '=', '<=', '>=' (default all '=').  Raises ValueError
-    on malformed input (a row without one coefficient per objective entry,
-    rhs or senses without one entry per row, an unknown sense), and
-    Infeasible or Unbounded.  Deterministic: identical inputs give identical
-    pivots and an identical optimal vertex.
+    rows, rhs and senses are those of `phase1`, with one column per
+    objective entry: sparse (column, coefficient) pairs per row.  Raises
+    ValueError on malformed input and Infeasible as `phase1` does, and
+    Unbounded.  Deterministic: identical inputs give identical pivots and
+    an identical optimal vertex.
     """
     return solve_from(phase1(len(objective), rows, rhs, senses), objective, maximize)

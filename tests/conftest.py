@@ -5,7 +5,9 @@ convex order holds by construction.  The LP oracles solve small LPs directly
 on the raw simplex engine, and the slow references are the direct per-point
 and per-atom algorithms; neither shares code with the combinatorial
 implementations they are used to check.  `oracle_solve_lp` is the dense
-simplex tableau that the revised engine replaced.
+simplex tableau that the revised engine replaced, and the `oracle_*` row
+builders are the dense LP builders that the sparse ones replaced.
+`sparse` and `dense` convert between the two row formats.
 """
 
 from __future__ import annotations
@@ -13,11 +15,18 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from leftcurtain import DiscreteMeasure, NotInPositiveConvexOrder, PathMeasure, add, subtract
+from leftcurtain import (
+    DiscreteMeasure,
+    NotInPositiveConvexOrder,
+    PathMeasure,
+    add,
+    effective_domain_contains,
+    subtract,
+)
 from leftcurtain import simplex
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
@@ -192,6 +201,169 @@ def random_pc_pair(
     return DiscreteMeasure(atoms), nu
 
 
+# --- row formats -------------------------------------------------------------
+
+
+def sparse(rows):
+    """Dense rows as the (column, coefficient) pairs that `simplex` reads,
+    zeros left out.  A tuple, outer or row, stays a tuple, so tuple input
+    is remembered by `simplex.phase1` as before."""
+
+    def like(seq, items):
+        return tuple(items) if isinstance(seq, tuple) else list(items)
+
+    return like(rows, (like(row, ((j, a) for j, a in enumerate(row) if a)) for row in rows))
+
+
+def dense(rows, n: int) -> List[List[Fraction]]:
+    """Sparse rows written out over n columns."""
+    out = [[F(0)] * n for _ in rows]
+    for row, pairs in zip(out, rows):
+        for j, a in pairs:
+            row[j] = a
+    return out
+
+
+# --- dense LP builders ----------------------------------------------------------
+#
+# The builders that wrote dense Fraction rows before `lpsolver` and
+# `geometry` emitted sparse ones, kept as they were.  The sparse rows,
+# written out by `dense`, must equal theirs.
+
+
+def oracle_lp_rows(program) -> Tuple[List[List[Fraction]], List[Fraction]]:
+    """`MotProgram.lp_rows` over dense rows."""
+    index: Dict[tuple, int] = {key: i for i, key in enumerate(program.row_keys)}
+    width = len(program.paths)
+    rows = [[Fraction(0)] * width for _ in program.row_keys]
+    rhs = [Fraction(0)] * len(program.row_keys)
+    for t, mu in program.marginals.items():
+        for point, w in mu.atoms:
+            rhs[index[("marginal", t, point)]] = w
+    for j, path in enumerate(program.paths):
+        for t in program.marginals:
+            rows[index[("marginal", t, path[t])]][j] = Fraction(1)
+        for t in range(1, program.n + 1):
+            rows[index[("martingale", t, path[:t])]][j] = path[t] - path[t - 1]
+    return rows, rhs
+
+
+def oracle_chain_min_skeleton(
+    mu0_part: DiscreteMeasure, chain: Tuple[DiscreteMeasure, ...]
+) -> tuple:
+    """The columns (step s, x, y), dense rows, rhs and senses of
+    `chain_min_call`'s LP."""
+    t = len(chain)
+    grids: List[Tuple[Fraction, ...]] = [mu0_part.support]
+    grids += [chain[s].support for s in range(t)]
+
+    cols: List[Tuple[int, Fraction, Fraction]] = []  # (step s, x, y)
+    for s in range(1, t + 1):
+        for x in grids[s - 1]:
+            for y in grids[s]:
+                cols.append((s, x, y))
+    col_index = {c: k for k, c in enumerate(cols)}
+    width = len(cols)
+
+    rows: List[List[Fraction]] = []
+    rhs: List[Fraction] = []
+    senses: List[str] = []
+
+    def blank() -> List[Fraction]:
+        return [Fraction(0)] * width
+
+    for x, w in mu0_part.atoms:
+        row = blank()
+        for y in grids[1]:
+            row[col_index[(1, x, y)]] = Fraction(1)
+        rows.append(row)
+        rhs.append(w)
+        senses.append("=")
+    for s in range(1, t):
+        for y in grids[s]:
+            row = blank()
+            for z in grids[s + 1]:
+                row[col_index[(s + 1, y, z)]] = Fraction(1)
+            for x in grids[s - 1]:
+                row[col_index[(s, x, y)]] -= Fraction(1)
+            rows.append(row)
+            rhs.append(Fraction(0))
+            senses.append("=")
+    for s in range(1, t + 1):
+        for x in grids[s - 1]:
+            row = blank()
+            for y in grids[s]:
+                row[col_index[(s, x, y)]] = y - x
+            rows.append(row)
+            rhs.append(Fraction(0))
+            senses.append("=")
+        for y, w in chain[s - 1].atoms:
+            row = blank()
+            for x in grids[s - 1]:
+                row[col_index[(s, x, y)]] = Fraction(1)
+            rows.append(row)
+            rhs.append(w)
+            senses.append("<=")
+    return tuple(cols), tuple(map(tuple, rows)), tuple(rhs), tuple(senses)
+
+
+def oracle_competitor_lp(pi: PathMeasure, reward, effective_domain, marginal=None):
+    """The objective, dense rows and rhs of `find_improving_competitor`'s LP,
+    or None when it has no column."""
+    t = pi.n
+    histories: Dict[tuple, Fraction] = {}
+    bary_sum: Dict[tuple, Fraction] = {}
+    last: Dict[Fraction, Fraction] = {}
+    for p, w in pi.paths:
+        h = p[:t]
+        histories[h] = histories.get(h, Fraction(0)) + w
+        bary_sum[h] = bary_sum.get(h, Fraction(0)) + w * p[t]
+        last[p[t]] = last.get(p[t], Fraction(0)) + w
+
+    grid = set(last)
+    if marginal is not None:
+        grid.update(marginal.support)
+    grid = sorted(grid)
+    history_list = sorted(histories)
+
+    cols: List[Tuple[tuple, Fraction]] = []
+    for h in history_list:
+        for y in grid:
+            if effective_domain_contains(effective_domain, h + (y,)) is not None:
+                cols.append((h, y))
+    if not cols:
+        return None
+    col_index = {c: k for k, c in enumerate(cols)}
+
+    rows, rhs = [], []
+    for h in history_list:
+        row = [Fraction(0)] * len(cols)
+        for y in grid:
+            k = col_index.get((h, y))
+            if k is not None:
+                row[k] = Fraction(1)
+        rows.append(row)
+        rhs.append(histories[h])
+        row = [Fraction(0)] * len(cols)
+        for y in grid:
+            k = col_index.get((h, y))
+            if k is not None:
+                row[k] = y
+        rows.append(row)
+        rhs.append(bary_sum[h])
+    for y in grid:
+        row = [Fraction(0)] * len(cols)
+        for h in history_list:
+            k = col_index.get((h, y))
+            if k is not None:
+                row[k] = Fraction(1)
+        rows.append(row)
+        rhs.append(last.get(y, Fraction(0)))
+
+    objective = [Fraction(reward(h + (y,))) for h, y in cols]
+    return objective, rows, rhs
+
+
 # --- independent LP oracles --------------------------------------------------
 
 
@@ -233,7 +405,7 @@ def lp_martingale_coupling_exists(mu: DiscreteMeasure, nu: DiscreteMeasure) -> b
         return False
     cols, rows, rhs, senses = _coupling_rows(mu, nu, martingale=True, nu_cap=False)
     try:
-        solve_lp([F(0)] * len(cols), rows, rhs, senses)
+        solve_lp([F(0)] * len(cols), sparse(rows), rhs, senses)
         return True
     except Infeasible:
         return False
@@ -245,7 +417,7 @@ def lp_cast_set_exists(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
         return True
     cols, rows, rhs, senses = _coupling_rows(mu, nu, martingale=True, nu_cap=True)
     try:
-        solve_lp([F(0)] * len(cols), rows, rhs, senses)
+        solve_lp([F(0)] * len(cols), sparse(rows), rhs, senses)
         return True
     except Infeasible:
         return False
@@ -266,7 +438,7 @@ def lp_min_second_moment_atom(
         rhs.append(w)
         senses.append("<=")
     try:
-        result = solve_lp([y * y for y in ys], rows, rhs, senses, maximize=False)
+        result = solve_lp([y * y for y in ys], sparse(rows), rhs, senses, maximize=False)
     except Infeasible:
         return None
     return DiscreteMeasure((ys[k], v) for k, v in enumerate(result.x) if v != 0)
@@ -276,7 +448,7 @@ def lp_cast_min_call(mu: DiscreteMeasure, nu: DiscreteMeasure, b: Fraction) -> F
     """Minimum call value over {theta : mu <=_c theta <= nu}."""
     cols, rows, rhs, senses = _coupling_rows(mu, nu, martingale=True, nu_cap=True)
     objective = [max(y - b, F(0)) for _, y in cols]
-    return solve_lp(objective, rows, rhs, senses, maximize=False).value
+    return solve_lp(objective, sparse(rows), rhs, senses, maximize=False).value
 
 
 # --- slow reference implementations ------------------------------------------

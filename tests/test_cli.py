@@ -270,6 +270,8 @@ class TestErrorHandling:
             ["free", "mu0", "mu2", "--steps", "0"],
             ["polar", "mu0", "mu2", "--free", "--steps", "0", "--paths", "paths"],
             ["left-monotone", "mu0"],
+            ["left-monotone", "mu0", "mu1", "mu2", "--max-paths", "0"],
+            ["left-monotone", "mu0", "mu1", "mu2", "--max-paths", "-1"],
             ["polar", "mu0", "mu1", "mu2", "--paths", "short_paths"],
             ["polar", "mu0", "mu1", "mu2", "--paths", "long_paths"],
             ["polar", "mu0", "mu2", "--free", "--steps", "2", "--paths", "long_paths"],
@@ -286,6 +288,8 @@ class TestErrorHandling:
             "zero-steps",
             "polar-free-zero-steps",
             "left-monotone-one-marginal",
+            "left-monotone-zero-max-paths",
+            "left-monotone-negative-max-paths",
             "polar-path-too-short",
             "polar-path-too-long",
             "polar-free-path-too-long",
@@ -299,6 +303,11 @@ class TestErrorHandling:
         code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "schema"
+
+    def test_max_paths_error_names_the_option(self, capsys, files):
+        argv = ["left-monotone", files["mu0"], files["mu1"], files["mu2"], "--max-paths", "-1"]
+        code, _, err = run(capsys, argv)
+        assert code == 1 and json.loads(err)["pointer"] == "--max-paths"
 
     def test_csv_output(self, capsys, files):
         code, out, _ = run(

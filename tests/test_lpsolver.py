@@ -2,14 +2,18 @@ import copy
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
     DualCertificate,
     Infeasible,
+    KernelPolicy,
     NotInConvexOrder,
     build_program,
     call_value,
@@ -18,6 +22,7 @@ from leftcurtain import (
     decompose_step,
     extract_dual,
     feasible_transport,
+    find_improving_competitor,
     free_monotone_transport,
     left_monotone_multistep,
     left_tail_put_reward,
@@ -28,10 +33,19 @@ from leftcurtain import (
     solve_primal,
     tanh_sm_reward,
 )
-from leftcurtain import lpsolver, simplex
+from leftcurtain import geometry, lpsolver, simplex
 from leftcurtain.simplex import solve_lp
 
-from conftest import measure, oracle_solve_lp, random_marginal_chain, random_pc_pair
+from conftest import (
+    dense,
+    measure,
+    oracle_chain_min_skeleton,
+    oracle_competitor_lp,
+    oracle_lp_rows,
+    oracle_solve_lp,
+    random_marginal_chain,
+    random_pc_pair,
+)
 
 
 def brute_force_optimum(program):
@@ -42,8 +56,8 @@ def brute_force_optimum(program):
     it is applied to.
     """
     rows, rhs = program.lp_rows()
-    matrix = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     n_cols = len(program.paths)
+    matrix = [row + [rhs[i]] for i, row in enumerate(dense(rows, n_cols))]
     # rational row echelon
     pivot_cols = []
     r = 0
@@ -187,7 +201,7 @@ class TestDuality:
         # pin the value, swing a second objective to reach another optimizer
         program = sol.program
         rows, rhs = program.lp_rows()
-        rows.append(list(program.reward_values))
+        rows.append(list(enumerate(program.reward_values)))
         rhs.append(sol.exact_value)
         tie_break = [F(hash(p) % 7) for p in program.paths]
         second = solve_lp(tie_break, rows, rhs)
@@ -373,34 +387,95 @@ def thawed(value):
 
 class TestAgainstDenseOracle:
     def test_program_lps_solve_alike(self, monkeypatch, phase1_runs):
-        """Every LP that `lpsolver` solves, cache hits included, gives the same
-        result, pivot for pivot, as a solve from scratch and as the dense
-        tableau of `conftest.oracle_solve_lp`."""
+        """Every LP that `lpsolver` and `geometry` solve, cache hits included,
+        gives the same result, pivot for pivot, as a solve from scratch and as
+        the dense tableau of `conftest.oracle_solve_lp`."""
         lps = []
 
-        def recording_solve_lp(*args, **kwargs):
-            result = solve_lp(*args, **kwargs)
-            lps.append((args, kwargs, result))
-            return result
+        def recording(module):
+            def recording_solve_lp(*args, **kwargs):
+                result = solve_lp(*args, **kwargs)
+                lps.append((module, args, kwargs, result))
+                return result
+
+            return recording_solve_lp
 
         clear_lpsolver_caches()
-        monkeypatch.setattr(lpsolver, "solve_lp", recording_solve_lp)
+        for module in (lpsolver, geometry):
+            monkeypatch.setattr(module, "solve_lp", recording(module))
         rng = random.Random(149)
         for sizes in [(2, 4, 6), (2, 4, 6), (2, 3, 5)]:
             chain = irreducible_chain(rng, sizes)
             reward = left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2])
-            assert len(solve_primal(chain, reward).program.paths) == math.prod(sizes)
+            solution = solve_primal(chain, reward)
+            assert len(solution.program.paths) == math.prod(sizes)
             solve_free(chain[0], chain[2], 2, reward)
             part = DiscreteMeasure(list(chain[0])[:1])
             for b in chain[2].support[1:3]:
                 chain_min_call(part, chain[1:], 2, b)
+            decomps = [decompose_step(chain[t - 1], chain[t]) for t in (1, 2)]
+            other = lambda p: p[1] * p[2] * p[2]
+            find_improving_competitor(solution.optimizer, other, decomps, chain[2])
         # Per chain: the primal, the free problem and two chain minima (with
-        # '<=' rows), which share their rows and so one phase 1.
-        assert len(lps) == 12
-        assert len(phase1_runs) == 9
-        for args, kwargs, result in lps:
+        # '<=' rows), which share their rows and so one phase 1, and the
+        # competitor LP, whose rows are lists and run phase 1 every time.
+        assert Counter(module for module, *_ in lps) == {lpsolver: 12, geometry: 3}
+        assert len(phase1_runs) == 12
+        for _, args, kwargs, result in lps:
+            objective, rows, *rest = args
             cold = solve_lp(*map(thawed, args), **kwargs)
-            assert result == cold == oracle_solve_lp(*args, **kwargs)
+            oracle = oracle_solve_lp(objective, dense(rows, len(objective)), *rest, **kwargs)
+            assert result == cold == oracle
+
+
+class TestDenseBuilders:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3))
+    def test_sparse_rows_equal_the_dense_builders(self, seed, steps):
+        """Written out densely, the rows of the constrained, free and
+        feasible-coupling programs, of `chain_min_call` and of
+        `find_improving_competitor` are those of the dense builders."""
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=4)
+        mu0, mun = chain[0], chain[-1]
+        reward = lambda p: p[0] * p[-1] * p[-1]
+        other = lambda p: p[-2] * p[-1] * p[-1]
+        decomps = [decompose_step(chain[t - 1], chain[t]) for t in range(1, len(chain))]
+        skeleton, skeletons, competitor_lps = lpsolver._skeleton, [], []
+
+        def recording_skeleton(*args):
+            skeletons.append(skeleton(*args))
+            return skeletons[-1]
+
+        def recording_solve_lp(objective, rows, rhs):
+            competitor_lps.append((objective, rows, rhs))
+            return solve_lp(objective, rows, rhs)
+
+        clear_lpsolver_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpsolver, "_skeleton", recording_skeleton)
+            mp.setattr(geometry, "solve_lp", recording_solve_lp)
+            pi = solve_primal(chain, reward).optimizer
+            solve_free(mu0, mun, steps, reward)
+            left_monotone_multistep(chain, KernelPolicy.LP_FEASIBLE)
+            find_improving_competitor(pi, other, decomps, mun)
+        # The constrained and the free program, then one feasible coupling
+        # per increment and step.
+        assert len(skeletons) >= 3
+        for sk in skeletons:
+            rows, rhs = oracle_lp_rows(sk.frame)
+            assert dense(sk.rows, len(sk.frame.paths)) == rows and list(sk.rhs) == rhs
+        expected = oracle_competitor_lp(pi, other, decomps, mun)
+        assert len(competitor_lps) == (expected is not None)
+        for objective, rows, rhs in competitor_lps:
+            assert (objective, dense(rows, len(objective)), rhs) == expected
+        part = DiscreteMeasure(list(mu0)[:1])
+        for t in range(1, len(chain)):
+            cols, rows, rhs, senses = lpsolver._chain_min_skeleton(part, tuple(chain[1 : t + 1]))
+            oracle_cols, oracle_rows, oracle_rhs, oracle_senses = oracle_chain_min_skeleton(
+                part, tuple(chain[1 : t + 1])
+            )
+            assert cols == oracle_cols and rhs == oracle_rhs and senses == oracle_senses
+            assert dense(rows, len(cols)) == list(map(list, oracle_rows))
 
 
 class TestSkeletonCache:

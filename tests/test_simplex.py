@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from leftcurtain import simplex
 from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, phase1, solve_from, solve_lp
 
-from conftest import oracle_solve_lp
+from conftest import oracle_solve_lp, sparse
 
 
 def reference_solve(c, rows, rhs, senses=None, maximize=True):
@@ -160,25 +160,25 @@ def check_certificates(c, rows, rhs, senses, maximize, result):
 
 class TestHandPicked:
     def test_basic_max(self):
-        r = solve_lp([F(1), F(2)], [[F(1), F(1)], [F(1), F(3)]], [F(4), F(6)], ["<=", "<="])
+        r = solve_lp([F(1), F(2)], sparse([[F(1), F(1)], [F(1), F(3)]]), [F(4), F(6)], ["<=", "<="])
         assert r.value == 5 and r.x == [F(3), F(1)]
 
     def test_equalities(self):
-        r = solve_lp([F(1), F(0)], [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
+        r = solve_lp([F(1), F(0)], sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(1), F(0)])
         assert r.value == F(1, 2)
 
     def test_redundant_rows(self):
-        r = solve_lp([F(1), F(0)], [[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)])
+        r = solve_lp([F(1), F(0)], sparse([[F(1), F(1)], [F(1), F(1)]]), [F(1), F(1)])
         assert r.value == 1
         assert sum(d * 1 for d in r.duals) == 1
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
-            solve_lp([F(1)], [[F(1)], [F(1)]], [F(1), F(2)])
+            solve_lp([F(1)], sparse([[F(1)], [F(1)]]), [F(1), F(2)])
 
     def test_unbounded(self):
         with pytest.raises(Unbounded):
-            solve_lp([F(1), F(0)], [[F(0), F(1)]], [F(1)])
+            solve_lp([F(1), F(0)], sparse([[F(0), F(1)]]), [F(1)])
 
     def test_degenerate_cycling_instance(self):
         c = [F(3, 4), F(-150), F(1, 50), F(-6)]
@@ -187,18 +187,19 @@ class TestHandPicked:
             [F(1, 2), F(-90), F(-1, 50), F(3)],
             [F(0), F(0), F(1), F(0)],
         ]
-        r = solve_lp(c, rows, [F(0), F(0), F(1)], ["<=", "<=", "<="])
+        r = solve_lp(c, sparse(rows), [F(0), F(0), F(1)], ["<=", "<=", "<="])
         assert r.value == F(1, 20)
 
     def test_negative_rhs_normalization(self):
         # x0 - x1 = -2, x0 + x1 <= 4, max x0 -> x = (1, 3)
-        r = solve_lp([F(1), F(0)], [[F(1), F(-1)], [F(1), F(1)]], [F(-2), F(4)], ["=", "<="])
+        rows = sparse([[F(1), F(-1)], [F(1), F(1)]])
+        r = solve_lp([F(1), F(0)], rows, [F(-2), F(4)], ["=", "<="])
         assert r.value == 1 and r.x == [F(1), F(3)]
 
     def test_min_with_ge_rows(self):
         r = solve_lp(
             [F(1, 3), F(1, 7)],
-            [[F(2), F(1)], [F(1), F(3)]],
+            sparse([[F(2), F(1)], [F(1), F(3)]]),
             [F(4), F(6)],
             [">=", ">="],
             maximize=False,
@@ -209,7 +210,7 @@ class TestHandPicked:
         # Only slacks start basic, so phase 1 makes no pivot.  Bland enters x0
         # (ratios 4/1 < 6/1, delta 1), then x1 in the second row (ratios 4/1
         # and 2/2) on the pivot element 2.
-        r = solve_lp([F(1), F(2)], [[F(1), F(1)], [F(1), F(3)]], [F(4), F(6)], ["<=", "<="])
+        r = solve_lp([F(1), F(2)], sparse([[F(1), F(1)], [F(1), F(3)]]), [F(4), F(6)], ["<=", "<="])
         assert (r.iterations, r.phase1_iterations, r.max_delta_bits) == (2, 0, 2)
 
     def test_pivot_counts_with_drive_out(self):
@@ -217,7 +218,8 @@ class TestHandPicked:
         # the second row's artificial basic at level zero; driving it out
         # pivots on x2 (element -2, so every row is negated and delta stays
         # 2).  Phase 2 enters x1 on the element 1, and delta falls back to 1.
-        r = solve_lp([F(0), F(1), F(0)], [[F(2), F(1), F(1)], [F(0), F(0), F(-1)]], [F(4), F(0)])
+        rows = sparse([[F(2), F(1), F(1)], [F(0), F(0), F(-1)]])
+        r = solve_lp([F(0), F(1), F(0)], rows, [F(4), F(0)])
         assert r.value == 4 and r.x == [F(0), F(4), F(0)]
         assert (r.iterations, r.phase1_iterations, r.max_delta_bits) == (3, 2, 2)
 
@@ -233,13 +235,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "objective, rows, rhs, senses, message",
         [
-            ([1], [[1, 5]], [2], None, "row 0 has 2 coefficients, expected 1"),
-            ([1, 1], [[1, 1], [1]], [2, 2], None, "row 1 has 1 coefficients, expected 2"),
-            ([1], [[1]], [2], ["<"], "row 0 has sense '<'"),
-            ([1], [[1], [1]], [2, -2], ["=", "<"], "row 1 has sense '<'"),
-            ([1], [[1], [1]], [2], None, "rhs has 1 entries for 2 rows"),
-            ([1], [[1]], [2, 3], None, "rhs has 2 entries for 1 rows"),
-            ([1], [[1], [1]], [2, 2], ["="], "senses has 1 entries for 2 rows"),
+            ([1], [[(1, 5)]], [2], None, r"row 0 has column 1, expected an int in range\(1\)"),
+            ([1, 1], [[(0, 1)], [(-1, 1)]], [2, 2], None, "row 1 has column -1, expected"),
+            ([1], [[(0, 1)]], [2], ["<"], "row 0 has sense '<'"),
+            ([1], [[(0, 1)], [(0, 1)]], [2, -2], ["=", "<"], "row 1 has sense '<'"),
+            ([1], [[(0, 1)], [(0, 1)]], [2], None, "rhs has 1 entries for 2 rows"),
+            ([1], [[(0, 1)]], [2, 3], None, "rhs has 2 entries for 1 rows"),
+            ([1], [[(0, 1)], [(0, 1)]], [2, 2], ["="], "senses has 1 entries for 2 rows"),
+            ([1, 1], [[(0, 1)], [(True, 1)]], [2, 2], None, "row 1 has column True, expected"),
+            ([1, 1], [[(0.0, 1)]], [2], None, "row 0 has column 0.0, expected"),
+            ([1, 1], [[(0, 1), (1, 1), (0, 0)]], [2], None, "row 0 names a column twice"),
         ],
     )
     def test_rejected_with_value_error(self, objective, rows, rhs, senses, message):
@@ -276,6 +281,11 @@ def outcome_of(solver, lp):
         return type(exc)
 
 
+def solve_dense(objective, rows, *args):
+    """`solve_lp` on dense rows, as the oracles take them."""
+    return solve_lp(objective, sparse(rows), *args)
+
+
 class TestRandomized:
     def test_against_reference_and_certificates(self):
         rng = random.Random(2024)
@@ -284,7 +294,7 @@ class TestRandomized:
             lp = random_lp(rng)
             c, rows, rhs, senses, maximize = lp
             try:
-                result = solve_lp(c, rows, rhs, senses, maximize)
+                result = solve_dense(c, rows, rhs, senses, maximize)
                 outcome = ("optimal", result.value)
             except Infeasible:
                 outcome = ("infeasible", None)
@@ -298,7 +308,7 @@ class TestRandomized:
             except Unbounded:
                 ref = ("unbounded", None)
             assert outcome == ref
-            assert outcome_of(solve_lp, lp) == outcome_of(oracle_solve_lp, lp)
+            assert outcome_of(solve_dense, lp) == outcome_of(oracle_solve_lp, lp)
             if outcome[0] == "optimal":
                 check_certificates(c, rows, rhs, senses, maximize, result)
                 solved += 1
@@ -314,10 +324,10 @@ class TestRandomized:
         while checked < 5:
             c, rows, rhs, senses, maximize = random_lp(rng)
             try:
-                first = solve_lp(c, rows, rhs, senses, maximize)
+                first = solve_dense(c, rows, rhs, senses, maximize)
             except (Infeasible, Unbounded):
                 continue
-            second = solve_lp(c, rows, rhs, senses, maximize)
+            second = solve_dense(c, rows, rhs, senses, maximize)
             assert first == second
             checked += 1
 
@@ -348,7 +358,22 @@ class TestAgainstDenseOracle:
     @settings(max_examples=300, deadline=None)
     @given(lps())
     def test_same_pivots_vertex_and_exception(self, lp):
-        assert outcome_of(solve_lp, lp) == outcome_of(oracle_solve_lp, lp)
+        assert outcome_of(solve_dense, lp) == outcome_of(oracle_solve_lp, lp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lps(), st.randoms(use_true_random=False))
+    def test_pair_order_and_zeros_do_not_matter(self, lp, rnd):
+        """Each row's pairs in any order, zero coefficients included, give
+        the phase-1 end state of the rows without zeros in column order."""
+        objective, rows, rhs, senses, _ = lp
+        shuffled = []
+        for row in rows:
+            shuffled.append(list(enumerate(row)))
+            rnd.shuffle(shuffled[-1])
+        n = len(objective)
+        assert outcome_of(phase1, (n, sparse(rows), rhs, senses)) == outcome_of(
+            phase1, (n, shuffled, rhs, senses)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(lps(), st.data())
@@ -367,11 +392,11 @@ class TestAgainstDenseOracle:
         )
         objectives = [(objective, maximize)] + others
         try:
-            state = phase1(n, rows, rhs, senses)
+            state = phase1(n, sparse(rows), rhs, senses)
         except Infeasible:
             for c, mx in objectives:
                 lp_c = (c, rows, rhs, senses, mx)
-                assert outcome_of(solve_lp, lp_c) is Infeasible
+                assert outcome_of(solve_dense, lp_c) is Infeasible
                 assert outcome_of(oracle_solve_lp, lp_c) is Infeasible
             return
         before = copy.deepcopy(state)
@@ -379,7 +404,7 @@ class TestAgainstDenseOracle:
             lp_c = (c, rows, rhs, senses, mx)
             warm = outcome_of(lambda *args: solve_from(state, c, mx), lp_c)
             assert warm is not Infeasible
-            assert warm == outcome_of(solve_lp, lp_c) == outcome_of(oracle_solve_lp, lp_c)
+            assert warm == outcome_of(solve_dense, lp_c) == outcome_of(oracle_solve_lp, lp_c)
             assert state == before
 
     @settings(max_examples=200, deadline=None)
@@ -388,14 +413,14 @@ class TestAgainstDenseOracle:
         """solve_lp on one system given as tuples, for several objectives and
         the first again, gives each time what the same lists give cold."""
         objective, rows, rhs, senses, maximize = lp
-        frozen = (tuple(map(tuple, rows)), tuple(rhs), tuple(senses))
+        frozen = (sparse(tuple(map(tuple, rows))), tuple(rhs), tuple(senses))
         for c in [objective] + [o[: len(objective)] for o in others] + [objective]:
-            cold = outcome_of(solve_lp, (c, rows, rhs, senses, maximize))
+            cold = outcome_of(solve_dense, (c, rows, rhs, senses, maximize))
             assert outcome_of(solve_lp, (c, *frozen, maximize)) == cold
 
 
 class TestRememberedPhase1:
-    rows = ((F(1), F(1), F(1)), (F(1), F(-1), F(0)))
+    rows = (((0, F(1)), (1, F(1)), (2, F(1))), ((0, F(1)), (1, F(-1))))
     rhs = (F(2), F(0))
     senses = ("<=", "=")
 
@@ -423,29 +448,38 @@ class TestRememberedPhase1:
         objective = [F(1), F(1), F(0)]
         lists = [list(r) for r in self.rows]
         inner_lists = tuple(lists)
-        for rows in (lists, inner_lists):
-            rows[0][0] = F(2)
+        list_pairs = tuple(tuple(list(p) for p in r) for r in self.rows)
+
+        def set_first(rows, a):
+            if type(rows[0][0]) is list:
+                rows[0][0][1] = a
+            else:
+                rows[0][0] = (0, a)
+
+        for rows in (lists, inner_lists, list_pairs):
+            set_first(rows, F(2))
             first = solve_lp(objective, rows, self.rhs, self.senses)
-            rows[0][0] = F(1)
+            set_first(rows, F(1))
             assert solve_lp(objective, rows, self.rhs, self.senses) == solve_lp(
                 objective, self.rows, self.rhs, self.senses
             ) != first
-        assert all(key[1] not in (id(lists), id(inner_lists)) for key in simplex._remembered)
+        mutable = (id(lists), id(inner_lists), id(list_pairs))
+        assert all(key[1] not in mutable for key in simplex._remembered)
 
     def test_failures_are_not_remembered(self, phase1_runs):
-        rows, rhs = ((F(1), F(1)),), (F(-1),)
+        rows, rhs = (((0, F(1)), (1, F(1))),), (F(-1),)
         for _ in range(2):
             with pytest.raises(Infeasible):
                 solve_lp([F(1), F(0)], rows, rhs)
         assert len(phase1_runs) == 2
         # Another objective length is the cold solve's ValueError, not a reuse.
         solve_lp([F(1)] * 3, self.rows, self.rhs, self.senses)
-        with pytest.raises(ValueError, match="row 0 has 3 coefficients, expected 2"):
+        with pytest.raises(ValueError, match=r"row 0 has column 2, expected an int in range\(2\)"):
             solve_lp([F(1)] * 2, self.rows, self.rhs, self.senses)
 
     def test_memory_is_bounded(self, phase1_runs):
         size, rhs = simplex._REMEMBERED, (F(1),)
-        systems = [((F(1), F(1)),) for _ in range(size + 1)]
+        systems = [(((0, F(1)), (1, F(1))),) for _ in range(size + 1)]
         for rows in systems + systems[1:]:
             phase1(2, rows, rhs)
         assert len(simplex._remembered) == size
