@@ -17,17 +17,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
-    Interval,
     NegativeWeight,
+    NotInConvexOrder,
     RationalLike,
     SchemaError,
     _rat_from_json,
+    add,
     convex_order_leq,
     rat,
     require_convex_order,
     require_convex_order_chain,
 )
-from .shadow import shadow, shadow_atom
+from .shadow import _Residual
 
 Path = Tuple[Fraction, ...]
 
@@ -244,13 +245,12 @@ def left_curtain_one_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasu
 
 def _left_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
     """`left_curtain_one_step` for a pair already known to be in convex order."""
-    residual = nu
-    rows = []
-    for x, q in mu.atoms:
-        piece = shadow_atom(q, x, residual)
-        rows.extend(((x, y), w) for y, w in piece.shadow)
-        residual = piece.residual
-    return PathMeasure(1, rows)
+    return PathMeasure(1, _fold(mu, _Residual(nu)))
+
+
+def _fold(lower: DiscreteMeasure, residual: _Residual) -> List[Tuple[Path, Fraction]]:
+    """The atoms of lower taken from residual left to right, as ((y, z), w) rows."""
+    return [((y, z), w) for y, v in lower.atoms for z, w in residual.take(y, v)]
 
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
@@ -262,12 +262,50 @@ def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> P
     return skeleton.solve(skeleton.program(lambda path: 0, EXACT)).optimizer
 
 
-def _one_step_kernels(coupling: PathMeasure) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:
+def _one_step_kernels(
+    rows: Sequence[Tuple[Path, Fraction]]
+) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:
+    """Normalized kernels y -> ((z, probability), ...) of sorted ((y, z), w) rows."""
+    starts: Dict[Fraction, Fraction] = {}
+    for (y, _), w in rows:
+        starts[y] = starts.get(y, 0) + w
     kernels: Dict[Fraction, List[Tuple[Fraction, Fraction]]] = {}
-    starts = coupling.marginal(0)
-    for (x, y), w in coupling.paths:
-        kernels.setdefault(x, []).append((y, w / starts.weight_at(x)))
-    return {x: tuple(rows) for x, rows in kernels.items()}
+    for (y, z), w in rows:
+        kernels.setdefault(y, []).append((z, w / starts[y]))
+    return {y: tuple(kernel) for y, kernel in kernels.items()}
+
+
+def _increments(
+    marginals: Sequence[DiscreteMeasure],
+) -> List[List[Tuple[DiscreteMeasure, List[Tuple[Path, Fraction]]]]]:
+    """Per atom of marginals[0], left to right: per date t >= 1 its increment
+    and the ((y, z), w) rows that carry the increment at t - 1 to it.
+
+    The increment of atom i at date t is the shadow of its increment at
+    t - 1 in what the atoms before it left of marginal t, so the increments
+    of atoms 0..i sum to the obstructed shadow of that prefix (shadow
+    associativity).  The rows are the fold of the increment at t - 1 through
+    that residual, and they are the Left-Curtain coupling of the two
+    increments, the fold of lower through S = shadow(lower, R) alone.  For
+    the first atom y of lower, associativity gives shadow(y, R) <= S, so
+    shadow(y, R) lies in {theta : y <=_c theta <= S}; and shadow(y, S) lies
+    in {theta : y <=_c theta <= R}, since S <= R.  Each is the least element
+    of its set, so each is <=_c the other and they are equal.  Taking it
+    from both leaves R' = R - shadow(y, R) and S - shadow(y, R), which by
+    associativity is shadow(rest of lower, R'), so the argument repeats
+    atom by atom.
+    """
+    residuals = [_Residual(nu) for nu in marginals[1:]]
+    out = []
+    for x, q in marginals[0].atoms:
+        lower = DiscreteMeasure.dirac(x, q)
+        steps = []
+        for residual in residuals:
+            rows = _fold(lower, residual)
+            lower = DiscreteMeasure((z, w) for (_, z), w in rows)
+            steps.append((lower, rows))
+        out.append(steps)
+    return out
 
 
 def left_monotone_multistep(
@@ -281,9 +319,11 @@ def left_monotone_multistep(
     at each date t the increment of the obstructed shadows of the prefix
     restrictions, computed incrementally against residual targets via the
     shadow additivity law; the increments of consecutive dates are in convex
-    order and are coupled one step at a time by the chosen policy.  The
-    bivariate projections onto dates (0, t) are uniquely determined; only the
-    full joint depends on the policy.
+    order and are coupled one step at a time by the chosen policy (the
+    default policy's Left-Curtain coupling is the fold that computed the
+    increment, see `_increments`).  The bivariate projections onto dates
+    (0, t) are uniquely determined; only the full joint depends on the
+    policy.
     """
     marginals = list(marginals)
     if len(marginals) < 2:
@@ -291,22 +331,12 @@ def left_monotone_multistep(
     require_convex_order_chain(marginals)
     n = len(marginals) - 1
     mu0 = marginals[0]
-
-    residuals = list(marginals[1:])
-    increments: List[List[DiscreteMeasure]] = []
-    for x, q in mu0.atoms:
-        delta = DiscreteMeasure.dirac(x, q)
-        chain = [delta]
-        for t in range(n):
-            piece = shadow(chain[-1], residuals[t])
-            residuals[t] = piece.residual
-            chain.append(piece.shadow)
-        increments.append(chain)
+    increments = _increments(marginals)
 
     estimate = 0
-    for chain in increments:
+    for steps in increments:
         count = 1
-        for theta in chain[1:]:
+        for theta, _ in steps:
             count *= max(len(theta), 1)
         estimate += count
     if estimate > max_paths:
@@ -315,17 +345,17 @@ def left_monotone_multistep(
         )
 
     all_rows: List[Tuple[Path, Fraction]] = []
-    for (x, q), chain in zip(mu0.atoms, increments):
+    for (x, q), steps in zip(mu0.atoms, increments):
         partial: List[Tuple[Path, Fraction]] = [((x,), q)]
-        for t in range(1, n + 1):
-            lower, upper = chain[t - 1], chain[t]
+        lower = DiscreteMeasure.dirac(x, q)
+        for t, (upper, rows) in enumerate(steps, start=1):
             if not convex_order_leq(lower, upper):
-                raise AssertionError("increment pair fails convex order")
-            if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
-                step = _left_curtain(lower, upper)
-            else:
-                step = _feasible_martingale_coupling(lower, upper)
-            kernels = _one_step_kernels(step)
+                raise NotInConvexOrder(
+                    f"increments of the atom at {x} are not in convex order at date {t}"
+                )
+            if policy is not KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
+                rows = _feasible_martingale_coupling(lower, upper).paths
+            kernels = _one_step_kernels(rows)
             extended = []
             for coords, w in partial:
                 for y, prob in kernels[coords[-1]]:
@@ -333,6 +363,7 @@ def left_monotone_multistep(
             partial = extended
             if len(partial) > max_paths:
                 raise PathCountExceeded(f"path count exceeds the cap {max_paths}")
+            lower = upper
         all_rows.extend(partial)
     return PathMeasure(n, all_rows)
 
@@ -356,8 +387,9 @@ def verify_left_monotone(
     Verifies the marginals and the martingale property first (raising
     MarginalMismatch / NotMartingale), then compares, for every atom prefix
     of the first marginal and every date, the image measure with the
-    obstructed shadow of the prefix, walked once along the chain: the one at
-    date t is the shadow of the one at date t - 1 in marginal t.
+    obstructed shadow of the prefix.  Both are running sums over the atoms
+    of the first marginal: the images of the paths that start at each atom,
+    and the atoms' increments (see `_increments`).
     """
     marginals = list(marginals)
     if P.n != len(marginals) - 1:
@@ -369,17 +401,20 @@ def verify_left_monotone(
     if not ok:
         raise NotMartingale(f"martingale property fails at prefix {witness}")
 
+    slices: Dict[Fraction, List[Tuple[Path, Fraction]]] = {}
+    for p, w in P.paths:
+        slices.setdefault(p[0], []).append((p, w))
+    images = [DiscreteMeasure()] * P.n
+    shadows = list(images)
     records = []
     all_match = True
-    for a in marginals[0].support:
-        restricted = P.restrict_first(a)
-        expected = marginals[0].restrict(Interval.at_most(a))
-        for t in range(1, P.n + 1):
-            image = restricted.marginal(t)
-            expected = shadow(expected, marginals[t]).shadow
-            matches = image == expected
+    for a, steps in zip(marginals[0].support, _increments(marginals)):
+        for t, (increment, _) in enumerate(steps, start=1):
+            images[t - 1] = add(images[t - 1], DiscreteMeasure((p[t], w) for p, w in slices[a]))
+            shadows[t - 1] = add(shadows[t - 1], increment)
+            matches = images[t - 1] == shadows[t - 1]
             all_match = all_match and matches
-            records.append(PrefixImageRecord(a, t, matches, image, expected))
+            records.append(PrefixImageRecord(a, t, matches, images[t - 1], shadows[t - 1]))
     return all_match, records
 
 
@@ -387,16 +422,18 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     """Whether plain prefix shadows increase in convex order along the dates.
 
     Exactly when this holds do the bivariate projections of a left-monotone
-    transport reduce to one-step Left-Curtain couplings.
+    transport reduce to one-step Left-Curtain couplings.  The prefix shadows
+    in each marginal are running sums of its atoms' shadows in one residual
+    per date (shadow associativity).
     """
     marginals = list(marginals)
     require_convex_order_chain(marginals)
     if len(marginals) <= 2:
         return True
-    mu0 = marginals[0]
-    for i in range(1, len(mu0) + 1):
-        prefix = DiscreteMeasure(mu0.atoms[:i])
-        shadows = [shadow(prefix, nu).shadow for nu in marginals[1:]]
+    residuals = [_Residual(nu) for nu in marginals[1:]]
+    shadows = [DiscreteMeasure() for _ in residuals]
+    for x, q in marginals[0].atoms:
+        shadows = [add(s, DiscreteMeasure(r.take(x, q))) for s, r in zip(shadows, residuals)]
         if not all(convex_order_leq(a, b) for a, b in zip(shadows, shadows[1:])):
             return False
     return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -164,13 +165,13 @@ class DiscreteMeasure:
         merged: dict = {}
         for x, w in atoms:
             x, w = rat(x), rat(w)
-            if w < 0:
-                raise NegativeWeight(f"atom at {x} has negative weight {w}")
-            if w == 0:
+            if w.numerator <= 0:
+                if w < 0:
+                    raise NegativeWeight(f"atom at {x} has negative weight {w}")
                 continue
-            merged[x] = merged.get(x, Fraction(0)) + w
-        cleaned = tuple(sorted((x, w) for x, w in merged.items() if w != 0))
-        object.__setattr__(self, "atoms", cleaned)
+            before = merged.get(x)
+            merged[x] = w if before is None else before + w
+        object.__setattr__(self, "atoms", tuple(sorted(merged.items(), key=itemgetter(0))))
 
     @staticmethod
     def zero() -> "DiscreteMeasure":
@@ -309,10 +310,14 @@ def _put_values(
 def _put_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[List[Fraction], List[Fraction]]:
     """The merged support grid of mu and nu, and P_nu - P_mu on it.
 
-    One sweep over the atoms of nu with weight +w and of mu with weight -w.
+    One sweep over the atoms of nu with weight +w and of mu with weight -w,
+    merged by position (two sorted runs, so the sort is one merge).
     """
-    grid = sorted(set(mu.support) | set(nu.support))
-    signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms))
+    signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms), key=itemgetter(0))
+    grid: List[Fraction] = []
+    for x, _ in signed:
+        if not grid or grid[-1] != x:
+            grid.append(x)
     return grid, _put_values(signed, grid)
 
 

@@ -4,10 +4,14 @@ The generators build random marginal chains by mean-preserving spreads, so
 convex order holds by construction.  The LP oracles solve small LPs directly
 on the raw simplex engine, and the slow references are the direct per-point
 and per-atom algorithms; neither shares code with the combinatorial
-implementations they are used to check.  `oracle_solve_lp` is the dense
-simplex tableau that the revised engine replaced, and the `oracle_*` row
-builders are the dense LP builders that the sparse ones replaced.
-`sparse` and `dense` convert between the two row formats.
+implementations they are used to check.  `oracle_hull_shadow` is the
+put-gap hull that the quantile-window fold of `shadow` replaced, and the
+constructions built on it (`oracle_left_monotone`, `oracle_prefix_records`,
+`oracle_strong_order`) recompute the couplings and verdicts with it.
+`oracle_solve_lp` is the dense simplex tableau that the revised engine
+replaced, and the `oracle_*` row builders are the dense LP builders that
+the sparse ones replaced.  `sparse` and `dense` convert between the two row
+formats.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ from leftcurtain import (
     NotInPositiveConvexOrder,
     PathMeasure,
     add,
+    convex_order_leq,
     effective_domain_contains,
     subtract,
 )
 from leftcurtain import simplex
+from leftcurtain.coupling import PrefixImageRecord
+from leftcurtain.measure import _put_gap
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -172,6 +179,14 @@ def random_marginal_chain(
         if ok:
             return chain
     raise RuntimeError("could not build a chain within the support bound")
+
+
+def grid_chain(rng: random.Random, k: int) -> List[DiscreteMeasure]:
+    """k equal-weight atoms on [0, 1) followed by two mean-preserving spreads."""
+    chain = [DiscreteMeasure((F(j, k), F(1, k)) for j in range(k))]
+    for _ in range(2):
+        chain.append(mean_preserving_spread(rng, chain[-1], stay_prob=0.5))
+    return chain
 
 
 def random_pc_pair(
@@ -550,6 +565,104 @@ def oracle_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMea
         piece, residual = oracle_shadow_atom(w, x, residual)
         total = add(total, piece)
     return total, residual
+
+
+def oracle_hull_shadow(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"
+) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
+    """(shadow, residual) of mu in nu from P_shadow = P_nu - conv(P_nu - P_mu).
+
+    The put-gap hull that the quantile-window fold of `shadow` replaced.
+    Off the merged grid g_0 < ... < g_N the gap G = P_nu - P_mu is 0 on the
+    left and affine with slope excess = nu.mass - mu.mass on the right, so
+    the lower hull H of its grid values, with end slopes 0 and excess, is
+    its convex minorant: the put potential of the residual, whose atoms are
+    the slope jumps at the hull vertices (Beiglboeck-Hobson-Norgilas, "The
+    potential of the shadow measure", 2022).  mu <=_pc nu holds exactly when
+    the residual's two end atoms are nonnegative, and NotInPositiveConvexOrder
+    (message) is raised otherwise, before any measure is built.
+    """
+    grid, gap = _put_gap(mu, nu)
+    excess = nu.mass - mu.mass
+    hull: List[Tuple[Fraction, Fraction]] = []
+    for x, y in zip(grid, gap):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (x - x1) < (y - y1) * (x1 - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    slopes = [F(0)]
+    slopes += [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    slopes.append(excess)
+    jumps = [b - a for a, b in zip(slopes, slopes[1:])]
+    if jumps[0] < 0 or jumps[-1] < 0:
+        raise NotInPositiveConvexOrder(message)
+    residual = DiscreteMeasure((x, w) for (x, _), w in zip(hull, jumps))
+    return subtract(nu, residual), residual
+
+
+def oracle_left_curtain_rows(lower: DiscreteMeasure, upper: DiscreteMeasure) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
+    """((y, z), w) rows of the Left-Curtain coupling: each atom of lower, left
+    to right, sent to its hull shadow in what the atoms before it left of upper."""
+    rows, residual = [], upper
+    for y, v in lower:
+        piece, residual = oracle_hull_shadow(DiscreteMeasure.dirac(y, v), residual)
+        rows += [((y, z), w) for z, w in piece]
+    return rows
+
+
+def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMeasure:
+    """The left-monotone transport as it was built from hull shadows.
+
+    Atom i of marginals[0] gets at date t the hull shadow of its increment
+    at t - 1 in what atoms 0..i-1 left of marginal t; consecutive increments
+    are coupled by `couple(lower, upper)`, a one-step PathMeasure.
+    """
+    residuals = list(marginals[1:])
+    rows = []
+    for x, q in marginals[0]:
+        partial = [((x,), q)]
+        lower = DiscreteMeasure.dirac(x, q)
+        for t, nu in enumerate(residuals):
+            upper, residuals[t] = oracle_hull_shadow(lower, nu)
+            step = couple(lower, upper).paths
+            partial = [
+                (p + (z,), w * v / lower.weight_at(y))
+                for p, w in partial
+                for (y, z), v in step
+                if y == p[-1]
+            ]
+            lower = upper
+        rows += partial
+    return PathMeasure(len(marginals) - 1, rows)
+
+
+def oracle_prefix_records(P: PathMeasure, marginals: Sequence[DiscreteMeasure]):
+    """(all match, records) of `verify_left_monotone` from prefix restrictions
+    of P and obstructed prefix shadows iterated with the hull, for a P whose
+    marginals and martingale property are already known to hold."""
+    records = []
+    for a in marginals[0].support:
+        restricted = P.restrict_first(a)
+        expected = DiscreteMeasure((x, w) for x, w in marginals[0] if x <= a)
+        for t in range(1, P.n + 1):
+            image = restricted.marginal(t)
+            expected = oracle_hull_shadow(expected, marginals[t])[0]
+            records.append(PrefixImageRecord(a, t, image == expected, image, expected))
+    return all(r.matches for r in records), records
+
+
+def oracle_strong_order(marginals: Sequence[DiscreteMeasure]) -> bool:
+    """Whether the hull shadows of every prefix of marginals[0] in
+    marginals[1:] increase in convex order."""
+    mu0 = marginals[0]
+    for i in range(1, len(mu0) + 1):
+        prefix = DiscreteMeasure(mu0.atoms[:i])
+        shadows = [oracle_hull_shadow(prefix, nu)[0] for nu in marginals[1:]]
+        if not all(map(convex_order_leq, shadows, shadows[1:])):
+            return False
+    return True
 
 
 # --- dense simplex oracle ------------------------------------------------------

@@ -26,14 +26,21 @@ from leftcurtain import (
     strong_order_holds,
     verify_left_monotone,
 )
-from leftcurtain.coupling import PrefixImageRecord, coupling_from_json_str
+from leftcurtain import coupling
+from leftcurtain.cli import main
+from leftcurtain.coupling import PrefixImageRecord, _increments, _left_curtain, coupling_from_json_str
 
 from conftest import (
+    grid_chain,
     measure,
     mirror_coupling,
     mirror_measure,
     oracle_convex_order_leq,
+    oracle_left_curtain_rows,
+    oracle_left_monotone,
+    oracle_prefix_records,
     oracle_shadow,
+    oracle_strong_order,
     random_marginal_chain,
 )
 
@@ -295,6 +302,70 @@ class TestAgainstOracleShadows:
         assert strong_order_holds(chain) == strong
         for P in couplings:
             assert verify_left_monotone(P, chain) == (True, records)
+
+
+class TestFoldIsTheIncrementCoupling:
+    """The default policy couples consecutive increments by the fold that
+    computed them; that fold must be the Left-Curtain coupling of the pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3))
+    def test_fold_rows_are_left_curtain_of_the_pair(self, seed, steps):
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
+        for (x, q), increments in zip(chain[0], _increments(chain)):
+            lower = DiscreteMeasure.dirac(x, q)
+            for upper, rows in increments:
+                expected = _left_curtain(lower, upper)
+                assert tuple(rows) == expected.paths
+                assert expected == PathMeasure(1, oracle_left_curtain_rows(lower, upper))
+                lower = upper
+
+
+class TestGridChainAgainstHullOracle:
+    """A 40-atom grid and two spreads (40 / 52 / 75 atoms, strong order holds,
+    so every prefix is checked), each construction against its recomputation
+    from hull shadows in about a second."""
+
+    chain = grid_chain(random.Random(45), 40)
+
+    def test_left_curtain_policy(self):
+        def couple(lower, upper):
+            return PathMeasure(1, oracle_left_curtain_rows(lower, upper))
+
+        assert left_monotone_multistep(self.chain) == oracle_left_monotone(self.chain, couple)
+
+    def test_lp_feasible_policy(self):
+        P = left_monotone_multistep(self.chain, KernelPolicy.LP_FEASIBLE)
+        assert P == oracle_left_monotone(self.chain, coupling._feasible_martingale_coupling)
+
+    def test_strong_order(self):
+        assert strong_order_holds(self.chain) == oracle_strong_order(self.chain)
+
+    def test_verify(self):
+        # the records read only the (0, t) projections, which the policies share
+        P = left_monotone_multistep(self.chain)
+        assert verify_left_monotone(P, self.chain) == oracle_prefix_records(P, self.chain)
+
+
+class TestIncrementCheck:
+    def test_failed_increment_check_names_atom_and_date(self, monkeypatch, rigid_marginals):
+        monkeypatch.setattr(coupling, "convex_order_leq", lambda mu, nu: False)
+        with pytest.raises(NotInConvexOrder, match=r"^increments of the atom at 0 are not in convex order at date 1$"):
+            left_monotone_multistep(rigid_marginals)
+
+    def test_cli_reports_it_as_a_math_error(self, monkeypatch, capsys, tmp_path, rigid_marginals):
+        files = []
+        for t, mu in enumerate(rigid_marginals):
+            path = tmp_path / f"mu{t}.json"
+            path.write_text(json.dumps(mu.to_json()))
+            files.append(str(path))
+        monkeypatch.setattr(coupling, "convex_order_leq", lambda mu, nu: False)
+        assert main(["left-monotone", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "NotInConvexOrder"
+        assert error["message"].startswith("increments of the atom at ")
 
 
 class TestFreeMonotone:

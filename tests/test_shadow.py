@@ -19,12 +19,14 @@ from leftcurtain import (
     shadow_atom,
     subtract,
 )
+from leftcurtain.shadow import _Residual
 
 from conftest import (
     lp_cast_min_call,
     lp_min_second_moment_atom,
     measure,
     mean_preserving_spread,
+    oracle_hull_shadow,
     oracle_positive_convex_order_leq,
     oracle_shadow,
     oracle_shadow_atom,
@@ -35,8 +37,79 @@ from conftest import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _outcome(run):
+    """(shadow, residual) of a run, or its exception's type and message."""
+    try:
+        return run()
+    except NotInPositiveConvexOrder as exc:
+        return type(exc), str(exc)
+
+
+def _pair(rng, kind):
+    """A pair (mu, nu) in (pc, spread) or, mostly, out of (random, reversed,
+    shrunk, grown) the positive convex order."""
+    if kind == "pc":
+        return random_pc_pair(rng, max_atoms=6)
+    if kind == "random":
+        return random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
+    mu = random_measure(rng, max_atoms=4)
+    nu = mean_preserving_spread(rng, mu)
+    if kind == "reversed":
+        return nu, mu
+    if kind == "shrunk":
+        return mu.scaled(F(rng.randint(1, 4), 4)), nu
+    if kind == "grown":
+        return mu.scaled(F(rng.randint(5, 8), 4)), nu
+    return mu, nu
+
+
+class TestResidualTake:
+    """`_Residual.take` against the interval search and the put-gap hull."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seeds,
+        st.sampled_from(["pc", "random", "spread", "reversed", "shrunk", "grown"]),
+        st.fractions(min_value=0, max_value=2, max_denominator=6),
+    )
+    def test_single_take(self, seed, kind, share):
+        mu, nu = _pair(random.Random(seed), kind)
+        message = "test message"
+        for x, w in mu:
+            q = w * share
+
+            def take():
+                residual = _Residual(nu, message)
+                piece = DiscreteMeasure(residual.take(x, q))
+                return piece, residual.measure()
+
+            def atom():
+                result = shadow_atom(q, x, nu)
+                return result.shadow, result.residual
+
+            got = _outcome(take)
+            assert got == _outcome(lambda: oracle_hull_shadow(DiscreteMeasure.dirac(x, q), nu, message))
+            expected = _outcome(lambda: oracle_shadow_atom(q, x, nu))
+            assert _outcome(atom) == expected
+            if expected[0] is NotInPositiveConvexOrder:
+                assert got == (NotInPositiveConvexOrder, message)
+            else:
+                assert got == expected
+
+    def test_take_consumes_the_window_in_place(self):
+        nu = measure([(-4, F(1, 4)), (0, F(1, 2)), (4, F(1, 4))])
+        residual = _Residual(nu)
+        assert residual.take(F(-1), F(1, 2)) == [(-4, F(1, 8)), (0, F(3, 8))]
+        assert residual.measure() == measure([(-4, F(1, 8)), (0, F(1, 8)), (4, F(1, 4))])
+        assert residual.take(F(0), F(1, 8)) == [(0, F(1, 8))]
+        assert residual.measure() == measure([(-4, F(1, 8)), (4, F(1, 4))])
+        assert residual.take(F(0), 0) == []
+        with pytest.raises(NotInPositiveConvexOrder):
+            residual.take(F(0), F(1, 2))
+
+
 class TestAgainstSlowReference:
-    """The put-potential hull against the atom-by-atom interval search."""
+    """The quantile-window fold against the atom-by-atom interval search."""
 
     @settings(max_examples=200, deadline=None)
     @given(seeds, st.integers(1, 6))
@@ -46,27 +119,21 @@ class TestAgainstSlowReference:
         assert (result.shadow, result.residual) == oracle_shadow(mu, nu)
 
     @settings(max_examples=300, deadline=None)
-    @given(seeds, st.sampled_from(["pc", "random", "spread", "reversed", "shrunk"]))
+    @given(seeds, st.sampled_from(["pc", "random", "spread", "reversed", "shrunk", "grown"]))
     def test_shadow_decides_order_as_interval_search(self, seed, kind):
-        rng = random.Random(seed)
-        if kind == "pc":
-            mu, nu = random_pc_pair(rng, max_atoms=6)
-        elif kind == "random":
-            mu, nu = random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
-        else:
-            mu = random_measure(rng, max_atoms=4)
-            nu = mean_preserving_spread(rng, mu)
-            if kind == "reversed":
-                mu, nu = nu, mu
-            elif kind == "shrunk":
-                mu = mu.scaled(F(rng.randint(1, 4), 4))
-        if oracle_positive_convex_order_leq(mu, nu):
+        # `shadow` is the fold of mu's atoms through one residual: several takes
+        mu, nu = _pair(random.Random(seed), kind)
+
+        def fold():
             result = shadow(mu, nu)
-            assert (result.shadow, result.residual) == oracle_shadow(mu, nu)
+            return result.shadow, result.residual
+
+        got = _outcome(fold)
+        assert got == _outcome(lambda: oracle_hull_shadow(mu, nu))
+        if oracle_positive_convex_order_leq(mu, nu):
+            assert got == oracle_shadow(mu, nu)
         else:
-            with pytest.raises(NotInPositiveConvexOrder) as info:
-                shadow(mu, nu)
-            assert str(info.value) == "source measure is not <=_pc the target"
+            assert got == (NotInPositiveConvexOrder, "source measure is not <=_pc the target")
 
     @settings(max_examples=300, deadline=None)
     @given(
