@@ -234,13 +234,13 @@ def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
     try:
         spec = parse_reward(text)
     except ZeroDivisionError:
-        raise SchemaError("", f"reward {text!r} has a zero denominator") from None
+        raise SchemaError("--reward", f"reward {text!r} has a zero denominator") from None
     except ValueError as exc:
-        raise SchemaError("", str(exc)) from None
+        raise SchemaError("--reward", str(exc)) from None
     if not spec.is_rational and mode == EXACT:
-        raise SchemaError("", "reward has irrational factors; use --mode float")
+        raise SchemaError("--reward", "reward has irrational factors; use --mode float")
     if spec.max_index > horizon:
-        raise SchemaError("", f"reward references date {spec.max_index} beyond the horizon")
+        raise SchemaError("--reward", f"reward references date {spec.max_index} beyond the horizon")
     return spec
 
 
@@ -318,10 +318,12 @@ def _load_paths(path: str) -> List[List[Fraction]]:
 def cmd_polar(args) -> int:
     paths = _load_paths(args.paths)
     if args.free:
-        if args.steps is None or len(args.files) != 2:
-            raise SchemaError("", "--free needs --steps and exactly two marginal files")
+        if len(args.files) != 2:
+            raise SchemaError("", "--free needs exactly two marginal files")
+        if args.steps is None:
+            raise SchemaError("--steps", "required with --free")
         if args.steps < 1:
-            raise SchemaError("", "--steps must be at least 1")
+            raise SchemaError("--steps", "must be at least 1")
     marginals = [_load_measure(p) for p in args.files]
     dates = args.steps + 1 if args.free else len(marginals)
     for i, path in enumerate(paths):
@@ -360,7 +362,7 @@ def cmd_free(args) -> int:
     mu0 = _load_measure(args.mu0)
     mun = _load_measure(args.mun)
     if args.steps < 1:
-        raise SchemaError("", "--steps must be at least 1")
+        raise SchemaError("--steps", "must be at least 1")
     spec = None if args.reward is None else _reward_spec(args.reward, args.mode, args.steps)
     P = free_monotone_transport(mu0, mun, args.steps)
     payload = {

@@ -17,7 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 from .measure import (
     DiscreteMeasure,
     Interval,
-    _put_gap,
+    NotInConvexOrder,
+    _convex,
+    _put_sweep,
     add,
     require_convex_order,
     require_convex_order_chain,
@@ -108,8 +110,10 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     so there is no tolerance anywhere.  Raises NotInConvexOrder if the pair
     is not in convex order.
     """
-    require_convex_order(mu, nu)
-    grid, values = _put_gap(mu, nu)
+    sweep = _put_sweep(nu.atoms, mu.atoms)
+    if not _convex(sweep):
+        raise NotInConvexOrder(f"not in convex order: {mu} vs {nu}")
+    grid, values, _, _, d, _ = sweep
 
     # The difference vanishes outside the support hull (equal mass and
     # barycenter), so {u_mu < u_nu} is a union of open intervals whose
@@ -117,6 +121,8 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     # positive somewhere iff it is positive at an endpoint.  Two consecutive
     # positive segments belong to the same component only if the difference
     # is positive at the shared grid point; an interior zero splits them.
+    # The sweep's values are the difference times a positive integer, so
+    # their signs and zeros are exact.
     open_intervals: List[Tuple[Fraction, Fraction]] = []
     run_start: Optional[int] = None
     for i in range(len(grid) - 1):
@@ -124,7 +130,7 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
             if run_start is None:
                 run_start = i
             if values[i + 1] == 0 or i + 1 == len(grid) - 1:
-                open_intervals.append((grid[run_start], grid[i + 1]))
+                open_intervals.append((Fraction(grid[run_start], d), Fraction(grid[i + 1], d)))
                 run_start = None
     if run_start is not None:
         raise AssertionError("potential difference positive at the support edge")

@@ -495,16 +495,20 @@ def parse_reward(text: str) -> RewardSpec:
     """Parse the product mini-language.
 
     Factors separated by '*': rational constants, indicator(t=T, <=A) (or >=),
-    call(T, B), put(T, B), abs(T, B), tanh_sm(T).
+    call(T, B), put(T, B), abs(T, B), tanh_sm(T).  A factor that is none of
+    these raises ValueError naming its 0-based character position in `text`.
     """
     factors: List[Callable[[Path], Union[Fraction, float]]] = []
     rational = True
     max_index = 0
+    start = 0
     for raw in text.split("*"):
         part = raw.strip()
+        at = start + len(raw) - len(raw.lstrip())
+        start += len(raw) + 1
         m = _FACTOR_RE.match(part)
         if not m:
-            raise ValueError(f"cannot parse reward factor {part!r}")
+            raise ValueError(f"cannot parse reward factor {part!r} at character {at}")
         if m.group("const") is not None:
             value = Fraction(m.group("const"))
             factors.append(lambda path, value=value: value)

@@ -10,8 +10,10 @@ dropped and equal positions are merged at construction time.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -137,12 +139,14 @@ class Interval:
         hi = node.get("hi", "inf")
         lo_val = None if lo == "-inf" else _rat_from_json(lo, pointer + "/lo")
         hi_val = None if hi in ("inf", "+inf") else _rat_from_json(hi, pointer + "/hi")
-        return Interval(
-            lo_val,
-            hi_val,
-            bool(node.get("lo_closed", False)) and lo_val is not None,
-            bool(node.get("hi_closed", False)) and hi_val is not None,
-        )
+        closed = []
+        for key in ("lo_closed", "hi_closed"):
+            flag = node.get(key, False)
+            if not isinstance(flag, bool):
+                got = json.dumps(flag, default=repr)
+                raise SchemaError(f"{pointer}/{key}", f"must be true or false, got {got}")
+            closed.append(flag)
+        return Interval(lo_val, hi_val, closed[0] and lo_val is not None, closed[1] and hi_val is not None)
 
     def __str__(self) -> str:
         left = "(-inf" if self.lo is None else ("[" if self.lo_closed else "(") + str(self.lo)
@@ -284,52 +288,75 @@ def restrict(mu: DiscreteMeasure, interval: Interval) -> DiscreteMeasure:
     return mu.restrict(interval)
 
 
-def _put_values(
-    atoms: Sequence[Tuple[Fraction, Fraction]], grid: Iterable[Fraction]
-) -> List[Fraction]:
-    """Put potential P(k) = sum_i w_i * max(k - y_i, 0) on a sorted grid.
+_Sweep = Tuple[List[int], List[int], int, int, int, int]
 
-    `atoms` are (y_i, w_i) pairs sorted by position; weights may be negative,
-    so a signed merge of two measures gives the gap of their potentials.  One
-    merged pass, P(k) = k * mass_below(k) - moment_below(k).  Calls and
-    potential functions are read off it by parity:
+
+def _put_sweep(
+    plus: Sequence[Tuple[Fraction, Fraction]],
+    minus: Sequence[Tuple[Fraction, Fraction]] = (),
+    points: Sequence[Fraction] = (),
+) -> _Sweep:
+    """The put potential of the signed measure plus - minus, in integers.
+
+    `plus` and `minus` are (position, weight) atoms sorted by position.  D,
+    the lcm of the position denominators (of `points` too), and E, the lcm
+    of the weight denominators, scale every position to an integer X = D*x
+    and every weight to an integer W = E*w.  With M and Mo the scaled mass
+    and first moment strictly below K = D*k,
+
+        D*E * P(k) = D*E * sum_{y < k} w * (k - y) = K*M - Mo,
+
+    so one merged pass over the atoms gives the put potential
+    P(k) = sum_i w_i * max(k - y_i, 0) on the grid.  D*E > 0, so every
+    sign, zero and equality of a scaled value is that of the rational one
+    and nothing is rounded; a value is read back as Fraction(value, D*E).
+
+    Returns (grid, puts, mass, moment, D, E): grid is the increasing list of
+    the distinct scaled positions of both supports and of `points`, puts
+    the scaled P_plus - P_minus there, mass = E*(plus.mass - minus.mass) and
+    moment = D*E*(plus.first_moment - minus.first_moment).  Calls and
+    potential functions are read off the puts by parity:
     C = P - mass * k + first moment and u = 2P - mass * x + first moment.
     """
-    values: List[Fraction] = []
-    i, mass_below, moment_below = 0, Fraction(0), Fraction(0)
-    for k in grid:
-        while i < len(atoms) and atoms[i][0] < k:
-            x, w = atoms[i]
-            mass_below += w
-            moment_below += w * x
-            i += 1
-        values.append(k * mass_below - moment_below)
-    return values
-
-
-def _put_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[List[Fraction], List[Fraction]]:
-    """The merged support grid of mu and nu, and P_nu - P_mu on it.
-
-    One sweep over the atoms of nu with weight +w and of mu with weight -w,
-    merged by position (two sorted runs, so the sort is one merge).
-    """
-    signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms), key=itemgetter(0))
-    grid: List[Fraction] = []
-    for x, _ in signed:
+    d = lcm(*{x.denominator for x, _ in plus}, *{x.denominator for x, _ in minus},
+            *{k.denominator for k in points})
+    e = lcm(*{w.denominator for _, w in plus}, *{w.denominator for _, w in minus})
+    signed = [(x.numerator * (d // x.denominator), w.numerator * (e // w.denominator)) for x, w in plus]
+    signed += [(x.numerator * (d // x.denominator), -w.numerator * (e // w.denominator)) for x, w in minus]
+    signed += [(k.numerator * (d // k.denominator), 0) for k in points]
+    signed.sort(key=itemgetter(0))
+    grid: List[int] = []
+    puts: List[int] = []
+    mass = moment = 0
+    for x, w in signed:
         if not grid or grid[-1] != x:
             grid.append(x)
-    return grid, _put_values(signed, grid)
+            puts.append(x * mass - moment)
+        mass += w
+        moment += w * x
+    return grid, puts, mass, moment, d, e
+
+
+def _convex(sweep: _Sweep) -> bool:
+    """Whether the sweep of nu - mu shows mu <=_c nu."""
+    _, gap, mass, moment, _, _ = sweep
+    return mass == 0 and moment == 0 and all(g >= 0 for g in gap)
 
 
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the call integral sum_i w_i * max(y_i - b, 0)."""
     b = rat(b)
-    return put_value(mu, b) - mu.mass * b + mu.first_moment
+    grid, puts, mass, moment, d, e = _put_sweep(mu.atoms, points=(b,))
+    k = b.numerator * (d // b.denominator)
+    return Fraction(puts[bisect_left(grid, k)] - mass * k + moment, d * e)
 
 
 def put_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the put integral sum_i w_i * max(b - y_i, 0)."""
-    return _put_values(mu.atoms, [rat(b)])[0]
+    b = rat(b)
+    grid, puts, _, _, d, e = _put_sweep(mu.atoms, points=(b,))
+    k = b.numerator * (d // b.denominator)
+    return Fraction(puts[bisect_left(grid, k)], d * e)
 
 
 @dataclass(frozen=True)
@@ -401,11 +428,13 @@ class PotentialFunction:
 
 def potential(mu: DiscreteMeasure) -> PotentialFunction:
     """The potential function u_mu(x) = integral of |x - y| mu(dy), exactly."""
-    total_mass, total_fm = mu.mass, mu.first_moment
-    puts = _put_values(mu.atoms, mu.support)
+    grid, puts, mass, moment, d, e = _put_sweep(mu.atoms)
+    scale = d * e
     breakpoints = tuple(
-        (x, 2 * p - total_mass * x + total_fm) for x, p in zip(mu.support, puts)
+        (x, Fraction(2 * p - mass * k + moment, scale))
+        for x, k, p in zip(mu.support, grid, puts)
     )
+    total_mass = Fraction(mass, e)
     return PotentialFunction(breakpoints, -total_mass, total_mass)
 
 
@@ -417,9 +446,7 @@ def convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     put order is the order of the potential functions, and piecewise
     linearity makes the finitely many checks complete.
     """
-    if mu.mass != nu.mass or mu.first_moment != nu.first_moment:
-        return False
-    return all(g >= 0 for g in _put_gap(mu, nu)[1])
+    return _convex(_put_sweep(nu.atoms, mu.atoms))
 
 
 def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -431,14 +458,11 @@ def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     measures the call/put difference functions are piecewise linear with
     kinks only at support points, so this finite test is complete.  By
     parity C(b) = P(b) - mass * b + first moment, the call gap C_nu - C_mu
-    is the put gap minus (excess * b - drift).
+    is the put gap minus (excess * b - drift), where the sweep's mass and
+    moment are the excess and the drift in its scale.
     """
-    excess = nu.mass - mu.mass
-    if excess < 0:
-        return False
-    drift = nu.first_moment - mu.first_moment
-    grid, gap = _put_gap(mu, nu)
-    return all(g >= 0 and g >= excess * b - drift for b, g in zip(grid, gap))
+    grid, gap, excess, drift, _, _ = _put_sweep(nu.atoms, mu.atoms)
+    return excess >= 0 and all(g >= 0 and g >= excess * k - drift for k, g in zip(grid, gap))
 
 
 def require_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:

@@ -4,10 +4,14 @@ The generators build random marginal chains by mean-preserving spreads, so
 convex order holds by construction.  The LP oracles solve small LPs directly
 on the raw simplex engine, and the slow references are the direct per-point
 and per-atom algorithms; neither shares code with the combinatorial
-implementations they are used to check.  `oracle_hull_shadow` is the
-put-gap hull that the quantile-window fold of `shadow` replaced, and the
-constructions built on it (`oracle_left_monotone`, `oracle_prefix_records`,
-`oracle_strong_order`) recompute the couplings and verdicts with it.
+implementations they are used to check.  `oracle_put_gap` is the
+Fraction put sweep that the integer sweep of `measure` replaced, and the
+`oracle_sweep_*` functions are the order tests, potentials, put and call
+values and step decomposition as they were computed from it.
+`oracle_hull_shadow` is the put-gap hull that the quantile-window fold of
+`shadow` replaced, and the constructions built on it
+(`oracle_left_monotone`, `oracle_prefix_records`, `oracle_strong_order`)
+recompute the couplings and verdicts with it.
 `oracle_solve_lp` is the dense simplex tableau that the revised engine
 replaced, and the `oracle_*` row builders are the dense LP builders that
 the sparse ones replaced.  `sparse` and `dense` convert between the two row
@@ -25,8 +29,13 @@ import pytest
 
 from leftcurtain import (
     DiscreteMeasure,
+    Interval,
+    IrreducibleDomain,
+    NotInConvexOrder,
     NotInPositiveConvexOrder,
     PathMeasure,
+    PotentialFunction,
+    StepDecomposition,
     add,
     convex_order_leq,
     effective_domain_contains,
@@ -34,7 +43,6 @@ from leftcurtain import (
 )
 from leftcurtain import simplex
 from leftcurtain.coupling import PrefixImageRecord
-from leftcurtain.measure import _put_gap
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -498,6 +506,96 @@ def oracle_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     return all(u(mu, x) <= u(nu, x) for x in sorted(set(mu.support) | set(nu.support)))
 
 
+# --- the Fraction put sweep ----------------------------------------------------
+#
+# The put sweep in Fraction arithmetic that the common-denominator integer
+# sweep of `measure._put_sweep` replaced, and everything that read it.
+
+
+def oracle_put_values(atoms: Sequence[Tuple[Fraction, Fraction]], grid) -> List[Fraction]:
+    """P(k) = sum_i w_i * max(k - y_i, 0) on a sorted grid, for signed atoms
+    sorted by position: one merged pass, P(k) = k * mass_below(k) - moment_below(k)."""
+    values: List[Fraction] = []
+    i, mass_below, moment_below = 0, F(0), F(0)
+    for k in grid:
+        while i < len(atoms) and atoms[i][0] < k:
+            x, w = atoms[i]
+            mass_below += w
+            moment_below += w * x
+            i += 1
+        values.append(k * mass_below - moment_below)
+    return values
+
+
+def oracle_put_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[List[Fraction], List[Fraction]]:
+    """The merged support grid of mu and nu, and P_nu - P_mu on it."""
+    signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms), key=lambda a: a[0])
+    grid: List[Fraction] = []
+    for x, _ in signed:
+        if not grid or grid[-1] != x:
+            grid.append(x)
+    return grid, oracle_put_values(signed, grid)
+
+
+def oracle_sweep_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    if mu.mass != nu.mass or mu.first_moment != nu.first_moment:
+        return False
+    return all(g >= 0 for g in oracle_put_gap(mu, nu)[1])
+
+
+def oracle_sweep_positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    excess = nu.mass - mu.mass
+    if excess < 0:
+        return False
+    drift = nu.first_moment - mu.first_moment
+    grid, gap = oracle_put_gap(mu, nu)
+    return all(g >= 0 and g >= excess * b - drift for b, g in zip(grid, gap))
+
+
+def oracle_sweep_put_value(mu: DiscreteMeasure, b: Fraction) -> Fraction:
+    return oracle_put_values(mu.atoms, [b])[0]
+
+
+def oracle_sweep_call_value(mu: DiscreteMeasure, b: Fraction) -> Fraction:
+    return oracle_sweep_put_value(mu, b) - mu.mass * b + mu.first_moment
+
+
+def oracle_sweep_potential(mu: DiscreteMeasure) -> PotentialFunction:
+    total_mass, total_fm = mu.mass, mu.first_moment
+    puts = oracle_put_values(mu.atoms, mu.support)
+    breakpoints = tuple((x, 2 * p - total_mass * x + total_fm) for x, p in zip(mu.support, puts))
+    return PotentialFunction(breakpoints, -total_mass, total_mass)
+
+
+def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecomposition:
+    """`decompose_step` from the Fraction gap: components are the maximal open
+    intervals where the gap is positive, split at its interior zeros."""
+    if not oracle_sweep_convex_order_leq(mu, nu):
+        raise NotInConvexOrder(f"not in convex order: {mu} vs {nu}")
+    grid, values = oracle_put_gap(mu, nu)
+    open_intervals: List[Tuple[Fraction, Fraction]] = []
+    run_start: Optional[int] = None
+    for i in range(len(grid) - 1):
+        if values[i] > 0 or values[i + 1] > 0:
+            if run_start is None:
+                run_start = i
+            if values[i + 1] == 0 or i + 1 == len(grid) - 1:
+                open_intervals.append((grid[run_start], grid[i + 1]))
+                run_start = None
+    components = []
+    for k, (lo, hi) in enumerate(open_intervals, start=1):
+        interior = Interval.open(lo, hi)
+        mu_k, nu_inside = mu.restrict(interior), nu.restrict(interior)
+        need_mass = mu_k.mass - nu_inside.mass
+        frac_hi = (mu_k.first_moment - nu_inside.first_moment - lo * need_mass) / (hi - lo)
+        frac_lo = need_mass - frac_hi
+        nu_k = add(nu_inside, DiscreteMeasure([(lo, frac_lo), (hi, frac_hi)]))
+        J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
+        components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
+    diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
+    return StepDecomposition(diagonal, tuple(components))
+
+
 def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
     """(shadow, residual) of q*delta_x in nu by search over interval restrictions.
 
@@ -582,7 +680,7 @@ def oracle_hull_shadow(
     the residual's two end atoms are nonnegative, and NotInPositiveConvexOrder
     (message) is raised otherwise, before any measure is built.
     """
-    grid, gap = _put_gap(mu, nu)
+    grid, gap = oracle_put_gap(mu, nu)
     excess = nu.mass - mu.mass
     hull: List[Tuple[Fraction, Fraction]] = []
     for x, y in zip(grid, gap):

@@ -309,6 +309,46 @@ class TestErrorHandling:
         code, _, err = run(capsys, argv)
         assert code == 1 and json.loads(err)["pointer"] == "--max-paths"
 
+    @pytest.mark.parametrize(
+        "argv, pointer",
+        [
+            (["solve", "mu0", "mu1", "mu2", "--reward", "foo(1)"], "--reward"),
+            (["solve", "mu0", "mu1", "mu2", "--reward", "1/0"], "--reward"),
+            (["solve", "mu0", "mu1", "mu2", "--reward", "tanh_sm(1)"], "--reward"),
+            (["free", "mu0", "mu2", "--steps", "2", "--reward", "call(5, 0)"], "--reward"),
+            (["free", "mu0", "mu2", "--steps", "0"], "--steps"),
+            (["polar", "mu0", "mu2", "--free", "--steps", "0", "--paths", "paths"], "--steps"),
+            (["polar", "mu0", "mu2", "--free", "--paths", "paths"], "--steps"),
+        ],
+        ids=[
+            "unknown-factor",
+            "zero-denominator",
+            "irrational-in-exact-mode",
+            "beyond-horizon",
+            "free-zero-steps",
+            "polar-free-zero-steps",
+            "polar-free-no-steps",
+        ],
+    )
+    def test_reward_and_steps_errors_name_the_option(self, capsys, files, argv, pointer):
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["pointer"] == pointer and report["message"].startswith(pointer + ": ")
+
+    @pytest.mark.parametrize(
+        "text, factor, at",
+        [("foo(1)", "foo(1)", 0), ("call(1, 0) *  foo(1) * 2", "foo(1)", 14), ("2*", "", 2), ("* 2", "", 0)],
+    )
+    def test_unparsable_factor_names_its_position(self, capsys, files, text, factor, at):
+        argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward", text]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert json.loads(err)["message"] == (
+            f"--reward: cannot parse reward factor {factor!r} at character {at}"
+        )
+        assert text[at:].startswith(factor)
+
     def test_csv_output(self, capsys, files):
         code, out, _ = run(
             capsys, ["check-order", files["mu0"], files["mu1"], "--csv"]

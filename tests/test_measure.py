@@ -14,6 +14,7 @@ from leftcurtain import (
     barycenter,
     call_value,
     convex_order_leq,
+    decompose_step,
     positive_convex_order_leq,
     potential,
     put_value,
@@ -29,6 +30,12 @@ from conftest import (
     mean_preserving_spread,
     oracle_convex_order_leq,
     oracle_positive_convex_order_leq,
+    oracle_sweep_call_value,
+    oracle_sweep_convex_order_leq,
+    oracle_sweep_decompose_step,
+    oracle_sweep_positive_convex_order_leq,
+    oracle_sweep_potential,
+    oracle_sweep_put_value,
     random_measure,
     random_pc_pair,
 )
@@ -232,6 +239,103 @@ class TestOrderTestsAgainstSlowReference:
             assert convex_order_leq(a, b) == oracle_convex_order_leq(a, b)
 
 
+# Rationals with small and with 64- to 70-bit denominators, of either sign.
+_denominators = st.one_of(st.integers(1, 12), st.integers(2**64, 2**70))
+_positions = st.builds(F, st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)), _denominators)
+_weights = st.builds(F, st.one_of(st.integers(1, 9), st.integers(1, 2**70)), _denominators)
+
+
+@st.composite
+def sweep_pairs(draw):
+    """(mu, nu) on one shared pool of positions, so that atoms of mu and nu
+    often sit at the same point.
+
+    nu is drawn independently (mostly unequal mass or mean), or mu is zero,
+    or nu is a spread of mu: each atom of mu stays or splits onto two pool
+    points around it (the nearest ones first) in proportions that keep its
+    mean, so mu <=_c nu.  A spread is then kept, given extra mass (so
+    mu <=_pc nu only), or shifted or moved by one atom (order usually lost).
+    """
+    pool = sorted(draw(st.lists(_positions, min_size=3, max_size=8, unique=True)))
+    atoms = st.lists(
+        st.tuples(st.sampled_from(pool), _weights), min_size=1, max_size=5, unique_by=lambda a: a[0]
+    )
+    mu = DiscreteMeasure(draw(atoms))
+    kind = draw(st.sampled_from(["spread", "random", "extra mass", "shift", "moved atom", "zero"]))
+    if kind == "random":
+        return mu, DiscreteMeasure(draw(atoms))
+    if kind == "zero":
+        return DiscreteMeasure.zero(), draw(st.sampled_from([DiscreteMeasure.zero(), mu]))
+    spread = []
+    for x, w in mu:
+        below, above = [y for y in pool if y < x], [y for y in pool if y > x]
+        if not below or not above or draw(st.sampled_from([False, False, True])):
+            spread.append((x, w))
+            continue
+        lo, hi = draw(st.sampled_from(below[::-1])), draw(st.sampled_from(above))
+        spread += [(lo, w * (hi - x) / (hi - lo)), (hi, w * (x - lo) / (hi - lo))]
+    if kind == "extra mass":
+        spread += draw(atoms)
+    elif kind == "shift":
+        shift = draw(_positions)
+        spread = [(x + shift, w) for x, w in spread]
+    elif kind == "moved atom":
+        (x, w), step = spread.pop(), draw(_positions)
+        spread.append((x + step, w))
+    return mu, DiscreteMeasure(spread)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestPutSweepAgainstFractionOracle:
+    """The integer put sweep against the Fraction sweep it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_pairs())
+    def test_order_verdicts(self, pair):
+        for a, b in (pair, pair[::-1]):
+            assert convex_order_leq(a, b) == oracle_sweep_convex_order_leq(a, b)
+            assert positive_convex_order_leq(a, b) == oracle_sweep_positive_convex_order_leq(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_pairs())
+    def test_decompose_step(self, pair):
+        for a, b in (pair, pair[::-1]):
+            assert _outcome(decompose_step, a, b) == _outcome(oracle_sweep_decompose_step, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_pairs(), st.lists(_positions, max_size=3))
+    def test_potentials_puts_and_calls(self, pair, points):
+        for m in pair:
+            assert potential(m) == oracle_sweep_potential(m)
+            for b in points + list(m.support):
+                assert put_value(m, b) == oracle_sweep_put_value(m, b)
+                assert call_value(m, b) == oracle_sweep_call_value(m, b)
+
+    def test_two_components_with_large_denominators(self):
+        big = 2**64 + 13
+        mu = measure([(F(1, big), F(1, 3)), (F(7, 2), F(2, 3))])
+        nu = measure([(0, F(2, 9)), (F(3, big), F(1, 9)), (3, F(1, 3)), (4, F(1, 3))])
+        assert convex_order_leq(mu, nu)
+        decomposition = decompose_step(mu, nu)
+        assert len(decomposition.components) == 2
+        assert decomposition == oracle_sweep_decompose_step(mu, nu)
+
+    def test_zero_measures(self):
+        zero, one = DiscreteMeasure.zero(), DiscreteMeasure.dirac(F(-1, 3), F(2, 2**65 + 1))
+        assert convex_order_leq(zero, zero) and positive_convex_order_leq(zero, one)
+        assert not convex_order_leq(zero, one) and not positive_convex_order_leq(one, zero)
+        assert decompose_step(zero, zero) == oracle_sweep_decompose_step(zero, zero)
+        assert potential(zero) == oracle_sweep_potential(zero)
+        assert put_value(zero, 5) == call_value(zero, -5) == 0
+
+
 class TestArithmetic:
     def test_restrict_examples(self):
         two = measure([(-1, F(1, 2)), (1, F(1, 2))])
@@ -280,6 +384,20 @@ class TestJson:
         with pytest.raises(SchemaError) as info:
             DiscreteMeasure.from_json({"atoms": [{"x": "0", "w": "0"}]})
         assert info.value.pointer == "/atoms/0/w"
+
+    @pytest.mark.parametrize("flag", ["false", 0, [0], None])
+    @pytest.mark.parametrize("key", ["lo_closed", "hi_closed"])
+    def test_interval_closed_flags_must_be_booleans(self, key, flag):
+        with pytest.raises(SchemaError) as info:
+            Interval.from_json({"lo": "0", "hi": "1", key: flag}, "/I")
+        assert info.value.pointer == f"/I/{key}"
+
+    def test_interval_closed_flags(self):
+        assert str(Interval.from_json({"lo": "0", "hi": "1"})) == "(0, 1)"
+        node = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": False}
+        assert Interval.from_json(node) == Interval(F(0), F(1), True, False)
+        assert Interval.from_json(Interval.closed(0, 1).to_json()) == Interval.closed(0, 1)
+        assert Interval.from_json({"lo_closed": True}) == Interval.real_line()
 
     def test_float_rejected(self):
         with pytest.raises(SchemaError):
