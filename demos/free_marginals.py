@@ -12,11 +12,11 @@ from fractions import Fraction as F
 
 from leftcurtain import (
     DiscreteMeasure,
+    decompose_step,
     free_monotone_transport,
     free_polar_test,
     left_curtain_one_step,
     left_tail_put_reward,
-    n_step_components,
     solve_free,
 )
 
@@ -24,9 +24,9 @@ mu0 = DiscreteMeasure([(-1, F(1, 2)), (1, F(1, 2))])
 mun = DiscreteMeasure([(-4, F(1, 4)), (0, F(1, 2)), (4, F(1, 4))])
 n = 3
 
-print(f"components of the {n}-step free problem:")
-for comp in n_step_components(mu0, mun, n):
-    print(" ", comp.to_json())
+print("decomposition of (mu0, mun):")
+print(" ", decompose_step(mu0, mun).to_json())
+print(f"each of the {n} steps of a chargeable path lies in one of its components or on its diagonal")
 
 P = free_monotone_transport(mu0, mun, n)
 print("\nmonotone transport (waits, then moves):")

@@ -5,7 +5,9 @@ agree and any martingale transport is the identity) and irreducible components
 (I_k, J_k), the maximal open intervals where u_mu < u_nu together with their
 target windows.  Chains of per-step components are the only sets a multistep
 martingale transport can charge; everything outside, or through a point of
-zero marginal mass, is polar.
+zero marginal mass, is polar.  When the intermediate marginals are free, the
+chain is the decomposition of (mu_0, mu_n) taken at every step.
+`_effective_paths` enumerates either domain on given grids for the LPs.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from .measure import (
     DiscreteMeasure,
     Interval,
     NotInConvexOrder,
+    RationalLike,
     _convex,
     _put_sweep,
     add,
-    require_convex_order,
+    rat,
     require_convex_order_chain,
     subtract,
 )
@@ -183,6 +186,23 @@ def effective_domain_contains(
     return tuple(indices)
 
 
+def _effective_paths(
+    grids: Sequence[Sequence[Fraction]], decomps: Sequence[StepDecomposition]
+) -> List[Tuple[Fraction, ...]]:
+    """The paths through the grids (one per date) in the effective domain of
+    decomps, in lexicographic order when the grids are sorted.  A prefix
+    leaving the domain is dropped before it is extended."""
+    paths: List[Tuple[Fraction, ...]] = [(x,) for x in grids[0]]
+    for t in range(1, len(grids)):
+        extended = []
+        for p in paths:
+            for y in grids[t]:
+                if decomps[t - 1].pair_component(p[-1], y) is not None:
+                    extended.append(p + (y,))
+        paths = extended
+    return paths
+
+
 @dataclass(frozen=True)
 class PolarVerdict:
     path: Tuple[Fraction, ...]
@@ -193,7 +213,7 @@ class PolarVerdict:
 
 def polar_test(
     marginals: Sequence[DiscreteMeasure],
-    paths: Sequence[Sequence[Fraction]],
+    paths: Sequence[Sequence[RationalLike]],
 ) -> List[PolarVerdict]:
     """Flag each path as polar or chargeable for the given marginal chain.
 
@@ -207,7 +227,7 @@ def polar_test(
     ]
     verdicts = []
     for raw in paths:
-        path = tuple(Fraction(x) for x in raw)
+        path = tuple(rat(x) for x in raw)
         if len(path) != len(marginals):
             raise ValueError("path length must be the number of marginals")
         nullset = next(
@@ -226,115 +246,36 @@ def polar_test(
     return verdicts
 
 
-@dataclass(frozen=True)
-class NStepComponent:
-    """One component of the free-intermediate-marginal problem.
-
-    kind 'interior': I_k^n x J_k;  kind 'diagonal': constant paths in I_0;
-    kind 'pinned': I_k^t x {p}^(n-t+1) for an endpoint atom p of J_k.
-    """
-
-    kind: str
-    n: int
-    k: int = 0
-    I: Optional[Interval] = None
-    J: Optional[Interval] = None
-    pin: Optional[Fraction] = None
-    pin_from: int = 0
-    diagonal_intervals: Tuple[Interval, ...] = ()
-
-    def contains(self, path: Sequence[Fraction]) -> bool:
-        if len(path) != self.n + 1:
-            return False
-        if self.kind == "diagonal":
-            x = path[0]
-            return all(y == x for y in path) and any(
-                iv.contains(x) for iv in self.diagonal_intervals
-            )
-        if self.kind == "interior":
-            if self.I is None or self.J is None:
-                raise ValueError("an interior component needs I and J")
-            return all(self.I.contains(x) for x in path[:-1]) and self.J.contains(path[-1])
-        if self.I is None or self.pin is None:
-            raise ValueError("a pinned component needs I and pin")
-        t = self.pin_from
-        return all(self.I.contains(x) for x in path[:t]) and all(
-            x == self.pin for x in path[t:]
-        )
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "n": self.n, "k": self.k}
-        if self.I is not None:
-            out["I"] = self.I.to_json()
-        if self.J is not None:
-            out["J"] = self.J.to_json()
-        if self.pin is not None:
-            out["pin"] = str(self.pin)
-            out["pin_from"] = self.pin_from
-        if self.kind == "diagonal":
-            out["intervals"] = [iv.to_json() for iv in self.diagonal_intervals]
-        return out
-
-
-def n_step_components(
-    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int
-) -> List[NStepComponent]:
-    """All components of the n-step problem with free intermediate marginals.
-
-    Emits the three families: products I_k^n x J_k, the diagonal inside I_0,
-    and the pinned families I_k^t x {p}^(n-t+1) for endpoint atoms p of J_k.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    step = decompose_step(mu0, mun)
-    out: List[NStepComponent] = []
-    for comp in step.components:
-        out.append(
-            NStepComponent(kind="interior", n=n, k=comp.index, I=comp.I, J=comp.J)
-        )
-        endpoints = []
-        if comp.J.lo_closed:
-            endpoints.append(comp.J.lo)
-        if comp.J.hi_closed:
-            endpoints.append(comp.J.hi)
-        for p in endpoints:
-            for t in range(1, n + 1):
-                out.append(
-                    NStepComponent(
-                        kind="pinned", n=n, k=comp.index, I=comp.I, pin=p, pin_from=t
-                    )
-                )
-    out.append(
-        NStepComponent(
-            kind="diagonal", n=n, diagonal_intervals=step.diagonal_intervals()
-        )
-    )
-    return out
-
-
 def free_polar_test(
     mu0: DiscreteMeasure,
     mun: DiscreteMeasure,
     n: int,
-    paths: Sequence[Sequence[Fraction]],
+    paths: Sequence[Sequence[RationalLike]],
 ) -> List[PolarVerdict]:
     """Polar verdicts for the free-intermediate-marginal problem.
 
     A path is polar iff mu0 gives no mass to its start, or mun none to its
-    end, or it lies in no n-step component.
+    end, or it leaves the effective domain of n steps that each decompose
+    as (mu0, mun) does.  That domain is the paper's n-step components: from
+    I_k a step stays in J_k; a closed endpoint p of J_k lies in no I_j (the
+    potential gap vanishes there), so the diagonal then holds the path at p;
+    and a path starting in I_0 is constant.  Hence I_k^n x J_k, the pinned
+    I_k^t x {p}^(n-t+1) and the constant paths in I_0, and nothing else.
     """
-    require_convex_order(mu0, mun)
-    components = n_step_components(mu0, mun, n)
+    step = decompose_step(mu0, mun)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    decomps = [step] * n
     verdicts = []
     for raw in paths:
-        path = tuple(Fraction(x) for x in raw)
+        path = tuple(rat(x) for x in raw)
         if len(path) != n + 1:
             raise ValueError("path length must be n + 1")
         if mu0.weight_at(path[0]) == 0:
             verdicts.append(PolarVerdict(path, True, "first marginal has no mass at start"))
         elif mun.weight_at(path[-1]) == 0:
             verdicts.append(PolarVerdict(path, True, "last marginal has no mass at end"))
-        elif any(comp.contains(path) for comp in components):
+        elif effective_domain_contains(decomps, path) is not None:
             verdicts.append(PolarVerdict(path, False, "chargeable"))
         else:
             verdicts.append(PolarVerdict(path, True, "outside every n-step component"))

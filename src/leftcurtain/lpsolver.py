@@ -28,13 +28,12 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .coupling import Path, PathMeasure
-from .decomposition import StepDecomposition, decompose_step, n_step_components
+from .decomposition import _effective_paths, decompose_step
 from .geometry import SupportSet
 from .measure import (
     DiscreteMeasure,
     RationalLike,
     rat,
-    require_convex_order,
     require_convex_order_chain,
 )
 from .simplex import Infeasible, LpResult, solve_lp
@@ -132,20 +131,6 @@ def _skeleton(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path])
     frame = MotProgram(pinned, n, tuple(paths), (), EXACT, tuple(keys))
     rows, rhs = frame.lp_rows()
     return _Skeleton(frame, tuple(map(tuple, rows)), tuple(rhs))
-
-
-def _effective_paths(
-    grids: Sequence[Sequence[Fraction]], decomps: Sequence[StepDecomposition]
-) -> List[Path]:
-    paths: List[Path] = [(x,) for x in grids[0]]
-    for t in range(1, len(grids)):
-        extended = []
-        for p in paths:
-            for y in grids[t]:
-                if decomps[t - 1].pair_component(p[-1], y) is not None:
-                    extended.append(p + (y,))
-        paths = extended
-    return paths
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -395,9 +380,10 @@ def solve_free(
 
     This is the constrained program with the intermediate marginal rows
     dropped.  Paths run over the intermediate grid (default: union of the
-    two supports; the canonical monotone transport lives on it) intersected
-    with the n-step components; the dual (phi, psi, H) is verified by
-    `extract_dual` like any other certificate.  Raises Infeasible when a
+    two supports; the canonical monotone transport lives on it) that stay in
+    the effective domain of n steps each decomposed as (mu0, mun), which is
+    the union of the n-step components (see `free_polar_test`); the dual
+    (phi, psi, H) is verified by `extract_dual` like any other certificate.  Raises Infeasible when a
     given grid carries no martingale transport of the marginals.
     """
     _require_mode(mode)
@@ -423,17 +409,11 @@ def solve_free(
 def _free_skeleton(
     mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Tuple[Fraction, ...]
 ) -> _Skeleton:
-    require_convex_order(mu0, mun)
+    step = decompose_step(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
-    components = tuple(n_step_components(mu0, mun, n))
-
-    paths: List[Path] = [(x,) for x in mu0.support]
-    for t in range(1, n + 1):
-        coords = mun.support if t == n else inner
-        paths = [p + (y,) for p in paths for y in coords]
-    paths = [p for p in paths if any(c.contains(p) for c in components)]
-    return _skeleton({0: mu0, n: mun}, n, paths)
+    grids = [mu0.support] + [inner] * (n - 1) + [mun.support]
+    return _skeleton({0: mu0, n: mun}, n, _effective_paths(grids, [step] * n))
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

@@ -8,6 +8,10 @@ implementations they are used to check.  `oracle_put_gap` is the
 Fraction put sweep that the integer sweep of `measure` replaced, and the
 `oracle_sweep_*` functions are the order tests, potentials, put and call
 values and step decomposition as they were computed from it.
+`oracle_free_chargeable` is the free problem's membership test by the
+paper's three n-step families, which the effective domain of the
+(mu_0, mu_n) decomposition taken at every step replaced, and
+`oracle_free_paths` the product-then-filter enumeration built on it.
 `oracle_hull_shadow` is the put-gap hull that the quantile-window fold of
 `shadow` replaced, and the constructions built on it
 (`oracle_left_monotone`, `oracle_prefix_records`, `oracle_strong_order`)
@@ -20,6 +24,8 @@ formats.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -594,6 +600,45 @@ def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Ste
         components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     return StepDecomposition(diagonal, tuple(components))
+
+
+@functools.lru_cache(maxsize=4)
+def _oracle_free_step(mu0: DiscreteMeasure, mun: DiscreteMeasure) -> StepDecomposition:
+    return oracle_sweep_decompose_step(mu0, mun)
+
+
+def oracle_free_chargeable(
+    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, path: Sequence[Fraction]
+) -> bool:
+    """Whether the free-intermediate-marginal problem can charge the path,
+    read off the paper's three n-step families of the decomposition of
+    (mu0, mun): I_k^n x J_k, the pinned I_k^t x {p}^(n-t+1) for a closed
+    endpoint p of J_k and t = 1..n, and the constant paths in I_0."""
+    if len(path) != n + 1:
+        raise ValueError("path length must be n + 1")
+    if mu0.weight_at(path[0]) == 0 or mun.weight_at(path[-1]) == 0:
+        return False
+    step = _oracle_free_step(mu0, mun)
+    for comp in step.components:
+        inside = [comp.I.contains(x) for x in path]
+        if all(inside[:-1]) and comp.J.contains(path[-1]):
+            return True
+        ends = ((comp.J.lo, comp.J.lo_closed), (comp.J.hi, comp.J.hi_closed))
+        for p in (p for p, closed in ends if closed):
+            for t in range(1, n + 1):
+                if all(inside[:t]) and all(x == p for x in path[t:]):
+                    return True
+    x = path[0]
+    return all(y == x for y in path) and any(iv.contains(x) for iv in step.diagonal_intervals())
+
+
+def oracle_free_paths(
+    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Sequence[Fraction]
+) -> List[Tuple[Fraction, ...]]:
+    """The free problem's LP paths as they were enumerated: every path of the
+    product supp(mu0) x inner^(n-1) x supp(mun), kept if chargeable."""
+    product = itertools.product(mu0.support, *[inner] * (n - 1), mun.support)
+    return [p for p in product if oracle_free_chargeable(mu0, mun, n, p)]
 
 
 def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:

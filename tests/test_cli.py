@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import DiscreteMeasure, PathMeasure
 from leftcurtain.cli import main
@@ -363,3 +368,71 @@ class TestErrorHandling:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+_MATH_ERRORS = {
+    "NotInConvexOrder", "NotInPositiveConvexOrder", "NegativeWeight", "MarginalMismatch",
+    "NotMartingale", "Infeasible", "Unbounded", "PathCountExceeded",
+}
+
+_rationals = st.one_of(
+    st.sampled_from(["-4", "-2", "-1", "0", "1", "2", "4", "1/2", "-1/3"]), st.integers(-4, 4)
+)
+_coordinates = st.one_of(
+    _rationals,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.sampled_from(["1/0", "abc", "", " 1 / 2", "1e-1", None]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["x", "w"]), st.sampled_from(["0", "1"]), max_size=2),
+)
+# well-formed paths of the three dates, paths of every length around them,
+# or no array at all
+_paths_files = st.one_of(
+    st.lists(st.lists(_rationals, min_size=3, max_size=3), max_size=4),
+    st.lists(st.one_of(st.lists(_coordinates, max_size=4), _coordinates), max_size=4),
+    _coordinates,
+)
+
+
+@pytest.fixture(scope="module")
+def marginal_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("polar")
+    atoms = {
+        "mu0": [("-1", "1/2"), ("1", "1/2")],
+        "mu1": [("-2", "1/2"), ("2", "1/2")],
+        "mu2": [("-4", "1/4"), ("0", "1/2"), ("4", "1/4")],
+    }
+    for name, pairs in atoms.items():
+        (folder / f"{name}.json").write_text(
+            json.dumps({"atoms": [{"x": x, "w": w} for x, w in pairs]})
+        )
+    return folder
+
+
+class TestPolarTotality:
+    """Any JSON in the paths file ends in a verdict, a schema error (exit 1)
+    that points into the file or a math error (exit 2), each reported as
+    JSON, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_paths_files)
+    def test_malformed_paths(self, marginal_files, node):
+        # a new file per example: truncating a written file can wait for a flush
+        with tempfile.NamedTemporaryFile("w", suffix=".json", dir=marginal_files, delete=False) as f:
+            json.dump(node, f)
+        mu = [str(marginal_files / f"{name}.json") for name in ("mu0", "mu1", "mu2")]
+        for argv in (
+            ["polar", *mu, "--paths", f.name],
+            ["polar", mu[0], mu[2], "--free", "--steps", "2", "--paths", f.name],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert len(json.loads(out.getvalue())["verdicts"]) == len(node)
+            elif code == 1:
+                error = json.loads(err.getvalue())
+                assert error["error"] == "schema" and error["pointer"].startswith(f"{f.name}#")
+            else:
+                assert code == 2 and json.loads(err.getvalue())["error"] in _MATH_ERRORS

@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
@@ -13,13 +16,19 @@ from leftcurtain import (
     decompose_step,
     effective_domain_contains,
     free_polar_test,
-    n_step_components,
     polar_test,
     solve_free,
     solve_primal,
 )
+from leftcurtain import lpsolver
 
-from conftest import measure, random_marginal_chain, random_measure
+from conftest import (
+    measure,
+    oracle_free_chargeable,
+    oracle_free_paths,
+    random_marginal_chain,
+    random_measure,
+)
 
 
 class TestDecomposeStep:
@@ -160,35 +169,41 @@ class TestPolar:
         with pytest.raises(ValueError, match="path length"):
             polar_test(rigid_marginals, [path])
 
+    def test_rejects_float_coordinates(self):
+        mu0 = DiscreteMeasure.dirac(1)
+        mun = measure([(0, F(1, 2)), (2, F(1, 2))])
+        with pytest.raises(TypeError, match="not a rational"):
+            polar_test([mu0, mun], [(1, 0.1)])
+        assert polar_test([mu0, mun], [(1, "2")])[0].path == (1, 2)
+
 
 class TestNStepComponents:
+    """The paper's three n-step families, read through `free_polar_test`."""
+
+    def _chargeable(self, mu0, mun, n, paths):
+        return [not v.polar for v in free_polar_test(mu0, mun, n, paths)]
+
     def test_single_irreducible_pair(self):
         mu = DiscreteMeasure.dirac(0)
         nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
-        comps = n_step_components(mu, nu, 2)
-        interiors = [c for c in comps if c.kind == "interior"]
-        pinned = [c for c in comps if c.kind == "pinned"]
-        assert len(interiors) == 1
-        # both endpoints of J carry atoms: one pinned family per endpoint and date
-        assert len(pinned) == 4
-        assert interiors[0].contains((F(0), F(1, 2), F(-1)))
-        assert not interiors[0].contains((F(0), F(1), F(-1)))
+        # I_1^2 x J_1: the middle coordinate may sit anywhere inside I_1, but
+        # a step to the endpoint 1 pins the path there
+        assert self._chargeable(mu, nu, 2, [(0, F(1, 2), -1), (0, 1, -1)]) == [True, False]
 
     def test_equal_marginals_only_diagonal(self):
         mu = measure([(0, F(1, 2)), (1, F(1, 2))])
-        comps = n_step_components(mu, mu, 3)
-        kinds = {c.kind for c in comps}
-        assert kinds == {"diagonal"}
-        assert comps[0].contains((F(0), F(0), F(0), F(0)))
-        assert not comps[0].contains((F(0), F(0), F(0), F(1)))
+        paths = list(itertools.product([F(0), F(1), F(1, 2)], repeat=4))
+        verdicts = free_polar_test(mu, mu, 3, paths)
+        assert [p for p, v in zip(paths, verdicts) if not v.polar] == [(0, 0, 0, 0), (1, 1, 1, 1)]
 
     def test_endpoint_atom_pinned_for_each_date(self):
         mu = DiscreteMeasure.dirac(0)
         nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
-        comps = n_step_components(mu, nu, 3)
-        pinned_right = [c for c in comps if c.kind == "pinned" and c.pin == 1]
-        assert sorted(c.pin_from for c in pinned_right) == [1, 2, 3]
-        assert pinned_right[0].contains((F(0), F(1), F(1), F(1)))
+        for pin in (-1, 1):
+            held = [(0,) * t + (pin,) * (4 - t) for t in (1, 2, 3)]
+            assert self._chargeable(mu, nu, 3, held) == [True, True, True]
+            left = [(0, pin, 0, pin), (0, pin, -pin, -pin)]
+            assert self._chargeable(mu, nu, 3, left) == [False, False]
 
 
 class TestFreePolar:
@@ -236,3 +251,80 @@ class TestFreePolar:
                 assert verdict.polar == (sol.value == 0), (path, verdict.reason)
                 count += 1
         assert count >= 30
+
+    def test_needs_at_least_one_step(self):
+        mu0 = DiscreteMeasure.dirac(0)
+        mun = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            free_polar_test(mu0, mun, 0, [(0,)])
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            solve_free(mu0, mun, 0, lambda p: 0)
+
+    def test_rejects_float_coordinates(self):
+        mu0 = DiscreteMeasure.dirac(0)
+        mun = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(TypeError, match="not a rational"):
+            free_polar_test(mu0, mun, 1, [(0, 0.1)])
+        assert free_polar_test(mu0, mun, 1, [("0", "1/1")])[0].path == (0, 1)
+
+
+_halves = st.integers(-8, 8).map(lambda k: F(k, 2))
+_gaps = st.sampled_from([F(1, 2), F(1), F(2)])
+
+
+@st.composite
+def free_problems(draw):
+    """(mu0, mun, n, inner): mun is two, one or no mean-preserving spreads
+    of mu0 (each atom stays or splits in two), so mu0 <=_c mun; the inner
+    grid is the union of the supports plus one or two points, mostly off
+    both."""
+    atoms = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+            min_size=1, max_size=3, unique_by=lambda a: a[0],
+        )
+    )
+    mu0 = DiscreteMeasure(atoms)
+    mun = mu0
+    for _ in range(draw(st.sampled_from([2, 1, 0]))):
+        moved = []
+        for x, w in mun:
+            if draw(st.booleans()):
+                moved.append((x, w))
+                continue
+            down, up = draw(_gaps), draw(_gaps)
+            moved += [(x - down, w * up / (down + up)), (x + up, w * down / (down + up))]
+        mun = DiscreteMeasure(moved)
+    extra = draw(st.lists(_halves, min_size=1, max_size=2))
+    inner = tuple(sorted(set(mu0.support) | set(mun.support) | set(extra)))
+    return mu0, mun, draw(st.sampled_from([2, 3, 1])), inner
+
+
+class TestFreeAgainstComponentOracle:
+    """The effective domain of n steps of the (mu0, mun) decomposition against
+    the paper's three n-step families, which it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(free_problems(), st.data())
+    def test_verdicts(self, problem, data):
+        mu0, mun, n, inner = problem
+        # None repeats the previous coordinate, so held and constant paths occur
+        coord = st.one_of(st.none(), st.sampled_from(inner + (F(99),)))
+        paths = []
+        for raw in data.draw(st.lists(st.lists(coord, min_size=n + 1, max_size=n + 1), max_size=25)):
+            path = [raw[0] if raw[0] is not None else inner[0]]
+            for x in raw[1:]:
+                path.append(path[-1] if x is None else x)
+            paths.append(tuple(path))
+        paths += oracle_free_paths(mu0, mun, n, inner)[::5]
+        verdicts = free_polar_test(mu0, mun, n, paths)
+        assert [not v.polar for v in verdicts] == [
+            oracle_free_chargeable(mu0, mun, n, p) for p in paths
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(free_problems())
+    def test_skeleton_paths_in_product_order(self, problem):
+        mu0, mun, n, inner = problem
+        paths = lpsolver._free_skeleton(mu0, mun, n, inner).frame.paths
+        assert paths == tuple(oracle_free_paths(mu0, mun, n, inner))
