@@ -22,13 +22,12 @@ from .measure import (
     RationalLike,
     SchemaError,
     _rat_from_json,
-    add,
     convex_order_leq,
     rat,
     require_convex_order,
     require_convex_order_chain,
 )
-from .shadow import _Residual
+from .shadow import _Residual, obstructed_shadow
 
 Path = Tuple[Fraction, ...]
 
@@ -284,8 +283,10 @@ def _increments(
     The increment of atom i at date t is the shadow of its increment at
     t - 1 in what the atoms before it left of marginal t, so the increments
     of atoms 0..i sum to the obstructed shadow of that prefix (shadow
-    associativity).  The rows are the fold of the increment at t - 1 through
-    that residual, and they are the Left-Curtain coupling of the two
+    associativity), and each increment, a shadow of the one before, is >=_c
+    it; `verify_left_monotone` and `strong_order_holds` check prefixes atom
+    by atom through this.  The rows are the fold of the increment at t - 1
+    through that residual, and they are the Left-Curtain coupling of the two
     increments, the fold of lower through S = shadow(lower, R) alone.  For
     the first atom y of lower, associativity gives shadow(y, R) <= S, so
     shadow(y, R) lies in {theta : y <=_c theta <= S}; and shadow(y, S) lies
@@ -370,26 +371,27 @@ def left_monotone_multistep(
 
 @dataclass(frozen=True)
 class PrefixImageRecord:
-    """Comparison of one prefix image with its obstructed shadow."""
+    """A prefix image that differs from the obstructed shadow of its prefix."""
 
     prefix: Fraction
     t: int
-    matches: bool
     image: DiscreteMeasure
     expected: DiscreteMeasure
 
 
 def verify_left_monotone(
     P: PathMeasure, marginals: Sequence[DiscreteMeasure]
-) -> Tuple[bool, List[PrefixImageRecord]]:
+) -> Tuple[bool, Optional[PrefixImageRecord]]:
     """Check the defining prefix-image property of left-monotone transports.
 
     Verifies the marginals and the martingale property first (raising
-    MarginalMismatch / NotMartingale), then compares, for every atom prefix
-    of the first marginal and every date, the image measure with the
-    obstructed shadow of the prefix.  Both are running sums over the atoms
-    of the first marginal: the images of the paths that start at each atom,
-    and the atoms' increments (see `_increments`).
+    MarginalMismatch / NotMartingale), then that the image of every atom
+    prefix of the first marginal at every date is the obstructed shadow of
+    the prefix.  Both are sums over the prefix's atoms, of the images of
+    their paths and of their increments (see `_increments`), so all match
+    exactly when every atom's image equals its increment, and the first
+    atom and date where they differ name the first prefix image that does
+    not match.  Returns (True, None), or False and that prefix image.
     """
     marginals = list(marginals)
     if P.n != len(marginals) - 1:
@@ -404,37 +406,39 @@ def verify_left_monotone(
     slices: Dict[Fraction, List[Tuple[Path, Fraction]]] = {}
     for p, w in P.paths:
         slices.setdefault(p[0], []).append((p, w))
-    images = [DiscreteMeasure()] * P.n
-    shadows = list(images)
-    records = []
-    all_match = True
-    for a, steps in zip(marginals[0].support, _increments(marginals)):
+    for i, ((a, _), steps) in enumerate(zip(marginals[0].atoms, _increments(marginals))):
         for t, (increment, _) in enumerate(steps, start=1):
-            images[t - 1] = add(images[t - 1], DiscreteMeasure((p[t], w) for p, w in slices[a]))
-            shadows[t - 1] = add(shadows[t - 1], increment)
-            matches = images[t - 1] == shadows[t - 1]
-            all_match = all_match and matches
-            records.append(PrefixImageRecord(a, t, matches, images[t - 1], shadows[t - 1]))
-    return all_match, records
+            if DiscreteMeasure((p[t], w) for p, w in slices[a]) != increment:
+                image = P.restrict_first(a).marginal(t)
+                expected = obstructed_shadow(DiscreteMeasure(marginals[0].atoms[: i + 1]), marginals[1 : t + 1])
+                return False, PrefixImageRecord(a, t, image, expected)
+    return True, None
 
 
 def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     """Whether plain prefix shadows increase in convex order along the dates.
 
     Exactly when this holds do the bivariate projections of a left-monotone
-    transport reduce to one-step Left-Curtain couplings.  The prefix shadows
-    in each marginal are running sums of its atoms' shadows in one residual
-    per date (shadow associativity).
+    transport reduce to one-step Left-Curtain couplings.  It is checked atom
+    by atom: the takes of each atom of the first marginal from one residual
+    per date must increase in convex order.  (<=) A prefix's shadows are
+    sums of its atoms' takes (shadow associativity), and sums of pairs in
+    convex order are in convex order.  (=>) Fix a prefix p; if S_t(p) <=_c
+    S_{t+1}(p), S_t being the shadow in mu_t, then S_{t+1}(p) lies in
+    {theta : S_t(p) <=_c theta <= mu_{t+1}}, whose least element
+    S_{t+1}(S_t(p)) lies in the larger set {theta : p <=_c theta <= mu_{t+1}},
+    whose least element is S_{t+1}(p).  So the two are equal, by induction
+    on t every obstructed shadow is plain, each atom's takes are its
+    increments, and by `_increments` these increase.
     """
     marginals = list(marginals)
     require_convex_order_chain(marginals)
     if len(marginals) <= 2:
         return True
     residuals = [_Residual(nu) for nu in marginals[1:]]
-    shadows = [DiscreteMeasure() for _ in residuals]
     for x, q in marginals[0].atoms:
-        shadows = [add(s, DiscreteMeasure(r.take(x, q))) for s, r in zip(shadows, residuals)]
-        if not all(convex_order_leq(a, b) for a, b in zip(shadows, shadows[1:])):
+        takes = [DiscreteMeasure(r.take(x, q)) for r in residuals]
+        if not all(map(convex_order_leq, takes, takes[1:])):
             return False
     return True
 

@@ -23,7 +23,6 @@ from .measure import (
     RationalLike,
     _convex,
     _put_sweep,
-    add,
     rat,
     require_convex_order_chain,
     subtract,
@@ -139,7 +138,6 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
         raise AssertionError("potential difference positive at the support edge")
 
     components: List[IrreducibleDomain] = []
-    assigned_nu = DiscreteMeasure.zero()
     for k, (lo, hi) in enumerate(open_intervals, start=1):
         interior = Interval.open(lo, hi)
         mu_k = mu.restrict(interior)
@@ -151,16 +149,12 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
         frac_lo = need_mass - frac_hi
         if frac_lo < 0 or frac_lo > nu.weight_at(lo) or frac_hi < 0 or frac_hi > nu.weight_at(hi):
             raise AssertionError("component endpoint assignment out of bounds")
-        nu_k = add(
-            nu_inside,
-            DiscreteMeasure([(lo, frac_lo), (hi, frac_hi)]),
-        )
+        nu_k = DiscreteMeasure([*nu_inside.atoms, (lo, frac_lo), (hi, frac_hi)])
         J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
         components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
-        assigned_nu = add(assigned_nu, nu_k)
 
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
-    nu_diagonal = subtract(nu, assigned_nu)
+    nu_diagonal = subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k]))
     if diagonal != nu_diagonal:
         raise AssertionError("diagonal parts of mu and nu disagree")
     return StepDecomposition(diagonal, tuple(components))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coupling import Path, PathMeasure
 from .decomposition import StepDecomposition, effective_domain_contains
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, rat
 from .simplex import solve_lp
 
 
@@ -29,7 +29,7 @@ class SupportSet:
     points: frozenset
 
     def __init__(self, n: int, points):
-        pts = frozenset(tuple(Fraction(c) for c in p) for p in points)
+        pts = frozenset(tuple(rat(c) for c in p) for p in points)
         for p in pts:
             if len(p) != n + 1:
                 raise ValueError(f"point {p} does not have {n + 1} coordinates")

@@ -43,10 +43,10 @@ class SchemaError(ValueError):
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Parse a rational from a Fraction, int, or 'p/q' string."""
+    """Parse a rational from a Fraction, int, or 'p/q' string (not a bool)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

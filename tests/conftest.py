@@ -14,8 +14,10 @@ paper's three n-step families, which the effective domain of the
 `oracle_free_paths` the product-then-filter enumeration built on it.
 `oracle_hull_shadow` is the put-gap hull that the quantile-window fold of
 `shadow` replaced, and the constructions built on it
-(`oracle_left_monotone`, `oracle_prefix_records`, `oracle_strong_order`)
-recompute the couplings and verdicts with it.
+(`oracle_left_monotone`, `oracle_prefix_records`, `oracle_verify`,
+`oracle_strong_order`) recompute the couplings and verdicts with it.
+`oracle_running_strong_order` is the strong-order check from running
+prefix shadows that the per-atom check of `strong_order_holds` replaced.
 `oracle_solve_lp` is the dense simplex tableau that the revised engine
 replaced, and the `oracle_*` row builders are the dense LP builders that
 the sparse ones replaced.  `sparse` and `dense` convert between the two row
@@ -49,6 +51,7 @@ from leftcurtain import (
 )
 from leftcurtain import simplex
 from leftcurtain.coupling import PrefixImageRecord
+from leftcurtain.shadow import _Residual
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -781,19 +784,24 @@ def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMe
     return PathMeasure(len(marginals) - 1, rows)
 
 
-def oracle_prefix_records(P: PathMeasure, marginals: Sequence[DiscreteMeasure]):
-    """(all match, records) of `verify_left_monotone` from prefix restrictions
-    of P and obstructed prefix shadows iterated with the hull, for a P whose
-    marginals and martingale property are already known to hold."""
+def oracle_prefix_records(P: PathMeasure, marginals: Sequence[DiscreteMeasure]) -> List[PrefixImageRecord]:
+    """Every prefix image of P beside the obstructed prefix shadow iterated
+    with the hull, in (atom, date) order, for a P whose marginals and
+    martingale property are already known to hold."""
     records = []
     for a in marginals[0].support:
         restricted = P.restrict_first(a)
         expected = DiscreteMeasure((x, w) for x, w in marginals[0] if x <= a)
         for t in range(1, P.n + 1):
-            image = restricted.marginal(t)
             expected = oracle_hull_shadow(expected, marginals[t])[0]
-            records.append(PrefixImageRecord(a, t, image == expected, image, expected))
-    return all(r.matches for r in records), records
+            records.append(PrefixImageRecord(a, t, restricted.marginal(t), expected))
+    return records
+
+
+def oracle_verify(P: PathMeasure, marginals: Sequence[DiscreteMeasure]) -> Tuple[bool, Optional[PrefixImageRecord]]:
+    """(all match, first non-matching record) of `oracle_prefix_records`."""
+    first = next((r for r in oracle_prefix_records(P, marginals) if r.image != r.expected), None)
+    return first is None, first
 
 
 def oracle_strong_order(marginals: Sequence[DiscreteMeasure]) -> bool:
@@ -803,6 +811,20 @@ def oracle_strong_order(marginals: Sequence[DiscreteMeasure]) -> bool:
     for i in range(1, len(mu0) + 1):
         prefix = DiscreteMeasure(mu0.atoms[:i])
         shadows = [oracle_hull_shadow(prefix, nu)[0] for nu in marginals[1:]]
+        if not all(map(convex_order_leq, shadows, shadows[1:])):
+            return False
+    return True
+
+
+def oracle_running_strong_order(marginals: Sequence[DiscreteMeasure]) -> bool:
+    """`strong_order_holds` as it was computed from running prefix shadows:
+    the atoms of marginals[0] are taken left to right from one residual per
+    date and added up, and every prefix's sums are compared in convex order."""
+    marginals = list(marginals)
+    residuals = [_Residual(nu) for nu in marginals[1:]]
+    shadows = [DiscreteMeasure() for _ in residuals]
+    for x, q in marginals[0].atoms:
+        shadows = [add(s, DiscreteMeasure(r.take(x, q))) for s, r in zip(shadows, residuals)]
         if not all(map(convex_order_leq, shadows, shadows[1:])):
             return False
     return True

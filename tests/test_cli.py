@@ -33,6 +33,10 @@ def files(tmp_path):
         "mu0": mu0,
         "mu1": mu1,
         "mu2": mu2,
+        # a chain whose prefix shadows increase in convex order
+        "wide0": write("wide0.json", {"atoms": [{"x": "0", "w": "1"}]}),
+        "wide1": write("wide1.json", {"atoms": [{"x": "-1", "w": "1/2"}, {"x": "1", "w": "1/2"}]}),
+        "wide2": write("wide2.json", {"atoms": [{"x": "-2", "w": "1/2"}, {"x": "2", "w": "1/2"}]}),
         "paths": paths,
         "short_paths": write("short.json", [["-1", "-2"]]),
         "long_paths": write("long.json", [["-1", "-2", "-4", "0"]]),
@@ -233,6 +237,8 @@ class TestGoldenOutput:
             ("solve", ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=-1) * -1 * call(2, 0)"]),
             ("free", ["free", "mu0", "mu2", "--steps", "2", "--reward", "indicator(t=0, <=-1) * -1 * call(1, 0)"]),
             ("left_monotone_lp_feasible", ["left-monotone", "mu0", "mu1", "mu2", "--policy", "lp-feasible"]),
+            ("left_monotone", ["left-monotone", "mu0", "mu1", "mu2"]),
+            ("left_monotone_strong_order", ["left-monotone", "wide0", "wide1", "wide2"]),
         ],
     )
     def test_payload_matches_golden(self, capsys, files, name, argv):

@@ -17,18 +17,20 @@ from leftcurtain import (
     PathMeasure,
     SupportSet,
     binomial_check,
+    feasible_transport,
     free_monotone_transport,
     is_left_monotone_set,
     is_martingale,
     left_curtain_one_step,
     left_monotone_multistep,
     markov_check,
+    solve_primal,
     strong_order_holds,
     verify_left_monotone,
 )
 from leftcurtain import coupling
 from leftcurtain.cli import main
-from leftcurtain.coupling import PrefixImageRecord, _increments, _left_curtain, coupling_from_json_str
+from leftcurtain.coupling import _increments, _left_curtain, coupling_from_json_str
 
 from conftest import (
     grid_chain,
@@ -38,9 +40,10 @@ from conftest import (
     oracle_convex_order_leq,
     oracle_left_curtain_rows,
     oracle_left_monotone,
-    oracle_prefix_records,
+    oracle_running_strong_order,
     oracle_shadow,
     oracle_strong_order,
+    oracle_verify,
     random_marginal_chain,
 )
 
@@ -49,6 +52,12 @@ class TestPathMeasure:
     def test_merging_and_sorting(self):
         P = PathMeasure(1, [((1, 2), F(1, 4)), ((0, 0), F(1, 2)), ((1, 2), F(1, 4))])
         assert P.paths == (((F(0), F(0)), F(1, 2)), ((F(1), F(2)), F(1, 2)))
+
+    def test_booleans_rejected(self):
+        with pytest.raises(TypeError, match="not a rational"):
+            PathMeasure(1, [((True, 0), 1)])
+        with pytest.raises(TypeError, match="not a rational"):
+            PathMeasure(1, [((0, 0), True)])
 
     def test_marginals_and_projection(self, rigid_marginals):
         P = left_monotone_multistep(rigid_marginals)
@@ -179,8 +188,7 @@ class TestMultistepConstruction:
             chain = random_marginal_chain(rng, rng.choice([2, 3]), max_support=5)
             for policy in KernelPolicy:
                 P = left_monotone_multistep(chain, policy)
-                ok, records = verify_left_monotone(P, chain)
-                assert ok, [r for r in records if not r.matches]
+                assert verify_left_monotone(P, chain) == (True, None), oracle_verify(P, chain)
 
     def test_support_is_left_monotone(self):
         rng = random.Random(89)
@@ -241,9 +249,9 @@ class TestVerify:
         left = left_monotone_multistep(nonmarkov_marginals)
         assert right != left
         assert is_martingale(right)[0]
-        ok, records = verify_left_monotone(right, nonmarkov_marginals)
+        ok, first = verify_left_monotone(right, nonmarkov_marginals)
         assert not ok
-        assert any(not r.matches for r in records)
+        assert (ok, first) == oracle_verify(right, nonmarkov_marginals)
 
 
 class TestStrongOrder:
@@ -286,7 +294,7 @@ class TestAgainstOracleShadows:
         mu0 = chain[0]
         couplings = [left_monotone_multistep(chain, policy) for policy in KernelPolicy]
         curtains = [left_curtain_one_step(mu0, nu) for nu in chain[1:]]
-        records, strong = [], True
+        strong = True
         for a in mu0.support:
             prefix = mu0.restrict(Interval.at_most(a))
             obstructed = prefix
@@ -297,11 +305,10 @@ class TestAgainstOracleShadows:
                 for P in couplings:
                     assert P.restrict_first(a).marginal(t) == obstructed
                 assert curtains[t - 1].restrict_first(a).marginal(1) == plain[-1]
-                records.append(PrefixImageRecord(a, t, True, obstructed, obstructed))
             strong = strong and all(map(oracle_convex_order_leq, plain, plain[1:]))
         assert strong_order_holds(chain) == strong
         for P in couplings:
-            assert verify_left_monotone(P, chain) == (True, records)
+            assert verify_left_monotone(P, chain) == (True, None)
 
 
 class TestFoldIsTheIncrementCoupling:
@@ -344,7 +351,41 @@ class TestGridChainAgainstHullOracle:
     def test_verify(self):
         # the records read only the (0, t) projections, which the policies share
         P = left_monotone_multistep(self.chain)
-        assert verify_left_monotone(P, self.chain) == oracle_prefix_records(P, self.chain)
+        assert verify_left_monotone(P, self.chain) == oracle_verify(P, self.chain)
+
+
+class TestPerAtomChecksAgainstPrefixSums:
+    """`strong_order_holds` and `verify_left_monotone` compare each atom's
+    pieces; the oracles compare every prefix's sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 4))
+    def test_strong_order_equals_prefix_oracles(self, seed, steps):
+        # about one chain in four has prefix shadows out of convex order
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
+        assert strong_order_holds(chain) == oracle_running_strong_order(chain) == oracle_strong_order(chain)
+
+    def test_first_mismatch_equals_oracle(self):
+        rng = random.Random(107)
+        chains = mismatches = 0
+        while chains < 40:
+            chain = random_marginal_chain(rng, rng.randint(1, 3), max_support=7, start_atoms=4)
+            if len(chain[0]) < 2:
+                continue
+            chains += 1
+            mirrored = mirror_coupling(left_monotone_multistep([mirror_measure(mu) for mu in chain]))
+            optimizer = solve_primal(chain, lambda path: -path[0] * path[-1] ** 2).optimizer
+            for P in (mirrored, feasible_transport(chain), optimizer):
+                ok, first = verify_left_monotone(P, chain)
+                assert (ok, first) == oracle_verify(P, chain)
+                mismatches += not ok
+        assert mismatches >= 30
+
+    def test_large_grid_chain_with_strong_order(self):
+        # 160 / 229 / 308 atoms: every prefix is compared
+        chain = grid_chain(random.Random(45), 160)
+        assert strong_order_holds(chain) is True
+        assert oracle_running_strong_order(chain) is True
 
 
 class TestIncrementCheck:

@@ -176,6 +176,12 @@ class TestPolar:
             polar_test([mu0, mun], [(1, 0.1)])
         assert polar_test([mu0, mun], [(1, "2")])[0].path == (1, 2)
 
+    def test_rejects_boolean_coordinates(self):
+        mu0 = DiscreteMeasure.dirac(1)
+        mun = measure([(0, F(1, 2)), (2, F(1, 2))])
+        with pytest.raises(TypeError, match="not a rational"):
+            polar_test([mu0, mun], [(True, 2)])
+
 
 class TestNStepComponents:
     """The paper's three n-step families, read through `free_polar_test`."""

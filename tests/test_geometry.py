@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from leftcurtain import (
     DiscreteMeasure,
     PathMeasure,
@@ -15,6 +17,13 @@ from leftcurtain import (
 )
 
 from conftest import measure, random_marginal_chain
+
+
+class TestSupportSet:
+    def test_rejects_float_coordinates(self):
+        with pytest.raises(TypeError, match="not a rational"):
+            SupportSet(1, [(0.1, F(1, 2))])
+        assert SupportSet(1, [("1/10", 0)]).points == frozenset({(F(1, 10), F(0))})
 
 
 class TestLeftMonotoneSet:

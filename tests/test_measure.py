@@ -18,6 +18,7 @@ from leftcurtain import (
     positive_convex_order_leq,
     potential,
     put_value,
+    rat,
     restrict,
     subtract,
 )
@@ -71,6 +72,17 @@ class TestConstruction:
     def test_rational_strings_accepted(self):
         mu = DiscreteMeasure([("1/2", "3/4")])
         assert mu.atoms == ((F(1, 2), F(3, 4)),)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rat_rejects_booleans(self, flag):
+        with pytest.raises(TypeError, match="not a rational"):
+            rat(flag)
+
+    def test_booleans_rejected_as_positions_and_weights(self):
+        with pytest.raises(TypeError, match="not a rational"):
+            DiscreteMeasure([(True, 1)])
+        with pytest.raises(TypeError, match="not a rational"):
+            DiscreteMeasure([(0, True)])
 
 
 class TestPotential:

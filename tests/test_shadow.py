@@ -172,6 +172,12 @@ class TestShadowAtom:
         result = shadow_atom(0, 5, target)
         assert result.shadow.is_zero and result.residual == target
 
+    def test_rejects_booleans(self):
+        with pytest.raises(TypeError, match="not a rational"):
+            shadow_atom(True, 0, DiscreteMeasure.dirac(0))
+        with pytest.raises(TypeError, match="not a rational"):
+            shadow_atom(1, False, DiscreteMeasure.dirac(0))
+
     def test_rejects_unreachable_atom(self):
         target = DiscreteMeasure.dirac(0)
         with pytest.raises(NotInPositiveConvexOrder):
