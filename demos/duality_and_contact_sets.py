@@ -4,7 +4,10 @@ The primal maximizes a path reward over martingale transports; the dual buys
 static positions phi_t at each date and trades a predictable strategy H.
 At finite support both sides are linear programs with rational data, so the
 duality gap is exactly zero and the contact set (where the superhedge
-touches the reward) characterizes every optimizer.
+touches the reward) characterizes every optimizer.  The superhedge
+sum_t phi_t(x_t) + sum_t H_t(x_0..x_{t-1}) (x_t - x_{t-1}) of every
+program path is `certificate.hedges()`; `extract_dual` checks it against
+the reward on every path before it returns the certificate.
 Run as: python demos/duality_and_contact_sets.py
 """
 
@@ -45,8 +48,11 @@ for (t, prefix), value in sorted(certificate.H.items()):
     print(f"  t={t}, history {tuple(map(str, prefix))}: {value}")
 
 # Complementary slackness: every optimizer lives where the hedge is tight.
+hedges = certificate.hedges()
+slack = [h - f for h, f in zip(hedges, solution.program.reward_values)]
+print("\nsmallest superhedge slack over the program paths:", min(slack))
 touching = contact_set(certificate, reward)
-print("\ncontact set size:", len(touching.points),
+print("contact set size:", len(touching.points),
       "of", len(solution.program.paths), "effective-domain paths")
 print("optimizer support inside the contact set:",
       set(solution.optimizer.support) <= set(touching.points))

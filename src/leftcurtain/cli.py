@@ -602,8 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("examples", help="reproduce the built-in example instances")
-    p.add_argument("--name", help="run a single example")
-    p.add_argument("--all", action="store_true", help="run every example (default)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--name", help="run a single example")
+    which.add_argument("--all", action="store_true", help="run every example (default)")
     common(p)
     p.set_defaults(func=cmd_examples)
 

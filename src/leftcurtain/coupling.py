@@ -254,11 +254,10 @@ def _fold(lower: DiscreteMeasure, residual: _Residual) -> List[Tuple[Path, Fract
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
     """First basic feasible point of the martingale transport polytope."""
-    from .lpsolver import EXACT, _skeleton
+    from .lpsolver import EXACT, _program, _solve, _with_reward
 
-    paths = [(x, y) for x in mu.support for y in nu.support]
-    skeleton = _skeleton({0: mu, 1: nu}, 1, paths)
-    return skeleton.solve(skeleton.program(lambda path: 0, EXACT)).optimizer
+    program = _program({0: mu, 1: nu}, 1, [(x, y) for x in mu.support for y in nu.support])
+    return _solve(_with_reward(program, lambda path: 0, EXACT)).optimizer
 
 
 def _one_step_kernels(

@@ -168,7 +168,7 @@ def find_improving_competitor(
     rows += [last_rows[y] for y in grid]
     rhs += [last.get(y, Fraction(0)) for y in grid]
 
-    objective = [Fraction(reward(h + (y,))) for h, y in cols]
+    objective = [rat(reward(h + (y,))) for h, y in cols]
     result = solve_lp(objective, rows, rhs)
     baseline = pi.expectation(reward)
     if result.value <= baseline:

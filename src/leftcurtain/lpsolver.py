@@ -4,18 +4,20 @@ The primal maximizes a path reward over martingale couplings of the given
 marginals; variables are path masses on the product of the supports,
 restricted to the effective domain.  The dual variables of the marginal rows
 are the static positions phi_t, those of the martingale rows the predictable
-strategy H, and together they form a superhedge that touches the reward
+strategy H, and together they hedge the reward from above, touching it
 exactly on the contact set.  Everything is exact; 'float' mode only changes
 how reward values are ingested (floats are dyadic rationals and are embedded
 exactly), so the advertised 1e-9 tolerances hold trivially.
 
-Everything that does not depend on the reward (the paths, the rows, the
-convex-order precondition and the decomposition) is a skeleton, built once
-per problem and kept in a small cache per problem kind: a probe family
-solves one polytope for many rewards.  The skeleton's sparse rows are
-tuples of (column, coefficient) tuples, so `simplex.phase1` remembers its
-end state for them and each probe's `solve_lp` runs phase 2 only.  Reward
-ingestion, the LP and the dual checks run on every call.
+Everything that does not depend on the reward (the paths, the sparse rows,
+the convex-order precondition and the decomposition) is a reward-free
+`MotProgram`, built once per problem and kept in a small cache per problem
+kind: a probe family solves one polytope for many rewards.  A reward makes
+a copy that shares the rows, tuples of (column, coefficient) tuples, so
+`simplex.phase1` remembers its end state for them and each probe's
+`solve_lp` runs phase 2 only.  The dual check reads the hedge of every path
+off the same rows, as y . A_j for the certificate's dual vector y.
+Reward ingestion, the LP and the dual checks run on every call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,9 +45,9 @@ Reward = Callable[[Path], Union[Fraction, int, float]]
 EXACT = "exact"
 FLOAT = "float"
 
-# Skeletons kept per problem kind.  A probe family asks for one polytope
-# over and over before it moves on to the next, and every entry keeps its
-# paths and rows alive, so one entry per kind is the working set.
+# Reward-free programs kept per problem kind.  A probe family asks for one
+# polytope over and over before it moves on to the next, and every entry
+# keeps its paths and rows alive, so one entry per kind is the working set.
 _CACHE_SIZE = 1
 
 
@@ -73,7 +75,9 @@ class MotProgram:
     ('martingale', t, prefix) rows force the conditional barycenters.
     Martingale rows exist for every history prefix of a variable path;
     prefixes extendable by no variable are vacuous and their dual is
-    reported as zero.
+    reported as zero.  `rows` and `rhs` are the system the program is
+    solved on, the tuples of `lp_rows` unless given; programs that differ
+    only in their reward share them.
     """
 
     marginals: Dict[int, DiscreteMeasure]
@@ -82,6 +86,13 @@ class MotProgram:
     reward_values: Tuple[Fraction, ...]
     mode: str
     row_keys: Tuple[tuple, ...]
+    rows: Optional[tuple] = field(default=None, compare=False, repr=False)
+    rhs: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            rows, rhs = self.lp_rows()
+            self.rows, self.rhs = tuple(map(tuple, rows)), tuple(rhs)
 
     def lp_rows(self) -> Tuple[List[List[Tuple[int, Fraction]]], List[Fraction]]:
         """The constraint rows as `simplex` reads them, (column, coefficient)
@@ -101,46 +112,37 @@ class MotProgram:
         return rows, rhs
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    """A program up to its reward: `frame` has no reward values, and its rows
-    are kept as the tuples that `simplex.phase1` remembers."""
-
-    frame: MotProgram
-    rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
-    rhs: Tuple[Fraction, ...]
-
-    def program(self, reward: Reward, mode: str) -> MotProgram:
-        f = self.frame
-        values = tuple(_ingest(reward(p), mode) for p in f.paths)
-        return MotProgram(dict(f.marginals), f.n, f.paths, values, mode, f.row_keys)
-
-    def solve(self, program: MotProgram) -> LPSolution:
-        lp = solve_lp(program.reward_values, self.rows, self.rhs)
-        paths = program.paths
-        optimizer = PathMeasure(program.n, ((paths[k], v) for k, v in enumerate(lp.x) if v != 0))
-        value: Union[Fraction, float] = lp.value if program.mode == EXACT else float(lp.value)
-        return LPSolution(value, optimizer, program, lp.value, lp)
-
-
-def _skeleton(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path]) -> _Skeleton:
-    """The program over `paths` with the marginals of the `pinned` dates fixed."""
+def _program(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path]) -> MotProgram:
+    """The reward-free program over `paths` with the marginals of the
+    `pinned` dates fixed."""
     keys: List[tuple] = [("marginal", t, x) for t in sorted(pinned) for x in pinned[t].support]
     for t in range(1, n + 1):
         keys.extend(("martingale", t, prefix) for prefix in sorted({p[:t] for p in paths}))
-    frame = MotProgram(pinned, n, tuple(paths), (), EXACT, tuple(keys))
-    rows, rhs = frame.lp_rows()
-    return _Skeleton(frame, tuple(map(tuple, rows)), tuple(rhs))
+    return MotProgram(pinned, n, tuple(paths), (), EXACT, tuple(keys))
+
+
+def _with_reward(program: MotProgram, reward: Reward, mode: str) -> MotProgram:
+    """`program` with the reward's values; the copy shares its rows."""
+    values = tuple(_ingest(reward(p), mode) for p in program.paths)
+    return replace(program, marginals=dict(program.marginals), reward_values=values, mode=mode)
+
+
+def _solve(program: MotProgram) -> LPSolution:
+    lp = solve_lp(program.reward_values, program.rows, program.rhs)
+    paths = program.paths
+    optimizer = PathMeasure(program.n, ((paths[k], v) for k, v in enumerate(lp.x) if v != 0))
+    value: Union[Fraction, float] = lp.value if program.mode == EXACT else float(lp.value)
+    return LPSolution(value, optimizer, program, lp.value, lp)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _constrained_skeleton(marginals: Tuple[DiscreteMeasure, ...]) -> _Skeleton:
+def _constrained_program(marginals: Tuple[DiscreteMeasure, ...]) -> MotProgram:
     if not marginals:
         raise ValueError("need at least one marginal")
     require_convex_order_chain(marginals)
     decomps = [decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))]
     paths = _effective_paths([mu.support for mu in marginals], decomps)
-    return _skeleton(dict(enumerate(marginals)), len(marginals) - 1, paths)
+    return _program(dict(enumerate(marginals)), len(marginals) - 1, paths)
 
 
 def build_program(
@@ -148,7 +150,7 @@ def build_program(
 ) -> MotProgram:
     """The constrained program: every date pinned, effective-domain paths."""
     _require_mode(mode)
-    return _constrained_skeleton(tuple(marginals)).program(reward, mode)
+    return _with_reward(_constrained_program(tuple(marginals)), reward, mode)
 
 
 @dataclass
@@ -170,9 +172,7 @@ def solve_primal(
     Exact mode requires rational reward values and returns exact rationals;
     float mode embeds float rewards exactly and returns a float value.
     """
-    marginals = tuple(marginals)
-    program = build_program(marginals, reward, mode)
-    return _constrained_skeleton(marginals).solve(program)
+    return _solve(build_program(marginals, reward, mode))
 
 
 def _H_json(H: Dict[Tuple[int, Path], Fraction]) -> List[dict]:
@@ -197,19 +197,18 @@ class DualCertificate:
     objective: Fraction
     program: MotProgram
 
-    def phi_value(self, t: int, x: Fraction) -> Fraction:
-        return self.phi.get(t, {}).get(x, Fraction(0))
-
-    def H_value(self, t: int, prefix: Path) -> Fraction:
-        return self.H.get((t, prefix), Fraction(0))
-
-    def superhedge(self, path: Path) -> Fraction:
-        total = Fraction(0)
-        for t, x in enumerate(path):
-            total += self.phi_value(t, x)
-        for t in range(1, len(path)):
-            total += self.H_value(t, path[:t]) * (path[t] - path[t - 1])
-        return total
+    def hedges(self) -> List[Fraction]:
+        """The hedge on every program path, in the order of `program.paths`:
+        y . A_j for the path's column A_j of `program.rows` and the duals y
+        that `phi` and `H` give the rows (zero where they have none)."""
+        zero = Fraction(0)
+        hedge = [zero] * len(self.program.paths)
+        for (kind, t, key), row in zip(self.program.row_keys, self.program.rows):
+            y = self.phi.get(t, {}).get(key, zero) if kind == "marginal" else self.H.get((t, key), zero)
+            if y:
+                for j, a in row:
+                    hedge[j] += y * a
+        return hedge
 
     def to_json(self) -> dict:
         return {
@@ -225,33 +224,29 @@ class DualCertificate:
 def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
     """Read the dual optimizer off the optimal basis and verify it.
 
-    Zero duality gap, the superhedging inequality on every program path and
-    complementary slackness on the support of the optimizer are checked
-    before the certificate is returned.
+    Zero duality gap (the duals times the program's right sides), the
+    superhedging inequality on every program path and complementary
+    slackness on the support of the optimizer are checked, on the
+    certificate's own `hedges`, before the certificate is returned.  Raises
+    ValueError when `solution` was solved on another program.
     """
+    if program is not solution.program and program != solution.program:
+        raise ValueError("the solution was solved on another program")
+    duals = solution.lp.duals
     phi: Dict[int, Dict[Fraction, Fraction]] = {t: {} for t in program.marginals}
     H: Dict[Tuple[int, Path], Fraction] = {}
-    for key, y in zip(program.row_keys, solution.lp.duals):
-        if key[0] == "marginal":
-            _, t, point = key
-            phi[t][point] = y
-        else:
-            _, t, prefix = key
-            if y != 0:
-                H[(t, prefix)] = y
-    objective = sum(
-        (
-            program.marginals[t].weight_at(point) * value
-            for t, values in phi.items()
-            for point, value in values.items()
-        ),
-        Fraction(0),
-    )
+    for (kind, t, key), y in zip(program.row_keys, duals):
+        if kind == "marginal":
+            phi[t][key] = y
+        elif y != 0:
+            H[(t, key)] = y
+    objective = sum((y * b for y, b in zip(duals, program.rhs)), Fraction(0))
     certificate = DualCertificate(phi, H, objective, program)
     if objective != solution.exact_value:
         raise AssertionError("dual objective does not match the primal value")
-    for path, f_val, w in zip(program.paths, program.reward_values, solution.lp.x):
-        hedge = certificate.superhedge(path)
+    for path, f_val, w, hedge in zip(
+        program.paths, program.reward_values, solution.lp.x, certificate.hedges()
+    ):
         if hedge < f_val:
             raise AssertionError(f"superhedging fails on {path}")
         if w > 0 and hedge != f_val:
@@ -260,12 +255,12 @@ def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
 
 
 def contact_set(certificate: DualCertificate, reward: Reward) -> SupportSet:
-    """Effective-domain grid paths where the superhedge touches the reward."""
+    """Effective-domain grid paths where the hedge touches the reward."""
     program = certificate.program
     touching = [
         path
-        for path in program.paths
-        if certificate.superhedge(path) == _ingest(reward(path), program.mode)
+        for path, hedge in zip(program.paths, certificate.hedges())
+        if hedge == _ingest(reward(path), program.mode)
     ]
     return SupportSet(program.n, touching)
 
@@ -345,12 +340,6 @@ class FreeDualCertificate:
     objective: Fraction
     program: MotProgram
 
-    def superhedge(self, path: Path) -> Fraction:
-        total = self.phi.get(path[0], Fraction(0)) + self.psi.get(path[-1], Fraction(0))
-        for t in range(1, len(path)):
-            total += self.H.get((t, path[:t]), Fraction(0)) * (path[t] - path[t - 1])
-        return total
-
     def to_json(self) -> dict:
         return {
             "objective": str(self.objective),
@@ -389,9 +378,9 @@ def solve_free(
     _require_mode(mode)
     points = set(mu0.support) | set(mun.support) if grid is None else {rat(g) for g in grid}
     inner = tuple(sorted(points))
-    skeleton = _free_skeleton(mu0, mun, n, inner)
+    program = _free_program(mu0, mun, n, inner)
     try:
-        solution = skeleton.solve(skeleton.program(reward, mode))
+        solution = _solve(_with_reward(program, reward, mode))
     except Infeasible:
         raise Infeasible(
             f"no martingale transport of the marginals in {n} steps lives on the grid "
@@ -406,14 +395,14 @@ def solve_free(
 
 # Typed, so that a float n, which raises TypeError, is not served an int's entry.
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _free_skeleton(
+def _free_program(
     mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Tuple[Fraction, ...]
-) -> _Skeleton:
+) -> MotProgram:
     step = decompose_step(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
     grids = [mu0.support] + [inner] * (n - 1) + [mun.support]
-    return _skeleton({0: mu0, n: mun}, n, _effective_paths(grids, [step] * n))
+    return _program({0: mu0, n: mun}, n, _effective_paths(grids, [step] * n))
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

@@ -21,7 +21,9 @@ prefix shadows that the per-atom check of `strong_order_holds` replaced.
 `oracle_solve_lp` is the dense simplex tableau that the revised engine
 replaced, and the `oracle_*` row builders are the dense LP builders that
 the sparse ones replaced.  `sparse` and `dense` convert between the two row
-formats.
+formats.  `oracle_superhedge` is the per-path superhedge formula that
+`DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
+extraction and checks built on it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import pytest
 
 from leftcurtain import (
     DiscreteMeasure,
+    DualCertificate,
     Interval,
     IrreducibleDomain,
     NotInConvexOrder,
@@ -394,6 +397,49 @@ def oracle_competitor_lp(pi: PathMeasure, reward, effective_domain, marginal=Non
 
     objective = [Fraction(reward(h + (y,))) for h, y in cols]
     return objective, rows, rhs
+
+
+# --- dual certificates path by path -------------------------------------------
+#
+# The superhedge as it was evaluated before `DualCertificate.hedges` summed
+# it over the program's rows: date by date, from the certificate's dicts.
+
+
+def oracle_superhedge(certificate: DualCertificate, path: tuple) -> Fraction:
+    """sum_t phi_t(x_t) + sum_t H_t(x_0..x_{t-1}) (x_t - x_{t-1}) on one path."""
+    total = Fraction(0)
+    for t, x in enumerate(path):
+        total += certificate.phi.get(t, {}).get(x, Fraction(0))
+    for t in range(1, len(path)):
+        total += certificate.H.get((t, path[:t]), Fraction(0)) * (path[t] - path[t - 1])
+    return total
+
+
+def oracle_extract_dual(program, solution) -> DualCertificate:
+    """`extract_dual` path by path: the objective from `weight_at`, the
+    superhedging and complementary slackness checks through
+    `oracle_superhedge`, with the same messages."""
+    phi: Dict[int, Dict[Fraction, Fraction]] = {t: {} for t in program.marginals}
+    H: Dict[tuple, Fraction] = {}
+    for key, y in zip(program.row_keys, solution.lp.duals):
+        if key[0] == "marginal":
+            phi[key[1]][key[2]] = y
+        elif y != 0:
+            H[key[1:]] = y
+    objective = sum(
+        (program.marginals[t].weight_at(x) * v for t, values in phi.items() for x, v in values.items()),
+        Fraction(0),
+    )
+    certificate = DualCertificate(phi, H, objective, program)
+    if objective != solution.exact_value:
+        raise AssertionError("dual objective does not match the primal value")
+    for path, f_val, w in zip(program.paths, program.reward_values, solution.lp.x):
+        hedge = oracle_superhedge(certificate, path)
+        if hedge < f_val:
+            raise AssertionError(f"superhedging fails on {path}")
+        if w > 0 and hedge != f_val:
+            raise AssertionError(f"complementary slackness fails on {path}")
+    return certificate
 
 
 # --- independent LP oracles --------------------------------------------------

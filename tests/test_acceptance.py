@@ -182,8 +182,8 @@ def test_c05_duality_on_random_instances():
         solution = solve_primal(marginals, reward)
         certificate = extract_dual(solution.program, solution)
         assert certificate.objective == solution.value
-        for path, value in zip(solution.program.paths, solution.program.reward_values):
-            assert certificate.superhedge(path) >= value
+        for hedge, value in zip(certificate.hedges(), solution.program.reward_values):
+            assert hedge >= value
         touching = contact_set(certificate, reward)
         assert set(solution.optimizer.support) <= set(touching.points)
     elapsed = time.monotonic() - start

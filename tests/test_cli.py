@@ -224,6 +224,13 @@ class TestCommands:
         assert code == 0
         assert payload["results"][0]["projections_mismatch"] is True
 
+    def test_examples_all_and_name_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, ["examples", "--all", "--name", "notleftcurtain"])
+        assert (code, out) == (1, "")
+        assert "argument --name: not allowed with argument --all" in err
+        code, out, _ = run(capsys, ["examples"])
+        assert code == 0 and len(json.loads(out)["results"]) == 4
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -440,5 +447,71 @@ class TestPolarTotality:
             elif code == 1:
                 error = json.loads(err.getvalue())
                 assert error["error"] == "schema" and error["pointer"].startswith(f"{f.name}#")
+            else:
+                assert code == 2 and json.loads(err.getvalue())["error"] in _MATH_ERRORS
+
+
+_weights = st.one_of(
+    st.sampled_from(["1/2", "1/4", "1/3", "1", "0", "-1/2", "1/0"]),
+    st.integers(-1, 2),
+    _coordinates,
+)
+_atoms = st.one_of(
+    st.fixed_dictionaries({"x": _rationals, "w": st.sampled_from(["1/2", "1/4", "1/3", "1"])}),
+    st.fixed_dictionaries({"x": _coordinates, "w": _weights}),
+    _coordinates,
+)
+# a marginal of the well-formed chain, or atoms (duplicates, zero and
+# negative weights among them), or no measure at all
+_measure_nodes = st.one_of(
+    st.sampled_from(["mu0", "mu1", "mu2"]),
+    st.builds(lambda atoms: {"atoms": atoms}, st.lists(_atoms, max_size=4)),
+    st.builds(lambda atoms: {"atoms": atoms}, _coordinates),
+    _coordinates,
+)
+_measure_lists = st.one_of(
+    st.sampled_from([["mu0", "mu1", "mu2"], ["mu0", "mu2"], ["mu1", "mu2"]]),
+    st.lists(_measure_nodes, min_size=2, max_size=3),
+)
+_reward_texts = st.one_of(
+    st.sampled_from([
+        "abs(1, 0)", "indicator(t=0, <=-1) * -1 * call(1, 0)", "put(2, 1/2) * 2", "call(3, 0)",
+        "tanh_sm(1)", "1/0", "abs(1, 1/0)", "indicator(t=0, >=0)", "", "*", "call(1,)",
+    ]),
+    st.text(alphabet="()*,/=<>-+0123 abcdeilnoprstu_", max_size=16),
+)
+
+
+class TestSolveAndFreeTotality:
+    """Any measure JSON and any reward text given to `solve` or to
+    `free --reward` ends in a result, a schema error (exit 1) that names a
+    file pointer or an option, or a math error (exit 2), each reported as
+    JSON, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_measure_lists, _reward_texts, st.integers(1, 3))
+    def test_malformed_measures_and_rewards(self, marginal_files, nodes, reward, steps):
+        files = []
+        for node in nodes:
+            if node in ("mu0", "mu1", "mu2"):
+                files.append(str(marginal_files / f"{node}.json"))
+                continue
+            with tempfile.NamedTemporaryFile("w", suffix=".json", dir=marginal_files, delete=False) as f:
+                json.dump(node, f)
+            files.append(f.name)
+        for argv in (
+            ["solve", *files, f"--reward={reward}"],
+            ["free", files[0], files[-1], "--steps", str(steps), f"--reward={reward}"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert "certificate" in json.loads(out.getvalue())
+            elif code == 1:
+                error = json.loads(err.getvalue())
+                pointer = error["pointer"]
+                assert error["error"] == "schema"
+                assert pointer.startswith("--") or any(pointer.startswith(f"{name}#") for name in files)
             else:
                 assert code == 2 and json.loads(err.getvalue())["error"] in _MATH_ERRORS

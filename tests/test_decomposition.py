@@ -332,5 +332,5 @@ class TestFreeAgainstComponentOracle:
     @given(free_problems())
     def test_skeleton_paths_in_product_order(self, problem):
         mu0, mun, n, inner = problem
-        paths = lpsolver._free_skeleton(mu0, mun, n, inner).frame.paths
+        paths = lpsolver._free_program(mu0, mun, n, inner).paths
         assert paths == tuple(oracle_free_paths(mu0, mun, n, inner))

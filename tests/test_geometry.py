@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from leftcurtain import geometry
 from leftcurtain import (
     DiscreteMeasure,
     PathMeasure,
@@ -116,6 +117,14 @@ class TestCompetitors:
                         lc, reward, decomps, marginal=chain[1]
                     )
                     assert improvement is None
+
+    def test_float_reward_is_rejected_before_any_lp(self, monkeypatch):
+        pi = PathMeasure(1, [((0, -1), F(1, 4)), ((0, 1), F(1, 4)), ((1, 0), F(1, 2))])
+        lps = []
+        monkeypatch.setattr(geometry, "solve_lp", lambda *args: lps.append(args))
+        with pytest.raises(TypeError, match="not a rational: 2.0"):
+            find_improving_competitor(pi, lambda p: 2.0, self._ambient())
+        assert lps == []
 
     def test_single_path_has_no_competitor(self):
         pi = PathMeasure(1, [((0, 0), 1)])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from leftcurtain import (
     Infeasible,
     KernelPolicy,
     NotInConvexOrder,
+    SupportSet,
     build_program,
     call_value,
     chain_min_call,
@@ -41,8 +43,10 @@ from conftest import (
     measure,
     oracle_chain_min_skeleton,
     oracle_competitor_lp,
+    oracle_extract_dual,
     oracle_lp_rows,
     oracle_solve_lp,
+    oracle_superhedge,
     random_marginal_chain,
     random_pc_pair,
 )
@@ -167,7 +171,7 @@ class TestDuality:
     def test_zero_certificate_is_admissible(self, rigid_marginals):
         program = build_program(rigid_marginals, lambda p: 0)
         zero_cert = DualCertificate({}, {}, F(0), program)
-        assert all(zero_cert.superhedge(p) == 0 for p in program.paths)
+        assert zero_cert.hedges() == [0] * len(program.paths)
         full = contact_set(zero_cert, lambda p: 0)
         assert full.points == frozenset(program.paths)
 
@@ -179,8 +183,8 @@ class TestDuality:
             sol = solve_primal(chain, reward)
             cert = extract_dual(sol.program, sol)
             assert cert.objective == sol.value
-            for path in sol.program.paths:
-                assert cert.superhedge(path) >= reward(path)
+            for path, hedge in zip(sol.program.paths, cert.hedges()):
+                assert hedge >= reward(path)
             touching = contact_set(cert, reward)
             assert set(sol.optimizer.support) <= set(touching.points)
 
@@ -221,6 +225,94 @@ class TestDuality:
         touching = set(contact_set(cert, reward).points)
         worse = min((p_left, p_right), key=lambda P: P.expectation(reward))
         assert not set(worse.support) <= touching
+
+
+def free_dual_certificate(sol) -> DualCertificate:
+    """The (phi, psi, H) certificate of a free solution as the
+    `DualCertificate` over its program that it was read from."""
+    cert = sol.certificate
+    return DualCertificate({0: cert.phi, cert.program.n: cert.psi}, cert.H, cert.objective, cert.program)
+
+
+# Rewards with exact values, of the first and the last coordinate.
+_REWARDS = (
+    lambda p: p[0] * p[-1] * p[-1],
+    lambda p: abs(p[-1]) if p[0] < 0 else 0,
+    lambda p: -max(p[-1] - p[0], F(0)),
+    lambda p: 0,
+)
+
+
+def _outcome(extract, program, solution):
+    """The certificate `extract` returns, or the message of the
+    AssertionError it raises."""
+    try:
+        return extract(program, solution)
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestHedges:
+    """`DualCertificate.hedges` against the path-by-path superhedge, and
+    `extract_dual` against the checks built on it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(range(len(_REWARDS))),
+    )
+    def test_hedges_and_contact_sets_equal_the_oracle(self, seed, steps, free_steps, which):
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=4)
+        reward = _REWARDS[which]
+        sol = solve_primal(chain, reward)
+        cert = extract_dual(sol.program, sol)
+        assert cert == oracle_extract_dual(sol.program, sol)
+        free = free_dual_certificate(solve_free(chain[0], chain[-1], free_steps, reward))
+        for certificate in (cert, free):
+            program = certificate.program
+            hedges = [oracle_superhedge(certificate, path) for path in program.paths]
+            assert certificate.hedges() == hedges
+            touching = [path for path, hedge in zip(program.paths, hedges) if hedge == reward(path)]
+            assert contact_set(certificate, reward) == SupportSet(program.n, touching)
+
+    def test_shifted_duals_are_caught_as_the_oracle_catches_them(self):
+        """Shifting one dual by 1 breaks the certificate on every row with a
+        nonzero entry of these chains.  (It need not: a martingale dual whose
+        paths all keep enough slack can shift to another optimal dual.)"""
+        rng = random.Random(163)
+        shifted_rows = 0
+        for _ in range(40):
+            chain = random_marginal_chain(rng, rng.choice([1, 2, 3]), max_support=4)
+            sol = solve_primal(chain, rng.choice(_REWARDS))
+            program = sol.program
+            for i, row in enumerate(program.rows):
+                if not any(a for _, a in row):
+                    continue
+                duals = list(sol.lp.duals)
+                duals[i] += 1
+                shifted = dataclasses.replace(sol, lp=dataclasses.replace(sol.lp, duals=duals))
+                outcome = _outcome(extract_dual, program, shifted)
+                assert isinstance(outcome, str)
+                assert outcome == _outcome(oracle_extract_dual, program, shifted)
+                if program.row_keys[i][0] == "marginal":
+                    assert outcome == "dual objective does not match the primal value"
+                shifted_rows += 1
+        assert shifted_rows > 300
+
+    def test_solution_of_another_program_is_rejected(self):
+        # Two chains with the same supports, hence the same row keys.
+        first = [measure([(-1, F(1, 2)), (1, F(1, 2))]), measure([(-2, F(1, 4)), (0, F(1, 2)), (2, F(1, 4))])]
+        second = [measure([(-1, F(1, 3)), (1, F(2, 3))]), measure([(-2, F(1, 6)), (0, F(1, 2)), (2, F(1, 3))])]
+        reward = lambda p: abs(p[1]) if p[0] < 0 else 0
+        a, b = solve_primal(first, reward), solve_primal(second, reward)
+        assert a.program.row_keys == b.program.row_keys
+        for program, solution in ((a.program, b), (b.program, a)):
+            with pytest.raises(ValueError, match="solved on another program"):
+                extract_dual(program, solution)
+        # An equal program is the same program.
+        assert extract_dual(build_program(first, reward), a) == extract_dual(a.program, a)
 
 
 class TestChainMinCall:
@@ -284,8 +376,9 @@ class TestSolveFree:
         reward = left_tail_put_reward(-1, 1, 0)
         sol = solve_free(mu0, mu2, 2, reward)
         assert sol.certificate.objective == sol.exact_value
-        for path in sol.certificate.program.paths:
-            assert sol.certificate.superhedge(path) >= reward(path)
+        cert = free_dual_certificate(sol)
+        for path, hedge in zip(cert.program.paths, cert.hedges()):
+            assert hedge >= reward(path)
 
 
 class TestFloatMode:
@@ -440,11 +533,11 @@ class TestDenseBuilders:
         reward = lambda p: p[0] * p[-1] * p[-1]
         other = lambda p: p[-2] * p[-1] * p[-1]
         decomps = [decompose_step(chain[t - 1], chain[t]) for t in range(1, len(chain))]
-        skeleton, skeletons, competitor_lps = lpsolver._skeleton, [], []
+        program, programs, competitor_lps = lpsolver._program, [], []
 
-        def recording_skeleton(*args):
-            skeletons.append(skeleton(*args))
-            return skeletons[-1]
+        def recording_program(*args):
+            programs.append(program(*args))
+            return programs[-1]
 
         def recording_solve_lp(objective, rows, rhs):
             competitor_lps.append((objective, rows, rhs))
@@ -452,7 +545,7 @@ class TestDenseBuilders:
 
         clear_lpsolver_caches()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lpsolver, "_skeleton", recording_skeleton)
+            mp.setattr(lpsolver, "_program", recording_program)
             mp.setattr(geometry, "solve_lp", recording_solve_lp)
             pi = solve_primal(chain, reward).optimizer
             solve_free(mu0, mun, steps, reward)
@@ -460,10 +553,10 @@ class TestDenseBuilders:
             find_improving_competitor(pi, other, decomps, mun)
         # The constrained and the free program, then one feasible coupling
         # per increment and step.
-        assert len(skeletons) >= 3
-        for sk in skeletons:
-            rows, rhs = oracle_lp_rows(sk.frame)
-            assert dense(sk.rows, len(sk.frame.paths)) == rows and list(sk.rhs) == rhs
+        assert len(programs) >= 3
+        for built in programs:
+            rows, rhs = oracle_lp_rows(built)
+            assert dense(built.rows, len(built.paths)) == rows and list(built.rhs) == rhs
         expected = oracle_competitor_lp(pi, other, decomps, mun)
         assert len(competitor_lps) == (expected is not None)
         for objective, rows, rhs in competitor_lps:
