@@ -3,8 +3,9 @@
 Subcommands mirror the library operations one-to-one and speak JSON on stdout
 (rationals serialized as strings, `--approx` adds decimal renderings,
 `--csv` switches to flat tables).  Exit codes: 0 success, 2 mathematical
-failure (order violations, failed checks, infeasibility), 1 I/O or schema
-errors; schema violations carry JSON-pointer paths.
+failure (order violations, failed checks, infeasibility), 1 I/O, schema
+or usage errors; schema violations carry JSON-pointer paths.  Every error is
+one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ EXIT_MATH = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are I/O errors, not math ones
-        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+        self.exit(_report({"error": "usage", "message": f"{self.prog}: {message}"}, EXIT_IO))
 
 
 def _load_json(path: str):

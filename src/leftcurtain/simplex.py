@@ -7,27 +7,45 @@ entries under their columns in row order, so the columns A_j that the
 pivots read are built once, straight from the rows.
 
 Every row and the objective are scaled to integers and pivoted fraction-free
-(Bareiss): a pivot on element p replaces every other tableau entry a by
-(a*p - f*b)/delta, where f is the row's entry in the pivot column, b the
-pivot row's entry and delta the previous pivot element, kept positive.
-Sylvester's determinant identity makes the division exact.
-
-The tableau is kept in revised form.  The initial basic columns (the slacks
-of '<=' rows and the artificials) form the identity, so after any pivots the
-tableau's entries in those columns are R = delta * B^-1, the row operations
-applied so far, and only R and the right-hand side are stored: m + 1
-integers per constraint row and per objective row.  Every other entry is
-computed from the sparse input column A_j when it is needed:
+(Bareiss), in revised form.  The initial basic columns (the slacks of '<='
+rows and the artificials) form the identity, so after any pivots each row's
+entries in those columns are a multiple of its row of B^-1, the row
+operations applied so far.  Each row i is kept at its own scale d_i > 0:
+only R_i = d_i * (B^-1)_i and the right side are stored, m + 1 integers per
+constraint row and per objective row.  Every other entry is computed, at
+its row's scale, from the sparse input column A_j when it is needed:
 
     constraint row i:   T_ij = R_i . A_j
-    objective row:      z_j  = delta * z_init_j + u . A_j
+    objective row:      z_j  = d_u * z_init_j + u . A_j
 
-where u is the objective row's R part; the form holds because z_init is zero
-on the initial basic columns and every pivot z <- (p*z - f*prow)/delta keeps
-it.  A pivot therefore updates at most (m + 1) x (m + 1) integers (one
-objective row per phase), not the whole tableau.  Every division is
-verified at runtime: with delta > 0 each floor remainder lies in [0, delta),
-so a row divides exactly if and only if sum(num) == delta * sum(num // delta).
+where u is the objective row's R part and d_u its scale; the form holds
+because z_init is zero on the initial basic columns and every pivot
+z <- (p*z - f*prow)/d_u keeps it, at scale p.  With delta the previous
+pivot element (1 at the start), a pivot on column c at row r works as
+follows:
+
+- Row r is brought to scale delta (R_r * delta / d_r; delta * B^-1 is the
+  Bareiss tableau, an integer matrix by Sylvester's determinant identity).
+  The pivot element is p = prow . A_c; if it is negative, p and prow are
+  negated, so every scale stays positive.  Row r keeps prow at scale p.
+- A row whose entry f in column c is zero keeps its row of B^-1, so it is
+  not touched.
+- Any other row becomes (R_i * p - f * prow) / d_i at scale p.  That is
+  p times its new row of B^-1, the Bareiss row at the new delta = p, so the
+  division is exact.
+
+A pivot therefore updates at most (m + 1) x (m + 1) integers (one objective
+row per phase), and only in the rows whose entering entry is nonzero.
+Every division is verified at runtime: with d > 0 each floor remainder lies
+in [0, d), so quotients q of integers that sum to s are exact if and only if
+s == d * sum(q), where s = p * sum(R_i) - f * sum(prow) by linearity.
+
+Scales never change a decision.  The ratio test compares b_i / T_ic, both at
+row i's scale, and tests the sign of T_ic with d_i > 0; pricing tests the
+sign of z_j, and the drive-out pivots test T_ij != 0.  So the pivots and
+pivot elements are those of the Bareiss tableau with one common delta.
+When phase 1 and phase 2 end, every row is brought to scale delta with the
+same checked division, so the end state holds R = delta * B^-1.
 
 Bland's rule (lowest index entering, lowest basic index on ratio ties) makes
 the pivot sequence cycle-free and deterministic; the reduced costs are
@@ -112,6 +130,22 @@ def _dot(row: List[int], column: Column) -> int:
     return sum(row[k] * a for k, a in column)
 
 
+def _exact(total: int, quot: List[int], d: int) -> List[int]:
+    """quot, the floor quotients by d > 0 of integers that sum to total.
+
+    Each floor remainder lies in [0, d), so they all vanish, and every
+    division was exact, if and only if total == d * sum(quot).
+    """
+    if total != d * sum(quot):
+        raise AssertionError("fraction-free pivot produced a non-integer entry")
+    return quot
+
+
+def _rescaled(row: List[int], new: int, old: int) -> List[int]:
+    """A row at scale old brought to scale new, checked exact."""
+    return _exact(new * sum(row), [v * new // old for v in row], old)
+
+
 class _Tableau:
     def __init__(
         self, columns: Sequence[Column], cost: List[int], rows: List[Sequence[int]],
@@ -120,48 +154,45 @@ class _Tableau:
         self.columns = columns    # sparse input column of every column that may enter
         self.cost = cost          # z_init of the objective row, right side last
         # R_i and the right side per constraint row, then u and the right side
-        # of the objective row.  A pivot replaces rows and never edits one.
+        # of the objective row, all given at scale delta.  A pivot replaces
+        # rows and never edits one.
         self.rows = rows
+        self.scales = [delta] * len(rows)  # d_i: row i is d_i times its B^-1 row
         self.basis = basis        # basic column per constraint row
-        self.delta = delta
+        self.delta = delta        # the last pivot element, the Bareiss scale
         self.iterations = iterations
         self.max_delta_bits = max_delta_bits
 
     def column(self, j: int) -> List[int]:
-        """Tableau column j: one entry per constraint row, then the objective row's."""
+        """Tableau column j at its rows' scales: constraint rows, then the objective row."""
         col = self.columns[j]
         entries = [_dot(row, col) for row in self.rows]
-        entries[-1] += self.delta * self.cost[j]
+        entries[-1] += self.scales[-1] * self.cost[j]
         return entries
 
     def pivot(self, r: int, c: int, column: List[int]) -> None:
         """Pivot column c, whose entries are `column`, into the basis at row r."""
-        rows, delta = self.rows, self.delta
+        rows, scales, delta = self.rows, self.scales, self.delta
         prow = rows[r]
-        p = column[r]
+        if scales[r] != delta:
+            prow = _rescaled(prow, delta, scales[r])
+        p = _dot(prow, self.columns[c])
         if p == 0:
             raise AssertionError("zero pivot")
-        # Negating every row keeps delta positive; fold the sign into p and f.
-        sign = 1 if p > 0 else -1
-        p *= sign
-        for i, row in enumerate(rows):
-            if i == r:
+        # Negating the pivot row keeps every scale positive.
+        if p < 0:
+            p = -p
+            prow = [-v for v in prow]
+        psum = sum(prow)
+        for i, f in enumerate(column):
+            if f == 0 or i == r:
                 continue
-            f = column[i] * sign
-            if f == 0:
-                if p == delta:
-                    continue
-                num = [v * p for v in row]
-            else:
-                num = [v * p - f * w for v, w in zip(row, prow)]
-            if delta != 1:
-                quot = [v // delta for v in num]
-                if sum(num) != delta * sum(quot):
-                    raise AssertionError("fraction-free pivot produced a non-integer entry")
-                num = quot
-            rows[i] = num
-        if sign < 0:
-            rows[r] = [-v for v in prow]
+            row, d = rows[i], scales[i]
+            quot = [(v * p - f * w) // d for v, w in zip(row, prow)]
+            rows[i] = _exact(p * sum(row) - f * psum, quot, d)
+            scales[i] = p
+        rows[r] = prow
+        scales[r] = p
         self.basis[r] = c
         self.delta = p
         self.max_delta_bits = max(self.max_delta_bits, p.bit_length())
@@ -169,14 +200,22 @@ class _Tableau:
         if self.iterations > _MAX_PIVOTS:
             raise AssertionError("pivot limit exceeded")
 
+    def normalise(self) -> None:
+        """Bring every row to the scale delta."""
+        delta = self.delta
+        self.rows = [
+            row if d == delta else _rescaled(row, delta, d) for row, d in zip(self.rows, self.scales)
+        ]
+        self.scales = [delta] * len(self.rows)
+
     def run(self) -> None:
         """Bland-rule simplex loop on the objective row."""
         m = len(self.basis)
         cost = self.cost
         while True:
-            u, delta = self.rows[m], self.delta
+            u, d = self.rows[m], self.scales[m]
             entering = next(
-                (j for j, col in enumerate(self.columns) if delta * cost[j] + _dot(u, col) < 0),
+                (j for j, col in enumerate(self.columns) if d * cost[j] + _dot(u, col) < 0),
                 -1,
             )
             if entering < 0:
@@ -335,6 +374,7 @@ def _phase1(
                 pivot_col = next((j for j, col in enumerate(columns) if _dot(row, col)), None)
                 if pivot_col is not None:
                     tab.pivot(i, pivot_col, tab.column(pivot_col))
+    tab.normalise()
 
     # Redundant rows: basic artificial with no pivotable entry left.
     keep = [i for i in range(m) if tab.basis[i] < n_real]
@@ -378,6 +418,7 @@ def solve_from(state: Phase1, objective: Sequence[Fraction], maximize: bool = Tr
         state.delta, state.iterations, state.max_delta_bits,
     )
     tab.run()
+    tab.normalise()
 
     delta = tab.delta
     x = [Fraction(0)] * n

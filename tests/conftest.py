@@ -1,7 +1,8 @@
 """Shared instance generators, independent LP oracles and slow references.
 
 The generators build random marginal chains by mean-preserving spreads, so
-convex order holds by construction.  The LP oracles solve small LPs directly
+convex order holds by construction; `irreducible_chain` draws chains whose
+every step is one irreducible component, so every LP path is in the domain.  The LP oracles solve small LPs directly
 on the raw simplex engine, and the slow references are the direct per-point
 and per-atom algorithms; neither shares code with the combinatorial
 implementations they are used to check.  `oracle_put_gap` is the
@@ -49,6 +50,7 @@ from leftcurtain import (
     StepDecomposition,
     add,
     convex_order_leq,
+    decompose_step,
     effective_domain_contains,
     subtract,
 )
@@ -206,6 +208,30 @@ def grid_chain(rng: random.Random, k: int) -> List[DiscreteMeasure]:
     chain = [DiscreteMeasure((F(j, k), F(1, k)) for j in range(k))]
     for _ in range(2):
         chain.append(mean_preserving_spread(rng, chain[-1], stay_prob=0.5))
+    return chain
+
+
+def irreducible_chain(rng: random.Random, sizes: Sequence[int]) -> List[DiscreteMeasure]:
+    """Marginals with the given support sizes and integer weights from 1 to 4,
+    normalized, each step one irreducible component holding every atom, so
+    the effective domain is the full product."""
+    chain = []
+    for t, size in enumerate(sizes):
+        while True:
+            xs = rng.sample(range(-3 * t - 2, 3 * t + 3), size)
+            ws = [rng.randint(1, 4) for _ in xs]
+            mu = DiscreteMeasure((F(x), F(w, sum(ws))) for x, w in zip(xs, ws))
+            if not chain:
+                break
+            shift = chain[0].barycenter - mu.barycenter
+            mu = DiscreteMeasure((x + shift, w) for x, w in mu)
+            try:
+                step = decompose_step(chain[-1], mu)
+            except NotInConvexOrder:
+                continue
+            if step.diagonal.is_zero and len(step.components) == 1 and step.components[0].nu_k == mu:
+                break
+        chain.append(mu)
     return chain
 
 

@@ -275,8 +275,28 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(err)["error"] == "NotInConvexOrder"
 
-    def test_usage_error_exit_1(self, capsys):
-        assert main(["no-such-command"]) == 1
+    def test_usage_error_exit_1(self, capsys, files):
+        for argv, message in (
+            (["no-such-command"], "leftcurtain: argument command: invalid choice: 'no-such-command'"),
+            # argparse reads a value that starts with '-' as an option
+            (
+                ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward", "-1*abs(1,0)"],
+                "leftcurtain solve: argument --reward: expected one argument",
+            ),
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            report = json.loads(err)
+            assert report["error"] == "usage" and report["message"].startswith(message)
+
+    def test_reward_starting_with_minus_after_equals(self, capsys, files):
+        argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward=-1*abs(1,0)"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "certificate" in json.loads(out)
+
+    def test_help_goes_to_stdout(self, capsys):
+        code, out, err = run(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: leftcurtain") and err == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -482,6 +502,42 @@ _reward_texts = st.one_of(
 )
 
 
+def _node_files(folder, nodes):
+    """A file per measure node, the well-formed marginals by name."""
+    files = []
+    for node in nodes:
+        if node in ("mu0", "mu1", "mu2"):
+            files.append(str(folder / f"{node}.json"))
+            continue
+        # a new file per node: truncating a written file can wait for a flush
+        with tempfile.NamedTemporaryFile("w", suffix=".json", dir=folder, delete=False) as f:
+            json.dump(node, f)
+        files.append(f.name)
+    return files
+
+
+def _main_in_process(argv):
+    """`main(argv)`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_error_report(code, err, files, options=False):
+    """Exit 1 with a schema error that names a file pointer (or, with
+    `options`, an option), or exit 2 with a math error."""
+    error = json.loads(err)
+    if code == 1:
+        pointer = error["pointer"]
+        assert error["error"] == "schema"
+        assert (options and pointer.startswith("--")) or any(
+            pointer.startswith(f"{name}#") for name in files
+        )
+    else:
+        assert code == 2 and error["error"] in _MATH_ERRORS
+
+
 class TestSolveAndFreeTotality:
     """Any measure JSON and any reward text given to `solve` or to
     `free --reward` ends in a result, a schema error (exit 1) that names a
@@ -491,27 +547,38 @@ class TestSolveAndFreeTotality:
     @settings(max_examples=100, deadline=None)
     @given(_measure_lists, _reward_texts, st.integers(1, 3))
     def test_malformed_measures_and_rewards(self, marginal_files, nodes, reward, steps):
-        files = []
-        for node in nodes:
-            if node in ("mu0", "mu1", "mu2"):
-                files.append(str(marginal_files / f"{node}.json"))
-                continue
-            with tempfile.NamedTemporaryFile("w", suffix=".json", dir=marginal_files, delete=False) as f:
-                json.dump(node, f)
-            files.append(f.name)
+        files = _node_files(marginal_files, nodes)
         for argv in (
             ["solve", *files, f"--reward={reward}"],
             ["free", files[0], files[-1], "--steps", str(steps), f"--reward={reward}"],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+            code, out, err = _main_in_process(argv)
             if code == 0:
-                assert "certificate" in json.loads(out.getvalue())
-            elif code == 1:
-                error = json.loads(err.getvalue())
-                pointer = error["pointer"]
-                assert error["error"] == "schema"
-                assert pointer.startswith("--") or any(pointer.startswith(f"{name}#") for name in files)
+                assert "certificate" in json.loads(out)
             else:
-                assert code == 2 and json.loads(err.getvalue())["error"] in _MATH_ERRORS
+                _assert_error_report(code, err, files, options=True)
+
+
+class TestOrderAndTransportTotality:
+    """Any measure JSON given to `check-order`, `decompose` or
+    `left-monotone` ends in a result, a schema error (exit 1) that names a
+    file pointer, or a math error (exit 2), each reported as JSON, never a
+    traceback.  A chain out of convex order is `check-order`'s verdict: it
+    exits 2 with the result on stdout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measure_lists)
+    def test_malformed_measures(self, marginal_files, nodes):
+        files = _node_files(marginal_files, nodes)
+        for argv, key in (
+            (["check-order", *files], "chain"),
+            (["decompose", files[0], files[-1]], "components"),
+            (["left-monotone", *files], "coupling"),
+        ):
+            code, out, err = _main_in_process(argv)
+            if out:
+                result = json.loads(out)
+                assert key in result and err == ""
+                assert code == (0 if result.get("chain", True) else 2)
+            else:
+                _assert_error_report(code, err, files)

@@ -40,6 +40,7 @@ from leftcurtain.simplex import solve_lp
 
 from conftest import (
     dense,
+    irreducible_chain,
     measure,
     oracle_chain_min_skeleton,
     oracle_competitor_lp,
@@ -437,29 +438,6 @@ class TestRewardLanguage:
             parse_reward("call(1)")
         with pytest.raises(ValueError):
             parse_reward("frobnicate(2, 3)")
-
-
-def irreducible_chain(rng, sizes):
-    """Marginals with the given support sizes, each step one irreducible
-    component holding every atom, so the effective domain is the full product."""
-    chain = []
-    for t, size in enumerate(sizes):
-        while True:
-            xs = rng.sample(range(-3 * t - 2, 3 * t + 3), size)
-            ws = [rng.randint(1, 4) for _ in xs]
-            mu = DiscreteMeasure((F(x), F(w, sum(ws))) for x, w in zip(xs, ws))
-            if not chain:
-                break
-            shift = chain[0].barycenter - mu.barycenter
-            mu = DiscreteMeasure((x + shift, w) for x, w in mu)
-            try:
-                step = decompose_step(chain[-1], mu)
-            except NotInConvexOrder:
-                continue
-            if step.diagonal.is_zero and len(step.components) == 1 and step.components[0].nu_k == mu:
-                break
-        chain.append(mu)
-    return chain
 
 
 def lpsolver_caches():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import simplex
+from leftcurtain import build_program, left_tail_put_reward, simplex
 from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, phase1, solve_from, solve_lp
 
-from conftest import oracle_solve_lp, sparse
+from conftest import dense, irreducible_chain, oracle_solve_lp, sparse
 
 
 def reference_solve(c, rows, rhs, senses=None, maximize=True):
@@ -223,12 +223,33 @@ class TestHandPicked:
         assert r.value == 4 and r.x == [F(0), F(4), F(0)]
         assert (r.iterations, r.phase1_iterations, r.max_delta_bits) == (3, 2, 2)
 
+    @staticmethod
+    def fresh_tableau():
+        """Two '<=' rows whose slacks are basic, at scale 1; column 0 has an
+        entry in both rows, so pivoting it in at row 0 updates row 1."""
+        return _Tableau([[(0, 1), (1, 1)], [(1, 1)]], [0, 0, 0], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [2, 3])
+
     def test_inexact_division_is_detected(self):
-        # A forged denominator 2 that the next pivot's row entries do not divide.
-        tab = _Tableau([[(0, 1)], [(1, 1)]], [0, 0, 0], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [2, 3])
-        tab.delta = 2
+        # A forged scale 2 for row 1, which the update R_1 - prow = [-1, 1, 0]
+        # of the pivot on element 1 does not divide.
+        tab = self.fresh_tableau()
+        tab.scales[1] = 2
         with pytest.raises(AssertionError, match="non-integer"):
             tab.pivot(0, 0, tab.column(0))
+
+    def test_inexact_pivot_row_rescale_is_detected(self):
+        # A forged scale 2 for the pivot row, which delta = 1 does not divide.
+        tab = self.fresh_tableau()
+        tab.scales[0] = 2
+        with pytest.raises(AssertionError, match="non-integer"):
+            tab.pivot(0, 0, tab.column(0))
+
+    def test_inexact_normalisation_is_detected(self):
+        # A forged scale 2 for row 1, which delta = 1 does not divide.
+        tab = self.fresh_tableau()
+        tab.scales[1] = 2
+        with pytest.raises(AssertionError, match="non-integer"):
+            tab.normalise()
 
 
 class TestMalformedInput:
@@ -417,6 +438,67 @@ class TestAgainstDenseOracle:
         for c in [objective] + [o[: len(objective)] for o in others] + [objective]:
             cold = outcome_of(solve_dense, (c, rows, rhs, senses, maximize))
             assert outcome_of(solve_lp, (c, *frozen, maximize)) == cold
+
+
+class TestMixedScales:
+    """The paths that per-row scales add, on LPs that take them, give the
+    results of the dense tableau with one common delta."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Per pivot: (the pivot row was at another scale than delta, the
+        pivot element was negative, a row was left at an older scale)."""
+        seen = []
+        original = _Tableau.pivot
+
+        def pivot(tab, r, c, column):
+            rescaled, negative = tab.scales[r] != tab.delta, column[r] < 0
+            original(tab, r, c, column)
+            seen.append((rescaled, negative, any(d != tab.delta for d in tab.scales)))
+
+        monkeypatch.setattr(_Tableau, "pivot", pivot)
+        return seen
+
+    def test_irreducible_chain(self, pivots):
+        chain = irreducible_chain(random.Random(149), (2, 4, 6))
+        program = build_program(chain, left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2]))
+        objective, rows, rhs = program.reward_values, list(program.rows), program.rhs
+        n = len(objective)
+        oracle = oracle_solve_lp(objective, dense(rows, n), rhs)
+        assert solve_lp(objective, rows, rhs) == solve_from(phase1(n, rows, rhs), objective) == oracle
+        assert any(older for _, _, older in pivots)
+        assert any(rescaled for rescaled, _, _ in pivots)
+
+    def test_negative_drive_out_at_mixed_scales(self, pivots):
+        # Phase 1 enters x0 on the element 2, which leaves row 1 (entry 0) at
+        # scale 1 and the other rows at 2.  Driving row 1's artificial out
+        # pivots x2 in at row 1: its row is brought from scale 1 to delta = 2
+        # first, and the element is -2.
+        objective, rhs = [F(0), F(1), F(0)], [F(4), F(0)]
+        rows = sparse([[F(2), F(1), F(1)], [F(0), F(0), F(-1)]])
+        state = phase1(3, rows, rhs)
+        assert pivots == [(False, False, True), (True, True, False)]
+        oracle = oracle_solve_lp(objective, dense(rows, 3), rhs)
+        assert solve_from(state, objective) == solve_lp(objective, rows, rhs) == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(lps())
+    def test_scales_change_no_decision(self, lp):
+        """Each row forged to 2, 3 or 5 times its scale when a run starts,
+        the same state at other scales, gives the same result."""
+        original = _Tableau.run
+
+        def run(tab):
+            for i in range(len(tab.rows)):
+                k = (2, 3, 5)[i % 3]
+                tab.rows[i] = [k * v for v in tab.rows[i]]
+                tab.scales[i] *= k
+            original(tab)
+
+        expected = outcome_of(solve_dense, lp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "run", run)
+            assert outcome_of(solve_dense, lp) == expected
 
 
 class TestRememberedPhase1:
