@@ -4,8 +4,9 @@ Subcommands mirror the library operations one-to-one and speak JSON on stdout
 (rationals serialized as strings, `--approx` adds decimal renderings,
 `--csv` switches to flat tables).  Exit codes: 0 success, 2 mathematical
 failure (order violations, failed checks, infeasibility), 1 I/O, schema
-or usage errors; schema violations carry JSON-pointer paths.  Every error is
-one JSON object on stderr.
+or usage errors; schema violations carry JSON-pointer paths.  Every exit-1
+error and every mathematical error is one JSON object on stderr; the exit 2
+of `check-order`, `verify-support` and `examples` is a verdict on stdout.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The generators build random marginal chains by mean-preserving spreads, so
 convex order holds by construction; `irreducible_chain` draws chains whose
-every step is one irreducible component, so every LP path is in the domain.  The LP oracles solve small LPs directly
-on the raw simplex engine, and the slow references are the direct per-point
-and per-atom algorithms; neither shares code with the combinatorial
-implementations they are used to check.  `oracle_put_gap` is the
+every step is one irreducible component, so every LP path is in the domain.
+The LP oracles solve small LPs directly on the raw simplex engine, and the
+slow references are the direct per-point and per-atom algorithms; neither
+shares code with the combinatorial implementations they are used to check.  `oracle_put_gap` is the
 Fraction put sweep that the integer sweep of `measure` replaced, and the
 `oracle_sweep_*` functions are the order tests, potentials, put and call
 values and step decomposition as they were computed from it.
