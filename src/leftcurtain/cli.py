@@ -5,8 +5,10 @@ Subcommands mirror the library operations one-to-one and speak JSON on stdout
 `--csv` switches to flat tables).  Exit codes: 0 success, 2 mathematical
 failure (order violations, failed checks, infeasibility), 1 I/O, schema
 or usage errors; schema violations carry JSON-pointer paths.  Every exit-1
-error and every mathematical error is one JSON object on stderr; the exit 2
-of `check-order`, `verify-support` and `examples` is a verdict on stdout.
+error and every exit 2 is one JSON object on stderr.  The exit 2 of
+`check-order`, `verify-support` and `examples` is a verdict: the result is
+on stdout as on success, and stderr names the failing pairs, checks or
+examples as `{"error": "verdict", "failed": [...], "message": ...}`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .measure import (
     NotInPositiveConvexOrder,
     SchemaError,
     _rat_from_json,
+    convex_order_leq,
     potential,
 )
 from .shadow import obstructed_shadow, shadow, shadow_atom
@@ -123,22 +126,20 @@ def _emit(args, payload: dict, csv_rows: Optional[List[dict]] = None) -> None:
 
 def cmd_check_order(args) -> int:
     measures = [_load_measure(path) for path in args.files]
-    pairs = []
-    chain_ok = True
-    from .measure import convex_order_leq
-
-    for t in range(1, len(measures)):
-        ok = convex_order_leq(measures[t - 1], measures[t])
-        chain_ok = chain_ok and ok
-        pairs.append({"t": t, "convex_order": ok})
-    payload = {"manifest": _manifest(args, args.files), "pairs": pairs, "chain": chain_ok}
+    pairs = [
+        {"t": t, "convex_order": convex_order_leq(measures[t - 1], measures[t])}
+        for t in range(1, len(measures))
+    ]
+    failed = [pair["t"] for pair in pairs if not pair["convex_order"]]
+    payload = {"manifest": _manifest(args, args.files), "pairs": pairs, "chain": not failed}
     rows = []
     for idx, (path, mu) in enumerate(zip(args.files, measures)):
         u = potential(mu)
         for x, value in u.breakpoints:
             rows.append({"input": path, "t": idx, "x": str(x), "u": str(value)})
     _emit(args, payload, rows)
-    return EXIT_OK if chain_ok else EXIT_MATH
+    named = ", ".join(f"t={t} ({args.files[t - 1]}, {args.files[t]})" for t in failed)
+    return _verdict(failed, f"not in convex order: {named}")
 
 
 def cmd_decompose(args) -> int:
@@ -296,13 +297,10 @@ def cmd_verify_support(args) -> int:
         }
     if mart_wit is not None:
         payload["martingale_witness"] = [str(c) for c in mart_wit]
-    rows = [
-        {"check": "left_monotone", "ok": lm_ok},
-        {"check": "nondegenerate", "ok": nd_ok},
-        {"check": "martingale", "ok": mart_ok},
-    ]
-    _emit(args, payload, rows)
-    return EXIT_OK if (lm_ok and nd_ok and mart_ok) else EXIT_MATH
+    checks = {"left_monotone": lm_ok, "nondegenerate": nd_ok, "martingale": mart_ok}
+    _emit(args, payload, [{"check": check, "ok": ok} for check, ok in checks.items()])
+    failed = [check for check, ok in checks.items() if not ok]
+    return _verdict(failed, "failed checks: " + ", ".join(failed))
 
 
 def _load_paths(path: str) -> List[List[Fraction]]:
@@ -522,7 +520,8 @@ def cmd_examples(args) -> int:
     }
     rows = [{"name": r["name"], "pass": r["pass"]} for r in results]
     _emit(args, payload, rows)
-    return EXIT_OK if payload["all_pass"] else EXIT_MATH
+    failed = [r["name"] for r in results if not r["pass"]]
+    return _verdict(failed, "failed examples: " + ", ".join(failed))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,6 +616,13 @@ def _report(error: dict, code: int) -> int:
     json.dump(error, sys.stderr)
     sys.stderr.write("\n")
     return code
+
+
+def _verdict(failed: list, message: str) -> int:
+    """Exit 0 when nothing failed, else exit 2 with the failures on stderr."""
+    if not failed:
+        return EXIT_OK
+    return _report({"error": "verdict", "failed": failed, "message": message}, EXIT_MATH)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,10 +1,12 @@
 """Path measures and left-monotone martingale couplings.
 
-A PathMeasure is a finitely supported measure on paths (x_0, ..., x_n).  The
-constructions here build the one-step Left-Curtain coupling, its multistep
-left-monotone generalization (prefixes of the first marginal are sent to
-their obstructed shadows), and the degenerate monotone transport of the
-free-intermediate-marginal problem.
+A PathMeasure is a finitely supported measure on paths (x_0, ..., x_n); its
+conditional laws, read by every check and by the competitor LP of
+`geometry`, are `PathMeasure.kernels(t)`.  The constructions here build the
+one-step Left-Curtain coupling, its multistep left-monotone generalization
+(prefixes of the first marginal are sent to their obstructed shadows, each
+atom's paths composing one kernel per date), and the degenerate monotone
+transport of the free-intermediate-marginal problem.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ class PathMeasure:
             raise IndexError(f"marginal index {t} out of range")
         return DiscreteMeasure((p[t], w) for p, w in self.paths)
 
+    def kernels(self, t: int) -> Dict[Path, DiscreteMeasure]:
+        """Unnormalized law of x_t given each positive-mass history x_0..x_{t-1},
+        in increasing history order (the paths are sorted, so their prefixes are)."""
+        if not 0 <= t <= self.n:
+            raise IndexError(f"kernel index {t} out of range")
+        rows: Dict[Path, List[Tuple[Fraction, Fraction]]] = {}
+        for p, w in self.paths:
+            rows.setdefault(p[:t], []).append((p[t], w))
+        return {history: DiscreteMeasure(law) for history, law in rows.items()}
+
     def project(self, indices: Sequence[int]) -> "PathMeasure":
         """Pushforward under coordinate selection, aggregating weights."""
         for i in indices:
@@ -187,31 +199,20 @@ def coupling_from_json_str(text: str) -> PathMeasure:
 
 
 def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:
-    """Exact martingale check; the witness is a violating history prefix."""
+    """Exact martingale check; the witness is the first history, date by date,
+    whose kernel's barycenter is not its last value."""
     for t in range(1, P.n + 1):
-        drift: Dict[Path, Fraction] = {}
-        for p, w in P.paths:
-            prefix = p[:t]
-            drift[prefix] = drift.get(prefix, Fraction(0)) + w * (p[t] - p[t - 1])
-        for prefix, value in sorted(drift.items()):
-            if value != 0:
-                return False, prefix
+        for history, kernel in P.kernels(t).items():
+            if kernel.first_moment != kernel.mass * history[-1]:
+                return False, history
     return True, None
-
-
-def _kernels_by_prefix(P: PathMeasure, t: int) -> Dict[Path, DiscreteMeasure]:
-    """Unnormalized conditional laws of x_t given each positive-mass prefix."""
-    out: Dict[Path, List[Tuple[Fraction, Fraction]]] = {}
-    for p, w in P.paths:
-        out.setdefault(p[:t], []).append((p[t], w))
-    return {prefix: DiscreteMeasure(rows) for prefix, rows in out.items()}
 
 
 def markov_check(P: PathMeasure) -> bool:
     """True iff every conditional kernel depends only on the current state."""
     for t in range(1, P.n + 1):
         by_state: Dict[Fraction, DiscreteMeasure] = {}
-        for prefix, kernel in _kernels_by_prefix(P, t).items():
+        for prefix, kernel in P.kernels(t).items():
             normalized = kernel.scaled(1 / kernel.mass)
             state = prefix[-1]
             if state in by_state:
@@ -225,7 +226,7 @@ def markov_check(P: PathMeasure) -> bool:
 def binomial_check(P: PathMeasure) -> bool:
     """True iff every positive-mass history branches into at most two points."""
     for t in range(1, P.n + 1):
-        for kernel in _kernels_by_prefix(P, t).values():
+        for kernel in P.kernels(t).values():
             if len(kernel) > 2:
                 return False
     return True
@@ -244,12 +245,8 @@ def left_curtain_one_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasu
 
 def _left_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
     """`left_curtain_one_step` for a pair already known to be in convex order."""
-    return PathMeasure(1, _fold(mu, _Residual(nu)))
-
-
-def _fold(lower: DiscreteMeasure, residual: _Residual) -> List[Tuple[Path, Fraction]]:
-    """The atoms of lower taken from residual left to right, as ((y, z), w) rows."""
-    return [((y, z), w) for y, v in lower.atoms for z, w in residual.take(y, v)]
+    residual = _Residual(nu)
+    return PathMeasure(1, (((y, z), w) for y, v in mu.atoms for z, w in residual.take(y, v)))
 
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
@@ -260,36 +257,24 @@ def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> P
     return _solve(_with_reward(program, lambda path: 0, EXACT)).optimizer
 
 
-def _one_step_kernels(
-    rows: Sequence[Tuple[Path, Fraction]]
-) -> Dict[Fraction, Tuple[Tuple[Fraction, Fraction], ...]]:
-    """Normalized kernels y -> ((z, probability), ...) of sorted ((y, z), w) rows."""
-    starts: Dict[Fraction, Fraction] = {}
-    for (y, _), w in rows:
-        starts[y] = starts.get(y, 0) + w
-    kernels: Dict[Fraction, List[Tuple[Fraction, Fraction]]] = {}
-    for (y, z), w in rows:
-        kernels.setdefault(y, []).append((z, w / starts[y]))
-    return {y: tuple(kernel) for y, kernel in kernels.items()}
-
-
 def _increments(
     marginals: Sequence[DiscreteMeasure],
-) -> List[List[Tuple[DiscreteMeasure, List[Tuple[Path, Fraction]]]]]:
+) -> List[List[Tuple[DiscreteMeasure, Dict[Path, List[Tuple[Fraction, Fraction]]]]]]:
     """Per atom of marginals[0], left to right: per date t >= 1 its increment
-    and the ((y, z), w) rows that carry the increment at t - 1 to it.
+    and the kernels {(y,): pieces} that carry the increment at t - 1 to it.
 
     The increment of atom i at date t is the shadow of its increment at
     t - 1 in what the atoms before it left of marginal t, so the increments
     of atoms 0..i sum to the obstructed shadow of that prefix (shadow
     associativity), and each increment, a shadow of the one before, is >=_c
     it; `verify_left_monotone` and `strong_order_holds` check prefixes atom
-    by atom through this.  The rows are the fold of the increment at t - 1
-    through that residual, and they are the Left-Curtain coupling of the two
-    increments, the fold of lower through S = shadow(lower, R) alone.  For
-    the first atom y of lower, associativity gives shadow(y, R) <= S, so
-    shadow(y, R) lies in {theta : y <=_c theta <= S}; and shadow(y, S) lies
-    in {theta : y <=_c theta <= R}, since S <= R.  Each is the least element
+    by atom through this.  The kernels are the takes of the atoms y of the
+    increment at t - 1 from that residual, left to right, and they are the
+    Left-Curtain coupling of the two increments: the takes of the same atoms
+    from S = shadow(lower, R) alone.  For the first atom y of lower,
+    associativity gives shadow(y, R) <= S, so shadow(y, R) lies in
+    {theta : y <=_c theta <= S}; and shadow(y, S) lies in
+    {theta : y <=_c theta <= R}, since S <= R.  Each is the least element
     of its set, so each is <=_c the other and they are equal.  Taking it
     from both leaves R' = R - shadow(y, R) and S - shadow(y, R), which by
     associativity is shadow(rest of lower, R'), so the argument repeats
@@ -301,9 +286,9 @@ def _increments(
         lower = DiscreteMeasure.dirac(x, q)
         steps = []
         for residual in residuals:
-            rows = _fold(lower, residual)
-            lower = DiscreteMeasure((z, w) for (_, z), w in rows)
-            steps.append((lower, rows))
+            kernels = {(y,): residual.take(y, v) for y, v in lower.atoms}
+            lower = DiscreteMeasure(piece for pieces in kernels.values() for piece in pieces)
+            steps.append((lower, kernels))
         out.append(steps)
     return out
 
@@ -320,10 +305,12 @@ def left_monotone_multistep(
     restrictions, computed incrementally against residual targets via the
     shadow additivity law; the increments of consecutive dates are in convex
     order and are coupled one step at a time by the chosen policy (the
-    default policy's Left-Curtain coupling is the fold that computed the
+    default policy's Left-Curtain coupling is the takes that computed the
     increment, see `_increments`).  The bivariate projections onto dates
     (0, t) are uniquely determined; only the full joint depends on the
-    policy.
+    policy.  Raises PathCountExceeded when the worst-case path count, which
+    bounds every atom's paths since they step into its increments' supports,
+    exceeds max_paths.
     """
     marginals = list(marginals)
     if len(marginals) < 2:
@@ -348,21 +335,17 @@ def left_monotone_multistep(
     for (x, q), steps in zip(mu0.atoms, increments):
         partial: List[Tuple[Path, Fraction]] = [((x,), q)]
         lower = DiscreteMeasure.dirac(x, q)
-        for t, (upper, rows) in enumerate(steps, start=1):
+        for t, (upper, kernels) in enumerate(steps, start=1):
             if not convex_order_leq(lower, upper):
                 raise NotInConvexOrder(
                     f"increments of the atom at {x} are not in convex order at date {t}"
                 )
             if policy is not KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
-                rows = _feasible_martingale_coupling(lower, upper).paths
-            kernels = _one_step_kernels(rows)
-            extended = []
-            for coords, w in partial:
-                for y, prob in kernels[coords[-1]]:
-                    extended.append((coords + (y,), w * prob))
-            partial = extended
-            if len(partial) > max_paths:
-                raise PathCountExceeded(f"path count exceeds the cap {max_paths}")
+                kernels = _feasible_martingale_coupling(lower, upper).kernels(1)
+            mass = dict(lower.atoms)
+            partial = [
+                (p + (z,), w * v / mass[p[-1]]) for p, w in partial for z, v in kernels[p[-1:]]
+            ]
             lower = upper
         all_rows.extend(partial)
     return PathMeasure(n, all_rows)

@@ -44,6 +44,13 @@ class SupportSet:
         """Projection onto the first t+1 coordinates."""
         return frozenset(p[: t + 1] for p in self.points)
 
+    def branches(self, t: int) -> Dict[Path, List[Fraction]]:
+        """The values x_t that follow each history x_0..x_{t-1} in the set."""
+        out: Dict[Path, List[Fraction]] = {}
+        for p in self.projection(t):
+            out.setdefault(p[:-1], []).append(p[-1])
+        return out
+
 
 @dataclass(frozen=True)
 class CrossingWitness:
@@ -63,10 +70,7 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
     strictly between them.
     """
     for t in range(1, gamma.n + 1):
-        proj = gamma.projection(t)
-        groups: Dict[Path, List[Fraction]] = {}
-        for p in proj:
-            groups.setdefault(p[:-1], []).append(p[-1])
+        groups = gamma.branches(t)
         spreads = {
             h: (min(ys), max(ys)) for h, ys in groups.items() if len(ys) > 1
         }
@@ -90,10 +94,7 @@ class DegeneracyWitness:
 def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
     """Every up-move needs a matching down-move from the same history."""
     for t in range(1, gamma.n + 1):
-        groups: Dict[Path, List[Fraction]] = {}
-        for p in gamma.projection(t):
-            groups.setdefault(p[:-1], []).append(p[-1])
-        for history, ys in groups.items():
+        for history, ys in gamma.branches(t).items():
             x_prev = history[-1]
             has_up = any(y > x_prev for y in ys)
             has_down = any(y < x_prev for y in ys)
@@ -133,20 +134,11 @@ def find_improving_competitor(
     t = pi.n
     if len(effective_domain) != t:
         raise ValueError("need one step decomposition per step of pi")
-    histories: Dict[Path, Fraction] = {}
-    bary_sum: Dict[Path, Fraction] = {}
-    last: Dict[Fraction, Fraction] = {}
-    for p, w in pi.paths:
-        h = p[:t]
-        histories[h] = histories.get(h, Fraction(0)) + w
-        bary_sum[h] = bary_sum.get(h, Fraction(0)) + w * p[t]
-        last[p[t]] = last.get(p[t], Fraction(0)) + w
-
+    last = dict(pi.marginal(t).atoms)
     grid = set(last)
     if marginal is not None:
         grid.update(marginal.support)
     grid = sorted(grid)
-    history_list = sorted(histories)
 
     # Per history its mass and barycenter rows, then one row per last value.
     cols: List[Tuple[Path, Fraction]] = []
@@ -154,7 +146,7 @@ def find_improving_competitor(
     rhs: List[Fraction] = []
     last_rows: Dict[Fraction, List[Tuple[int, Fraction]]] = {y: [] for y in grid}
     one = Fraction(1)
-    for h in history_list:
+    for h, kernel in pi.kernels(t).items():
         ks = []
         for y in grid:
             if effective_domain_contains(effective_domain, h + (y,)) is not None:
@@ -162,7 +154,7 @@ def find_improving_competitor(
                 last_rows[y].append((len(cols), one))
                 cols.append((h, y))
         rows += [[(k, one) for k in ks], [(k, cols[k][1]) for k in ks]]
-        rhs += [histories[h], bary_sum[h]]
+        rhs += [kernel.mass, kernel.first_moment]
     if not cols:
         return None
     rows += [last_rows[y] for y in grid]

@@ -372,8 +372,9 @@ def solve_free(
     two supports; the canonical monotone transport lives on it) that stay in
     the effective domain of n steps each decomposed as (mu0, mun), which is
     the union of the n-step components (see `free_polar_test`); the dual
-    (phi, psi, H) is verified by `extract_dual` like any other certificate.  Raises Infeasible when a
-    given grid carries no martingale transport of the marginals.
+    (phi, psi, H) is verified by `extract_dual` like any other certificate.
+    Raises Infeasible when a given grid carries no martingale transport of
+    the marginals.
     """
     _require_mode(mode)
     points = set(mu0.support) | set(mun.support) if grid is None else {rat(g) for g in grid}

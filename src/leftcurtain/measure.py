@@ -10,6 +10,7 @@ dropped and equal positions are merged at construction time.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,13 +54,22 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
+# Integers of more digits than this cannot be written as strings (CPython's
+# int_max_str_digits), so no output could show such a rational.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_DIGIT_BOUND = 10**_MAX_DIGITS
+
+
 def _rat_from_json(node: object, pointer: str) -> Fraction:
     if isinstance(node, bool) or isinstance(node, float):
         raise SchemaError(pointer, "rationals must be strings 'p/q' or integers")
     try:
-        return rat(node)  # type: ignore[arg-type]
+        value = rat(node)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(pointer, f"invalid rational: {exc}") from None
+    if _MAX_DIGITS and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise SchemaError(pointer, f"invalid rational: more than {_MAX_DIGITS} digits")
+    return value
 
 
 def _rat_to_json(value: Fraction) -> str:

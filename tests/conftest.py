@@ -24,7 +24,9 @@ replaced, and the `oracle_*` row builders are the dense LP builders that
 the sparse ones replaced.  `sparse` and `dense` convert between the two row
 formats.  `oracle_superhedge` is the per-path superhedge formula that
 `DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
-extraction and checks built on it.
+extraction and checks built on it.  `oracle_is_martingale` is the
+martingale check from per-history drift sums that the kernels of
+`PathMeasure.kernels` replaced.
 """
 
 from __future__ import annotations
@@ -854,6 +856,20 @@ def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMe
             lower = upper
         rows += partial
     return PathMeasure(len(marginals) - 1, rows)
+
+
+def oracle_is_martingale(P: PathMeasure) -> Tuple[bool, Optional[tuple]]:
+    """(no drift, first drifting history) from the sums of w * (x_t - x_{t-1})
+    per history x_0..x_{t-1}, date by date, histories in sorted order."""
+    for t in range(1, P.n + 1):
+        drift: Dict[tuple, Fraction] = {}
+        for p, w in P.paths:
+            prefix = p[:t]
+            drift[prefix] = drift.get(prefix, Fraction(0)) + w * (p[t] - p[t - 1])
+        for prefix, value in sorted(drift.items()):
+            if value != 0:
+                return False, prefix
+    return True, None
 
 
 def oracle_prefix_records(P: PathMeasure, marginals: Sequence[DiscreteMeasure]) -> List[PrefixImageRecord]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import DiscreteMeasure, PathMeasure
+from leftcurtain import DiscreteMeasure, PathMeasure, cli
 from leftcurtain.cli import main
 
 from conftest import measure
@@ -59,9 +59,12 @@ class TestCommands:
         assert code == 0 and payload["chain"] is True
 
     def test_check_order_violation_exits_2(self, capsys, files):
-        code, out, _ = run(capsys, ["check-order", files["mu2"], files["mu0"]])
+        code, out, err = run(capsys, ["check-order", files["mu2"], files["mu0"]])
         assert code == 2
         assert json.loads(out)["chain"] is False
+        error = json.loads(err)
+        assert (error["error"], error["failed"]) == ("verdict", [1])
+        assert f"t=1 ({files['mu2']}, {files['mu0']})" in error["message"]
 
     def test_decompose(self, capsys, files):
         code, out, _ = run(capsys, ["decompose", files["mu0"], files["mu1"]])
@@ -170,10 +173,12 @@ class TestCommands:
             "drift.json",
             {"n": 1, "paths": [{"x": ["0", "1"], "w": "1"}]},
         )
-        code, out, _ = run(capsys, ["verify-support", coupling])
+        code, out, err = run(capsys, ["verify-support", coupling])
         payload = json.loads(out)
         assert code == 2
         assert payload["martingale"] is False and payload["nondegenerate"] is False
+        error = json.loads(err)
+        assert (error["error"], error["failed"]) == ("verdict", ["nondegenerate", "martingale"])
 
     def test_polar(self, capsys, files):
         code, out, _ = run(
@@ -223,6 +228,13 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["results"][0]["projections_mismatch"] is True
+
+    def test_failing_example_is_named_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._EXAMPLES, "nonunique", lambda: {"name": "nonunique", "pass": False})
+        code, out, err = run(capsys, ["examples"])
+        assert code == 2 and json.loads(out)["all_pass"] is False
+        error = json.loads(err)
+        assert (error["error"], error["failed"]) == ("verdict", ["nonunique"])
 
     def test_examples_all_and_name_exclude_each_other(self, capsys):
         code, out, err = run(capsys, ["examples", "--all", "--name", "notleftcurtain"])
@@ -357,6 +369,8 @@ class TestErrorHandling:
             (["free", "mu0", "mu2", "--steps", "0"], "--steps"),
             (["polar", "mu0", "mu2", "--free", "--steps", "0", "--paths", "paths"], "--steps"),
             (["polar", "mu0", "mu2", "--free", "--paths", "paths"], "--steps"),
+            # 1/10^5000 has more digits than CPython writes as a string
+            (["shadow", "--mass", "1e-5000", "--at", "0", "--target", "mu2"], "--mass"),
         ],
         ids=[
             "unknown-factor",
@@ -366,6 +380,7 @@ class TestErrorHandling:
             "free-zero-steps",
             "polar-free-zero-steps",
             "polar-free-no-steps",
+            "shadow-mass-too-many-digits",
         ],
     )
     def test_reward_and_steps_errors_name_the_option(self, capsys, files, argv, pointer):
@@ -559,12 +574,22 @@ class TestSolveAndFreeTotality:
                 _assert_error_report(code, err, files, options=True)
 
 
+def _assert_verdict(code, err, failed):
+    """Exit 0 with nothing on stderr when nothing failed, else exit 2 with a
+    verdict on stderr that names what failed."""
+    if failed:
+        error = json.loads(err)
+        assert code == 2 and (error["error"], error["failed"]) == ("verdict", failed)
+    else:
+        assert (code, err) == (0, "")
+
+
 class TestOrderAndTransportTotality:
     """Any measure JSON given to `check-order`, `decompose` or
     `left-monotone` ends in a result, a schema error (exit 1) that names a
     file pointer, or a math error (exit 2), each reported as JSON, never a
     traceback.  A chain out of convex order is `check-order`'s verdict: it
-    exits 2 with the result on stdout."""
+    exits 2 with the result on stdout and the failing pairs on stderr."""
 
     @settings(max_examples=60, deadline=None)
     @given(_measure_lists)
@@ -578,7 +603,62 @@ class TestOrderAndTransportTotality:
             code, out, err = _main_in_process(argv)
             if out:
                 result = json.loads(out)
-                assert key in result and err == ""
-                assert code == (0 if result.get("chain", True) else 2)
+                assert key in result
+                _assert_verdict(code, err, [p["t"] for p in result.get("pairs", []) if not p["convex_order"]])
             else:
                 _assert_error_report(code, err, files)
+
+
+# --mass and --at values: rationals, their near misses, and any short text
+_argument_rationals = st.one_of(
+    st.sampled_from([
+        "1/2", "1", "0", "-1", "-1/3", "2", "1/0", "0.5", "1e-1", "1e-5000", "1e5000",
+        "true", "abc", "", " 1/2 ", "--1", "[1]", "{}",
+    ]),
+    st.text(alphabet="-+/.0123456789 eE_ab", max_size=8),
+)
+_path_entries = st.one_of(
+    st.fixed_dictionaries({"x": st.lists(_rationals, min_size=1, max_size=4), "w": _weights}),
+    st.fixed_dictionaries({"x": st.one_of(st.lists(_coordinates, max_size=4), _coordinates), "w": _weights}),
+    _coordinates,
+)
+# a martingale coupling, a drifting one, or paths of any length and weight
+# (duplicates among them) under any n, or no coupling at all
+_coupling_nodes = st.one_of(
+    st.sampled_from([
+        {"n": 1, "paths": [{"x": ["0", "-1"], "w": "1/2"}, {"x": ["0", "1"], "w": "1/2"}]},
+        {"n": 2, "paths": [{"x": ["0", "1", "1"], "w": "1"}]},
+    ]),
+    st.builds(
+        lambda n, paths: {"n": n, "paths": paths},
+        st.one_of(st.integers(-1, 3), _coordinates),
+        st.one_of(st.lists(_path_entries, max_size=5), _coordinates),
+    ),
+    _coordinates,
+)
+
+
+class TestShadowAndSupportTotality:
+    """Any measure JSON, coupling JSON or `--mass`/`--at` text given to
+    `shadow`, `obstructed-shadow` or `verify-support` ends in a result, a
+    schema error (exit 1) that names a file pointer or an option, or an
+    exit 2 with a JSON math error or verdict, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_measure_lists, _argument_rationals, _argument_rationals, _coupling_nodes)
+    def test_malformed_inputs(self, marginal_files, nodes, mass, at, coupling):
+        *files, coupling_file = _node_files(marginal_files, nodes + [coupling])
+        checks = ("left_monotone", "nondegenerate", "martingale")
+        for argv, key in (
+            (["shadow", "--source", files[0], "--target", files[-1]], "shadow"),
+            (["shadow", f"--mass={mass}", f"--at={at}", "--target", files[-1]], "shadow"),
+            (["obstructed-shadow", "--part", *files], "result"),
+            (["verify-support", coupling_file], "martingale"),
+        ):
+            code, out, err = _main_in_process(argv)
+            if out:
+                result = json.loads(out)
+                _assert_verdict(code, err, [c for c in checks if result.get(c) is False])
+                assert key in result
+            else:
+                _assert_error_report(code, err, files + [coupling_file], options=True)

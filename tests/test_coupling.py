@@ -38,6 +38,7 @@ from conftest import (
     mirror_coupling,
     mirror_measure,
     oracle_convex_order_leq,
+    oracle_is_martingale,
     oracle_left_curtain_rows,
     oracle_left_monotone,
     oracle_running_strong_order,
@@ -67,6 +68,16 @@ class TestPathMeasure:
         )
         assert P.project((0, 1, 2)) == P
 
+    def test_kernels(self, rigid_marginals):
+        P = left_monotone_multistep(rigid_marginals)
+        assert P.kernels(0) == {(): P.marginal(0)}
+        assert list(P.kernels(2).items()) == [
+            ((F(0), F(-1)), measure([(-2, F(1, 4)), (0, F(1, 4))])),
+            ((F(0), F(1)), measure([(0, F(1, 4)), (2, F(1, 4))])),
+        ]
+        with pytest.raises(IndexError):
+            P.kernels(3)
+
     def test_json_round_trip(self):
         P = PathMeasure(2, [((0, F(-1, 2), 1), F(1, 3))])
         blob = json.dumps(P.to_json())
@@ -87,6 +98,30 @@ class TestMartingaleCheck:
     def test_nonunique_extensions_are_martingales(self, nonunique_family):
         _, p_left, p_right = nonunique_family
         assert is_martingale(p_left)[0] and is_martingale(p_right)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from(list(KernelPolicy)),
+        st.sampled_from(["none", "weight", "coordinate"]),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([F(-1, 2), F(1, 3), F(2), F(-1, 7)]),
+    )
+    def test_witness_equals_drift_oracle(self, seed, steps, policy, kind, i, t, delta):
+        # constructed couplings, and copies with one path's weight or one
+        # coordinate shifted, which may drift at that path's histories
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=5, start_atoms=3)
+        paths = [(list(p), w) for p, w in left_monotone_multistep(chain, policy).paths]
+        coords, w = paths[i % len(paths)]
+        if kind == "weight":
+            paths[i % len(paths)] = (coords, w * (1 + delta))
+        elif kind == "coordinate":
+            coords[t % len(coords)] += delta
+        P = PathMeasure(steps, paths)
+        assert is_martingale(P) == oracle_is_martingale(P)
+        assert kind != "none" or is_martingale(P) == (True, None)
 
 
 class TestLeftCurtainOneStep:
@@ -199,8 +234,13 @@ class TestMultistepConstruction:
             assert ok, witness
 
     def test_path_cap_enforced(self, rigid_marginals):
-        with pytest.raises(PathCountExceeded):
-            left_monotone_multistep(rigid_marginals, max_paths=2)
+        # increments of 2 and 3 atoms: the worst case is the 6 paths there are
+        for policy in KernelPolicy:
+            assert len(left_monotone_multistep(rigid_marginals, policy, max_paths=6)) == 4
+            with pytest.raises(PathCountExceeded, match="worst-case path count 6 exceeds the cap 5"):
+                left_monotone_multistep(rigid_marginals, policy, max_paths=5)
+            with pytest.raises(PathCountExceeded, match="worst-case path count"):
+                left_monotone_multistep(rigid_marginals, policy, max_paths=2)
 
     def test_requires_convex_order(self):
         with pytest.raises(NotInConvexOrder):
@@ -312,8 +352,9 @@ class TestAgainstOracleShadows:
 
 
 class TestFoldIsTheIncrementCoupling:
-    """The default policy couples consecutive increments by the fold that
-    computed them; that fold must be the Left-Curtain coupling of the pair."""
+    """The default policy couples consecutive increments by the takes that
+    computed them; their kernels must be those of the Left-Curtain coupling
+    of the pair."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3))
@@ -321,10 +362,14 @@ class TestFoldIsTheIncrementCoupling:
         chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
         for (x, q), increments in zip(chain[0], _increments(chain)):
             lower = DiscreteMeasure.dirac(x, q)
-            for upper, rows in increments:
-                expected = _left_curtain(lower, upper)
-                assert tuple(rows) == expected.paths
-                assert expected == PathMeasure(1, oracle_left_curtain_rows(lower, upper))
+            for upper, kernels in increments:
+                # the takes are sorted, positive and distinct: a measure's atoms
+                taken = {history: tuple(pieces) for history, pieces in kernels.items()}
+                for expected in (
+                    _left_curtain(lower, upper),
+                    PathMeasure(1, oracle_left_curtain_rows(lower, upper)),
+                ):
+                    assert taken == {h: k.atoms for h, k in expected.kernels(1).items()}
                 lower = upper
 
 
