@@ -9,14 +9,22 @@ error and every exit 2 is one JSON object on stderr.  The exit 2 of
 `check-order`, `verify-support` and `examples` is a verdict: the result is
 on stdout as on success, and stderr names the failing pairs, checks or
 examples as `{"error": "verdict", "failed": [...], "message": ...}`.
+
+`_emit` is the one writer of stdout.  Handlers pass it library values; it
+adds the manifest, renders the whole text, every rational as a string
+through `_rat_to_json`, and writes it in one call.  A result rational with
+more digits than CPython writes as a string exits 2 with
+`{"error": "OutputTooLarge", ...}` and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -42,8 +50,10 @@ from .measure import (
     NegativeWeight,
     NotInConvexOrder,
     NotInPositiveConvexOrder,
+    OutputTooLarge,
     SchemaError,
     _rat_from_json,
+    _rat_to_json,
     convex_order_leq,
     potential,
 )
@@ -61,67 +71,66 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past CPython's digit limit
         raise SchemaError(f"{path}#", f"invalid JSON: {exc}") from None
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
-    node = _load_json(path)
-    try:
-        return DiscreteMeasure.from_json(node)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}#{exc.pointer}", exc.message) from None
+    return DiscreteMeasure.from_json(_load_json(path), f"{path}#")
 
 
 def _load_coupling(path: str) -> PathMeasure:
-    node = _load_json(path)
-    try:
-        return PathMeasure.from_json(node)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}#{exc.pointer}", exc.message) from None
+    return PathMeasure.from_json(_load_json(path), f"{path}#")
 
 
 def _measure_json(mu: DiscreteMeasure, approx: bool) -> dict:
     obj = mu.to_json()
     if approx:
-        for entry in obj["atoms"]:
-            entry["x_approx"] = float(Fraction(entry["x"]))
-            entry["w_approx"] = float(Fraction(entry["w"]))
+        for entry, (x, w) in zip(obj["atoms"], mu.atoms):
+            entry["x_approx"], entry["w_approx"] = float(x), float(w)
     return obj
 
 
 def _coupling_json(P: PathMeasure, approx: bool) -> dict:
     obj = P.to_json()
     if approx:
-        for entry in obj["paths"]:
-            entry["x_approx"] = [float(Fraction(c)) for c in entry["x"]]
-            entry["w_approx"] = float(Fraction(entry["w"]))
+        for entry, (p, w) in zip(obj["paths"], P.paths):
+            entry["x_approx"], entry["w_approx"] = [float(c) for c in p], float(w)
     return obj
 
 
-def _manifest(args, inputs: Sequence[str]) -> dict:
-    return {
-        "command": args.command,
-        "inputs": list(inputs),
-        "mode": {
-            "csv": bool(getattr(args, "csv", False)),
-            "approx": bool(getattr(args, "approx", False)),
-        },
-        "outputs": ["stdout"],
-    }
+def _rational(value):
+    """JSON's `default=` hook: a Fraction is written as its string."""
+    if isinstance(value, Fraction):
+        return _rat_to_json(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, csv_rows: Optional[List[dict]] = None) -> None:
-    if getattr(args, "csv", False) and csv_rows is not None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(csv_rows[0]) if csv_rows else ["empty"])
+def _emit(args, inputs: Sequence[str], payload: dict, rows: List[dict]) -> None:
+    """Write the payload under its manifest as JSON, or with --csv the rows."""
+    if args.csv:
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else ["empty"])
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(
+            {key: _rat_to_json(v) if isinstance(v, Fraction) else v for key, v in row.items()}
+            for row in rows
+        )
+        text = out.getvalue()
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        manifest = {
+            "command": args.command,
+            "inputs": list(inputs),
+            "mode": {"csv": args.csv, "approx": args.approx},
+            "outputs": ["stdout"],
+        }
+        payload = {"manifest": manifest, **payload}
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_rational) + "\n"
+    sys.stdout.write(text)
 
 
 def cmd_check_order(args) -> int:
@@ -131,48 +140,42 @@ def cmd_check_order(args) -> int:
         for t in range(1, len(measures))
     ]
     failed = [pair["t"] for pair in pairs if not pair["convex_order"]]
-    payload = {"manifest": _manifest(args, args.files), "pairs": pairs, "chain": not failed}
-    rows = []
-    for idx, (path, mu) in enumerate(zip(args.files, measures)):
-        u = potential(mu)
-        for x, value in u.breakpoints:
-            rows.append({"input": path, "t": idx, "x": str(x), "u": str(value)})
-    _emit(args, payload, rows)
+    rows = [
+        {"input": path, "t": idx, "x": x, "u": value}
+        for idx, (path, mu) in enumerate(zip(args.files, measures))
+        for x, value in potential(mu).breakpoints
+    ]
+    _emit(args, args.files, {"pairs": pairs, "chain": not failed}, rows)
     named = ", ".join(f"t={t} ({args.files[t - 1]}, {args.files[t]})" for t in failed)
     return _verdict(failed, f"not in convex order: {named}")
 
 
 def cmd_decompose(args) -> int:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
-    decomposition = decompose_step(mu, nu)
-    payload = {"manifest": _manifest(args, [args.mu, args.nu])}
-    payload.update(decomposition.to_json())
+    decomposition = decompose_step(_load_measure(args.mu), _load_measure(args.nu))
     rows = [
         {
             "k": comp.index,
-            "I_lo": str(comp.I.lo),
-            "I_hi": str(comp.I.hi),
+            "I_lo": comp.I.lo,
+            "I_hi": comp.I.hi,
             "J_lo_closed": comp.J.lo_closed,
             "J_hi_closed": comp.J.hi_closed,
-            "mu_mass": str(comp.mu_k.mass),
-            "nu_mass": str(comp.nu_k.mass),
+            "mu_mass": comp.mu_k.mass,
+            "nu_mass": comp.nu_k.mass,
         }
         for comp in decomposition.components
     ]
-    _emit(args, payload, rows)
+    _emit(args, [args.mu, args.nu], decomposition.to_json(), rows)
     return EXIT_OK
 
 
 def _atoms_csv(mu: DiscreteMeasure) -> List[dict]:
-    return [{"x": str(x), "w": str(w)} for x, w in mu.atoms]
+    return [{"x": x, "w": w} for x, w in mu.atoms]
 
 
 def cmd_shadow(args) -> int:
     nu = _load_measure(args.target)
     if args.source is not None:
-        mu = _load_measure(args.source)
-        result = shadow(mu, nu)
+        result = shadow(_load_measure(args.source), nu)
         inputs = [args.source, args.target]
     else:
         if args.mass is None or args.at is None:
@@ -182,33 +185,23 @@ def cmd_shadow(args) -> int:
         )
         inputs = [args.target]
     payload = {
-        "manifest": _manifest(args, inputs),
         "shadow": _measure_json(result.shadow, args.approx),
         "residual": _measure_json(result.residual, args.approx),
     }
-    _emit(args, payload, _atoms_csv(result.shadow))
+    _emit(args, inputs, payload, _atoms_csv(result.shadow))
     return EXIT_OK
 
 
 def cmd_obstructed_shadow(args) -> int:
     part = _load_measure(args.part)
-    chain = [_load_measure(path) for path in args.chain]
-    result = obstructed_shadow(part, chain)
-    payload = {
-        "manifest": _manifest(args, [args.part] + list(args.chain)),
-        "result": _measure_json(result, args.approx),
-    }
-    _emit(args, payload, _atoms_csv(result))
+    result = obstructed_shadow(part, [_load_measure(path) for path in args.chain])
+    payload = {"result": _measure_json(result, args.approx)}
+    _emit(args, [args.part] + args.chain, payload, _atoms_csv(result))
     return EXIT_OK
 
 
 def _paths_csv(P: PathMeasure) -> List[dict]:
-    rows = []
-    for p, w in P.paths:
-        row = {f"x{t}": str(c) for t, c in enumerate(p)}
-        row["w"] = str(w)
-        rows.append(row)
-    return rows
+    return [{**{f"x{t}": c for t, c in enumerate(p)}, "w": w} for p, w in P.paths]
 
 
 def cmd_left_monotone(args) -> int:
@@ -224,11 +217,10 @@ def cmd_left_monotone(args) -> int:
     )
     P = left_monotone_multistep(marginals, policy, max_paths=args.max_paths)
     payload = {
-        "manifest": _manifest(args, args.files),
         "coupling": _coupling_json(P, args.approx),
         "strong_order": strong_order_holds(marginals),
     }
-    _emit(args, payload, _paths_csv(P))
+    _emit(args, args.files, payload, _paths_csv(P))
     return EXIT_OK
 
 
@@ -253,17 +245,15 @@ def cmd_solve(args) -> int:
     spec = _reward_spec(args.reward, mode, len(marginals) - 1)
     solution = solve_primal(marginals, spec, mode)
     payload = {
-        "manifest": _manifest(args, args.files),
         "reward": args.reward,
-        "value": str(solution.exact_value) if mode == EXACT else solution.value,
+        "value": solution.exact_value if mode == EXACT else solution.value,
         "optimizer": _coupling_json(solution.optimizer, args.approx),
     }
     if args.approx:
         payload["value_approx"] = float(solution.exact_value)
     if mode == EXACT:
-        certificate = extract_dual(solution.program, solution)
-        payload["certificate"] = certificate.to_json()
-    _emit(args, payload, _paths_csv(solution.optimizer))
+        payload["certificate"] = extract_dual(solution.program, solution).to_json()
+    _emit(args, args.files, payload, _paths_csv(solution.optimizer))
     return EXIT_OK
 
 
@@ -273,32 +263,16 @@ def cmd_verify_support(args) -> int:
     lm_ok, lm_wit = is_left_monotone_set(gamma)
     nd_ok, nd_wit = is_nondegenerate_set(gamma)
     mart_ok, mart_wit = is_martingale(P)
-    payload = {
-        "manifest": _manifest(args, [args.coupling]),
-        "left_monotone": lm_ok,
-        "nondegenerate": nd_ok,
-        "martingale": mart_ok,
-        "markov": markov_check(P),
-    }
-    if lm_wit is not None:
-        payload["crossing_witness"] = {
-            "t": lm_wit.t,
-            "history": [str(c) for c in lm_wit.history],
-            "y_minus": str(lm_wit.y_minus),
-            "y_plus": str(lm_wit.y_plus),
-            "other_history": [str(c) for c in lm_wit.other_history],
-            "y_prime": str(lm_wit.y_prime),
-        }
-    if nd_wit is not None:
-        payload["degeneracy_witness"] = {
-            "t": nd_wit.t,
-            "history": [str(c) for c in nd_wit.history],
-            "y": str(nd_wit.y),
-        }
-    if mart_wit is not None:
-        payload["martingale_witness"] = [str(c) for c in mart_wit]
     checks = {"left_monotone": lm_ok, "nondegenerate": nd_ok, "martingale": mart_ok}
-    _emit(args, payload, [{"check": check, "ok": ok} for check, ok in checks.items()])
+    payload = {**checks, "markov": markov_check(P)}
+    if lm_wit is not None:
+        payload["crossing_witness"] = asdict(lm_wit)
+    if nd_wit is not None:
+        payload["degeneracy_witness"] = asdict(nd_wit)
+    if mart_wit is not None:
+        payload["martingale_witness"] = mart_wit
+    rows = [{"check": check, "ok": ok} for check, ok in checks.items()]
+    _emit(args, [args.coupling], payload, rows)
     failed = [check for check, ok in checks.items() if not ok]
     return _verdict(failed, "failed checks: " + ", ".join(failed))
 
@@ -333,28 +307,15 @@ def cmd_polar(args) -> int:
         verdicts = free_polar_test(marginals[0], marginals[1], args.steps, paths)
     else:
         verdicts = polar_test(marginals, paths)
-    rows = [
-        {
-            "path": " ".join(str(c) for c in v.path),
-            "polar": v.polar,
-            "reason": v.reason,
-        }
-        for v in verdicts
-    ]
     payload = {
-        "manifest": _manifest(args, list(args.files) + [args.paths]),
-        "verdicts": [
-            {
-                "path": [str(c) for c in v.path],
-                "polar": v.polar,
-                "reason": v.reason,
-                "component": list(v.component) if v.component is not None else None,
-            }
-            for v in verdicts
-        ],
+        "verdicts": [asdict(v) for v in verdicts],
         "all_polar": all(v.polar for v in verdicts),
     }
-    _emit(args, payload, rows)
+    rows = [
+        {"path": " ".join(map(_rat_to_json, v.path)), "polar": v.polar, "reason": v.reason}
+        for v in verdicts
+    ]
+    _emit(args, args.files + [args.paths], payload, rows)
     return EXIT_OK
 
 
@@ -365,33 +326,26 @@ def cmd_free(args) -> int:
         raise SchemaError("--steps", "must be at least 1")
     spec = None if args.reward is None else _reward_spec(args.reward, args.mode, args.steps)
     P = free_monotone_transport(mu0, mun, args.steps)
-    payload = {
-        "manifest": _manifest(args, [args.mu0, args.mun]),
-        "transport": _coupling_json(P, args.approx),
-    }
+    payload = {"transport": _coupling_json(P, args.approx)}
     if spec is not None:
         solution = solve_free(mu0, mun, args.steps, spec, mode=args.mode)
         payload["reward"] = args.reward
-        payload["value"] = str(solution.exact_value) if args.mode == EXACT else solution.value
+        payload["value"] = solution.exact_value if args.mode == EXACT else solution.value
         payload["optimizer"] = _coupling_json(solution.optimizer, args.approx)
         payload["certificate"] = solution.certificate.to_json()
-    _emit(args, payload, _paths_csv(P))
+    _emit(args, [args.mu0, args.mun], payload, _paths_csv(P))
     return EXIT_OK
 
 
 # --- built-in example instances --------------------------------------------
 
 
-def _measure(pairs) -> DiscreteMeasure:
-    return DiscreteMeasure(pairs)
-
-
 def _example_uniquetransport() -> dict:
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     marginals = [
         DiscreteMeasure.dirac(0),
-        _measure([(-1, half), (1, half)]),
-        _measure([(-2, quarter), (0, half), (2, quarter)]),
+        DiscreteMeasure([(-1, half), (1, half)]),
+        DiscreteMeasure([(-2, quarter), (0, half), (2, quarter)]),
     ]
     P = left_monotone_multistep(marginals)
     expected = PathMeasure(
@@ -414,9 +368,9 @@ def _example_uniquetransport() -> dict:
 def _example_notleftcurtain() -> dict:
     h, q = Fraction(1, 2), Fraction(1, 4)
     marginals = [
-        _measure([(-1, h), (1, h)]),
-        _measure([(-2, h), (2, h)]),
-        _measure([(-4, q), (0, h), (4, q)]),
+        DiscreteMeasure([(-1, h), (1, h)]),
+        DiscreteMeasure([(-2, h), (2, h)]),
+        DiscreteMeasure([(-4, q), (0, h), (4, q)]),
     ]
     P = left_monotone_multistep(marginals)
     p02 = P.project((0, 2))
@@ -453,9 +407,9 @@ def _example_notleftcurtain() -> dict:
 def _example_notmarkovian() -> dict:
     h, q, e = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     marginals = [
-        _measure([(0, h), (1, h)]),
-        _measure([(0, 3 * q), (2, q)]),
-        _measure([(-1, e), (0, h), (1, e), (2, q)]),
+        DiscreteMeasure([(0, h), (1, h)]),
+        DiscreteMeasure([(0, 3 * q), (2, q)]),
+        DiscreteMeasure([(-1, e), (0, h), (1, e), (2, q)]),
     ]
     P = left_monotone_multistep(marginals)
     expected = PathMeasure(
@@ -475,8 +429,8 @@ def _example_nonunique() -> dict:
     h, q, e = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     marginals = [
         DiscreteMeasure.dirac(0),
-        _measure([(-1, h), (1, h)]),
-        _measure([(-2, 3 * e), (0, q), (2, 3 * e)]),
+        DiscreteMeasure([(-1, h), (1, h)]),
+        DiscreteMeasure([(-2, 3 * e), (0, q), (2, 3 * e)]),
     ]
     P_left = PathMeasure(
         2,
@@ -513,13 +467,9 @@ def cmd_examples(args) -> int:
     else:
         names = sorted(_EXAMPLES)
     results = [_EXAMPLES[n]() for n in names]
-    payload = {
-        "manifest": _manifest(args, []),
-        "results": results,
-        "all_pass": all(r["pass"] for r in results),
-    }
+    payload = {"results": results, "all_pass": all(r["pass"] for r in results)}
     rows = [{"name": r["name"], "pass": r["pass"]} for r in results]
-    _emit(args, payload, rows)
+    _emit(args, [], payload, rows)
     failed = [r["name"] for r in results if not r["pass"]]
     return _verdict(failed, "failed examples: " + ", ".join(failed))
 
@@ -537,19 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--csv", action="store_true", help="emit a flat CSV table")
-        p.add_argument("--approx", action="store_true", help="add decimal renderings")
-
     p = sub.add_parser("check-order", help="verify a convex-order chain of measures")
     p.add_argument("files", nargs="+", metavar="measure.json")
-    common(p)
     p.set_defaults(func=cmd_check_order)
 
     p = sub.add_parser("decompose", help="irreducible decomposition of one step")
     p.add_argument("mu")
     p.add_argument("nu")
-    common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("shadow", help="shadow of a measure or atom in a target")
@@ -557,32 +501,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", help="atom mass (with --at)")
     p.add_argument("--at", help="atom position (with --mass)")
     p.add_argument("--target", required=True, help="target measure JSON")
-    common(p)
     p.set_defaults(func=cmd_shadow)
 
     p = sub.add_parser("obstructed-shadow", help="shadow through a chain of targets")
     p.add_argument("--part", required=True, help="source measure JSON")
     p.add_argument("chain", nargs="+", metavar="target.json")
-    common(p)
     p.set_defaults(func=cmd_obstructed_shadow)
 
     p = sub.add_parser("left-monotone", help="multistep left-monotone transport")
     p.add_argument("files", nargs="+", metavar="marginal.json")
     p.add_argument("--policy", choices=["left-curtain", "lp-feasible"], default="left-curtain")
     p.add_argument("--max-paths", type=int, default=10**6)
-    common(p)
     p.set_defaults(func=cmd_left_monotone)
 
     p = sub.add_parser("solve", help="exact LP transport optimum with dual certificate")
     p.add_argument("files", nargs="+", metavar="marginal.json")
     p.add_argument("--reward", required=True, help="product reward, e.g. 'indicator(t=0, <=-1) * -1 * call(2, 0)'")
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-support", help="geometry checks on a coupling")
     p.add_argument("coupling")
-    common(p)
     p.set_defaults(func=cmd_verify_support)
 
     p = sub.add_parser("polar", help="polar verdicts for finite path sets")
@@ -590,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", required=True, help="JSON array of coordinate arrays")
     p.add_argument("--free", action="store_true", help="free intermediate marginals")
     p.add_argument("--steps", type=int, help="number of steps (with --free)")
-    common(p)
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("free", help="free-intermediate-marginal transport and solver")
@@ -599,16 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--reward", help="also solve the free LP for this reward")
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    common(p)
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("examples", help="reproduce the built-in example instances")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--name", help="run a single example")
     which.add_argument("--all", action="store_true", help="run every example (default)")
-    common(p)
     p.set_defaults(func=cmd_examples)
 
+    for p in sub.choices.values():
+        p.add_argument("--csv", action="store_true", help="emit a flat CSV table")
+        p.add_argument("--approx", action="store_true", help="add decimal renderings")
     return parser
 
 
@@ -646,6 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Infeasible,
         Unbounded,
         PathCountExceeded,
+        OutputTooLarge,
     ) as exc:
         return _report({"error": type(exc).__name__, "message": str(exc)}, EXIT_MATH)
     except ValueError as exc:  # any other malformed input the checks above let through

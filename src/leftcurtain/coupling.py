@@ -24,6 +24,7 @@ from .measure import (
     RationalLike,
     SchemaError,
     _rat_from_json,
+    _rat_to_json,
     convex_order_leq,
     rat,
     require_convex_order,
@@ -155,7 +156,7 @@ class PathMeasure:
         return {
             "n": self.n,
             "paths": [
-                {"x": [str(c) for c in p], "w": str(w)} for p, w in self.paths
+                {"x": [_rat_to_json(c) for c in p], "w": _rat_to_json(w)} for p, w in self.paths
             ],
         }
 
@@ -201,7 +202,7 @@ def coupling_from_json_str(text: str) -> PathMeasure:
 def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:
     """Exact martingale check; the witness is the first history, date by date,
     whose kernel's barycenter is not its last value."""
-    for t in range(1, P.n + 1):
+    for t in range(1, P.n + 1 if P.paths else 1):
         for history, kernel in P.kernels(t).items():
             if kernel.first_moment != kernel.mass * history[-1]:
                 return False, history
@@ -210,7 +211,7 @@ def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:
 
 def markov_check(P: PathMeasure) -> bool:
     """True iff every conditional kernel depends only on the current state."""
-    for t in range(1, P.n + 1):
+    for t in range(1, P.n + 1 if P.paths else 1):
         by_state: Dict[Fraction, DiscreteMeasure] = {}
         for prefix, kernel in P.kernels(t).items():
             normalized = kernel.scaled(1 / kernel.mass)
@@ -225,7 +226,7 @@ def markov_check(P: PathMeasure) -> bool:
 
 def binomial_check(P: PathMeasure) -> bool:
     """True iff every positive-mass history branches into at most two points."""
-    for t in range(1, P.n + 1):
+    for t in range(1, P.n + 1 if P.paths else 1):
         for kernel in P.kernels(t).values():
             if len(kernel) > 2:
                 return False

@@ -69,7 +69,7 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
     path from a strictly larger starting point whose date-t value lies
     strictly between them.
     """
-    for t in range(1, gamma.n + 1):
+    for t in range(1, gamma.n + 1 if gamma.points else 1):
         groups = gamma.branches(t)
         spreads = {
             h: (min(ys), max(ys)) for h, ys in groups.items() if len(ys) > 1
@@ -93,7 +93,7 @@ class DegeneracyWitness:
 
 def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
     """Every up-move needs a matching down-move from the same history."""
-    for t in range(1, gamma.n + 1):
+    for t in range(1, gamma.n + 1 if gamma.points else 1):
         for history, ys in gamma.branches(t).items():
             x_prev = history[-1]
             has_up = any(y > x_prev for y in ys)

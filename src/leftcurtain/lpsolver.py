@@ -35,6 +35,7 @@ from .geometry import SupportSet
 from .measure import (
     DiscreteMeasure,
     RationalLike,
+    _rat_to_json,
     rat,
     require_convex_order_chain,
 )
@@ -177,7 +178,7 @@ def solve_primal(
 
 def _H_json(H: Dict[Tuple[int, Path], Fraction]) -> List[dict]:
     return [
-        {"t": t, "prefix": [str(c) for c in prefix], "value": str(v)}
+        {"t": t, "prefix": [_rat_to_json(c) for c in prefix], "value": _rat_to_json(v)}
         for (t, prefix), v in sorted(H.items())
     ]
 
@@ -212,9 +213,12 @@ class DualCertificate:
 
     def to_json(self) -> dict:
         return {
-            "objective": str(self.objective),
+            "objective": _rat_to_json(self.objective),
             "phi": [
-                {"t": t, "values": {str(x): str(v) for x, v in sorted(values.items())}}
+                {
+                    "t": t,
+                    "values": {_rat_to_json(x): _rat_to_json(v) for x, v in sorted(values.items())},
+                }
                 for t, values in sorted(self.phi.items())
             ],
             "H": _H_json(self.H),
@@ -342,9 +346,9 @@ class FreeDualCertificate:
 
     def to_json(self) -> dict:
         return {
-            "objective": str(self.objective),
-            "phi": {str(x): str(v) for x, v in sorted(self.phi.items())},
-            "psi": {str(x): str(v) for x, v in sorted(self.psi.items())},
+            "objective": _rat_to_json(self.objective),
+            "phi": {_rat_to_json(x): _rat_to_json(v) for x, v in sorted(self.phi.items())},
+            "psi": {_rat_to_json(x): _rat_to_json(v) for x, v in sorted(self.psi.items())},
             "H": _H_json(self.H),
         }
 

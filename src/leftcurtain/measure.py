@@ -34,6 +34,10 @@ class NotInPositiveConvexOrder(ValueError):
     """A pair of measures violates the positive convex order."""
 
 
+class OutputTooLarge(ValueError):
+    """A result rational has more digits than CPython writes as a string."""
+
+
 class SchemaError(ValueError):
     """JSON input violates a schema; `pointer` locates the offending node."""
 
@@ -60,6 +64,10 @@ _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _DIGIT_BOUND = 10**_MAX_DIGITS
 
 
+def _past_digit_limit(value: Fraction) -> bool:
+    return bool(_MAX_DIGITS) and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND
+
+
 def _rat_from_json(node: object, pointer: str) -> Fraction:
     if isinstance(node, bool) or isinstance(node, float):
         raise SchemaError(pointer, "rationals must be strings 'p/q' or integers")
@@ -67,12 +75,17 @@ def _rat_from_json(node: object, pointer: str) -> Fraction:
         value = rat(node)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(pointer, f"invalid rational: {exc}") from None
-    if _MAX_DIGITS and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+    if _past_digit_limit(value):
         raise SchemaError(pointer, f"invalid rational: more than {_MAX_DIGITS} digits")
     return value
 
 
 def _rat_to_json(value: Fraction) -> str:
+    if _past_digit_limit(value):
+        raise OutputTooLarge(
+            f"a result rational has more than {_MAX_DIGITS} digits, the limit of "
+            "CPython's integer string conversion (sys.set_int_max_str_digits)"
+        )
     return str(value)
 
 

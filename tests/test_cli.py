@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -42,6 +45,19 @@ def files(tmp_path):
         "long_paths": write("long.json", [["-1", "-2", "-4", "0"]]),
         "zero_den_paths": write("zero_den.json", [["-1", "1/0", "-4"]]),
         "float_paths": write("float.json", [["-1", 0.1, "-4"]]),
+        # from 1 the path steps down to 0, between the continuations of 0:
+        # a crossing, a degenerate history and a drift at once
+        "tangled": write(
+            "tangled.json",
+            {
+                "n": 1,
+                "paths": [
+                    {"x": ["0", "-2"], "w": "1/4"},
+                    {"x": ["0", "2"], "w": "1/4"},
+                    {"x": ["1", "0"], "w": "1/2"},
+                ],
+            },
+        ),
         "write": write,
     }
 
@@ -245,29 +261,134 @@ class TestCommands:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    ("solve", ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=-1) * -1 * call(2, 0)"], 0),
+    ("free", ["free", "mu0", "mu2", "--steps", "2", "--reward", "indicator(t=0, <=-1) * -1 * call(1, 0)"], 0),
+    ("left_monotone_lp_feasible", ["left-monotone", "mu0", "mu1", "mu2", "--policy", "lp-feasible"], 0),
+    ("left_monotone", ["left-monotone", "mu0", "mu1", "mu2"], 0),
+    ("left_monotone_strong_order", ["left-monotone", "wide0", "wide1", "wide2"], 0),
+    ("check_order", ["check-order", "mu0", "mu1", "mu2"], 0),
+    ("check_order", ["check-order", "mu0", "mu1", "mu2", "--csv"], 0),
+    ("check_order_reversed", ["check-order", "mu2", "mu1", "mu0"], 2),
+    ("decompose", ["decompose", "mu0", "mu2", "--csv"], 0),
+    ("shadow_atom_approx", ["shadow", "--mass", "1/3", "--at", "1/2", "--target", "mu2", "--approx"], 0),
+    ("shadow_source", ["shadow", "--source", "mu0", "--target", "mu2", "--csv"], 0),
+    ("obstructed_shadow", ["obstructed-shadow", "--part", "mu0", "mu1", "mu2"], 0),
+    ("verify_support_tangled", ["verify-support", "tangled"], 2),
+    ("polar", ["polar", "mu0", "mu1", "mu2", "--paths", "paths"], 0),
+    ("polar_free", ["polar", "mu0", "mu2", "--free", "--steps", "2", "--paths", "paths"], 0),
+    ("free_transport", ["free", "mu0", "mu2", "--steps", "2", "--csv"], 0),
+    ("examples_nonunique", ["examples", "--name", "nonunique"], 0),
+]
 
 
 class TestGoldenOutput:
-    """Payloads written by an earlier release, compared without the manifest."""
+    """Outputs written by an earlier release.
+
+    A `.json` golden holds the payload without its manifest, which is checked
+    against the command line; a `.csv` golden holds stdout as written, and an
+    `.err` golden the stderr of a nonzero exit.  The fixture directory is
+    written as <dir>.
+    """
 
     @pytest.mark.parametrize(
-        "name, argv",
-        [
-            ("solve", ["solve", "mu0", "mu1", "mu2", "--reward", "indicator(t=0, <=-1) * -1 * call(2, 0)"]),
-            ("free", ["free", "mu0", "mu2", "--steps", "2", "--reward", "indicator(t=0, <=-1) * -1 * call(1, 0)"]),
-            ("left_monotone_lp_feasible", ["left-monotone", "mu0", "mu1", "mu2", "--policy", "lp-feasible"]),
-            ("left_monotone", ["left-monotone", "mu0", "mu1", "mu2"]),
-            ("left_monotone_strong_order", ["left-monotone", "wide0", "wide1", "wide2"]),
-        ],
+        "name, argv, code",
+        GOLDEN_CASES,
+        ids=[f"{name}-argv{i}" for i, (name, _, _) in enumerate(GOLDEN_CASES)],
     )
-    def test_payload_matches_golden(self, capsys, files, name, argv):
-        code, out, _ = run(capsys, [files.get(arg, arg) for arg in argv])
-        payload = json.loads(out)
-        manifest = payload.pop("manifest")
+    def test_payload_matches_golden(self, capsys, files, tmp_path, name, argv, code):
+        got, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert got == code
+        folder = str(tmp_path)
+        golden = GOLDEN / (name + (".csv" if "--csv" in argv else ".json"))
+        # bytes, so that the CSV's \r\n line ends are compared as written
+        expected = golden.read_bytes().decode("utf-8")
+        if golden.suffix == ".csv":
+            assert out.replace(folder, "<dir>") == expected
+        else:
+            payload = json.loads(out)
+            assert payload.pop("manifest") == {
+                "command": argv[0],
+                "inputs": [files[arg] for arg in argv if arg in files],
+                "mode": {"csv": False, "approx": "--approx" in argv},
+                "outputs": ["stdout"],
+            }
+            assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
+        if code:
+            assert err.replace(folder, "<dir>") == golden.with_suffix(".err").read_text()
+        else:
+            assert err == ""
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class TestEmptyCoupling:
+    def test_verify_support_does_not_walk_a_billion_dates(self, files):
+        coupling = files["write"]("empty.json", {"n": 10**9, "paths": []})
+        done = subprocess.run(
+            [sys.executable, "-m", "leftcurtain.cli", "verify-support", coupling],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["martingale"] is True
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+class TestDigitLimit:
+    """Rationals past CPython's integer string limit, read or written."""
+
+    @pytest.mark.parametrize(
+        "template, argv",
+        [
+            ('{"atoms": [{"x": %s, "w": 1}]}', ["check-order", "big"]),
+            ('{"n": 0, "paths": [{"x": [%s], "w": 1}]}', ["verify-support", "big"]),
+            ("[[%s, 0, 0]]", ["polar", "mu0", "mu1", "mu2", "--paths", "big"]),
+        ],
+        ids=["measure", "coupling", "paths"],
+    )
+    def test_integer_literal_past_the_limit_is_a_schema_error(
+        self, capsys, files, tmp_path, template, argv
+    ):
+        big = tmp_path / "big.json"
+        big.write_text(template % ("1" * (DIGIT_LIMIT + 1)))
+        files["big"] = str(big)
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert (error["error"], error["pointer"]) == ("schema", f"{big}#")
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+    def test_result_past_the_limit_exits_2_with_nothing_written(self, capsys, files, fmt):
+        # the residual weight 1/77 - 10^-(limit-1) has a denominator of limit+1 digits
+        target = files["write"](
+            "t77.json",
+            {"atoms": [{"x": "-1", "w": "1/77"}, {"x": "0", "w": "75/77"}, {"x": "1", "w": "1/77"}]},
+        )
+        argv = ["shadow", f"--mass=1e-{DIGIT_LIMIT - 1}", "--at=-1", "--target", target, *fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "OutputTooLarge"
+        assert str(DIGIT_LIMIT) in error["message"]
+
+    def test_csv_cell_past_the_limit_exits_2_with_nothing_written(self, capsys, files):
+        # u(0) = 1/3^(2L) + 2/2^(3L) has a denominator of about 1.86 L digits,
+        # though no weight has L; JSON does not print the potential, CSV does
+        a, b = 2 ** (3 * DIGIT_LIMIT), 3 ** (2 * DIGIT_LIMIT)
+        mu = files["write"](
+            "wide_denominators.json",
+            {"atoms": [{"x": x, "w": f"1/{d}"} for x, d in ((0, a), (1, b), (2, a))]},
+        )
+        code, out, _ = run(capsys, ["check-order", mu])
         assert code == 0
-        assert sorted(manifest) == ["command", "inputs", "mode", "outputs"]
-        expected = (GOLDEN / f"{name}.json").read_text()
-        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
+        code, out, err = run(capsys, ["check-order", mu, "--csv"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "OutputTooLarge"
 
 
 class TestErrorHandling:

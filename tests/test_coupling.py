@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from leftcurtain import (
     free_monotone_transport,
     is_left_monotone_set,
     is_martingale,
+    is_nondegenerate_set,
     left_curtain_one_step,
     left_monotone_multistep,
     markov_check,
@@ -488,3 +490,20 @@ class TestKernelDiagnostics:
             [((0, -1), F(1, 4)), ((0, 0), F(1, 2)), ((0, 1), F(1, 4))],
         )
         assert not binomial_check(P)
+
+
+@pytest.mark.parametrize(
+    "check, verdict",
+    [
+        (is_martingale, (True, None)),
+        (markov_check, True),
+        (binomial_check, True),
+        (lambda P: is_left_monotone_set(SupportSet.of(P)), (True, None)),
+        (lambda P: is_nondegenerate_set(SupportSet.of(P)), (True, None)),
+    ],
+    ids=["martingale", "markov", "binomial", "left-monotone-set", "nondegenerate-set"],
+)
+def test_checks_of_an_empty_measure_do_not_walk_its_dates(check, verdict):
+    start = time.perf_counter()
+    assert check(PathMeasure(10**7, [])) == verdict
+    assert time.perf_counter() - start < 1

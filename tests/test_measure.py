@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from leftcurtain import (
     DiscreteMeasure,
     Interval,
     NegativeWeight,
+    OutputTooLarge,
     SchemaError,
     add,
     barycenter,
@@ -410,6 +412,17 @@ class TestJson:
         assert Interval.from_json(node) == Interval(F(0), F(1), True, False)
         assert Interval.from_json(Interval.closed(0, 1).to_json()) == Interval.closed(0, 1)
         assert Interval.from_json({"lo_closed": True}) == Interval.real_line()
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no limit on integer string conversion",
+    )
+    def test_rational_past_the_digit_limit_is_too_large_to_write(self):
+        tiny = F(1, 10 ** sys.get_int_max_str_digits())
+        with pytest.raises(OutputTooLarge):
+            DiscreteMeasure.dirac(tiny).to_json()
+        with pytest.raises(OutputTooLarge):
+            Interval.closed(0, tiny).to_json()
 
     def test_float_rejected(self):
         with pytest.raises(SchemaError):
