@@ -71,11 +71,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer past CPython's digit limit
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past CPython's digit limit
         raise SchemaError(f"{path}#", f"invalid JSON: {exc}") from None
 
 
@@ -84,7 +83,11 @@ def _load_measure(path: str) -> DiscreteMeasure:
 
 
 def _load_coupling(path: str) -> PathMeasure:
-    return PathMeasure.from_json(_load_json(path), f"{path}#")
+    """A coupling file, or a payload with a `coupling` member (as `left-monotone` writes)."""
+    node = _load_json(path)
+    if isinstance(node, dict) and "coupling" in node:
+        return PathMeasure.from_json(node["coupling"], f"{path}#/coupling")
+    return PathMeasure.from_json(node, f"{path}#")
 
 
 def _measure_json(mu: DiscreteMeasure, approx: bool) -> dict:
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-support", help="geometry checks on a coupling")
-    p.add_argument("coupling")
+    p.add_argument("coupling", help="a coupling file, or the output of left-monotone")
     p.set_defaults(func=cmd_verify_support)
 
     p = sub.add_parser("polar", help="polar verdicts for finite path sets")

@@ -32,8 +32,10 @@ the construction through a chain of targets.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .measure import DiscreteMeasure, NotInPositiveConvexOrder, RationalLike, rat
@@ -50,18 +52,35 @@ class ShadowResult:
 class _Residual:
     """What is left of a target measure, consumed in place by `take`.
 
-    Positions and weights are kept in two sorted lists with positive
-    weights; a take bisects to its atom and then reads and rewrites only the
-    atoms of its window and those it slides across.
+    The atoms are kept sorted, in Python integers.  Positions share one
+    scale D = `d`, the lcm of their denominators: x is held as X = D*x in
+    `xs`, beside the position Fractions in `positions`, which the returned
+    pieces reuse.  Each weight is held in lowest terms as `nums[i] /
+    dens[i]`, and `den_count` counts the held denominators, so their lcm
+    E = `e` is the one reduced weight scale: every weight w reads as the
+    integer W = E*w = nums[i] * (E // dens[i]), and gcd(E, all W) == 1.  A
+    take works over E, grown first by the factor that q's denominator
+    lacks and, when its last stretch's step is not whole, by the factor
+    that makes it whole, so nothing is rounded; x's denominator grows D the
+    same way.  Only the atoms of the window and those it slides across are
+    read and rewritten: the weights a take keeps go back in lowest terms
+    and E is recomputed from `den_count`, so no take rescales the atoms it
+    does not touch.  Fractions are made only for the pieces a take returns
+    and in `measure`.
     """
 
     def __init__(self, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"):
-        self.xs = [x for x, _ in nu.atoms]
-        self.ws = [w for _, w in nu.atoms]
+        self.positions = [x for x, _ in nu.atoms]
+        self.d = lcm(*{x.denominator for x in self.positions})
+        self.xs = [x.numerator * (self.d // x.denominator) for x in self.positions]
+        self.nums = [w.numerator for _, w in nu.atoms]
+        self.dens = [w.denominator for _, w in nu.atoms]
+        self.den_count = dict(Counter(self.dens))
+        self.e = lcm(*self.den_count)
         self.message = message
 
     def measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(zip(self.xs, self.ws))
+        return DiscreteMeasure(zip(self.positions, map(Fraction, self.nums, self.dens)))
 
     def take(self, x: Fraction, q: Fraction) -> List[Tuple[Fraction, Fraction]]:
         """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted here.
@@ -78,28 +97,36 @@ class _Residual:
         """
         if q == 0:
             return []
-        xs, ws = self.xs, self.ws
+        if self.d % x.denominator:
+            factor = x.denominator // gcd(self.d, x.denominator)
+            self.d *= factor
+            self.xs[:] = [y * factor for y in self.xs]
+        xs, nums, dens = self.xs, self.nums, self.dens
+        e = lcm(self.e, q.denominator)  # this take's weight scale
+        x_int = x.numerator * (self.d // x.denominator)
+        q_int = q.numerator * (e // q.denominator)
         # The window holds atoms l..r: all of atom l but its lowest `out_l`,
-        # all of atom r but its highest `out_r` (both cuts in one atom if l == r).
-        l = r = bisect_left(xs, x)
-        filled = Fraction(0)
-        while r < len(xs) and filled < q:
-            filled += ws[r]
+        # all of atom r but its highest `out_r` (both cuts in one atom if l == r);
+        # the moments below are D*E times the rational ones.
+        l = r = bisect_left(xs, x_int)
+        filled = 0
+        while r < len(xs) and filled < q_int:
+            filled += nums[r] * (e // dens[r])
             r += 1
-        if filled >= q:
+        if filled >= q_int:
             r -= 1
-            out_l, out_r = Fraction(0), filled - q
+            out_l, out_r = 0, filled - q_int
         else:
-            while l > 0 and filled < q:
+            while l > 0 and filled < q_int:
                 l -= 1
-                filled += ws[l]
-            if filled < q:
+                filled += nums[l] * (e // dens[l])
+            if filled < q_int:
                 raise NotInPositiveConvexOrder(self.message)
             r = len(xs) - 1
-            out_l, out_r = filled - q, Fraction(0)
-        moment = sum((xs[i] * ws[i] for i in range(l, r + 1)), Fraction(0))
+            out_l, out_r = filled - q_int, 0
+        moment = sum(xs[i] * nums[i] * (e // dens[i]) for i in range(l, r + 1))
         moment -= out_l * xs[l] + out_r * xs[r]
-        target = q * x
+        target = q_int * x_int
         if moment < target:
             raise NotInPositiveConvexOrder(self.message)
         while moment != target:
@@ -107,32 +134,52 @@ class _Residual:
                 if l == 0:
                     raise NotInPositiveConvexOrder(self.message)
                 l -= 1
-                out_l = ws[l]
+                out_l = nums[l] * (e // dens[l])
                 continue
-            inside_r = ws[r] - out_r - (out_l if l == r else 0)
+            inside_r = nums[r] * (e // dens[r]) - out_r - (out_l if l == r else 0)
             if inside_r == 0:
                 r -= 1
-                out_r = Fraction(0)
+                out_r = 0
                 continue
             rate = xs[r] - xs[l]
             step = min(out_l, inside_r)
             if moment - step * rate <= target:
-                step = (moment - target) / rate
+                excess = moment - target
+                if excess % rate:  # make the step whole: E grows by what rate lacks
+                    factor = rate // gcd(excess, rate)
+                    e *= factor
+                    out_l, out_r, excess, target = out_l * factor, out_r * factor, excess * factor, target * factor
+                step = excess // rate
                 moment = target
             else:
                 moment -= step * rate
             out_l -= step
             out_r += step
+        window = [nums[i] * (e // dens[i]) for i in range(l, r + 1)]
         if l == r:
-            pieces = [(xs[l], ws[l] - out_l - out_r)]
-            kept = [(xs[l], out_l + out_r)]
+            window[0] -= out_l + out_r
+            kept = [(l, out_l + out_r)]
         else:
-            pieces = [(xs[l], ws[l] - out_l), *zip(xs[l + 1 : r], ws[l + 1 : r]), (xs[r], ws[r] - out_r)]
-            kept = [(xs[l], out_l), (xs[r], out_r)]
-        kept = [(y, w) for y, w in kept if w]
-        xs[l : r + 1] = [y for y, _ in kept]
-        ws[l : r + 1] = [w for _, w in kept]
-        return [(y, w) for y, w in pieces if w]
+            window[0] -= out_l
+            window[-1] -= out_r
+            kept = [(l, out_l), (r, out_r)]
+        pieces = [(y, Fraction(w, e)) for y, w in zip(self.positions[l : r + 1], window) if w]
+        kept = [(i, w // g, e // g) for i, w in kept if w for g in (gcd(w, e),)]  # w/e in lowest terms
+        count = self.den_count
+        for den in dens[l : r + 1]:
+            if count[den] == 1:
+                del count[den]
+            else:
+                count[den] -= 1
+        for _, _, den in kept:
+            count[den] = count.get(den, 0) + 1
+        self.e = lcm(*count)
+        positions = self.positions
+        positions[l : r + 1] = [positions[i] for i, _, _ in kept]
+        xs[l : r + 1] = [xs[i] for i, _, _ in kept]
+        nums[l : r + 1] = [n for _, n, _ in kept]
+        dens[l : r + 1] = [den for _, _, den in kept]
+        return pieces
 
 
 def shadow_atom(q: RationalLike, x: RationalLike, nu: DiscreteMeasure) -> ShadowResult:
@@ -148,14 +195,18 @@ def shadow_atom(q: RationalLike, x: RationalLike, nu: DiscreteMeasure) -> Shadow
     return ShadowResult(DiscreteMeasure(residual.take(x, q)), residual.measure())
 
 
+def _fold(mu: DiscreteMeasure, residual: _Residual) -> DiscreteMeasure:
+    """The pieces of mu's atoms, taken left to right from the residual."""
+    return DiscreteMeasure([piece for x, q in mu.atoms for piece in residual.take(x, q)])
+
+
 def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ShadowResult:
     """Shadow of mu in nu: the fold of its atom shadows, left to right.
 
     Raises NotInPositiveConvexOrder when mu is not <=_pc nu.
     """
     residual = _Residual(nu)
-    pieces = [piece for x, q in mu.atoms for piece in residual.take(x, q)]
-    return ShadowResult(DiscreteMeasure(pieces), residual.measure())
+    return ShadowResult(_fold(mu, residual), residual.measure())
 
 
 def obstructed_shadow(
@@ -168,5 +219,5 @@ def obstructed_shadow(
     """
     theta = mu0_part
     for nu in chain:
-        theta = shadow(theta, nu).shadow
+        theta = _fold(theta, _Residual(nu))
     return theta

@@ -17,6 +17,8 @@ paper's three n-step families, which the effective domain of the
 `shadow` replaced, and the constructions built on it
 (`oracle_left_monotone`, `oracle_prefix_records`, `oracle_verify`,
 `oracle_strong_order`) recompute the couplings and verdicts with it.
+`OracleResidual` and `oracle_take` are that fold's residual in Fraction
+arithmetic, which the integer `_Residual` replaced.
 `oracle_running_strong_order` is the strong-order check from running
 prefix shadows that the per-atom check of `strong_order_holds` replaced.
 `oracle_solve_lp` is the dense simplex tableau that the revised engine
@@ -35,6 +37,7 @@ import functools
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +61,6 @@ from leftcurtain import (
 )
 from leftcurtain import simplex
 from leftcurtain.coupling import PrefixImageRecord
-from leftcurtain.shadow import _Residual
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -822,6 +824,86 @@ def oracle_hull_shadow(
     return subtract(nu, residual), residual
 
 
+class OracleResidual:
+    """`shadow._Residual` as it was in Fraction arithmetic: what is left of a
+    target in two sorted lists of Fractions, consumed in place by
+    `oracle_take`.  The integer residual must return `==` pieces, `==`
+    measures and the same exceptions."""
+
+    def __init__(self, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"):
+        self.xs = [x for x, _ in nu.atoms]
+        self.ws = [w for _, w in nu.atoms]
+        self.message = message
+
+    def measure(self) -> DiscreteMeasure:
+        return DiscreteMeasure(zip(self.xs, self.ws))
+
+    def take(self, x: Fraction, q: Fraction) -> List[Tuple[Fraction, Fraction]]:
+        return oracle_take(self, x, q)
+
+
+def oracle_take(residual: OracleResidual, x: Fraction, q: Fraction) -> List[Tuple[Fraction, Fraction]]:
+    """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted
+    from the residual: fill q mass from x rightward (or take the rightmost q
+    mass), then slide both cuts left until the window's first moment is q*x,
+    solving the last stretch in Fractions."""
+    if q == 0:
+        return []
+    xs, ws = residual.xs, residual.ws
+    l = r = bisect_left(xs, x)
+    filled = Fraction(0)
+    while r < len(xs) and filled < q:
+        filled += ws[r]
+        r += 1
+    if filled >= q:
+        r -= 1
+        out_l, out_r = Fraction(0), filled - q
+    else:
+        while l > 0 and filled < q:
+            l -= 1
+            filled += ws[l]
+        if filled < q:
+            raise NotInPositiveConvexOrder(residual.message)
+        r = len(xs) - 1
+        out_l, out_r = filled - q, Fraction(0)
+    moment = sum((xs[i] * ws[i] for i in range(l, r + 1)), Fraction(0))
+    moment -= out_l * xs[l] + out_r * xs[r]
+    target = q * x
+    if moment < target:
+        raise NotInPositiveConvexOrder(residual.message)
+    while moment != target:
+        if out_l == 0:
+            if l == 0:
+                raise NotInPositiveConvexOrder(residual.message)
+            l -= 1
+            out_l = ws[l]
+            continue
+        inside_r = ws[r] - out_r - (out_l if l == r else 0)
+        if inside_r == 0:
+            r -= 1
+            out_r = Fraction(0)
+            continue
+        rate = xs[r] - xs[l]
+        step = min(out_l, inside_r)
+        if moment - step * rate <= target:
+            step = (moment - target) / rate
+            moment = target
+        else:
+            moment -= step * rate
+        out_l -= step
+        out_r += step
+    if l == r:
+        pieces = [(xs[l], ws[l] - out_l - out_r)]
+        kept = [(xs[l], out_l + out_r)]
+    else:
+        pieces = [(xs[l], ws[l] - out_l), *zip(xs[l + 1 : r], ws[l + 1 : r]), (xs[r], ws[r] - out_r)]
+        kept = [(xs[l], out_l), (xs[r], out_r)]
+    kept = [(y, w) for y, w in kept if w]
+    xs[l : r + 1] = [y for y, _ in kept]
+    ws[l : r + 1] = [w for _, w in kept]
+    return [(y, w) for y, w in pieces if w]
+
+
 def oracle_left_curtain_rows(lower: DiscreteMeasure, upper: DiscreteMeasure) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:
     """((y, z), w) rows of the Left-Curtain coupling: each atom of lower, left
     to right, sent to its hull shadow in what the atoms before it left of upper."""
@@ -909,7 +991,7 @@ def oracle_running_strong_order(marginals: Sequence[DiscreteMeasure]) -> bool:
     the atoms of marginals[0] are taken left to right from one residual per
     date and added up, and every prefix's sums are compared in convex order."""
     marginals = list(marginals)
-    residuals = [_Residual(nu) for nu in marginals[1:]]
+    residuals = [OracleResidual(nu) for nu in marginals[1:]]
     shadows = [DiscreteMeasure() for _ in residuals]
     for x, q in marginals[0].atoms:
         shadows = [add(s, DiscreteMeasure(r.take(x, q))) for s, r in zip(shadows, residuals)]

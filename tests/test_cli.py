@@ -324,6 +324,47 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+class TestLeftMonotoneOutputIsACoupling:
+    def test_verify_support_reads_left_monotone_output(self, capsys, files):
+        for marginals in (("mu0", "mu1", "mu2"), ("wide0", "wide1", "wide2")):
+            code, out, _ = run(capsys, ["left-monotone", *(files[m] for m in marginals)])
+            assert code == 0
+            written = files["write"]("lm.json", json.loads(out))
+            code, out, err = run(capsys, ["verify-support", written])
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            assert [payload[c] for c in ("left_monotone", "nondegenerate", "martingale")] == [True] * 3
+
+    def test_schema_errors_point_into_the_coupling_member(self, capsys, files):
+        written = files["write"]("lm.json", {"manifest": {}, "coupling": {"n": 1, "paths": [{"x": ["0"], "w": "1"}]}})
+        code, out, err = run(capsys, ["verify-support", written])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["pointer"] == f"{written}#/coupling/paths/0/x"
+
+
+class TestNotUtf8:
+    """A JSON input file that is not UTF-8 is a schema error at `<file>#`."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-order", "{mu0}", "{bad}"],
+            ["verify-support", "{bad}"],
+            ["polar", "{mu0}", "{mu1}", "{mu2}", "--paths", "{bad}"],
+        ],
+        ids=["measure", "coupling", "paths"],
+    )
+    def test_file_is_named(self, capsys, files, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"atoms": [{"x": "\xff", "w": "1"}]}')
+        argv = [a.format(bad=bad, **{k: v for k, v in files.items() if k != "write"}) for a in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert (error["error"], error["pointer"]) == ("schema", f"{bad}#")
+        assert "can't decode byte 0xff" in error["message"]
+
+
 class TestEmptyCoupling:
     def test_verify_support_does_not_walk_a_billion_dates(self, files):
         coupling = files["write"]("empty.json", {"n": 10**9, "paths": []})
@@ -744,8 +785,9 @@ _path_entries = st.one_of(
     _coordinates,
 )
 # a martingale coupling, a drifting one, or paths of any length and weight
-# (duplicates among them) under any n, or no coupling at all
-_coupling_nodes = st.one_of(
+# (duplicates among them) under any n, or no coupling at all; bare or under
+# a `coupling` member, as `left-monotone` writes it
+_bare_coupling_nodes = st.one_of(
     st.sampled_from([
         {"n": 1, "paths": [{"x": ["0", "-1"], "w": "1/2"}, {"x": ["0", "1"], "w": "1/2"}]},
         {"n": 2, "paths": [{"x": ["0", "1", "1"], "w": "1"}]},
@@ -756,6 +798,10 @@ _coupling_nodes = st.one_of(
         st.one_of(st.lists(_path_entries, max_size=5), _coordinates),
     ),
     _coordinates,
+)
+_coupling_nodes = st.one_of(
+    _bare_coupling_nodes,
+    st.builds(lambda node: {"manifest": {}, "coupling": node}, _bare_coupling_nodes),
 )
 
 

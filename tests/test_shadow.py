@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from leftcurtain import (
 from leftcurtain.shadow import _Residual
 
 from conftest import (
+    OracleResidual,
     lp_cast_min_call,
     lp_min_second_moment_atom,
     measure,
@@ -106,6 +109,101 @@ class TestResidualTake:
         assert residual.take(F(0), 0) == []
         with pytest.raises(NotInPositiveConvexOrder):
             residual.take(F(0), F(1, 2))
+
+
+_positions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_takes = st.lists(
+    st.tuples(
+        st.integers(0, 11),  # below 6: x is an atom of the target, if it has one
+        st.fractions(min_value=-7, max_value=7, max_denominator=35),
+        st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=4, max_denominator=30)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _scaled_weights(residual):
+    """The held weights as integers over the residual's weight scale E."""
+    return [n * (residual.e // d) for n, d in zip(residual.nums, residual.dens)]
+
+
+def _run_against_oracle(nu, takes):
+    """Apply the takes to `_Residual` and to the Fraction residual; after
+    each, pieces (or exception and message) and measures are `==`, every
+    held weight is in lowest terms and counted, and the weight scale is
+    reduced.  Returns the integer residual."""
+    residual, oracle = _Residual(nu, "test message"), OracleResidual(nu, "test message")
+    for x, q in takes:
+        expected = _outcome(lambda: oracle.take(x, q))
+        assert _outcome(lambda: residual.take(x, q)) == expected
+        assert residual.measure() == oracle.measure()
+        assert all(math.gcd(n, d) == 1 for n, d in zip(residual.nums, residual.dens))
+        assert residual.den_count == Counter(residual.dens) and 0 not in residual.den_count.values()
+        assert math.gcd(residual.e, *_scaled_weights(residual)) == 1
+    return residual
+
+
+class TestIntegerResidual:
+    """`_Residual` in integers against the Fraction residual it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_positions, st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12)), max_size=6),
+        _takes,
+    )
+    def test_takes_equal_the_fraction_residual(self, atoms, takes):
+        nu = DiscreteMeasure(atoms)
+        support = nu.support
+        _run_against_oracle(nu, [(support[i % len(support)] if support and i < 6 else x, q) for i, x, q in takes])
+
+    def test_x_off_the_support_with_a_new_denominator(self):
+        nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        residual = _run_against_oracle(nu, [(F(1, 7), F(1, 2)), (F(-2, 3), F(1, 4))])
+        assert residual.d == 21
+
+    def test_q_with_a_new_denominator(self):
+        nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        residual = _run_against_oracle(nu, [(F(0), F(1, 3))])
+        assert residual.measure() == measure([(-1, F(1, 3)), (1, F(1, 3))])
+        assert residual.e == 3
+
+    def test_zero_mass_changes_nothing(self):
+        nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        residual = _run_against_oracle(nu, [(F(1, 5), F(0)), (F(9), 0)])
+        assert (residual.d, residual.e, residual.xs, _scaled_weights(residual)) == (1, 2, [-1, 1], [1, 1])
+
+    def test_step_lands_on_an_atom_boundary(self):
+        nu = measure([(0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3))])
+        residual = _Residual(nu)
+        assert residual.take(F(1, 2), F(2, 3)) == [(0, F(1, 3)), (1, F(1, 3))]
+        assert (residual.e, _scaled_weights(residual)) == (3, [1])
+        _run_against_oracle(nu, [(F(1, 2), F(2, 3)), (F(2), F(1, 3))])
+
+    def test_step_that_is_not_whole_grows_the_weight_scale(self):
+        nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        residual = _run_against_oracle(nu, [(F(0), F(1, 2))])
+        assert (residual.e, _scaled_weights(residual)) == (4, [1, 1])
+
+    def test_consumed_weights_leave_the_scale(self):
+        nu = measure([(0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4))])
+        residual = _run_against_oracle(nu, [(F(3, 2), F(1, 2))])
+        assert (residual.e, _scaled_weights(residual)) == (2, [1])
+        residual = _run_against_oracle(nu, [(F(0), F(1, 2)), (F(3, 2), F(1, 2))])
+        assert (residual.e, _scaled_weights(residual)) == (1, [])
+
+    @pytest.mark.parametrize(
+        "x, q",
+        [(F(0), F(4, 3)), (F(-1), F(1, 3)), (F(5, 3), F(1, 3))],
+        ids=["q-above-the-mass", "left-cut-fails", "moment-below-target"],
+    )
+    def test_failures(self, x, q):
+        # each take grows a scale first; a failure leaves the weights as they were
+        nu = measure([(0, F(1, 2)), (2, F(1, 4))])
+        assert _outcome(lambda: _Residual(nu, "m").take(x, q)) == (NotInPositiveConvexOrder, "m")
+        residual = _run_against_oracle(nu, [(x, q), (x, q)])
+        assert residual.measure() == nu and residual.e == 4
+        _run_against_oracle(nu, [(x, q), (F(1, 3), F(1, 4)), (x, q)])
 
 
 class TestAgainstSlowReference:
