@@ -52,6 +52,7 @@ from .measure import (
     NotInPositiveConvexOrder,
     OutputTooLarge,
     SchemaError,
+    _json_from_text,
     _rat_from_json,
     _rat_to_json,
     convex_order_leq,
@@ -73,9 +74,10 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.loads(handle.read())
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past CPython's digit limit
+            text = handle.read()
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}#", f"invalid JSON: {exc}") from None
+    return _json_from_text(text, f"{path}#")
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
@@ -178,6 +180,8 @@ def _atoms_csv(mu: DiscreteMeasure) -> List[dict]:
 def cmd_shadow(args) -> int:
     nu = _load_measure(args.target)
     if args.source is not None:
+        if args.mass is not None or args.at is not None:
+            raise SchemaError("--mass" if args.mass is not None else "--at", "not used with --source")
         result = shadow(_load_measure(args.source), nu)
         inputs = [args.source, args.target]
     else:
@@ -294,6 +298,8 @@ def _load_paths(path: str) -> List[List[Fraction]]:
 
 def cmd_polar(args) -> int:
     paths = _load_paths(args.paths)
+    if args.steps is not None and not args.free:
+        raise SchemaError("--steps", "only used with --free")
     if args.free:
         if len(args.files) != 2:
             raise SchemaError("", "--free needs exactly two marginal files")

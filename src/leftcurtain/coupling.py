@@ -11,7 +11,7 @@ transport of the free-intermediate-marginal problem.
 
 from __future__ import annotations
 
-import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +23,7 @@ from .measure import (
     NotInConvexOrder,
     RationalLike,
     SchemaError,
+    _json_from_text,
     _rat_from_json,
     _rat_to_json,
     convex_order_leq,
@@ -97,11 +98,10 @@ class PathMeasure:
         return tuple(p for p, _ in self.paths)
 
     def weight_at(self, coords: Sequence[RationalLike]) -> Fraction:
+        """The weight of the path `coords`, 0 off the support: one bisection of the paths."""
         key = tuple(rat(c) for c in coords)
-        for p, w in self.paths:
-            if p == key:
-                return w
-        return Fraction(0)
+        i = bisect_left(self.paths, (key,))
+        return self.paths[i][1] if i < len(self.paths) and self.paths[i][0] == key else Fraction(0)
 
     def marginal(self, t: int) -> DiscreteMeasure:
         if not 0 <= t <= self.n:
@@ -192,11 +192,7 @@ class PathMeasure:
 
 
 def coupling_from_json_str(text: str) -> PathMeasure:
-    try:
-        node = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"invalid JSON: {exc}") from None
-    return PathMeasure.from_json(node)
+    return PathMeasure.from_json(_json_from_text(text, ""))
 
 
 def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:

@@ -10,8 +10,9 @@ dropped and equal positions are merged at construction time.
 from __future__ import annotations
 
 import json
+import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -68,16 +69,37 @@ def _past_digit_limit(value: Fraction) -> bool:
     return bool(_MAX_DIGITS) and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND
 
 
+# A decimal's exponent, which Fraction expands as 10**|exponent| at once.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE | re.DOTALL)
+
+
 def _rat_from_json(node: object, pointer: str) -> Fraction:
     if isinstance(node, bool) or isinstance(node, float):
         raise SchemaError(pointer, "rationals must be strings 'p/q' or integers")
+    literal = node
     try:
-        value = rat(node)  # type: ignore[arg-type]
+        shape = _EXPONENT.fullmatch(node) if _MAX_DIGITS and isinstance(node, str) else None
+        # With k mantissa digits, an exponent of at least the limit plus k
+        # puts any nonzero value past the limit: read the mantissa alone
+        # (0 stays 0) rather than expand 10**|exponent|
+        if shape and abs(int(shape[2])) >= _MAX_DIGITS + sum(c.isdigit() for c in shape[1]):
+            literal = shape[1] + "e0"
+        value = rat(literal)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(pointer, f"invalid rational: {exc}") from None
-    if _past_digit_limit(value):
+    if (value and literal is not node) or _past_digit_limit(value):
         raise SchemaError(pointer, f"invalid rational: more than {_MAX_DIGITS} digits")
     return value
+
+
+def _json_from_text(text: str, pointer: str) -> object:
+    """The JSON value of `text` read from outside the program: text that is
+    not JSON, nests past the interpreter's recursion limit or holds an
+    integer past CPython's digit limit is a SchemaError at `pointer`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(pointer, f"invalid JSON: {exc}") from None
 
 
 def _rat_to_json(value: Fraction) -> str:
@@ -120,31 +142,14 @@ class Interval:
         return Interval(None, rat(hi), False, True)
 
     @staticmethod
-    def less_than(hi: RationalLike) -> "Interval":
-        return Interval(None, rat(hi), False, False)
-
-    @staticmethod
-    def at_least(lo: RationalLike) -> "Interval":
-        return Interval(rat(lo), None, True, False)
-
-    @staticmethod
-    def greater_than(lo: RationalLike) -> "Interval":
-        return Interval(rat(lo), None, False, False)
-
-    @staticmethod
     def point(x: RationalLike) -> "Interval":
         x = rat(x)
         return Interval(x, x, True, True)
 
     def contains(self, x: RationalLike) -> bool:
         x = rat(x)
-        if self.lo is not None:
-            if x < self.lo or (x == self.lo and not self.lo_closed):
-                return False
-        if self.hi is not None:
-            if x > self.hi or (x == self.hi and not self.hi_closed):
-                return False
-        return True
+        above = self.lo is None or x > self.lo or (x == self.lo and self.lo_closed)
+        return above and (self.hi is None or x < self.hi or (x == self.hi and self.hi_closed))
 
     def to_json(self) -> dict:
         return {
@@ -153,23 +158,6 @@ class Interval:
             "lo_closed": self.lo_closed,
             "hi_closed": self.hi_closed,
         }
-
-    @staticmethod
-    def from_json(node: object, pointer: str = "") -> "Interval":
-        if not isinstance(node, dict):
-            raise SchemaError(pointer, "interval must be an object")
-        lo = node.get("lo", "-inf")
-        hi = node.get("hi", "inf")
-        lo_val = None if lo == "-inf" else _rat_from_json(lo, pointer + "/lo")
-        hi_val = None if hi in ("inf", "+inf") else _rat_from_json(hi, pointer + "/hi")
-        closed = []
-        for key in ("lo_closed", "hi_closed"):
-            flag = node.get(key, False)
-            if not isinstance(flag, bool):
-                got = json.dumps(flag, default=repr)
-                raise SchemaError(f"{pointer}/{key}", f"must be true or false, got {got}")
-            closed.append(flag)
-        return Interval(lo_val, hi_val, closed[0] and lo_val is not None, closed[1] and hi_val is not None)
 
     def __str__(self) -> str:
         left = "(-inf" if self.lo is None else ("[" if self.lo_closed else "(") + str(self.lo)
@@ -239,13 +227,10 @@ class DiscreteMeasure:
         return self.first_moment / m
 
     def weight_at(self, x: RationalLike) -> Fraction:
+        """The weight of the atom at x, 0 off the support: one bisection of the atoms."""
         x = rat(x)
-        for pos, w in self.atoms:
-            if pos == x:
-                return w
-            if pos > x:
-                break
-        return Fraction(0)
+        i = bisect_left(self.atoms, (x,))
+        return self.atoms[i][1] if i < len(self.atoms) and self.atoms[i][0] == x else Fraction(0)
 
     def scaled(self, factor: RationalLike) -> "DiscreteMeasure":
         factor = rat(factor)
@@ -400,19 +385,9 @@ class PotentialFunction:
         pts = self.breakpoints
         if not pts:
             return Fraction(0)
-        if x <= pts[0][0]:
-            return pts[0][1] + self.left_slope * (x - pts[0][0])
-        if x >= pts[-1][0]:
-            return pts[-1][1] + self.right_slope * (x - pts[-1][0])
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x0, v0), (x1, v1) = pts[lo], pts[hi]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        i = bisect_right(pts, x, key=itemgetter(0)) - 1
+        x0, v0 = pts[max(i, 0)]
+        return v0 + self._segment_slope(i) * (x - x0)
 
     def _segment_slope(self, i: int) -> Fraction:
         """Slope on the segment right of breakpoint i."""
@@ -425,24 +400,10 @@ class PotentialFunction:
         return (v1 - v0) / (x1 - x0)
 
     def right_derivative(self, x: RationalLike) -> Fraction:
-        x = rat(x)
-        i = -1
-        for j, (bx, _) in enumerate(self.breakpoints):
-            if bx <= x:
-                i = j
-            else:
-                break
-        return self._segment_slope(i)
+        return self._segment_slope(bisect_right(self.breakpoints, rat(x), key=itemgetter(0)) - 1)
 
     def left_derivative(self, x: RationalLike) -> Fraction:
-        x = rat(x)
-        i = -1
-        for j, (bx, _) in enumerate(self.breakpoints):
-            if bx < x:
-                i = j
-            else:
-                break
-        return self._segment_slope(i)
+        return self._segment_slope(bisect_left(self.breakpoints, rat(x), key=itemgetter(0)) - 1)
 
     def kink(self, x: RationalLike) -> Fraction:
         """Jump of the derivative at x; equals 2*mu({x}) for u_mu."""
@@ -505,8 +466,4 @@ def measure_to_json_str(mu: DiscreteMeasure) -> str:
 
 
 def measure_from_json_str(text: str) -> DiscreteMeasure:
-    try:
-        node = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"invalid JSON: {exc}") from None
-    return DiscreteMeasure.from_json(node)
+    return DiscreteMeasure.from_json(_json_from_text(text, ""))

@@ -28,7 +28,11 @@ formats.  `oracle_superhedge` is the per-path superhedge formula that
 `DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
 extraction and checks built on it.  `oracle_is_martingale` is the
 martingale check from per-history drift sums that the kernels of
-`PathMeasure.kernels` replaced.
+`PathMeasure.kernels` replaced.  `oracle_potential_value`,
+`oracle_right_derivative`, `oracle_left_derivative`, `oracle_weight_at` and
+`oracle_path_weight_at` are the binary search and the linear scans that the
+`bisect` lookups of `PotentialFunction`, `DiscreteMeasure.weight_at` and
+`PathMeasure.weight_at` replaced.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from leftcurtain import (
     convex_order_leq,
     decompose_step,
     effective_domain_contains,
+    rat,
     subtract,
 )
 from leftcurtain import simplex
@@ -679,6 +684,72 @@ def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Ste
         components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     return StepDecomposition(diagonal, tuple(components))
+
+
+# --- scans of the sorted tables --------------------------------------------------
+#
+# Potential values, one-sided derivatives and atom and path weights as they
+# were read before `measure` and `coupling` looked them up with `bisect`.
+
+
+def oracle_potential_value(u: PotentialFunction, x) -> Fraction:
+    x = rat(x)
+    pts = u.breakpoints
+    if not pts:
+        return Fraction(0)
+    if x <= pts[0][0]:
+        return pts[0][1] + u.left_slope * (x - pts[0][0])
+    if x >= pts[-1][0]:
+        return pts[-1][1] + u.right_slope * (x - pts[-1][0])
+    lo, hi = 0, len(pts) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pts[mid][0] <= x:
+            lo = mid
+        else:
+            hi = mid
+    (x0, v0), (x1, v1) = pts[lo], pts[hi]
+    return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+
+
+def oracle_right_derivative(u: PotentialFunction, x) -> Fraction:
+    x = rat(x)
+    i = -1
+    for j, (bx, _) in enumerate(u.breakpoints):
+        if bx <= x:
+            i = j
+        else:
+            break
+    return u._segment_slope(i)
+
+
+def oracle_left_derivative(u: PotentialFunction, x) -> Fraction:
+    x = rat(x)
+    i = -1
+    for j, (bx, _) in enumerate(u.breakpoints):
+        if bx < x:
+            i = j
+        else:
+            break
+    return u._segment_slope(i)
+
+
+def oracle_weight_at(mu: DiscreteMeasure, x) -> Fraction:
+    x = rat(x)
+    for pos, w in mu.atoms:
+        if pos == x:
+            return w
+        if pos > x:
+            break
+    return Fraction(0)
+
+
+def oracle_path_weight_at(P: PathMeasure, coords) -> Fraction:
+    key = tuple(rat(c) for c in coords)
+    for p, w in P.paths:
+        if p == key:
+            return w
+    return Fraction(0)
 
 
 @functools.lru_cache(maxsize=4)

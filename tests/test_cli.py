@@ -365,18 +365,47 @@ class TestNotUtf8:
         assert "can't decode byte 0xff" in error["message"]
 
 
+def _cli_process(argv, timeout):
+    """`leftcurtain argv` run from the source tree in a new interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "leftcurtain.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 class TestEmptyCoupling:
     def test_verify_support_does_not_walk_a_billion_dates(self, files):
         coupling = files["write"]("empty.json", {"n": 10**9, "paths": []})
-        done = subprocess.run(
-            [sys.executable, "-m", "leftcurtain.cli", "verify-support", coupling],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        done = _cli_process(["verify-support", coupling], timeout=30)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["martingale"] is True
+
+
+class TestDeepNesting:
+    """A JSON input nested past the recursion limit is a schema error at
+    `<file>#`, reported as one JSON line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-order", "{deep}"],
+            ["verify-support", "{deep}"],
+            ["polar", "{mu0}", "{mu1}", "{mu2}", "--paths", "{deep}"],
+        ],
+        ids=["measure", "coupling", "paths"],
+    )
+    def test_file_is_named(self, files, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        named = {k: v for k, v in files.items() if k != "write"}
+        done = _cli_process([a.format(deep=deep, **named) for a in argv], timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        line, = done.stderr.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["pointer"]) == ("schema", f"{deep}#")
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
@@ -402,6 +431,29 @@ class TestDigitLimit:
         assert (code, out) == (1, "")
         error = json.loads(err)
         assert (error["error"], error["pointer"]) == ("schema", f"{big}#")
+
+    # Fraction("1e100000000") alone builds a 10^8-digit integer first
+    @pytest.mark.parametrize(
+        "node, argv, pointer",
+        [
+            ({"atoms": [{"x": "1e100000000", "w": 1}]}, ["check-order", "big"], "{big}#/atoms/0/x"),
+            (
+                {"n": 0, "paths": [{"x": ["1e100000000"], "w": 1}]},
+                ["verify-support", "big"],
+                "{big}#/paths/0/x/0",
+            ),
+            ([["1e100000000", 0, 0]], ["polar", "mu0", "mu1", "mu2", "--paths", "big"], "{big}#/0/0"),
+            (None, ["shadow", "--mass", "1e100000000", "--at", "0", "--target", "mu2"], "--mass"),
+        ],
+        ids=["measure", "coupling", "paths", "mass"],
+    )
+    def test_exponent_past_the_limit_exits_at_once(self, files, node, argv, pointer):
+        big = files["big"] = files["write"]("big.json", node)
+        done = _cli_process([files.get(arg, arg) for arg in argv], timeout=5)
+        assert (done.returncode, done.stdout) == (1, "")
+        error = json.loads(done.stderr)
+        assert (error["error"], error["pointer"]) == ("schema", pointer.format(big=big))
+        assert error["message"].endswith(f"invalid rational: more than {DIGIT_LIMIT} digits")
 
     @pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
     def test_result_past_the_limit_exits_2_with_nothing_written(self, capsys, files, fmt):
@@ -533,6 +585,10 @@ class TestErrorHandling:
             (["polar", "mu0", "mu2", "--free", "--paths", "paths"], "--steps"),
             # 1/10^5000 has more digits than CPython writes as a string
             (["shadow", "--mass", "1e-5000", "--at", "0", "--target", "mu2"], "--mass"),
+            # options that would be given and ignored
+            (["shadow", "--source", "mu0", "--mass", "1", "--at", "5", "--target", "mu2"], "--mass"),
+            (["shadow", "--source", "mu0", "--at", "5", "--target", "mu2"], "--at"),
+            (["polar", "mu0", "mu1", "mu2", "--paths", "paths", "--steps", "3"], "--steps"),
         ],
         ids=[
             "unknown-factor",
@@ -543,6 +599,9 @@ class TestErrorHandling:
             "polar-free-zero-steps",
             "polar-free-no-steps",
             "shadow-mass-too-many-digits",
+            "shadow-source-with-mass-and-at",
+            "shadow-source-with-at",
+            "polar-steps-without-free",
         ],
     )
     def test_reward_and_steps_errors_name_the_option(self, capsys, files, argv, pointer):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from leftcurtain import (
     NotMartingale,
     PathCountExceeded,
     PathMeasure,
+    SchemaError,
     SupportSet,
     binomial_check,
     feasible_transport,
@@ -43,12 +45,15 @@ from conftest import (
     oracle_is_martingale,
     oracle_left_curtain_rows,
     oracle_left_monotone,
+    oracle_path_weight_at,
     oracle_running_strong_order,
     oracle_shadow,
     oracle_strong_order,
     oracle_verify,
     random_marginal_chain,
 )
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestPathMeasure:
@@ -84,6 +89,41 @@ class TestPathMeasure:
         P = PathMeasure(2, [((0, F(-1, 2), 1), F(1, 3))])
         blob = json.dumps(P.to_json())
         assert coupling_from_json_str(blob) == P
+
+    @given(
+        st.integers(0, 2).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.tuples(*[st.integers(-2, 2)] * (n + 1)),
+                    st.fractions(min_value=F(1, 4), max_value=F(2), max_denominator=4),
+                ),
+                max_size=6,
+            ).map(lambda paths: PathMeasure(n, paths))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weight_at_equals_the_scan(self, P):
+        queries = [()] + [p for p, _ in P.paths]
+        queries += [p[:-1] + (p[-1] + d,) for p, _ in P.paths for d in (F(-1, 2), F(1, 2))]
+        queries += [p[:-1] for p, _ in P.paths] + [(F(3),) * (P.n + 1), (F(-3),) * (P.n + 1)]
+        for coords in queries:
+            assert P.weight_at(coords) == oracle_path_weight_at(P, coords)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            pytest.param(
+                '{"n": 0, "paths": [{"x": [%s], "w": 1}]}' % ("1" * (DIGIT_LIMIT + 1)),
+                marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit"),
+            ),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_unreadable_text_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError, match="invalid JSON") as info:
+            coupling_from_json_str(text)
+        assert info.value.pointer == ""
 
 
 class TestMartingaleCheck:

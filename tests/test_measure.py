@@ -1,9 +1,10 @@
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leftcurtain import (
@@ -24,7 +25,7 @@ from leftcurtain import (
     restrict,
     subtract,
 )
-from leftcurtain.measure import measure_from_json_str, measure_to_json_str
+from leftcurtain.measure import _rat_from_json, measure_from_json_str, measure_to_json_str
 
 from conftest import (
     lp_cast_set_exists,
@@ -32,16 +33,22 @@ from conftest import (
     measure,
     mean_preserving_spread,
     oracle_convex_order_leq,
+    oracle_left_derivative,
     oracle_positive_convex_order_leq,
+    oracle_potential_value,
+    oracle_right_derivative,
     oracle_sweep_call_value,
     oracle_sweep_convex_order_leq,
     oracle_sweep_decompose_step,
     oracle_sweep_positive_convex_order_leq,
     oracle_sweep_potential,
     oracle_sweep_put_value,
+    oracle_weight_at,
     random_measure,
     random_pc_pair,
 )
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def small_measures(max_atoms=4):
@@ -130,6 +137,33 @@ class TestPotential:
         for x in list(mu.support) + [F(-20), F(20), F(1, 3)]:
             direct = sum((w * abs(x - y) for y, w in mu), F(0))
             assert u(x) == direct
+
+
+class TestLookupsAgainstScans:
+    """The `bisect` lookups against the binary search and the scans they
+    replaced, at every breakpoint, every midpoint and one point beyond each
+    end of the hull."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=4),
+            ),
+            max_size=6,
+        ).map(DiscreteMeasure)
+    )
+    @example(DiscreteMeasure())
+    @settings(max_examples=80, deadline=None)
+    def test_potential_and_weights_equal_the_scans(self, mu):
+        u = potential(mu)
+        xs = list(mu.support) or [F(0)]
+        points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[0] - 1, xs[-1] + 1]
+        for x in points:
+            assert u(x) == oracle_potential_value(u, x)
+            assert u.right_derivative(x) == oracle_right_derivative(u, x)
+            assert u.left_derivative(x) == oracle_left_derivative(u, x)
+            assert mu.weight_at(x) == oracle_weight_at(mu, x)
 
 
 class TestCallPut:
@@ -399,19 +433,55 @@ class TestJson:
             DiscreteMeasure.from_json({"atoms": [{"x": "0", "w": "0"}]})
         assert info.value.pointer == "/atoms/0/w"
 
-    @pytest.mark.parametrize("flag", ["false", 0, [0], None])
-    @pytest.mark.parametrize("key", ["lo_closed", "hi_closed"])
-    def test_interval_closed_flags_must_be_booleans(self, key, flag):
-        with pytest.raises(SchemaError) as info:
-            Interval.from_json({"lo": "0", "hi": "1", key: flag}, "/I")
-        assert info.value.pointer == f"/I/{key}"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            pytest.param(
+                '{"atoms": [{"x": %s, "w": 1}]}' % ("1" * (DIGIT_LIMIT + 1)),
+                marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit"),
+            ),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_unreadable_text_is_a_schema_error(self, text):
+        with pytest.raises(SchemaError, match="invalid JSON") as info:
+            measure_from_json_str(text)
+        assert info.value.pointer == ""
 
-    def test_interval_closed_flags(self):
-        assert str(Interval.from_json({"lo": "0", "hi": "1"})) == "(0, 1)"
-        node = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": False}
-        assert Interval.from_json(node) == Interval(F(0), F(1), True, False)
-        assert Interval.from_json(Interval.closed(0, 1).to_json()) == Interval.closed(0, 1)
-        assert Interval.from_json({"lo_closed": True}) == Interval.real_line()
+    def test_decimal_literals(self):
+        node = {"atoms": [{"x": "1e-1", "w": "0.5"}, {"x": "0e5", "w": "5E-1"}]}
+        assert DiscreteMeasure.from_json(node) == DiscreteMeasure([(F(1, 10), F(1, 2)), (0, F(1, 2))])
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("x", ["0e3000000", "-0.00E-3000000"])
+    def test_zero_mantissa_is_zero_unexpanded(self, x):
+        start = time.perf_counter()
+        assert _rat_from_json(x, "/x") == 0
+        assert time.perf_counter() - start < 1
+
+    # Fraction alone takes seconds to expand each of these
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("x", ["1e3000000", "-2.5E-3000000", "0.001e3000003"])
+    def test_exponent_past_the_limit_is_rejected_unexpanded(self, x):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match=f"invalid rational: more than {DIGIT_LIMIT} digits") as info:
+            DiscreteMeasure.from_json({"atoms": [{"x": x, "w": "1"}]}, "#")
+        assert info.value.pointer == "#/atoms/0/x"
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("mantissa", ["1", "-7", "0.001", "25", "1.5", "0.0", "123.456", "1_000"])
+    def test_exponents_near_the_limit_read_as_fraction_does(self, mantissa):
+        for exponent in range(DIGIT_LIMIT - 4, DIGIT_LIMIT + 5):
+            for sign in ("", "-"):
+                literal = f"{mantissa}e{sign}{exponent}"
+                value = F(literal)
+                if max(abs(value.numerator), value.denominator) < 10**DIGIT_LIMIT:
+                    assert _rat_from_json(literal, "/x") == value
+                else:
+                    with pytest.raises(SchemaError, match="more than"):
+                        _rat_from_json(literal, "/x")
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
