@@ -48,46 +48,50 @@ class SchemaError(ValueError):
         self.message = message
 
 
+# Integers of more digits than this cannot be written as strings (CPython's
+# int_max_str_digits), so no output could show such a rational.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_DIGIT_BOUND = 10**_MAX_DIGITS
+
+# A decimal's exponent, which Fraction expands as 10**|exponent| at once.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE | re.DOTALL)
+
+
 def rat(value: RationalLike) -> Fraction:
-    """Parse a rational from a Fraction, int, or 'p/q' string (not a bool)."""
+    """Parse a rational from a Fraction, int, or 'p/q' string (not a bool).
+
+    A decimal string whose exponent alone puts a nonzero value past CPython's
+    digit limit raises ValueError without expanding 10**|exponent|; with a
+    zero mantissa it is 0.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        shape = _EXPONENT.fullmatch(value) if _MAX_DIGITS else None
+        # With k mantissa digits, an exponent of at least the limit plus k
+        # puts any nonzero value past the limit.
+        if shape and abs(int(shape[2])) >= _MAX_DIGITS + sum(c.isdigit() for c in shape[1]):
+            if Fraction((shape[1] + "e0").strip()):
+                raise ValueError(f"more than {_MAX_DIGITS} digits")
+            return Fraction(0)
         return Fraction(value.strip())
     raise TypeError(f"not a rational: {value!r}")
-
-
-# Integers of more digits than this cannot be written as strings (CPython's
-# int_max_str_digits), so no output could show such a rational.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_DIGIT_BOUND = 10**_MAX_DIGITS
 
 
 def _past_digit_limit(value: Fraction) -> bool:
     return bool(_MAX_DIGITS) and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND
 
 
-# A decimal's exponent, which Fraction expands as 10**|exponent| at once.
-_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE | re.DOTALL)
-
-
 def _rat_from_json(node: object, pointer: str) -> Fraction:
     if isinstance(node, bool) or isinstance(node, float):
         raise SchemaError(pointer, "rationals must be strings 'p/q' or integers")
-    literal = node
     try:
-        shape = _EXPONENT.fullmatch(node) if _MAX_DIGITS and isinstance(node, str) else None
-        # With k mantissa digits, an exponent of at least the limit plus k
-        # puts any nonzero value past the limit: read the mantissa alone
-        # (0 stays 0) rather than expand 10**|exponent|
-        if shape and abs(int(shape[2])) >= _MAX_DIGITS + sum(c.isdigit() for c in shape[1]):
-            literal = shape[1] + "e0"
-        value = rat(literal)  # type: ignore[arg-type]
+        value = rat(node)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(pointer, f"invalid rational: {exc}") from None
-    if (value and literal is not node) or _past_digit_limit(value):
+    if _past_digit_limit(value):
         raise SchemaError(pointer, f"invalid rational: more than {_MAX_DIGITS} digits")
     return value
 

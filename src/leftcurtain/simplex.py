@@ -6,46 +6,52 @@ coefficients are dropped.  Phase 1 scales each row to integers and files its
 entries under their columns in row order, so the columns A_j that the
 pivots read are built once, straight from the rows.
 
-Every row and the objective are scaled to integers and pivoted fraction-free
-(Bareiss), in revised form.  The initial basic columns (the slacks of '<='
+Every row and the objective are scaled to integers and pivoted in revised
+form with exact integer rows.  The initial basic columns (the slacks of '<='
 rows and the artificials) form the identity, so after any pivots each row's
 entries in those columns are a multiple of its row of B^-1, the row
-operations applied so far.  Each row i is kept at its own scale d_i > 0:
-only R_i = d_i * (B^-1)_i and the right side are stored, m + 1 integers per
+operations applied so far.  Each row i is kept in lowest terms at its own
+scale s_i > 0: only R_i and the right side are stored, with
+R_i / s_i = (B^-1)_i and gcd(s_i, *R_i, b_i) == 1, m + 1 integers per
 constraint row and per objective row.  Every other entry is computed, at
 its row's scale, from the sparse input column A_j when it is needed:
 
     constraint row i:   T_ij = R_i . A_j
-    objective row:      z_j  = d_u * z_init_j + u . A_j
+    objective row:      z_j  = s_u * z_init_j + u . A_j
 
-where u is the objective row's R part and d_u its scale; the form holds
-because z_init is zero on the initial basic columns and every pivot
-z <- (p*z - f*prow)/d_u keeps it, at scale p.  With delta the previous
-pivot element (1 at the start), a pivot on column c at row r works as
-follows:
+where u is the objective row's R part and s_u its scale; the form holds
+because z_init is zero on the initial basic columns and every pivot keeps
+it.  A pivot on column c at row r works as follows:
 
-- Row r is brought to scale delta (R_r * delta / d_r; delta * B^-1 is the
-  Bareiss tableau, an integer matrix by Sylvester's determinant identity).
-  The pivot element is p = prow . A_c; if it is negative, p and prow are
-  negated, so every scale stays positive.  Row r keeps prow at scale p.
+- The pivot element is p = prow . A_c; if it is negative, p and prow are
+  negated, so every scale stays positive.  Row r becomes prow at scale p,
+  which is in lowest terms already: a prime dividing every entry of prow
+  would divide prow . A_B(r) = s_r as well.
 - A row whose entry f in column c is zero keeps its row of B^-1, so it is
   not touched.
-- Any other row becomes (R_i * p - f * prow) / d_i at scale p.  That is
-  p times its new row of B^-1, the Bareiss row at the new delta = p, so the
-  division is exact.
+- Any other row becomes R_i / s_i - (f / s_i) (prow / p).  With
+  a = gcd(f, p), that is N / (s_i * p/a) for N = R_i * (p/a) - (f/a) * prow.
+  No prime factor of p/a divides every entry of N (it would divide every
+  entry of prow), so N is brought to lowest terms by its gcd with s_i
+  alone: exact by construction, and no division needs a check.
 
 A pivot therefore updates at most (m + 1) x (m + 1) integers (one objective
-row per phase), and only in the rows whose entering entry is nonzero.
-Every division is verified at runtime: with d > 0 each floor remainder lies
-in [0, d), so quotients q of integers that sum to s are exact if and only if
-s == d * sum(q), where s = p * sum(R_i) - f * sum(prow) by linearity.
+row per phase), and only in the rows whose entering entry is nonzero.  The
+integers are those of the rational rows of B^-1, not Bareiss multiples of
+the basis determinant, so they stay a few times shorter.
+
+The determinant itself is kept as a counter: delta, |det B| over the start
+basis, is the pivot element of the fraction-free (Bareiss) tableau, and
+`LpResult.max_delta_bits` reports its largest bit length.  A pivot updates
+it to delta * p / s_r, the one division left; it is checked, and a nonzero
+remainder (a pivot row whose scale does not divide the determinant) raises
+AssertionError.  When phase 2 ends, each basic column is checked to read
+s_i in its own row.
 
 Scales never change a decision.  The ratio test compares b_i / T_ic, both at
-row i's scale, and tests the sign of T_ic with d_i > 0; pricing tests the
-sign of z_j, and the drive-out pivots test T_ij != 0.  So the pivots and
-pivot elements are those of the Bareiss tableau with one common delta.
-When phase 1 and phase 2 end, every row is brought to scale delta with the
-same checked division, so the end state holds R = delta * B^-1.
+row i's scale, and tests the sign of T_ic with s_i > 0; pricing tests the
+sign of z_j with s_u > 0, and the drive-out pivots test T_ij != 0.  So the
+pivots are those of the Bareiss tableau with one common delta.
 
 Bland's rule (lowest index entering, lowest basic index on ratio ties) makes
 the pivot sequence cycle-free and deterministic; the reduced costs are
@@ -53,15 +59,16 @@ priced in column order up to the first negative one, and only the entering
 column is computed for the ratio test.
 
 A solve is split at the one point where the objective enters.  `phase1`
-returns the end state of phase 1 (`Phase1`: R and the right side, the basis,
-delta and the pivot counts) and `solve_from` runs phase 2 from it;
-`solve_lp` is the two in a row.  Bland's phase-1 choices and the pivots that
-drive zero-level artificials out read only the phase-1 row and the
-constraint rows, so the end state is the same for every objective.  The
-phase-2 row for the final basis is determined by that basis: it is
-u = -sum_i z_init[B(i)] * R_i, right side included.  One state therefore
-serves any number of objectives, each with the pivots, vertex, duals and
-counts of a solve from scratch.
+returns the end state of phase 1 (`Phase1`: R and the right side with each
+row's scale, the basis, delta and the pivot counts) and `solve_from` runs
+phase 2 from it; `solve_lp` is the two in a row.  Bland's phase-1 choices
+and the pivots that drive zero-level artificials out read only the phase-1
+row and the constraint rows, so the end state is the same for every
+objective.  The phase-2 row for the final basis is determined by that
+basis: it is u = -sum_i z_init[B(i)] * R_i * (L / s_i), right side
+included, at the scale L, the lcm of the scales of the rows it reads, and
+reduced by its gcd.  One state therefore serves any number of objectives,
+each with the pivots, vertex, duals and counts of a solve from scratch.
 
 `phase1` remembers the end states of the last few constraint systems given
 to it as tuples all the way down (rows, every row and every pair, rhs and
@@ -105,7 +112,9 @@ class LpResult:
     for a minimization the reversed inequality holds.  `iterations` counts
     every pivot, `phase1_iterations` those made before phase 2 (including the
     pivots that drive zero-level artificials out of the basis), and
-    `max_delta_bits` is the largest bit length the common denominator reached.
+    `max_delta_bits` is the largest bit length that |det B| over the start
+    basis reached: the common denominator of a fraction-free tableau, which
+    the solver counts but does not scale its rows by.
     """
 
     value: Fraction
@@ -130,36 +139,21 @@ def _dot(row: List[int], column: Column) -> int:
     return sum(row[k] * a for k, a in column)
 
 
-def _exact(total: int, quot: List[int], d: int) -> List[int]:
-    """quot, the floor quotients by d > 0 of integers that sum to total.
-
-    Each floor remainder lies in [0, d), so they all vanish, and every
-    division was exact, if and only if total == d * sum(quot).
-    """
-    if total != d * sum(quot):
-        raise AssertionError("fraction-free pivot produced a non-integer entry")
-    return quot
-
-
-def _rescaled(row: List[int], new: int, old: int) -> List[int]:
-    """A row at scale old brought to scale new, checked exact."""
-    return _exact(new * sum(row), [v * new // old for v in row], old)
-
-
 class _Tableau:
     def __init__(
         self, columns: Sequence[Column], cost: List[int], rows: List[Sequence[int]],
-        basis: List[int], delta: int = 1, iterations: int = 0, max_delta_bits: int = 1,
+        scales: List[int], basis: List[int], delta: int = 1, iterations: int = 0,
+        max_delta_bits: int = 1,
     ):
         self.columns = columns    # sparse input column of every column that may enter
         self.cost = cost          # z_init of the objective row, right side last
         # R_i and the right side per constraint row, then u and the right side
-        # of the objective row, all given at scale delta.  A pivot replaces
-        # rows and never edits one.
+        # of the objective row, each in lowest terms at its scale s_i > 0.  A
+        # pivot replaces rows and never edits one.
         self.rows = rows
-        self.scales = [delta] * len(rows)  # d_i: row i is d_i times its B^-1 row
+        self.scales = scales
         self.basis = basis        # basic column per constraint row
-        self.delta = delta        # the last pivot element, the Bareiss scale
+        self.delta = delta        # |det B| over the start, counted for max_delta_bits
         self.iterations = iterations
         self.max_delta_bits = max_delta_bits
 
@@ -172,41 +166,37 @@ class _Tableau:
 
     def pivot(self, r: int, c: int, column: List[int]) -> None:
         """Pivot column c, whose entries are `column`, into the basis at row r."""
-        rows, scales, delta = self.rows, self.scales, self.delta
-        prow = rows[r]
-        if scales[r] != delta:
-            prow = _rescaled(prow, delta, scales[r])
-        p = _dot(prow, self.columns[c])
+        rows, scales = self.rows, self.scales
+        prow, p = rows[r], column[r]
         if p == 0:
             raise AssertionError("zero pivot")
         # Negating the pivot row keeps every scale positive.
         if p < 0:
             p = -p
             prow = [-v for v in prow]
-        psum = sum(prow)
+        delta, rest = divmod(self.delta * p, scales[r])
+        if rest:
+            raise AssertionError("pivot row scale does not divide the determinant")
+        # prow / p, in lowest terms, is the new row r (module notes).
         for i, f in enumerate(column):
             if f == 0 or i == r:
                 continue
-            row, d = rows[i], scales[i]
-            quot = [(v * p - f * w) // d for v, w in zip(row, prow)]
-            rows[i] = _exact(p * sum(row) - f * psum, quot, d)
-            scales[i] = p
-        rows[r] = prow
-        scales[r] = p
+            # Row i becomes N / (s_i * q) with N = R_i * q - f * prow, once
+            # gcd(f, p) is cancelled.  No factor of q divides all of N, so
+            # its gcd with s_i brings N to lowest terms.
+            a = math.gcd(f, p)
+            q, f = p // a, f // a
+            new = [v * q - f * w for v, w in zip(rows[i], prow)]
+            s = scales[i]
+            g = math.gcd(s, *new)
+            rows[i], scales[i] = ([v // g for v in new], s // g * q) if g > 1 else (new, s * q)
+        rows[r], scales[r] = prow, p
         self.basis[r] = c
-        self.delta = p
-        self.max_delta_bits = max(self.max_delta_bits, p.bit_length())
+        self.delta = delta
+        self.max_delta_bits = max(self.max_delta_bits, delta.bit_length())
         self.iterations += 1
         if self.iterations > _MAX_PIVOTS:
             raise AssertionError("pivot limit exceeded")
-
-    def normalise(self) -> None:
-        """Bring every row to the scale delta."""
-        delta = self.delta
-        self.rows = [
-            row if d == delta else _rescaled(row, delta, d) for row, d in zip(self.rows, self.scales)
-        ]
-        self.scales = [delta] * len(self.rows)
 
     def run(self) -> None:
         """Bland-rule simplex loop on the objective row."""
@@ -243,9 +233,11 @@ class Phase1:
     """The end state of phase 1 on one constraint system, for any objective.
 
     `columns` are the sparse structural and slack/surplus columns, `rows`
-    R_i and the right side of every row that is not redundant, `basis` their
-    basic columns, and `row_mult` each input row's integer scale, negated
-    where its right side was.  `iterations` and `max_delta_bits` count
+    R_i and the right side of every row that is not redundant, in lowest
+    terms at the row's scale in `scales`, `basis` their basic columns, and
+    `row_mult` each input row's integer scale, negated where its right side
+    was.  `delta` is |det B| over the start basis, which only the
+    `max_delta_bits` count reads.  `iterations` and `max_delta_bits` count
     phase 1 and the drive-out pivots.  Every field is immutable, so
     `solve_from` can start any number of phase-2 runs from one state.
     """
@@ -253,11 +245,12 @@ class Phase1:
     n: int
     columns: Tuple[Tuple[Tuple[int, int], ...], ...]
     rows: Tuple[Tuple[int, ...], ...]
+    scales: Tuple[int, ...]
     basis: Tuple[int, ...]
     delta: int
     iterations: int
     max_delta_bits: int
-    row_mult: Tuple[Fraction, ...]
+    row_mult: Tuple[int, ...]
 
 
 # One system per problem kind that lpsolver interleaves in a probe sweep:
@@ -318,7 +311,7 @@ def _phase1(
     # sign flip used to make the right side >= 0.
     columns: List[Column] = [[] for _ in range(n)]
     b: List[int] = []
-    row_mult: List[Fraction] = []
+    row_mult: List[int] = []
     eff_senses: List[str] = []
     for i in range(m):
         js = [j for j, _ in rows[i]]
@@ -331,7 +324,7 @@ def _phase1(
         if sense not in _FLIPPED:
             raise ValueError(f"row {i} has sense {sense!r}, expected '=', '<=' or '>='")
         ints, denom = _scale_to_int([_fraction(a) for _, a in rows[i]] + [_fraction(rhs[i])])
-        mult = Fraction(denom)
+        mult = denom
         if ints[-1] < 0:
             ints = [-v for v in ints]
             mult = -mult
@@ -362,7 +355,7 @@ def _phase1(
     z1 = [-sum(a for i, a in col if eff_senses[i] != "<=") for col in columns]
     z1.append(-sum(b[i] for i in art_rows))
     tab_rows = [[int(k == i) for k in range(m)] + [b[i]] for i in range(m)]
-    tab = _Tableau(columns, z1, tab_rows + [[0] * m + [z1[-1]]], basis)
+    tab = _Tableau(columns, z1, tab_rows + [[0] * m + [z1[-1]]], [1] * (m + 1), basis)
     if art_rows:
         tab.run()
         if tab.rows[m][-1] != 0:
@@ -374,7 +367,6 @@ def _phase1(
                 pivot_col = next((j for j, col in enumerate(columns) if _dot(row, col)), None)
                 if pivot_col is not None:
                     tab.pivot(i, pivot_col, tab.column(pivot_col))
-    tab.normalise()
 
     # Redundant rows: basic artificial with no pivotable entry left.
     keep = [i for i in range(m) if tab.basis[i] < n_real]
@@ -382,6 +374,7 @@ def _phase1(
         n=n,
         columns=tuple(tuple(col) for col in columns),
         rows=tuple(tuple(tab.rows[i]) for i in keep),
+        scales=tuple(tab.scales[i] for i in keep),
         basis=tuple(tab.basis[i] for i in keep),
         delta=tab.delta,
         iterations=tab.iterations,
@@ -406,41 +399,38 @@ def solve_from(state: Phase1, objective: Sequence[Fraction], maximize: bool = Tr
     obj_ints, obj_denom = _scale_to_int(obj)
     m = len(state.row_mult)
 
-    # Phase-2 row (z - c) priced out against the basis (see the module notes).
+    # Phase-2 row (z - c) priced out against the basis (see the module
+    # notes), at the lcm of the scales of the rows it reads.
     z2 = [-v for v in obj_ints] + [0] * (len(state.columns) - n) + [0]
+    priced = [(row, s, z2[col]) for row, s, col in zip(state.rows, state.scales, state.basis) if z2[col]]
+    scale = math.lcm(*(s for _, s, _ in priced))
     u = [0] * (m + 1)
-    for row, col in zip(state.rows, state.basis):
-        c = z2[col]
-        if c:
-            u = [a - c * b for a, b in zip(u, row)]
+    for row, s, c in priced:
+        k = c * (scale // s)
+        u = [a - k * b for a, b in zip(u, row)]
+    g = math.gcd(scale, *u)
     tab = _Tableau(
-        state.columns, z2, [*state.rows, u], list(state.basis),
-        state.delta, state.iterations, state.max_delta_bits,
+        state.columns, z2, [*state.rows, [a // g for a in u]], [*state.scales, scale // g],
+        list(state.basis), state.delta, state.iterations, state.max_delta_bits,
     )
     tab.run()
-    tab.normalise()
 
-    delta = tab.delta
     x = [Fraction(0)] * n
-    for row, col in zip(tab.rows, tab.basis):
-        if _dot(row, state.columns[col]) != delta:
+    for row, s, col in zip(tab.rows, tab.scales, tab.basis):
+        if _dot(row, state.columns[col]) != s:
             raise AssertionError("basic column is not the scaled identity")
         if col < n:
-            x[col] = Fraction(row[-1], delta)
+            x[col] = Fraction(row[-1], s)
     u = tab.rows[-1]
-    raw_value = Fraction(u[-1], delta) / obj_denom
-
+    # A minimization ran on the negated objective: negate its value and duals back.
+    denom = tab.scales[-1] * obj_denom if maximize else -tab.scales[-1] * obj_denom
     # Row i's dual is the phase-2 row's entry on its initial basic column; a
     # redundant row's artificial stayed basic, so that entry is zero.
-    duals = [Fraction(u[i], delta) * state.row_mult[i] / obj_denom for i in range(m)]
-
-    if not maximize:
-        raw_value = -raw_value
-        duals = [-y for y in duals]
+    duals = [Fraction(u[i] * state.row_mult[i], denom) for i in range(m)]
 
     basis_structural = tuple(sorted(col for col in tab.basis if col < n))
     return LpResult(
-        value=raw_value,
+        value=Fraction(u[-1], denom),
         x=x,
         duals=duals,
         basis=basis_structural,

@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +52,7 @@ from conftest import (
 )
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_measures(max_atoms=4):
@@ -469,6 +473,31 @@ class TestJson:
             DiscreteMeasure.from_json({"atoms": [{"x": x, "w": "1"}]}, "#")
         assert info.value.pointer == "#/atoms/0/x"
         assert time.perf_counter() - start < 1
+
+    # Fraction alone expands 10**|exponent| first, for a second and more on
+    # these; the library's own parser reads them at once.
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            ('rat("1e1000000")', f"ValueError: more than {DIGIT_LIMIT} digits"),
+            ('DiscreteMeasure.dirac("0e2000000").atoms', "((Fraction(0, 1), Fraction(1, 1)),)"),
+        ],
+    )
+    def test_rat_reads_huge_exponents_at_once(self, call, expected):
+        code = (
+            "from leftcurtain.measure import DiscreteMeasure, rat\n"
+            f"try:\n    print(repr({call}))\n"
+            "except ValueError as exc:\n    print(f'ValueError: {exc}')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, expected), done.stderr
 
     @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer string conversion")
     @pytest.mark.parametrize("mantissa", ["1", "-7", "0.001", "25", "1.5", "0.0", "123.456", "1_000"])

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction as F
 
@@ -227,29 +228,35 @@ class TestHandPicked:
     def fresh_tableau():
         """Two '<=' rows whose slacks are basic, at scale 1; column 0 has an
         entry in both rows, so pivoting it in at row 0 updates row 1."""
-        return _Tableau([[(0, 1), (1, 1)], [(1, 1)]], [0, 0, 0], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [2, 3])
+        return _Tableau(
+            [[(0, 1), (1, 1)], [(1, 1)]], [0, 0, 0], [[1, 0, 1], [0, 1, 1], [0, 0, 0]], [1, 1, 1], [2, 3]
+        )
 
-    def test_inexact_division_is_detected(self):
-        # A forged scale 2 for row 1, which the update R_1 - prow = [-1, 1, 0]
-        # of the pivot on element 1 does not divide.
-        tab = self.fresh_tableau()
-        tab.scales[1] = 2
-        with pytest.raises(AssertionError, match="non-integer"):
-            tab.pivot(0, 0, tab.column(0))
-
-    def test_inexact_pivot_row_rescale_is_detected(self):
-        # A forged scale 2 for the pivot row, which delta = 1 does not divide.
+    def test_forged_pivot_row_scale_is_detected(self):
+        # A forged scale 2 for the pivot row: the determinant delta * p / 2 =
+        # 1 / 2 of the pivot on element 1 is not an integer.
         tab = self.fresh_tableau()
         tab.scales[0] = 2
-        with pytest.raises(AssertionError, match="non-integer"):
+        with pytest.raises(AssertionError, match="does not divide the determinant"):
             tab.pivot(0, 0, tab.column(0))
 
-    def test_inexact_normalisation_is_detected(self):
-        # A forged scale 2 for row 1, which delta = 1 does not divide.
-        tab = self.fresh_tableau()
-        tab.scales[1] = 2
-        with pytest.raises(AssertionError, match="non-integer"):
-            tab.normalise()
+    def test_forged_row_scale_is_caught_by_the_identity_check(self):
+        # Only slacks start basic, so phase 2 is the one run.  Forging row 1
+        # to scale 2 when it starts halves that row's B^-1 row; the pivot on
+        # x0 at row 0 carries the error into the updated row 1, and the
+        # check of the basic columns at the end finds it.
+        original = _Tableau.run
+
+        def run(tab):
+            tab.scales[1] *= 2
+            original(tab)
+
+        rows = sparse([[F(1), F(1)], [F(1), F(2)]])
+        assert solve_lp([F(1), F(0)], rows, [F(4), F(6)], ["<=", "<="]).iterations == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "run", run)
+            with pytest.raises(AssertionError, match="basic column is not the scaled identity"):
+                solve_lp([F(1), F(0)], rows, [F(4), F(6)], ["<=", "<="])
 
 
 class TestMalformedInput:
@@ -440,46 +447,79 @@ class TestAgainstDenseOracle:
             assert outcome_of(solve_lp, (c, *frozen, maximize)) == cold
 
 
+    def test_irreducible_chain_of_120_paths(self):
+        """A transport LP of 120 variables and 34 rows gives the dense
+        oracle's result, with the pivot count and peak determinant bits of
+        the fraction-free engine that kept every row at that determinant."""
+        chain = irreducible_chain(random.Random(358), (3, 5, 8))
+        program = build_program(chain, left_tail_put_reward(chain[0].support[1], 2, chain[2].support[4]))
+        objective, rows, rhs = program.reward_values, list(program.rows), program.rhs
+        assert (len(objective), len(rows)) == (120, 34)
+        result = solve_lp(objective, rows, rhs)
+        assert result == oracle_solve_lp(objective, dense(rows, len(objective)), rhs)
+        assert (result.iterations, result.phase1_iterations, result.max_delta_bits) == (201, 169, 229)
+
 class TestMixedScales:
-    """The paths that per-row scales add, on LPs that take them, give the
-    results of the dense tableau with one common delta."""
+    """Rows in lowest terms, each at its own scale, give the results of the
+    dense tableau with one common delta."""
 
     @pytest.fixture
-    def pivots(self, monkeypatch):
-        """Per pivot: (the pivot row was at another scale than delta, the
-        pivot element was negative, a row was left at an older scale)."""
+    def pivot_log(self, monkeypatch):
+        """Per pivot: (the pivot element was negative, a row it updated
+        other than the pivot row was divided by a gcd g > 1)."""
         seen = []
         original = _Tableau.pivot
 
         def pivot(tab, r, c, column):
-            rescaled, negative = tab.scales[r] != tab.delta, column[r] < 0
+            # Row i goes from scale s_i to s_i * q / g, where g divides s_i
+            # and shares no factor with q: a multiple of s_i only if g == 1.
+            before = list(tab.scales)
             original(tab, r, c, column)
-            seen.append((rescaled, negative, any(d != tab.delta for d in tab.scales)))
+            updated = [i for i, f in enumerate(column) if f and i != r]
+            seen.append((column[r] < 0, any(tab.scales[i] % before[i] for i in updated)))
 
         monkeypatch.setattr(_Tableau, "pivot", pivot)
         return seen
 
-    def test_irreducible_chain(self, pivots):
+    def test_irreducible_chain(self, pivot_log):
         chain = irreducible_chain(random.Random(149), (2, 4, 6))
         program = build_program(chain, left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2]))
         objective, rows, rhs = program.reward_values, list(program.rows), program.rhs
         n = len(objective)
         oracle = oracle_solve_lp(objective, dense(rows, n), rhs)
         assert solve_lp(objective, rows, rhs) == solve_from(phase1(n, rows, rhs), objective) == oracle
-        assert any(older for _, _, older in pivots)
-        assert any(rescaled for rescaled, _, _ in pivots)
+        assert any(reduced for _, reduced in pivot_log)
 
-    def test_negative_drive_out_at_mixed_scales(self, pivots):
-        # Phase 1 enters x0 on the element 2, which leaves row 1 (entry 0) at
-        # scale 1 and the other rows at 2.  Driving row 1's artificial out
-        # pivots x2 in at row 1: its row is brought from scale 1 to delta = 2
-        # first, and the element is -2.
+    def test_negative_drive_out_pivot(self, pivot_log):
+        # Phase 1 enters x0 on the element 2 and is optimal with row 1's
+        # artificial basic at level zero.  Driving it out pivots x2 in at
+        # row 1 on a negative element, so that row is negated and every
+        # scale stays positive.
         objective, rhs = [F(0), F(1), F(0)], [F(4), F(0)]
         rows = sparse([[F(2), F(1), F(1)], [F(0), F(0), F(-1)]])
         state = phase1(3, rows, rhs)
-        assert pivots == [(False, False, True), (True, True, False)]
+        assert [negative for negative, _ in pivot_log] == [False, True]
+        assert all(s > 0 for s in state.scales)
         oracle = oracle_solve_lp(objective, dense(rows, 3), rhs)
         assert solve_from(state, objective) == solve_lp(objective, rows, rhs) == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(lps())
+    def test_rows_stay_in_lowest_terms(self, lp):
+        """After every pivot, every row, the objective row included, is at a
+        positive scale that shares no factor with all of its entries."""
+        original = _Tableau.pivot
+        reduced = []
+
+        def pivot(tab, r, c, column):
+            original(tab, r, c, column)
+            reduced.append(all(s > 0 and math.gcd(s, *row) == 1 for row, s in zip(tab.rows, tab.scales)))
+
+        expected = outcome_of(oracle_solve_lp, lp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "pivot", pivot)
+            assert outcome_of(solve_dense, lp) == expected
+        assert all(reduced)
 
     @settings(max_examples=100, deadline=None)
     @given(lps())
