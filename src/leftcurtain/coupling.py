@@ -15,15 +15,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
-    NegativeWeight,
     NotInConvexOrder,
     RationalLike,
     SchemaError,
     _json_from_text,
+    _merged,
     _rat_from_json,
     _rat_to_json,
     convex_order_leq,
@@ -62,26 +63,28 @@ class KernelPolicy(Enum):
 
 @dataclass(frozen=True)
 class PathMeasure:
-    """Sparse measure on R^(n+1) given by weighted support paths."""
+    """Sparse measure on R^(n+1) given by weighted support paths, read in
+    input order, then sorted and merged in one pass (`measure._merged`)."""
 
     n: int
     paths: Tuple[Tuple[Path, Fraction], ...] = ()
 
     def __init__(self, n: int, paths: Iterable[Tuple[Sequence[RationalLike], RationalLike]] = ()):
-        merged: Dict[Path, Fraction] = {}
-        for coords, w in paths:
-            key = tuple(rat(c) for c in coords)
-            if len(key) != n + 1:
-                raise ValueError(f"path {key} does not have {n + 1} coordinates")
-            w = rat(w)
-            if w < 0:
-                raise NegativeWeight(f"path {key} has negative weight {w}")
-            if w == 0:
-                continue
-            merged[key] = merged.get(key, Fraction(0)) + w
-        cleaned = tuple(sorted((p, w) for p, w in merged.items() if w != 0))
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"step count must be a nonnegative integer, got {n!r}")
+
+        def name(path: Path) -> str:
+            return f"path ({', '.join(map(str, path))})"
+
+        def read():
+            for coords, w in paths:
+                key = tuple(map(rat, coords))
+                if len(key) != n + 1:
+                    raise ValueError(f"{name(key)} does not have {n + 1} coordinates")
+                yield key, rat(w)
+
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "paths", cleaned)
+        object.__setattr__(self, "paths", _merged(read(), name))
 
     def __iter__(self):
         return iter(self.paths)
@@ -113,13 +116,13 @@ class PathMeasure:
         in increasing history order (the paths are sorted, so their prefixes are)."""
         if not 0 <= t <= self.n:
             raise IndexError(f"kernel index {t} out of range")
-        rows: Dict[Path, List[Tuple[Fraction, Fraction]]] = {}
-        for p, w in self.paths:
-            rows.setdefault(p[:t], []).append((p[t], w))
-        return {history: DiscreteMeasure(law) for history, law in rows.items()}
+        groups = groupby(self.paths, lambda pair: pair[0][:t])
+        return {history: DiscreteMeasure((p[t], w) for p, w in group) for history, group in groups}
 
     def project(self, indices: Sequence[int]) -> "PathMeasure":
         """Pushforward under coordinate selection, aggregating weights."""
+        if not indices:
+            raise ValueError("a projection needs at least one coordinate")
         for i in indices:
             if not 0 <= i <= self.n:
                 raise IndexError(f"coordinate index {i} out of range")
@@ -275,7 +278,7 @@ def _increments(
     of its set, so each is <=_c the other and they are equal.  Taking it
     from both leaves R' = R - shadow(y, R) and S - shadow(y, R), which by
     associativity is shadow(rest of lower, R'), so the argument repeats
-    atom by atom.
+    atom by atom.  A piece (z, v) is what y sends to z, not divided by y's mass.
     """
     residuals = [_Residual(nu) for nu in marginals[1:]]
     out = []
@@ -303,11 +306,14 @@ def left_monotone_multistep(
     shadow additivity law; the increments of consecutive dates are in convex
     order and are coupled one step at a time by the chosen policy (the
     default policy's Left-Curtain coupling is the takes that computed the
-    increment, see `_increments`).  The bivariate projections onto dates
-    (0, t) are uniquely determined; only the full joint depends on the
-    policy.  Raises PathCountExceeded when the worst-case path count, which
-    bounds every atom's paths since they step into its increments' supports,
-    exceeds max_paths.
+    increment, see `_increments`).  Path weights are integer pairs, times
+    (v.numerator * m.denominator, v.denominator * m.numerator) per date for
+    kernel weight v and last value's mass m, read once as (normalised)
+    Fractions.  The bivariate projections onto dates (0, t) are uniquely
+    determined; only the full joint depends on the policy.  Raises
+    PathCountExceeded when the worst-case path count, which bounds every
+    atom's paths since they step into its increments' supports, exceeds
+    max_paths.
     """
     marginals = list(marginals)
     if len(marginals) < 2:
@@ -330,7 +336,7 @@ def left_monotone_multistep(
 
     all_rows: List[Tuple[Path, Fraction]] = []
     for (x, q), steps in zip(mu0.atoms, increments):
-        partial: List[Tuple[Path, Fraction]] = [((x,), q)]
+        partial: List[Tuple[Path, int, int]] = [((x,), q.numerator, q.denominator)]
         lower = DiscreteMeasure.dirac(x, q)
         for t, (upper, kernels) in enumerate(steps, start=1):
             if not convex_order_leq(lower, upper):
@@ -339,12 +345,11 @@ def left_monotone_multistep(
                 )
             if policy is not KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
                 kernels = _feasible_martingale_coupling(lower, upper).kernels(1)
-            mass = dict(lower.atoms)
-            partial = [
-                (p + (z,), w * v / mass[p[-1]]) for p, w in partial for z, v in kernels[p[-1:]]
-            ]
+            step = {y: [(z, v.numerator * m.denominator, v.denominator * m.numerator)
+                        for z, v in kernels[(y,)]] for y, m in lower.atoms}
+            partial = [(p + (z,), a * b, c * d) for p, a, c in partial for z, b, d in step[p[-1]]]
             lower = upper
-        all_rows.extend(partial)
+        all_rows.extend((p, Fraction(a, c)) for p, a, c in partial)
     return PathMeasure(n, all_rows)
 
 
@@ -382,12 +387,11 @@ def verify_left_monotone(
     if not ok:
         raise NotMartingale(f"martingale property fails at prefix {witness}")
 
-    slices: Dict[Fraction, List[Tuple[Path, Fraction]]] = {}
-    for p, w in P.paths:
-        slices.setdefault(p[0], []).append((p, w))
-    for i, ((a, _), steps) in enumerate(zip(marginals[0].atoms, _increments(marginals))):
+    # the marginal at 0 matches, so the paths from each atom, in order, are one group
+    slices = (tuple(group) for _, group in groupby(P.paths, lambda pair: pair[0][0]))
+    for i, ((a, _), steps, paths) in enumerate(zip(marginals[0].atoms, _increments(marginals), slices)):
         for t, (increment, _) in enumerate(steps, start=1):
-            if DiscreteMeasure((p[t], w) for p, w in slices[a]) != increment:
+            if DiscreteMeasure((p[t], w) for p, w in paths) != increment:
                 image = P.restrict_first(a).marginal(t)
                 expected = obstructed_shadow(DiscreteMeasure(marginals[0].atoms[: i + 1]), marginals[1 : t + 1])
                 return False, PrefixImageRecord(a, t, image, expected)

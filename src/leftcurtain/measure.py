@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -169,28 +169,40 @@ class Interval:
         return f"{left}, {right}"
 
 
+def _merged(pairs: Iterable[tuple], name: Callable[[object], str]) -> tuple:
+    """(key, weight) pairs checked in input order (a negative weight raises
+    NegativeWeight naming `name(key)`), zero weights dropped, sorted stably
+    by key and equal neighbours summed in one pass: no key is hashed."""
+    kept = []
+    for pair in pairs:
+        if pair[1].numerator > 0:
+            kept.append(pair)
+        elif pair[1].numerator < 0:
+            raise NegativeWeight(f"{name(pair[0])} has negative weight {pair[1]}")
+    kept.sort(key=itemgetter(0))
+    merged: list = []
+    for pair in kept:
+        if merged and merged[-1][0] == pair[0]:
+            merged[-1] = (pair[0], merged[-1][1] + pair[1])
+        else:
+            merged.append(pair)
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A finitely supported nonnegative measure on the real line.
 
-    Atoms are stored sorted by position with strictly positive weights.
-    Instances are immutable and hashable; every operation returns a fresh
-    measure.
+    Atoms are stored sorted by position with strictly positive weights, read
+    in input order, then sorted and merged in one pass (`_merged`).  Instances
+    are immutable and hashable; every operation returns a fresh measure.
     """
 
     atoms: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
     def __init__(self, atoms: Iterable[Tuple[RationalLike, RationalLike]] = ()):
-        merged: dict = {}
-        for x, w in atoms:
-            x, w = rat(x), rat(w)
-            if w.numerator <= 0:
-                if w < 0:
-                    raise NegativeWeight(f"atom at {x} has negative weight {w}")
-                continue
-            before = merged.get(x)
-            merged[x] = w if before is None else before + w
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items(), key=itemgetter(0))))
+        pairs = ((rat(x), rat(w)) for x, w in atoms)
+        object.__setattr__(self, "atoms", _merged(pairs, lambda x: f"atom at {x}"))
 
     @staticmethod
     def zero() -> "DiscreteMeasure":

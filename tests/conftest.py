@@ -32,7 +32,11 @@ martingale check from per-history drift sums that the kernels of
 `oracle_right_derivative`, `oracle_left_derivative`, `oracle_weight_at` and
 `oracle_path_weight_at` are the binary search and the linear scans that the
 `bisect` lookups of `PotentialFunction`, `DiscreteMeasure.weight_at` and
-`PathMeasure.weight_at` replaced.
+`PathMeasure.weight_at` replaced.  `oracle_atoms` and `oracle_paths` are
+the dict merges of the `DiscreteMeasure` and `PathMeasure` constructors
+that their one sorted pass replaced; `oracle_path_measure` builds a
+PathMeasure from `oracle_paths` without calling the constructor, and
+`spelled` draws equal values as distinct inputs for both merges.
 """
 
 from __future__ import annotations
@@ -43,15 +47,18 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
     DualCertificate,
     Interval,
     IrreducibleDomain,
+    NegativeWeight,
     NotInConvexOrder,
     NotInPositiveConvexOrder,
     PathMeasure,
@@ -744,6 +751,76 @@ def oracle_weight_at(mu: DiscreteMeasure, x) -> Fraction:
     return Fraction(0)
 
 
+def spelled(values):
+    """Each drawn value as a Fraction, as 'p/q', as '2p/2q' or, if whole, as
+    an int: equal values as distinct objects."""
+
+    def spell(drawn):
+        value, form = drawn
+        forms = [value, str(value), f"{2 * value.numerator}/{2 * value.denominator}"]
+        forms += [value.numerator] * (value.denominator == 1)
+        return forms[form % len(forms)]
+
+    return st.tuples(values, st.integers(0, 3)).map(spell)
+
+
+merge_positions = spelled(st.sampled_from([F(-2), F(-1, 3), F(0), F(1, 2), F(2, 3), F(1), F(3, 2)]))
+merge_weights = spelled(st.sampled_from([F(0), F(1, 4), F(1, 2), F(1), F(5, 3)]))
+signed_weights = spelled(st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 4), F(1, 2), F(1), F(5, 3)]))
+
+
+class Unhashable(Fraction):
+    """A Fraction that cannot be hashed."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def oracle_atoms(atoms) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The atoms of `DiscreteMeasure(atoms)`, merged in a dict keyed by position."""
+    merged: dict = {}
+    for x, w in atoms:
+        x, w = rat(x), rat(w)
+        if w.numerator <= 0:
+            if w < 0:
+                raise NegativeWeight(f"atom at {x} has negative weight {w}")
+            continue
+        before = merged.get(x)
+        merged[x] = w if before is None else before + w
+    return tuple(sorted(merged.items(), key=itemgetter(0)))
+
+
+def oracle_paths(n: int, paths) -> Tuple[Tuple[tuple, Fraction], ...]:
+    """The paths of `PathMeasure(n, paths)`, merged in a dict keyed by path."""
+    merged: Dict[tuple, Fraction] = {}
+    for coords, w in paths:
+        key = tuple(rat(c) for c in coords)
+        named = "(" + ", ".join(map(str, key)) + ")"
+        if len(key) != n + 1:
+            raise ValueError(f"path {named} does not have {n + 1} coordinates")
+        w = rat(w)
+        if w < 0:
+            raise NegativeWeight(f"path {named} has negative weight {w}")
+        if w == 0:
+            continue
+        merged[key] = merged.get(key, Fraction(0)) + w
+    return tuple(sorted((p, w) for p, w in merged.items() if w != 0))
+
+
+def oracle_path_measure(n: int, paths) -> PathMeasure:
+    P = object.__new__(PathMeasure)
+    object.__setattr__(P, "n", n)
+    object.__setattr__(P, "paths", oracle_paths(n, paths))
+    return P
+
+
 def oracle_path_weight_at(P: PathMeasure, coords) -> Fraction:
     key = tuple(rat(c) for c in coords)
     for p, w in P.paths:
@@ -1008,7 +1085,7 @@ def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMe
             ]
             lower = upper
         rows += partial
-    return PathMeasure(len(marginals) - 1, rows)
+    return oracle_path_measure(len(marginals) - 1, rows)
 
 
 def oracle_is_martingale(P: PathMeasure) -> Tuple[bool, Optional[tuple]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -13,6 +14,7 @@ from leftcurtain import (
     Interval,
     KernelPolicy,
     MarginalMismatch,
+    NegativeWeight,
     NotInConvexOrder,
     NotMartingale,
     PathCountExceeded,
@@ -37,20 +39,27 @@ from leftcurtain.cli import main
 from leftcurtain.coupling import _increments, _left_curtain, coupling_from_json_str
 
 from conftest import (
+    Unhashable,
     grid_chain,
     measure,
+    merge_positions,
+    merge_weights,
     mirror_coupling,
     mirror_measure,
     oracle_convex_order_leq,
     oracle_is_martingale,
     oracle_left_curtain_rows,
     oracle_left_monotone,
+    oracle_path_measure,
     oracle_path_weight_at,
+    oracle_paths,
     oracle_running_strong_order,
     oracle_shadow,
     oracle_strong_order,
     oracle_verify,
+    outcome,
     random_marginal_chain,
+    signed_weights,
 )
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -66,6 +75,15 @@ class TestPathMeasure:
             PathMeasure(1, [((True, 0), 1)])
         with pytest.raises(TypeError, match="not a rational"):
             PathMeasure(1, [((0, 0), True)])
+
+    @pytest.mark.parametrize("n", [-1, -5, True, 1.0, "1", None])
+    def test_step_count_must_be_a_nonnegative_int(self, n):
+        with pytest.raises(ValueError, match="step count must be a nonnegative integer"):
+            PathMeasure(n, [])
+
+    def test_projection_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            PathMeasure(1, [((0, 0), 1)]).project([])
 
     def test_marginals_and_projection(self, rigid_marginals):
         P = left_monotone_multistep(rigid_marginals)
@@ -124,6 +142,43 @@ class TestPathMeasure:
         with pytest.raises(SchemaError, match="invalid JSON") as info:
             coupling_from_json_str(text)
         assert info.value.pointer == ""
+
+
+@st.composite
+def path_lists(draw, weights, lengths=st.just(0)):
+    """(n, paths) with n in {0, 1, 2}; a path has n + 1 + draw(lengths) coordinates."""
+    n = draw(st.integers(0, 2))
+    paths = [
+        (draw(st.lists(merge_positions, min_size=size, max_size=size)), draw(weights))
+        for size in draw(st.lists(lengths.map(lambda e: n + 1 + e), max_size=8))
+    ]
+    return n, paths
+
+
+class TestPathMergeAgainstDictOracle:
+    """The constructor's sorted merge against the dict merge it replaced."""
+
+    @given(path_lists(merge_weights))
+    @settings(max_examples=150, deadline=None)
+    def test_paths_equal_the_oracle(self, case):
+        n, paths = case
+        assert PathMeasure(n, paths).paths == oracle_paths(n, paths)
+
+    @given(path_lists(signed_weights, st.sampled_from([0, 0, 0, -1, 1])))
+    @settings(max_examples=150, deadline=None)
+    def test_first_error_raises_as_the_oracle(self, case):
+        n, paths = case
+        assert outcome(lambda: PathMeasure(n, paths).paths) == outcome(oracle_paths, n, paths)
+
+    def test_messages_name_the_path_by_its_values(self):
+        with pytest.raises(NegativeWeight, match=r"^path \(0, 1/2\) has negative weight -1$"):
+            PathMeasure(1, [((0, 1), 1), ((0, "2/4"), -1)])
+        with pytest.raises(ValueError, match=r"^path \(0, 1, 2\) does not have 2 coordinates$"):
+            PathMeasure(1, [((0, 1, 2), 1)])
+
+    def test_no_coordinate_is_hashed(self):
+        P = PathMeasure(1, [((Unhashable(1), Unhashable(1, 2)), 1), ((Unhashable(1), Unhashable(2, 4)), 1)])
+        assert P.paths == (((F(1), F(1, 2)), F(2)),)
 
 
 class TestMartingaleCheck:
@@ -439,6 +494,35 @@ class TestGridChainAgainstHullOracle:
         # the records read only the (0, t) projections, which the policies share
         P = left_monotone_multistep(self.chain)
         assert verify_left_monotone(P, self.chain) == oracle_verify(P, self.chain)
+
+
+class TestGridChainBytes:
+    """An 80-atom grid and two spreads (80 / 113 / 146 atoms), beyond the
+    sizes of the goldens: each policy's coupling against its recomputation
+    from hull shadows, and its JSON bytes against their sha256."""
+
+    chain = grid_chain(random.Random(80), 80)
+
+    @pytest.mark.parametrize(
+        "policy, couple, digest",
+        [
+            (
+                KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS,
+                lambda lower, upper: oracle_path_measure(1, oracle_left_curtain_rows(lower, upper)),
+                "19cd5c761666d8633a10243ab9254338b497f0295dc2c50fb3326a9fe06fd5c9",
+            ),
+            (
+                KernelPolicy.LP_FEASIBLE,
+                coupling._feasible_martingale_coupling,
+                "bd3da99bdf209c82c03c9f551871c08f5ec896463907cb9ca966bb50a1aa15ad",
+            ),
+        ],
+        ids=["left-curtain", "lp-feasible"],
+    )
+    def test_coupling_and_bytes(self, policy, couple, digest):
+        P = left_monotone_multistep(self.chain, policy)
+        assert P == oracle_left_monotone(self.chain, couple)
+        assert hashlib.sha256(json.dumps(P.to_json()).encode()).hexdigest() == digest
 
 
 class TestPerAtomChecksAgainstPrefixSums:

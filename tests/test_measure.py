@@ -31,10 +31,14 @@ from leftcurtain import (
 from leftcurtain.measure import _rat_from_json, measure_from_json_str, measure_to_json_str
 
 from conftest import (
+    Unhashable,
     lp_cast_set_exists,
     lp_martingale_coupling_exists,
-    measure,
     mean_preserving_spread,
+    measure,
+    merge_positions,
+    merge_weights,
+    oracle_atoms,
     oracle_convex_order_leq,
     oracle_left_derivative,
     oracle_positive_convex_order_leq,
@@ -47,8 +51,10 @@ from conftest import (
     oracle_sweep_potential,
     oracle_sweep_put_value,
     oracle_weight_at,
+    outcome,
     random_measure,
     random_pc_pair,
+    signed_weights,
 )
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -96,6 +102,28 @@ class TestConstruction:
             DiscreteMeasure([(True, 1)])
         with pytest.raises(TypeError, match="not a rational"):
             DiscreteMeasure([(0, True)])
+
+
+class TestMergeAgainstDictOracle:
+    """The constructor's sorted merge against the dict merge it replaced."""
+
+    @given(st.lists(st.tuples(merge_positions, merge_weights), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_atoms_equal_the_oracle(self, pairs):
+        assert DiscreteMeasure(pairs).atoms == oracle_atoms(pairs)
+
+    @given(st.lists(st.tuples(merge_positions, signed_weights), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_first_negative_weight_raises_as_the_oracle(self, pairs):
+        assert outcome(lambda: DiscreteMeasure(pairs).atoms) == outcome(oracle_atoms, pairs)
+
+    def test_messages_name_the_first_negative_atom(self):
+        with pytest.raises(NegativeWeight, match=r"^atom at 1/2 has negative weight -1$"):
+            DiscreteMeasure([(1, 1), ("2/4", -1), (0, -2)])
+
+    def test_no_position_is_hashed(self):
+        mu = DiscreteMeasure([(Unhashable(1, 2), 1), (Unhashable(0), 2), (Unhashable(2, 4), 1)])
+        assert mu.atoms == ((F(0), F(2)), (F(1, 2), F(2)))
 
 
 class TestPotential:
@@ -337,14 +365,6 @@ def sweep_pairs(draw):
     return mu, DiscreteMeasure(spread)
 
 
-def _outcome(fn, *args):
-    """fn's result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 class TestPutSweepAgainstFractionOracle:
     """The integer put sweep against the Fraction sweep it replaced."""
 
@@ -359,7 +379,7 @@ class TestPutSweepAgainstFractionOracle:
     @given(sweep_pairs())
     def test_decompose_step(self, pair):
         for a, b in (pair, pair[::-1]):
-            assert _outcome(decompose_step, a, b) == _outcome(oracle_sweep_decompose_step, a, b)
+            assert outcome(decompose_step, a, b) == outcome(oracle_sweep_decompose_step, a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_pairs(), st.lists(_positions, max_size=3))
