@@ -3,10 +3,10 @@
 A PathMeasure is a finitely supported measure on paths (x_0, ..., x_n); its
 conditional laws, read by every check and by the competitor LP of
 `geometry`, are `PathMeasure.kernels(t)`.  The constructions here build the
-one-step Left-Curtain coupling, its multistep left-monotone generalization
-(prefixes of the first marginal are sent to their obstructed shadows, each
-atom's paths composing one kernel per date), and the degenerate monotone
-transport of the free-intermediate-marginal problem.
+multistep left-monotone transport (prefixes of the first marginal are sent
+to their obstructed shadows, each atom's paths composing one kernel per
+date), whose case n = 1 is the one-step Left-Curtain coupling, and the
+degenerate monotone transport of the free-intermediate-marginal problem.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .measure import (
     _rat_to_json,
     convex_order_leq,
     rat,
-    require_convex_order,
     require_convex_order_chain,
 )
 from .shadow import _Residual, obstructed_shadow
@@ -191,7 +190,7 @@ class PathMeasure:
         return PathMeasure(node["n"], entries)
 
     def __str__(self) -> str:
-        return " + ".join(f"{w}*d{tuple(map(str, p))}" for p, w in self.paths) or "0"
+        return " + ".join(f"{w}*d({', '.join(map(str, p))})" for p, w in self.paths) or "0"
 
 
 def coupling_from_json_str(text: str) -> PathMeasure:
@@ -233,20 +232,14 @@ def binomial_check(P: PathMeasure) -> bool:
 
 
 def left_curtain_one_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
-    """The one-step Left-Curtain coupling of mu and nu.
+    """The one-step Left-Curtain coupling of mu and nu: the left-monotone
+    transport of the chain [mu, nu], the case n = 1 of the construction.
 
     Atoms of mu are processed left to right, each one mapped to the shadow of
     itself in what remains of nu; the prefix images of the result are exactly
     the shadows of the prefix restrictions.
     """
-    require_convex_order(mu, nu)
-    return _left_curtain(mu, nu)
-
-
-def _left_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:
-    """`left_curtain_one_step` for a pair already known to be in convex order."""
-    residual = _Residual(nu)
-    return PathMeasure(1, (((y, z), w) for y, v in mu.atoms for z, w in residual.take(y, v)))
+    return left_monotone_multistep([mu, nu])
 
 
 def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PathMeasure:

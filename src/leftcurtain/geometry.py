@@ -4,15 +4,19 @@ Left-monotonicity is the no-crossing rule: among paths that agree up to
 date t-1, a path starting strictly to the right may not step in between two
 continuations at date t.  Nondegeneracy requires every up-move to be matched
 by a down-move from the same history and vice versa.  Both are verified by
-exhaustive scans over coordinate projections; competitor search solves an
-exact LP over reweightings that preserve the history projection, the last
-marginal, and all conditional barycenters.
+exhaustive scans of `SupportSet.branches(t)`, which reads histories and
+their values in increasing order, so a failed scan's witness is the first
+in history order, date by date, as in `PathMeasure.kernels`; competitor
+search solves an exact LP over reweightings that preserve the history
+projection, the last marginal, and all conditional barycenters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coupling import Path, PathMeasure
@@ -29,6 +33,8 @@ class SupportSet:
     points: frozenset
 
     def __init__(self, n: int, points):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"step count must be a nonnegative integer, got {n!r}")
         pts = frozenset(tuple(rat(c) for c in p) for p in points)
         for p in pts:
             if len(p) != n + 1:
@@ -40,16 +46,11 @@ class SupportSet:
     def of(P: PathMeasure) -> "SupportSet":
         return SupportSet(P.n, P.support)
 
-    def projection(self, t: int) -> frozenset:
-        """Projection onto the first t+1 coordinates."""
-        return frozenset(p[: t + 1] for p in self.points)
-
     def branches(self, t: int) -> Dict[Path, List[Fraction]]:
-        """The values x_t that follow each history x_0..x_{t-1} in the set."""
-        out: Dict[Path, List[Fraction]] = {}
-        for p in self.projection(t):
-            out.setdefault(p[:-1], []).append(p[-1])
-        return out
+        """The values x_t that follow each history x_0..x_{t-1} in the set:
+        histories in increasing order, each one's values increasing and distinct."""
+        prefixes = sorted({p[: t + 1] for p in self.points})
+        return {h: [p[-1] for p in group] for h, group in groupby(prefixes, lambda p: p[:-1])}
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,20 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
 
     A violation is a pair of continuations y- < y+ of one history and a third
     path from a strictly larger starting point whose date-t value lies
-    strictly between them.
+    strictly between them.  The witness is the first such history in
+    `branches` order, date by date, with its least and greatest values, the
+    first other history in that order, and its least value in between.
     """
     for t in range(1, gamma.n + 1 if gamma.points else 1):
         groups = gamma.branches(t)
-        spreads = {
-            h: (min(ys), max(ys)) for h, ys in groups.items() if len(ys) > 1
-        }
-        for history, (lo, hi) in spreads.items():
+        spreads = ((h, ys[0], ys[-1]) for h, ys in groups.items() if len(ys) > 1)
+        for history, lo, hi in spreads:
             for other, ys in groups.items():
                 if other[0] <= history[0]:
                     continue
-                for y in ys:
-                    if lo < y < hi:
-                        return False, CrossingWitness(t, history, lo, hi, other, y)
+                i = bisect_right(ys, lo)
+                if i < len(ys) and ys[i] < hi:
+                    return False, CrossingWitness(t, history, lo, hi, other, ys[i])
     return True, None
 
 
@@ -92,18 +93,14 @@ class DegeneracyWitness:
 
 
 def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
-    """Every up-move needs a matching down-move from the same history."""
+    """Every up-move needs a matching down-move from the same history.  The
+    witness is the first one-sided history in `branches` order, date by date,
+    with its greatest value (up-moves only) or its least (down-moves only)."""
     for t in range(1, gamma.n + 1 if gamma.points else 1):
         for history, ys in gamma.branches(t).items():
-            x_prev = history[-1]
-            has_up = any(y > x_prev for y in ys)
-            has_down = any(y < x_prev for y in ys)
-            if has_up and not has_down:
-                witness = max(ys)
-                return False, DegeneracyWitness(t, history, witness)
-            if has_down and not has_up:
-                witness = min(ys)
-                return False, DegeneracyWitness(t, history, witness)
+            up, down = ys[-1] > history[-1], ys[0] < history[-1]
+            if up != down:
+                return False, DegeneracyWitness(t, history, ys[-1] if up else ys[0])
     return True, None
 
 

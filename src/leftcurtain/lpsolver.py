@@ -512,8 +512,5 @@ def parse_reward(text: str) -> RewardSpec:
             t = int(m.group("st"))
             max_index = max(max_index, t)
             rational = False
-            factors.append(
-                lambda path, t=t: math.tanh(float(path[0]))
-                * math.sqrt(1.0 + float(path[t]) ** 2)
-            )
+            factors.append(tanh_sm_reward(t))
     return RewardSpec(text, tuple(factors), rational, max_index)

@@ -465,11 +465,6 @@ def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     return excess >= 0 and all(g >= 0 and g >= excess * k - drift for k, g in zip(grid, gap))
 
 
-def require_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    if not convex_order_leq(mu, nu):
-        raise NotInConvexOrder(f"not in convex order: {mu} vs {nu}")
-
-
 def require_convex_order_chain(marginals: Iterable[DiscreteMeasure]) -> None:
     marginals = list(marginals)
     for t in range(1, len(marginals)):

@@ -28,7 +28,13 @@ formats.  `oracle_superhedge` is the per-path superhedge formula that
 `DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
 extraction and checks built on it.  `oracle_is_martingale` is the
 martingale check from per-history drift sums that the kernels of
-`PathMeasure.kernels` replaced.  `oracle_potential_value`,
+`PathMeasure.kernels` replaced.  `oracle_scan_left_monotone_set` and
+`oracle_scan_nondegenerate_set` are the support scans over frozenset
+projections, read in hash order, that the sorted `SupportSet.branches`
+replaced; they fix the verdicts.  `oracle_first_crossing` and
+`oracle_first_degeneracy` fix the witnesses by the definitions: at the
+first failing date every crossing triple or one-sided history, the first
+in history order.  `oracle_potential_value`,
 `oracle_right_derivative`, `oracle_left_derivative`, `oracle_weight_at` and
 `oracle_path_weight_at` are the binary search and the linear scans that the
 `bisect` lookups of `PotentialFunction`, `DiscreteMeasure.weight_at` and
@@ -54,6 +60,8 @@ import pytest
 from hypothesis import strategies as st
 
 from leftcurtain import (
+    CrossingWitness,
+    DegeneracyWitness,
     DiscreteMeasure,
     DualCertificate,
     Interval,
@@ -64,6 +72,7 @@ from leftcurtain import (
     PathMeasure,
     PotentialFunction,
     StepDecomposition,
+    SupportSet,
     add,
     convex_order_leq,
     decompose_step,
@@ -1099,6 +1108,81 @@ def oracle_is_martingale(P: PathMeasure) -> Tuple[bool, Optional[tuple]]:
         for prefix, value in sorted(drift.items()):
             if value != 0:
                 return False, prefix
+    return True, None
+
+
+def _oracle_hash_order_branches(gamma: SupportSet, t: int) -> Dict[tuple, List[Fraction]]:
+    out: Dict[tuple, List[Fraction]] = {}
+    for p in frozenset(p[: t + 1] for p in gamma.points):
+        out.setdefault(p[:-1], []).append(p[-1])
+    return out
+
+
+def oracle_scan_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitness]]:
+    """The crossing scan over frozenset projections, histories in hash order."""
+    for t in range(1, gamma.n + 1 if gamma.points else 1):
+        groups = _oracle_hash_order_branches(gamma, t)
+        spreads = {h: (min(ys), max(ys)) for h, ys in groups.items() if len(ys) > 1}
+        for history, (lo, hi) in spreads.items():
+            for other, ys in groups.items():
+                if other[0] <= history[0]:
+                    continue
+                for y in ys:
+                    if lo < y < hi:
+                        return False, CrossingWitness(t, history, lo, hi, other, y)
+    return True, None
+
+
+def oracle_scan_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
+    """The degeneracy scan over frozenset projections, histories in hash order."""
+    for t in range(1, gamma.n + 1 if gamma.points else 1):
+        for history, ys in _oracle_hash_order_branches(gamma, t).items():
+            has_up = any(y > history[-1] for y in ys)
+            has_down = any(y < history[-1] for y in ys)
+            if has_up and not has_down:
+                return False, DegeneracyWitness(t, history, max(ys))
+            if has_down and not has_up:
+                return False, DegeneracyWitness(t, history, min(ys))
+    return True, None
+
+
+def _oracle_values(gamma: SupportSet, t: int) -> Dict[tuple, set]:
+    values: Dict[tuple, set] = {}
+    for p in gamma.points:
+        values.setdefault(p[:t], set()).add(p[t])
+    return values
+
+
+def oracle_first_crossing(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitness]]:
+    """At the first date with one, every triple of a history h, another
+    history from a strictly larger start, and one of its values strictly
+    between h's least and greatest; the least in (h, other, value) order."""
+    for t in range(1, gamma.n + 1):
+        values = _oracle_values(gamma, t)
+        triples = [
+            CrossingWitness(t, h, min(ys), max(ys), other, y)
+            for h, ys in values.items()
+            for other, zs in values.items()
+            if other[0] > h[0]
+            for y in zs
+            if min(ys) < y < max(ys)
+        ]
+        if triples:
+            return False, min(triples, key=lambda w: (w.history, w.other_history, w.y_prime))
+    return True, None
+
+
+def oracle_first_degeneracy(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
+    """At the first date with one, every history with moves to one side of
+    its last value only, and its farthest value; the least history."""
+    for t in range(1, gamma.n + 1):
+        one_sided = [
+            DegeneracyWitness(t, h, max(ys) if max(ys) > h[-1] else min(ys))
+            for h, ys in _oracle_values(gamma, t).items()
+            if (max(ys) > h[-1]) != (min(ys) < h[-1])
+        ]
+        if one_sided:
+            return False, min(one_sided, key=lambda w: w.history)
     return True, None
 
 

@@ -36,7 +36,7 @@ from leftcurtain import (
 )
 from leftcurtain import coupling
 from leftcurtain.cli import main
-from leftcurtain.coupling import _increments, _left_curtain, coupling_from_json_str
+from leftcurtain.coupling import _increments, coupling_from_json_str
 
 from conftest import (
     Unhashable,
@@ -80,6 +80,12 @@ class TestPathMeasure:
     def test_step_count_must_be_a_nonnegative_int(self, n):
         with pytest.raises(ValueError, match="step count must be a nonnegative integer"):
             PathMeasure(n, [])
+
+    def test_str_writes_plain_values(self):
+        P = PathMeasure(1, [((1, "-2/3"), F(1, 4)), ((0, F(1, 2)), F(3, 4))])
+        assert str(P) == "3/4*d(0, 1/2) + 1/4*d(1, -2/3)"
+        assert str(PathMeasure(0, [((5,), 1)])) == "1*d(5)"
+        assert str(PathMeasure(2)) == "0"
 
     def test_projection_needs_a_coordinate(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
@@ -243,7 +249,7 @@ class TestLeftCurtainOneStep:
         )
 
     def test_requires_convex_order(self):
-        with pytest.raises(NotInConvexOrder):
+        with pytest.raises(NotInConvexOrder, match="^marginals 0 and 1 are not in convex order$"):
             left_curtain_one_step(DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
 
     def test_support_has_no_crossings(self):
@@ -302,7 +308,8 @@ class TestMultistepConstruction:
         rng = random.Random(73)
         for _ in range(20):
             chain = random_marginal_chain(rng, 1, max_support=6)
-            assert left_monotone_multistep(chain) == left_curtain_one_step(*chain)
+            # left_curtain_one_step is this construction; the oracle folds hull shadows
+            assert left_curtain_one_step(*chain) == oracle_path_measure(1, oracle_left_curtain_rows(*chain))
 
     def test_projections_policy_invariant(self):
         rng = random.Random(79)
@@ -463,7 +470,7 @@ class TestFoldIsTheIncrementCoupling:
                 # the takes are sorted, positive and distinct: a measure's atoms
                 taken = {history: tuple(pieces) for history, pieces in kernels.items()}
                 for expected in (
-                    _left_curtain(lower, upper),
+                    left_curtain_one_step(lower, upper),
                     PathMeasure(1, oracle_left_curtain_rows(lower, upper)),
                 ):
                     assert taken == {h: k.atoms for h, k in expected.kernels(1).items()}

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import geometry
 from leftcurtain import (
+    CrossingWitness,
+    DegeneracyWitness,
     DiscreteMeasure,
     PathMeasure,
     SupportSet,
@@ -17,7 +21,24 @@ from leftcurtain import (
     left_tail_put_reward,
 )
 
-from conftest import measure, random_marginal_chain
+from conftest import (
+    measure,
+    oracle_first_crossing,
+    oracle_first_degeneracy,
+    oracle_scan_left_monotone_set,
+    oracle_scan_nondegenerate_set,
+    random_marginal_chain,
+)
+
+
+@st.composite
+def point_lists(draw):
+    """(n, points) with n in {1, 2, 3}: starts in -1..1 and later values in
+    -2..2, so equal starts, shared histories and values at a branch's ends
+    are common."""
+    n = draw(st.integers(1, 3))
+    point = st.tuples(st.integers(-1, 1), *[st.integers(-2, 2)] * n)
+    return n, draw(st.lists(point, min_size=1, max_size=12))
 
 
 class TestSupportSet:
@@ -25,6 +46,51 @@ class TestSupportSet:
         with pytest.raises(TypeError, match="not a rational"):
             SupportSet(1, [(0.1, F(1, 2))])
         assert SupportSet(1, [("1/10", 0)]).points == frozenset({(F(1, 10), F(0))})
+
+    @pytest.mark.parametrize("n", [-1, True, 1.0, "1"])
+    def test_rejects_a_step_count_that_is_not_a_nonnegative_int(self, n):
+        with pytest.raises(ValueError, match=f"^step count must be a nonnegative integer, got {n!r}$"):
+            SupportSet(n, [(0, 1)])
+        with pytest.raises(ValueError, match="^step count must be a nonnegative integer"):
+            PathMeasure(n, [((0, 1), 1)])
+
+    def test_branches_read_sorted_histories_and_values(self):
+        gamma = SupportSet(2, [(1, 0, 2), (0, 1, 1), (1, 0, -2), (0, -1, 0), (1, 0, 2), (0, 1, 3)])
+        assert list(gamma.branches(1).items()) == [((0,), [-1, 1]), ((1,), [0])]
+        assert list(gamma.branches(2).items()) == [
+            ((0, -1), [0]), ((0, 1), [1, 3]), ((1, 0), [-2, 2])
+        ]
+
+
+class TestScanOrder:
+    """Both scans read histories and values in increasing order, so equal
+    sets give equal witnesses however their points were listed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_lists(), st.data())
+    def test_shuffled_and_duplicated_points_give_equal_scans(self, drawn, data):
+        n, points = drawn
+        extra = data.draw(st.lists(st.sampled_from(points), max_size=6))
+        gamma = SupportSet(n, points)
+        again = SupportSet(n, data.draw(st.permutations(points + extra)))
+        assert again == gamma
+        crossing, degeneracy = is_left_monotone_set(gamma), is_nondegenerate_set(gamma)
+        assert is_left_monotone_set(again) == crossing
+        assert is_nondegenerate_set(again) == degeneracy
+        assert crossing == oracle_first_crossing(gamma)
+        assert degeneracy == oracle_first_degeneracy(gamma)
+        assert crossing[0] == oracle_scan_left_monotone_set(again)[0]
+        assert degeneracy[0] == oracle_scan_nondegenerate_set(again)[0]
+
+    def test_witnesses_come_first_in_history_order(self):
+        # (0,) spreads over [-2, 2]: (1,) steps only outside it or onto its
+        # ends, (2,) and (3,) step inside, and (2,) has the least value there
+        gamma = SupportSet(1, [(3, 0), (1, -3), (2, 1), (1, 3), (0, -2), (1, 2), (0, 2), (2, -1), (1, -2)])
+        assert is_left_monotone_set(gamma) == (
+            False, CrossingWitness(1, (F(0),), F(-2), F(2), (F(2),), F(-1))
+        )
+        # (2,) and (3,) only move down; (2,) comes first, with its least value
+        assert is_nondegenerate_set(gamma) == (False, DegeneracyWitness(1, (F(2),), F(-1)))
 
 
 class TestLeftMonotoneSet:

@@ -431,7 +431,7 @@ class TestRewardLanguage:
         spec = parse_reward("tanh_sm(2)")
         assert not spec.is_rational and spec.max_index == 2
         value = spec((F(1), F(0), F(1)))
-        assert isinstance(value, float)
+        assert isinstance(value, float) and value == tanh_sm_reward(2)((F(1), F(0), F(1)))
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
