@@ -21,7 +21,6 @@ from .measure import (
     Interval,
     NotInConvexOrder,
     RationalLike,
-    _convex,
     _put_sweep,
     rat,
     require_convex_order_chain,
@@ -110,12 +109,17 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     difference u_nu - u_mu = 2 (P_nu - P_mu) of the potentials between
     consecutive breakpoints; rational slopes make every zero-crossing exact,
     so there is no tolerance anywhere.  Raises NotInConvexOrder if the pair
-    is not in convex order.
+    is not in convex order, naming the first condition that fails: the
+    masses, the barycenters, or the first strike k where P_nu(k) < P_mu(k).
     """
-    sweep = _put_sweep(nu.atoms, mu.atoms)
-    if not _convex(sweep):
-        raise NotInConvexOrder(f"not in convex order: {mu} vs {nu}")
-    grid, values, _, _, d, _ = sweep
+    grid, values, mass, moment, d, _ = _put_sweep(nu.atoms, mu.atoms)
+    if mass:
+        raise NotInConvexOrder(f"not in convex order: masses {mu.mass} vs {nu.mass}")
+    if moment:
+        raise NotInConvexOrder(f"not in convex order: barycenters {mu.barycenter} vs {nu.barycenter}")
+    below = next((k for k, v in zip(grid, values) if v < 0), None)
+    if below is not None:
+        raise NotInConvexOrder(f"not in convex order: P_nu(k) < P_mu(k) first at k = {Fraction(below, d)}")
 
     # The difference vanishes outside the support hull (equal mass and
     # barycenter), so {u_mu < u_nu} is a union of open intervals whose

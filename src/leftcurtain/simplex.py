@@ -33,7 +33,9 @@ it.  A pivot on column c at row r works as follows:
   a = gcd(f, p), that is N / (s_i * p/a) for N = R_i * (p/a) - (f/a) * prow.
   No prime factor of p/a divides every entry of N (it would divide every
   entry of prow), so N is brought to lowest terms by its gcd with s_i
-  alone: exact by construction, and no division needs a check.
+  alone: exact by construction, and no division needs a check.  N is R_i
+  scaled by p/a (copied when p/a == 1) with (f/a) * prow subtracted at the
+  nonzero entries of prow only.
 
 A pivot therefore updates at most (m + 1) x (m + 1) integers (one objective
 row per phase), and only in the rows whose entering entry is nonzero.  The
@@ -56,7 +58,13 @@ pivots are those of the Bareiss tableau with one common delta.
 Bland's rule (lowest index entering, lowest basic index on ratio ties) makes
 the pivot sequence cycle-free and deterministic; the reduced costs are
 priced in column order up to the first negative one, and only the entering
-column is computed for the ratio test.
+column is computed for the ratio test, by one pass over the rows per
+nonzero of A_c.  Pricing skips the basic columns, which the tableau flags
+and every pivot updates: a basic column reads s_i in its own row and 0 in
+every other row, the objective row included, so its reduced cost is
+exactly 0 at any scale and it can never enter.  The search for a column
+that drives a zero-level artificial out of its row skips them for the same
+reason.  So the skip changes no pivot.
 
 A solve is split at the one point where the objective enters.  `phase1`
 returns the end state of phase 1 (`Phase1`: R and the right side with each
@@ -135,8 +143,11 @@ def _scale_to_int(row: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [f.numerator * (denom // f.denominator) for f in row], denom
 
 
-def _dot(row: List[int], column: Column) -> int:
-    return sum(row[k] * a for k, a in column)
+def _dot(row: Sequence[int], column: Column) -> int:
+    total = 0
+    for k, a in column:
+        total += row[k] * a
+    return total
 
 
 class _Tableau:
@@ -153,14 +164,22 @@ class _Tableau:
         self.rows = rows
         self.scales = scales
         self.basis = basis        # basic column per constraint row
+        # Whether each column is basic; the artificials, at most one per row,
+        # are numbered after the stored columns.
+        self.basic = [False] * (len(columns) + len(basis))
+        for c in basis:
+            self.basic[c] = True
         self.delta = delta        # |det B| over the start, counted for max_delta_bits
         self.iterations = iterations
         self.max_delta_bits = max_delta_bits
 
     def column(self, j: int) -> List[int]:
         """Tableau column j at its rows' scales: constraint rows, then the objective row."""
-        col = self.columns[j]
-        entries = [_dot(row, col) for row in self.rows]
+        rows = self.rows
+        entries = [0] * len(rows)
+        # One pass over the rows per nonzero of A_j.
+        for k, a in self.columns[j]:
+            entries = [e + row[k] * a for e, row in zip(entries, rows)]
         entries[-1] += self.scales[-1] * self.cost[j]
         return entries
 
@@ -178,6 +197,7 @@ class _Tableau:
         if rest:
             raise AssertionError("pivot row scale does not divide the determinant")
         # prow / p, in lowest terms, is the new row r (module notes).
+        nonzeros = [(k, w) for k, w in enumerate(prow) if w]
         for i, f in enumerate(column):
             if f == 0 or i == r:
                 continue
@@ -186,11 +206,15 @@ class _Tableau:
             # its gcd with s_i brings N to lowest terms.
             a = math.gcd(f, p)
             q, f = p // a, f // a
-            new = [v * q - f * w for v, w in zip(rows[i], prow)]
+            new = [v * q for v in rows[i]] if q != 1 else list(rows[i])
+            for k, w in nonzeros:
+                new[k] -= f * w
             s = scales[i]
             g = math.gcd(s, *new)
             rows[i], scales[i] = ([v // g for v in new], s // g * q) if g > 1 else (new, s * q)
         rows[r], scales[r] = prow, p
+        self.basic[self.basis[r]] = False
+        self.basic[c] = True
         self.basis[r] = c
         self.delta = delta
         self.max_delta_bits = max(self.max_delta_bits, delta.bit_length())
@@ -201,13 +225,15 @@ class _Tableau:
     def run(self) -> None:
         """Bland-rule simplex loop on the objective row."""
         m = len(self.basis)
-        cost = self.cost
+        cost, basic = self.cost, self.basic
         while True:
             u, d = self.rows[m], self.scales[m]
-            entering = next(
-                (j for j, col in enumerate(self.columns) if d * cost[j] + _dot(u, col) < 0),
-                -1,
-            )
+            # A basic column's reduced cost is 0 at any scale: it never enters.
+            entering = -1
+            for j, col in enumerate(self.columns):
+                if not basic[j] and d * cost[j] + _dot(u, col) < 0:
+                    entering = j
+                    break
             if entering < 0:
                 return
             column = self.column(entering)
@@ -360,11 +386,14 @@ def _phase1(
         tab.run()
         if tab.rows[m][-1] != 0:
             raise Infeasible("phase 1 terminated with positive artificial mass")
-        # Drive remaining zero-level artificials out of the basis.
+        # Drive remaining zero-level artificials out of the basis.  A basic
+        # column reads 0 in every row but its own, so only the others are read.
         for i in range(m):
             if tab.basis[i] >= n_real:
                 row = tab.rows[i]
-                pivot_col = next((j for j, col in enumerate(columns) if _dot(row, col)), None)
+                pivot_col = next(
+                    (j for j, col in enumerate(columns) if not tab.basic[j] and _dot(row, col)), None
+                )
                 if pivot_col is not None:
                     tab.pivot(i, pivot_col, tab.column(pivot_col))
 

@@ -676,9 +676,14 @@ def oracle_sweep_potential(mu: DiscreteMeasure) -> PotentialFunction:
 def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecomposition:
     """`decompose_step` from the Fraction gap: components are the maximal open
     intervals where the gap is positive, split at its interior zeros."""
-    if not oracle_sweep_convex_order_leq(mu, nu):
-        raise NotInConvexOrder(f"not in convex order: {mu} vs {nu}")
+    if mu.mass != nu.mass:
+        raise NotInConvexOrder(f"not in convex order: masses {mu.mass} vs {nu.mass}")
+    if mu.first_moment != nu.first_moment:
+        raise NotInConvexOrder(f"not in convex order: barycenters {mu.barycenter} vs {nu.barycenter}")
     grid, values = oracle_put_gap(mu, nu)
+    below = [k for k, v in zip(grid, values) if v < 0]
+    if below:
+        raise NotInConvexOrder(f"not in convex order: P_nu(k) < P_mu(k) first at k = {below[0]}")
     open_intervals: List[Tuple[Fraction, Fraction]] = []
     run_start: Optional[int] = None
     for i in range(len(grid) - 1):

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import build_program, left_tail_put_reward, simplex
+from leftcurtain import build_program, extract_dual, left_tail_put_reward, simplex, solve_primal
 from leftcurtain.simplex import Infeasible, Unbounded, _Tableau, phase1, solve_from, solve_lp
 
 from conftest import dense, irreducible_chain, oracle_solve_lp, sparse
@@ -459,6 +461,50 @@ class TestAgainstDenseOracle:
         assert result == oracle_solve_lp(objective, dense(rows, len(objective)), rhs)
         assert (result.iterations, result.phase1_iterations, result.max_delta_bits) == (201, 169, 229)
 
+
+class TestPinnedPivots:
+    """Transport LPs at the largest size of the `lp-certify` benchmark (84
+    variables, 29 rows) and at [4, 6, 10] (240 variables, 48 rows): the
+    pivot counts, the peak determinant bits and the bytes of the solution
+    and of the dual certificate, against their sha256."""
+
+    @pytest.mark.parametrize(
+        "seed, sizes, counts, solution_digest, certificate_digest",
+        [
+            (
+                347, (3, 4, 7), (191, 96, 126),
+                "af1787ea0f0ff67c72e1bd699a79f155ef89fd0d3296351ce38d979d5ed65054",
+                "c525ab4cc07cd4a1e45df9aff6b6c6b0b895fb8cab31750400980714bcb4290d",
+            ),
+            (
+                4610, (4, 6, 10), (583, 359, 231),
+                "cb3cf5d223965e411137e783b86e0c4c4c083a6993f0c1f8f5e1c4bbafbf1867",
+                "97bd55440ee520eeb65c173b18a4ad025ddd8ba71c40d57d164622eb35b5770e",
+            ),
+        ],
+        ids=["3-4-7", "4-6-10"],
+    )
+    def test_counts_and_bytes(self, seed, sizes, counts, solution_digest, certificate_digest):
+        chain = irreducible_chain(random.Random(seed), sizes)
+        last = chain[2].support
+        solution = solve_primal(chain, left_tail_put_reward(chain[0].support[1], 2, last[len(last) // 2]))
+        certificate = extract_dual(solution.program, solution)
+        lp = solution.lp
+        assert (lp.iterations, lp.phase1_iterations, lp.max_delta_bits) == counts
+        payload = {"value": str(solution.exact_value), "optimizer": solution.optimizer.to_json()}
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == solution_digest
+        assert hashlib.sha256(json.dumps(certificate.to_json()).encode()).hexdigest() == certificate_digest
+
+
+def forge_scales(tab):
+    """Row i, the objective row included, at 2, 3 or 5 times its scale (by
+    i % 3): the same state at other scales."""
+    for i in range(len(tab.rows)):
+        k = (2, 3, 5)[i % 3]
+        tab.rows[i] = [k * v for v in tab.rows[i]]
+        tab.scales[i] *= k
+
+
 class TestMixedScales:
     """Rows in lowest terms, each at its own scale, give the results of the
     dense tableau with one common delta."""
@@ -529,16 +575,82 @@ class TestMixedScales:
         original = _Tableau.run
 
         def run(tab):
-            for i in range(len(tab.rows)):
-                k = (2, 3, 5)[i % 3]
-                tab.rows[i] = [k * v for v in tab.rows[i]]
-                tab.scales[i] *= k
+            forge_scales(tab)
             original(tab)
 
         expected = outcome_of(solve_dense, lp)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Tableau, "run", run)
             assert outcome_of(solve_dense, lp) == expected
+
+
+class TestBasicColumns:
+    """Pricing and the drive-out search skip basic columns: a basic column
+    reads s_i in its own row and 0 in every other row, the objective row
+    included, at any row scales."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lps(), st.booleans())
+    def test_basic_reduced_costs_are_zero(self, lp, forged):
+        """At the start of every run and after every pivot, every basic
+        column's reduced cost is 0 and `basic` flags the basic columns, also
+        with each row forged to 2, 3 or 5 times its scale as a run starts."""
+        run, pivot = _Tableau.run, _Tableau.pivot
+        seen = []
+
+        def check(tab):
+            stored = range(len(tab.columns))
+            u, d = tab.rows[-1], tab.scales[-1]
+            seen.append(
+                [j for j in stored if tab.basic[j]] == sorted(j for j in tab.basis if j in stored)
+                and all(d * tab.cost[j] + sum(u[k] * a for k, a in tab.columns[j]) == 0
+                        for j in tab.basis if j in stored)
+            )
+
+        def checked_run(tab):
+            if forged:
+                forge_scales(tab)
+            check(tab)
+            run(tab)
+
+        def checked_pivot(tab, r, c, column):
+            pivot(tab, r, c, column)
+            check(tab)
+
+        expected = outcome_of(solve_dense, lp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "run", checked_run)
+            mp.setattr(_Tableau, "pivot", checked_pivot)
+            assert outcome_of(solve_dense, lp) == expected
+        assert all(seen)
+
+    def test_pricing_reads_no_basic_column(self, monkeypatch):
+        """Every `_dot` on the objective row inside a run reads a nonbasic
+        column, on a transport LP of 48 variables and 22 rows."""
+        chain = irreducible_chain(random.Random(149), (2, 4, 6))
+        program = build_program(chain, left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2]))
+        objective, rows, rhs = program.reward_values, list(program.rows), program.rhs
+        running, priced = [], []
+        run, dot = _Tableau.run, simplex._dot
+
+        def spied_run(tab):
+            running.append(tab)
+            try:
+                run(tab)
+            finally:
+                running.pop()
+
+        def spied_dot(row, column):
+            if running and row is running[-1].rows[-1]:
+                tab = running[-1]
+                priced.append(any(column is tab.columns[j] for j in tab.basis if j < len(tab.columns)))
+            return dot(row, column)
+
+        expected = solve_lp(objective, rows, rhs)
+        monkeypatch.setattr(_Tableau, "run", spied_run)
+        monkeypatch.setattr(simplex, "_dot", spied_dot)
+        assert solve_lp(objective, rows, rhs) == expected
+        assert len(priced) > expected.iterations and not any(priced)
 
 
 class TestRememberedPhase1:
