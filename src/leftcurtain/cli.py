@@ -595,6 +595,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         Unbounded,
         PathCountExceeded,
         OutputTooLarge,
+        OverflowError,
     ) as exc:
         return _report({"error": type(exc).__name__, "message": str(exc)}, EXIT_MATH)
     except ValueError as exc:  # any other malformed input the checks above let through

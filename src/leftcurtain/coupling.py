@@ -23,6 +23,7 @@ from .measure import (
     NotInConvexOrder,
     RationalLike,
     SchemaError,
+    _convex_failure,
     _json_from_text,
     _merged,
     _rat_from_json,
@@ -332,9 +333,10 @@ def left_monotone_multistep(
         partial: List[Tuple[Path, int, int]] = [((x,), q.numerator, q.denominator)]
         lower = DiscreteMeasure.dirac(x, q)
         for t, (upper, kernels) in enumerate(steps, start=1):
-            if not convex_order_leq(lower, upper):
+            failure = _convex_failure(lower, upper)[0]
+            if failure:
                 raise NotInConvexOrder(
-                    f"increments of the atom at {x} are not in convex order at date {t}"
+                    f"increments of the atom at {x} are not in convex order at date {t}: {failure}"
                 )
             if policy is not KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
                 kernels = _feasible_martingale_coupling(lower, upper).kernels(1)

@@ -21,7 +21,7 @@ from .measure import (
     Interval,
     NotInConvexOrder,
     RationalLike,
-    _put_sweep,
+    _convex_failure,
     rat,
     require_convex_order_chain,
     subtract,
@@ -108,18 +108,12 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     The components are found by exact sign analysis of the piecewise-linear
     difference u_nu - u_mu = 2 (P_nu - P_mu) of the potentials between
     consecutive breakpoints; rational slopes make every zero-crossing exact,
-    so there is no tolerance anywhere.  Raises NotInConvexOrder if the pair
-    is not in convex order, naming the first condition that fails: the
-    masses, the barycenters, or the first strike k where P_nu(k) < P_mu(k).
+    so there is no tolerance anywhere.  Raises NotInConvexOrder naming the
+    first condition of the order that fails (`measure._convex_failure`).
     """
-    grid, values, mass, moment, d, _ = _put_sweep(nu.atoms, mu.atoms)
-    if mass:
-        raise NotInConvexOrder(f"not in convex order: masses {mu.mass} vs {nu.mass}")
-    if moment:
-        raise NotInConvexOrder(f"not in convex order: barycenters {mu.barycenter} vs {nu.barycenter}")
-    below = next((k for k, v in zip(grid, values) if v < 0), None)
-    if below is not None:
-        raise NotInConvexOrder(f"not in convex order: P_nu(k) < P_mu(k) first at k = {Fraction(below, d)}")
+    failure, (grid, values, _, _, d, _) = _convex_failure(mu, nu)
+    if failure:
+        raise NotInConvexOrder(f"not in convex order: {failure}")
 
     # The difference vanishes outside the support hull (equal mass and
     # barycenter), so {u_mu < u_nu} is a union of open intervals whose
@@ -260,10 +254,9 @@ def free_polar_test(
     and a path starting in I_0 is constant.  Hence I_k^n x J_k, the pinned
     I_k^t x {p}^(n-t+1) and the constant paths in I_0, and nothing else.
     """
-    step = decompose_step(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
-    decomps = [step] * n
+    decomps = [decompose_step(mu0, mun)] * n
     verdicts = []
     for raw in paths:
         path = tuple(rat(x) for x in raw)

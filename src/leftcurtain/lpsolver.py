@@ -403,11 +403,10 @@ def solve_free(
 def _free_program(
     mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Tuple[Fraction, ...]
 ) -> MotProgram:
-    step = decompose_step(mu0, mun)
     if n < 1:
         raise ValueError("n must be at least 1")
     grids = [mu0.support] + [inner] * (n - 1) + [mun.support]
-    return _program({0: mu0, n: mun}, n, _effective_paths(grids, [step] * n))
+    return _program({0: mu0, n: mun}, n, _effective_paths(grids, [decompose_step(mu0, mun)] * n))
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

@@ -15,6 +15,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -361,12 +362,6 @@ def _put_sweep(
     return grid, puts, mass, moment, d, e
 
 
-def _convex(sweep: _Sweep) -> bool:
-    """Whether the sweep of nu - mu shows mu <=_c nu."""
-    _, gap, mass, moment, _, _ = sweep
-    return mass == 0 and moment == 0 and all(g >= 0 for g in gap)
-
-
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the call integral sum_i w_i * max(y_i - b, 0)."""
     b = rat(b)
@@ -438,15 +433,27 @@ def potential(mu: DiscreteMeasure) -> PotentialFunction:
     return PotentialFunction(breakpoints, -total_mass, total_mass)
 
 
-def convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    """Test mu <=_c nu.
+def _convex_failure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[Optional[str], _Sweep]:
+    """The sweep of nu - mu and the first condition of mu <=_c nu that fails,
+    in words (None if none does): equal masses, equal barycenters, then the
+    put order at every atom of either measure, named by the first strike k
+    where P_nu(k) < P_mu(k).  With mass and mean equal the put order is the
+    order of the potential functions, and piecewise linearity makes the
+    finitely many checks complete.  Words are made only on failure."""
+    sweep = grid, gap, mass, moment, d, _ = _put_sweep(nu.atoms, mu.atoms)
+    if mass:
+        return f"masses {mu.mass} vs {nu.mass}", sweep
+    if moment:
+        return f"barycenters {mu.barycenter} vs {nu.barycenter}", sweep
+    for k, g in zip(grid, gap):
+        if g < 0:
+            return f"P_nu(k) < P_mu(k) first at k = {Fraction(k, d)}", sweep
+    return None, sweep
 
-    Equal masses and barycenters plus the pointwise order of the put
-    potentials at every atom of either measure; with mass and mean equal the
-    put order is the order of the potential functions, and piecewise
-    linearity makes the finitely many checks complete.
-    """
-    return _convex(_put_sweep(nu.atoms, mu.atoms))
+
+def convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """Test mu <=_c nu: no condition of `_convex_failure` fails."""
+    return _convex_failure(mu, nu)[0] is None
 
 
 def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -466,10 +473,10 @@ def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 
 def require_convex_order_chain(marginals: Iterable[DiscreteMeasure]) -> None:
-    marginals = list(marginals)
-    for t in range(1, len(marginals)):
-        if not convex_order_leq(marginals[t - 1], marginals[t]):
-            raise NotInConvexOrder(f"marginals {t-1} and {t} are not in convex order")
+    for t, (mu, nu) in enumerate(pairwise(marginals), start=1):
+        failure = _convex_failure(mu, nu)[0]
+        if failure:
+            raise NotInConvexOrder(f"marginals {t-1} and {t} are not in convex order: {failure}")
 
 
 def measure_to_json_str(mu: DiscreteMeasure) -> str:

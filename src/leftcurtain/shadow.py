@@ -14,9 +14,11 @@ m is continuous and nondecreasing in a, with slope G(a + q) - G(a) >= 0, so
 such an a exists exactly when q <= nu.mass and m(0) <= q*x <= m(nu.mass -
 q).  m(0) and m(nu.mass - q) are the least and largest first moments of a
 part of nu of mass q, so this holds exactly when some part of nu of mass q
-has barycenter x, that is when q*delta_x <=_pc nu.  A flat stretch of m
-keeps the window inside one atom at x, so every a that solves m(a) = q*x
-gives the same shadow.
+has barycenter x, that is when q*delta_x <=_pc nu.  A failed take names the
+one condition that fails: q is more than the mass left, or x is right of
+the barycenter of the rightmost mass q, or left of that of the leftmost.
+A flat stretch of m keeps the window inside one atom at x, so every a that
+solves m(a) = q*x gives the same shadow.
 
 The shadow of a measure folds its atoms left to right through one residual
 target: shadow(mu1 + mu2, nu) = shadow(mu1, nu) + shadow(mu2, nu -
@@ -49,6 +51,10 @@ class ShadowResult:
     residual: DiscreteMeasure
 
 
+def _take_failure(q: Fraction, x: Fraction, condition: str) -> NotInPositiveConvexOrder:
+    return NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target: {condition}")
+
+
 class _Residual:
     """What is left of a target measure, consumed in place by `take`.
 
@@ -69,7 +75,7 @@ class _Residual:
     and in `measure`.
     """
 
-    def __init__(self, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"):
+    def __init__(self, nu: DiscreteMeasure):
         self.positions = [x for x, _ in nu.atoms]
         self.d = lcm(*{x.denominator for x in self.positions})
         self.xs = [x.numerator * (self.d // x.denominator) for x in self.positions]
@@ -77,7 +83,6 @@ class _Residual:
         self.dens = [w.denominator for _, w in nu.atoms]
         self.den_count = dict(Counter(self.dens))
         self.e = lcm(*self.den_count)
-        self.message = message
 
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(zip(self.positions, map(Fraction, self.nums, self.dens)))
@@ -90,10 +95,8 @@ class _Residual:
         at least q*x unless the order fails.  Both cuts then slide left
         together; on each stretch between atom boundaries m falls at the
         rate (right cut's position - left cut's position), and the stretch
-        that reaches q*x is solved exactly.  Raises
-        NotInPositiveConvexOrder(message) when q exceeds the residual's
-        mass, when the rightmost window's moment is below q*x, or when the
-        left cut would pass the first atom.
+        that reaches q*x is solved exactly.  Raises NotInPositiveConvexOrder
+        naming q*d[x] and which condition of the module notes fails.
         """
         if q == 0:
             return []
@@ -121,18 +124,18 @@ class _Residual:
                 l -= 1
                 filled += nums[l] * (e // dens[l])
             if filled < q_int:
-                raise NotInPositiveConvexOrder(self.message)
+                raise _take_failure(q, x, "q is more than the mass left")
             r = len(xs) - 1
             out_l, out_r = filled - q_int, 0
         moment = sum(xs[i] * nums[i] * (e // dens[i]) for i in range(l, r + 1))
         moment -= out_l * xs[l] + out_r * xs[r]
         target = q_int * x_int
         if moment < target:
-            raise NotInPositiveConvexOrder(self.message)
+            raise _take_failure(q, x, "x is right of the barycenter of the rightmost mass q")
         while moment != target:
             if out_l == 0:
                 if l == 0:
-                    raise NotInPositiveConvexOrder(self.message)
+                    raise _take_failure(q, x, "x is left of the barycenter of the leftmost mass q")
                 l -= 1
                 out_l = nums[l] * (e // dens[l])
                 continue
@@ -191,13 +194,7 @@ def shadow_atom(q: RationalLike, x: RationalLike, nu: DiscreteMeasure) -> Shadow
     q, x = rat(q), rat(x)
     if q < 0:
         raise NotInPositiveConvexOrder(f"atom mass {q} is negative")
-    residual = _Residual(nu, f"{q}*d[{x}] is not <=_pc the target")
-    return ShadowResult(DiscreteMeasure(residual.take(x, q)), residual.measure())
-
-
-def _fold(mu: DiscreteMeasure, residual: _Residual) -> DiscreteMeasure:
-    """The pieces of mu's atoms, taken left to right from the residual."""
-    return DiscreteMeasure([piece for x, q in mu.atoms for piece in residual.take(x, q)])
+    return shadow(DiscreteMeasure.dirac(x, q), nu)
 
 
 def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ShadowResult:
@@ -206,7 +203,8 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> ShadowResult:
     Raises NotInPositiveConvexOrder when mu is not <=_pc nu.
     """
     residual = _Residual(nu)
-    return ShadowResult(_fold(mu, residual), residual.measure())
+    pieces = [piece for x, q in mu.atoms for piece in residual.take(x, q)]
+    return ShadowResult(DiscreteMeasure(pieces), residual.measure())
 
 
 def obstructed_shadow(
@@ -219,5 +217,5 @@ def obstructed_shadow(
     """
     theta = mu0_part
     for nu in chain:
-        theta = _fold(theta, _Residual(nu))
+        theta = shadow(theta, nu).shadow
     return theta

@@ -287,6 +287,28 @@ def random_pc_pair(
     return DiscreteMeasure(atoms), nu
 
 
+def random_pair(rng: random.Random, kind: str) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
+    """A pair (mu, nu) in (pc, spread) or, mostly, out of (random, reversed,
+    shrunk, grown, shifted) the positive convex order.  A spread is in
+    convex order; reversed it fails the put order (unless no atom moved),
+    shrunk or grown the mass, and shifted the barycenter."""
+    if kind == "pc":
+        return random_pc_pair(rng, max_atoms=6)
+    if kind == "random":
+        return random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
+    mu = random_measure(rng, max_atoms=4)
+    nu = mean_preserving_spread(rng, mu)
+    if kind == "reversed":
+        return nu, mu
+    if kind == "shrunk":
+        return mu.scaled(F(rng.randint(1, 4), 4)), nu
+    if kind == "grown":
+        return mu.scaled(F(rng.randint(5, 8), 4)), nu
+    if kind == "shifted":
+        return mu, DiscreteMeasure((x + F(rng.randint(1, 4), 3), w) for x, w in nu)
+    return mu, nu
+
+
 # --- row formats -------------------------------------------------------------
 
 
@@ -673,17 +695,27 @@ def oracle_sweep_potential(mu: DiscreteMeasure) -> PotentialFunction:
     return PotentialFunction(breakpoints, -total_mass, total_mass)
 
 
+def oracle_convex_failure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[str]:
+    """The first condition of mu <=_c nu that fails, in the words of every
+    convex-order error, from the Fraction masses, moments and put gap: the
+    masses, the barycenters, then the first grid point where the gap is
+    negative.  None when the order holds."""
+    if mu.mass != nu.mass:
+        return f"masses {mu.mass} vs {nu.mass}"
+    if mu.first_moment != nu.first_moment:
+        return f"barycenters {mu.barycenter} vs {nu.barycenter}"
+    grid, gap = oracle_put_gap(mu, nu)
+    below = [k for k, g in zip(grid, gap) if g < 0]
+    return f"P_nu(k) < P_mu(k) first at k = {below[0]}" if below else None
+
+
 def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecomposition:
     """`decompose_step` from the Fraction gap: components are the maximal open
     intervals where the gap is positive, split at its interior zeros."""
-    if mu.mass != nu.mass:
-        raise NotInConvexOrder(f"not in convex order: masses {mu.mass} vs {nu.mass}")
-    if mu.first_moment != nu.first_moment:
-        raise NotInConvexOrder(f"not in convex order: barycenters {mu.barycenter} vs {nu.barycenter}")
+    failure = oracle_convex_failure(mu, nu)
+    if failure:
+        raise NotInConvexOrder(f"not in convex order: {failure}")
     grid, values = oracle_put_gap(mu, nu)
-    below = [k for k, v in zip(grid, values) if v < 0]
-    if below:
-        raise NotInConvexOrder(f"not in convex order: P_nu(k) < P_mu(k) first at k = {below[0]}")
     open_intervals: List[Tuple[Fraction, Fraction]] = []
     run_start: Optional[int] = None
     for i in range(len(grid) - 1):
@@ -888,7 +920,7 @@ def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, Disc
     Interior atoms are taken whole and the two endpoint fractions solve the
     2x2 mass/barycenter system; the least element is the feasible candidate
     of minimal second moment.  Raises NotInPositiveConvexOrder as
-    `shadow_atom` does.
+    `shadow_atom` does, naming the condition of `oracle_atom_failure`.
     """
     q, x = F(q), F(x)
     if q < 0:
@@ -896,7 +928,7 @@ def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, Disc
     if q == 0:
         return DiscreteMeasure.zero(), nu
     if not oracle_positive_convex_order_leq(DiscreteMeasure.dirac(x, q), nu):
-        raise NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target")
+        raise NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target: {oracle_atom_failure(q, x, nu)}")
     atoms = nu.atoms
     positions = [a for a, _ in atoms]
     zero = F(0)
@@ -940,10 +972,29 @@ def oracle_shadow_atom(q, x, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, Disc
     return result, subtract(nu, result)
 
 
+def oracle_atom_failure(q: Fraction, x: Fraction, nu: DiscreteMeasure) -> Optional[str]:
+    """Which condition of q*delta_x <=_pc nu fails, by the definition: q is
+    more than nu's mass, or q*x is above the first moment of nu's rightmost
+    mass q or below that of its leftmost; None when none does."""
+    def first_moment(atoms):  # of the first q mass of `atoms`, in their order
+        left, moment = q, F(0)
+        for y, w in atoms:
+            moment += min(w, left) * y
+            left -= min(w, left)
+        return moment
+
+    if q > nu.mass:
+        return "q is more than the mass left"
+    if q * x > first_moment(reversed(nu.atoms)):
+        return "x is right of the barycenter of the rightmost mass q"
+    if q * x < first_moment(nu.atoms):
+        return "x is left of the barycenter of the leftmost mass q"
+    return None
+
+
 def oracle_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
-    """(shadow, residual) of mu in nu, folding atom shadows left to right."""
-    if not oracle_positive_convex_order_leq(mu, nu):
-        raise NotInPositiveConvexOrder("source measure is not <=_pc the target")
+    """(shadow, residual) of mu in nu, folding atom shadows left to right; the
+    first atom that is not <=_pc what the atoms before it left raises."""
     total, residual = DiscreteMeasure.zero(), nu
     for x, w in mu:
         piece, residual = oracle_shadow_atom(w, x, residual)
@@ -951,9 +1002,7 @@ def oracle_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMea
     return total, residual
 
 
-def oracle_hull_shadow(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"
-) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
+def oracle_hull_shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[DiscreteMeasure, DiscreteMeasure]:
     """(shadow, residual) of mu in nu from P_shadow = P_nu - conv(P_nu - P_mu).
 
     The put-gap hull that the quantile-window fold of `shadow` replaced.
@@ -964,7 +1013,8 @@ def oracle_hull_shadow(
     the slope jumps at the hull vertices (Beiglboeck-Hobson-Norgilas, "The
     potential of the shadow measure", 2022).  mu <=_pc nu holds exactly when
     the residual's two end atoms are nonnegative, and NotInPositiveConvexOrder
-    (message) is raised otherwise, before any measure is built.
+    is raised otherwise, before any measure is built; its message names
+    neither an atom nor a condition, so only the verdict is compared.
     """
     grid, gap = oracle_put_gap(mu, nu)
     excess = nu.mass - mu.mass
@@ -981,7 +1031,7 @@ def oracle_hull_shadow(
     slopes.append(excess)
     jumps = [b - a for a, b in zip(slopes, slopes[1:])]
     if jumps[0] < 0 or jumps[-1] < 0:
-        raise NotInPositiveConvexOrder(message)
+        raise NotInPositiveConvexOrder(f"{mu} is not <=_pc {nu}")
     residual = DiscreteMeasure((x, w) for (x, _), w in zip(hull, jumps))
     return subtract(nu, residual), residual
 
@@ -990,12 +1040,11 @@ class OracleResidual:
     """`shadow._Residual` as it was in Fraction arithmetic: what is left of a
     target in two sorted lists of Fractions, consumed in place by
     `oracle_take`.  The integer residual must return `==` pieces, `==`
-    measures and the same exceptions."""
+    measures and the same exceptions, worded here in Fractions."""
 
-    def __init__(self, nu: DiscreteMeasure, message: str = "source measure is not <=_pc the target"):
+    def __init__(self, nu: DiscreteMeasure):
         self.xs = [x for x, _ in nu.atoms]
         self.ws = [w for _, w in nu.atoms]
-        self.message = message
 
     def measure(self) -> DiscreteMeasure:
         return DiscreteMeasure(zip(self.xs, self.ws))
@@ -1008,9 +1057,11 @@ def oracle_take(residual: OracleResidual, x: Fraction, q: Fraction) -> List[Tupl
     """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted
     from the residual: fill q mass from x rightward (or take the rightmost q
     mass), then slide both cuts left until the window's first moment is q*x,
-    solving the last stretch in Fractions."""
+    solving the last stretch in Fractions.  A failure names q*d[x] and what
+    fails: the mass, the rightmost window's moment or the left cut."""
     if q == 0:
         return []
+    failed = f"{q}*d[{x}] is not <=_pc the target: "
     xs, ws = residual.xs, residual.ws
     l = r = bisect_left(xs, x)
     filled = Fraction(0)
@@ -1025,18 +1076,18 @@ def oracle_take(residual: OracleResidual, x: Fraction, q: Fraction) -> List[Tupl
             l -= 1
             filled += ws[l]
         if filled < q:
-            raise NotInPositiveConvexOrder(residual.message)
+            raise NotInPositiveConvexOrder(failed + "q is more than the mass left")
         r = len(xs) - 1
         out_l, out_r = filled - q, Fraction(0)
     moment = sum((xs[i] * ws[i] for i in range(l, r + 1)), Fraction(0))
     moment -= out_l * xs[l] + out_r * xs[r]
     target = q * x
     if moment < target:
-        raise NotInPositiveConvexOrder(residual.message)
+        raise NotInPositiveConvexOrder(failed + "x is right of the barycenter of the rightmost mass q")
     while moment != target:
         if out_l == 0:
             if l == 0:
-                raise NotInPositiveConvexOrder(residual.message)
+                raise NotInPositiveConvexOrder(failed + "x is left of the barycenter of the leftmost mass q")
             l -= 1
             out_l = ws[l]
             continue

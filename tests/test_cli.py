@@ -484,6 +484,33 @@ class TestDigitLimit:
         assert json.loads(err)["error"] == "OutputTooLarge"
 
 
+class TestOverflow:
+    """A value too large for a float (under --approx or in float mode) or a
+    step count past the index range exits 2 with one JSON object on stderr
+    and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["shadow", "--approx", "--source", "huge", "--target", "huge"], "too large for a float"),
+            (["left-monotone", "huge", "huge", "--approx"], "too large for a float"),
+            (["solve", "huge", "huge", "--reward", "call(1, 0)", "--approx"], "too large for a float"),
+            (["free", "huge", "huge", "--steps", "1", "--approx"], "too large for a float"),
+            (["solve", "huge", "huge", "--reward", "call(1, 0)", "--mode", "float"], "too large for a float"),
+            # 10**20 is past sys.maxsize: the paths' tuples are never built
+            (["free", "mu0", "mu1", "--steps", "100000000000000000000"], "index-sized integer"),
+        ],
+        ids=["shadow-approx", "left-monotone-approx", "solve-approx", "free-approx", "solve-float", "free-steps"],
+    )
+    def test_exits_2_with_json(self, capsys, files, argv, message):
+        files["huge"] = files["write"]("huge.json", {"atoms": [{"x": "1e400", "w": "1"}]})
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert set(error) == {"error", "message"} and error["error"] == "OverflowError"
+        assert message in error["message"]
+
+
 class TestErrorHandling:
     def test_schema_error_exit_1_with_pointer(self, capsys, files):
         bad = files["write"]("bad.json", {"atoms": [{"x": "0", "w": "-1"}]})

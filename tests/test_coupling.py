@@ -22,6 +22,7 @@ from leftcurtain import (
     SchemaError,
     SupportSet,
     binomial_check,
+    decompose_step,
     feasible_transport,
     free_monotone_transport,
     is_left_monotone_set,
@@ -37,6 +38,7 @@ from leftcurtain import (
 from leftcurtain import coupling
 from leftcurtain.cli import main
 from leftcurtain.coupling import _increments, coupling_from_json_str
+from leftcurtain.measure import _convex_failure
 
 from conftest import (
     Unhashable,
@@ -46,6 +48,7 @@ from conftest import (
     merge_weights,
     mirror_coupling,
     mirror_measure,
+    oracle_convex_failure,
     oracle_convex_order_leq,
     oracle_is_martingale,
     oracle_left_curtain_rows,
@@ -53,12 +56,14 @@ from conftest import (
     oracle_path_measure,
     oracle_path_weight_at,
     oracle_paths,
+    oracle_put_gap,
     oracle_running_strong_order,
     oracle_shadow,
     oracle_strong_order,
     oracle_verify,
     outcome,
     random_marginal_chain,
+    random_pair,
     signed_weights,
 )
 
@@ -249,8 +254,10 @@ class TestLeftCurtainOneStep:
         )
 
     def test_requires_convex_order(self):
-        with pytest.raises(NotInConvexOrder, match="^marginals 0 and 1 are not in convex order$"):
-            left_curtain_one_step(DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1))
+        message = "marginals 0 and 1 are not in convex order: barycenters 0 vs 1"
+        assert outcome(left_curtain_one_step, DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1)) == (
+            NotInConvexOrder, message
+        )
 
     def test_support_has_no_crossings(self):
         rng = random.Random(71)
@@ -566,11 +573,22 @@ class TestPerAtomChecksAgainstPrefixSums:
         assert oracle_running_strong_order(chain) is True
 
 
+def _reversed_failure(lower, upper):
+    """A forged increment check: the words of the reversed pair, so it fails
+    where the increments differ (they are in convex order by construction)."""
+    return _convex_failure(upper, lower)
+
+
+# d[0] then 1/2*d[-1] + 1/2*d[1]: reversed, P_nu(0) = 0 < 1/2 = P_mu(0)
+_FORGED = "increments of the atom at 0 are not in convex order at date 1: P_nu(k) < P_mu(k) first at k = 0"
+
+
 class TestIncrementCheck:
     def test_failed_increment_check_names_atom_and_date(self, monkeypatch, rigid_marginals):
-        monkeypatch.setattr(coupling, "convex_order_leq", lambda mu, nu: False)
-        with pytest.raises(NotInConvexOrder, match=r"^increments of the atom at 0 are not in convex order at date 1$"):
-            left_monotone_multistep(rigid_marginals)
+        monkeypatch.setattr(coupling, "_convex_failure", _reversed_failure)
+        assert outcome(left_monotone_multistep, rigid_marginals) == (NotInConvexOrder, _FORGED)
+        lower, upper = rigid_marginals[0], rigid_marginals[1]
+        assert _FORGED.endswith(": " + oracle_convex_failure(upper, lower))
 
     def test_cli_reports_it_as_a_math_error(self, monkeypatch, capsys, tmp_path, rigid_marginals):
         files = []
@@ -578,13 +596,49 @@ class TestIncrementCheck:
             path = tmp_path / f"mu{t}.json"
             path.write_text(json.dumps(mu.to_json()))
             files.append(str(path))
-        monkeypatch.setattr(coupling, "convex_order_leq", lambda mu, nu: False)
+        monkeypatch.setattr(coupling, "_convex_failure", _reversed_failure)
         assert main(["left-monotone", *files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        error = json.loads(captured.err)
-        assert error["error"] == "NotInConvexOrder"
-        assert error["message"].startswith("increments of the atom at ")
+        assert json.loads(captured.err) == {"error": "NotInConvexOrder", "message": _FORGED}
+
+
+class TestOneWording:
+    """Every convex-order error names the condition that fails in the words of
+    `oracle_convex_failure` (Fractions): `decompose_step`, the chain check
+    of the construction and its per-atom increment check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["spread", "reversed", "shrunk", "grown", "shifted", "random", "pc"]),
+    )
+    def test_checks_name_the_same_condition(self, seed, kind):
+        mu, nu = random_pair(random.Random(seed), kind)
+
+        def words(prefix, run, *args):
+            """The words after `prefix` of the NotInConvexOrder that run raises,
+            or None when it returns (a result here is never a tuple)."""
+            got = outcome(run, *args)
+            if not isinstance(got, tuple):
+                return None
+            assert got[0] is NotInConvexOrder and got[1].startswith(prefix)
+            return got[1][len(prefix) :]
+
+        failure = oracle_convex_failure(mu, nu)
+        assert words("not in convex order: ", decompose_step, mu, nu) == failure
+        assert words("marginals 0 and 1 are not in convex order: ", left_monotone_multistep, [mu, nu]) == failure
+        assert words("marginals 1 and 2 are not in convex order: ", left_monotone_multistep, [mu, mu, nu]) == failure
+        with pytest.MonkeyPatch.context() as patch:
+            # the increments are in convex order by construction: forge the check with (mu, nu)
+            patch.setattr(coupling, "_convex_failure", lambda lower, upper: _convex_failure(mu, nu))
+            prefix = f"increments of the atom at {mu.support[0]} are not in convex order at date 1: "
+            assert words(prefix, left_monotone_multistep, [mu, mu]) == failure
+        if failure is not None and failure.startswith("P_nu(k) < P_mu(k) first at k = "):
+            # the named strike is the first grid point where the Fraction gap is negative
+            grid, gap = oracle_put_gap(mu, nu)
+            first = grid.index(F(words("not in convex order: ", decompose_step, mu, nu).rsplit(" ", 1)[1]))
+            assert gap[first] < 0 and all(g >= 0 for g in gap[:first])
 
 
 class TestFreeMonotone:

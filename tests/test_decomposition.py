@@ -15,6 +15,7 @@ from leftcurtain import (
     convex_order_leq,
     decompose_step,
     effective_domain_contains,
+    free_monotone_transport,
     free_polar_test,
     polar_test,
     solve_free,
@@ -26,6 +27,7 @@ from conftest import (
     measure,
     oracle_free_chargeable,
     oracle_free_paths,
+    outcome,
     random_marginal_chain,
     random_measure,
 )
@@ -168,6 +170,19 @@ class TestPolar:
     def test_rejects_wrong_path_length(self, rigid_marginals, path):
         with pytest.raises(ValueError, match="path length"):
             polar_test(rigid_marginals, [path])
+
+    def test_step_count_is_checked_before_the_order(self):
+        # a pair out of order with n = 0: the step count is named, as by
+        # free_monotone_transport, not the order
+        mu0 = measure([(-1, F(1, 2)), (1, F(1, 2))])
+        mun = DiscreteMeasure.dirac(0)
+        for run in (
+            lambda: free_polar_test(mu0, mun, 0, [(0,)]),
+            lambda: solve_free(mu0, mun, 0, lambda p: 0),
+            lambda: free_monotone_transport(mu0, mun, 0),
+        ):
+            assert outcome(run) == (ValueError, "n must be at least 1")
+        assert outcome(lambda: solve_free(mu0, mun, 1, lambda p: 0))[0] is NotInConvexOrder
 
     def test_rejects_float_coordinates(self):
         mu0 = DiscreteMeasure.dirac(1)

@@ -29,11 +29,13 @@ from conftest import (
     lp_min_second_moment_atom,
     measure,
     mean_preserving_spread,
+    oracle_atom_failure,
     oracle_hull_shadow,
     oracle_positive_convex_order_leq,
     oracle_shadow,
     oracle_shadow_atom,
     random_measure,
+    random_pair,
     random_pc_pair,
 )
 
@@ -48,22 +50,11 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def _pair(rng, kind):
-    """A pair (mu, nu) in (pc, spread) or, mostly, out of (random, reversed,
-    shrunk, grown) the positive convex order."""
-    if kind == "pc":
-        return random_pc_pair(rng, max_atoms=6)
-    if kind == "random":
-        return random_measure(rng, max_atoms=5), random_measure(rng, max_atoms=5)
-    mu = random_measure(rng, max_atoms=4)
-    nu = mean_preserving_spread(rng, mu)
-    if kind == "reversed":
-        return nu, mu
-    if kind == "shrunk":
-        return mu.scaled(F(rng.randint(1, 4), 4)), nu
-    if kind == "grown":
-        return mu.scaled(F(rng.randint(5, 8), 4)), nu
-    return mu, nu
+def _oracle_fold(mu, nu):
+    """(shadow, residual) of mu in nu from `oracle_take`, atom by atom: the
+    first atom whose take fails raises, with `oracle_take`'s words."""
+    residual = OracleResidual(nu)
+    return DiscreteMeasure([piece for x, q in mu.atoms for piece in residual.take(x, q)]), residual.measure()
 
 
 class TestResidualTake:
@@ -76,13 +67,12 @@ class TestResidualTake:
         st.fractions(min_value=0, max_value=2, max_denominator=6),
     )
     def test_single_take(self, seed, kind, share):
-        mu, nu = _pair(random.Random(seed), kind)
-        message = "test message"
+        mu, nu = random_pair(random.Random(seed), kind)
         for x, w in mu:
             q = w * share
 
             def take():
-                residual = _Residual(nu, message)
+                residual = _Residual(nu)
                 piece = DiscreteMeasure(residual.take(x, q))
                 return piece, residual.measure()
 
@@ -91,13 +81,13 @@ class TestResidualTake:
                 return result.shadow, result.residual
 
             got = _outcome(take)
-            assert got == _outcome(lambda: oracle_hull_shadow(DiscreteMeasure.dirac(x, q), nu, message))
-            expected = _outcome(lambda: oracle_shadow_atom(q, x, nu))
-            assert _outcome(atom) == expected
-            if expected[0] is NotInPositiveConvexOrder:
-                assert got == (NotInPositiveConvexOrder, message)
+            hull = _outcome(lambda: oracle_hull_shadow(DiscreteMeasure.dirac(x, q), nu))
+            if hull[0] is NotInPositiveConvexOrder:
+                assert got[0] is NotInPositiveConvexOrder  # the hull checks the verdict only
             else:
-                assert got == expected
+                assert got == hull
+            assert _outcome(atom) == got == _outcome(lambda: oracle_shadow_atom(q, x, nu))
+            assert got == _outcome(lambda: _oracle_fold(DiscreteMeasure.dirac(x, q), nu))
 
     def test_take_consumes_the_window_in_place(self):
         nu = measure([(-4, F(1, 4)), (0, F(1, 2)), (4, F(1, 4))])
@@ -133,7 +123,7 @@ def _run_against_oracle(nu, takes):
     each, pieces (or exception and message) and measures are `==`, every
     held weight is in lowest terms and counted, and the weight scale is
     reduced.  Returns the integer residual."""
-    residual, oracle = _Residual(nu, "test message"), OracleResidual(nu, "test message")
+    residual, oracle = _Residual(nu), OracleResidual(nu)
     for x, q in takes:
         expected = _outcome(lambda: oracle.take(x, q))
         assert _outcome(lambda: residual.take(x, q)) == expected
@@ -193,14 +183,20 @@ class TestIntegerResidual:
         assert (residual.e, _scaled_weights(residual)) == (1, [])
 
     @pytest.mark.parametrize(
-        "x, q",
-        [(F(0), F(4, 3)), (F(-1), F(1, 3)), (F(5, 3), F(1, 3))],
+        "x, q, condition",
+        [
+            (F(0), F(4, 3), "q is more than the mass left"),
+            (F(-1), F(1, 3), "x is left of the barycenter of the leftmost mass q"),
+            (F(5, 3), F(1, 3), "x is right of the barycenter of the rightmost mass q"),
+        ],
         ids=["q-above-the-mass", "left-cut-fails", "moment-below-target"],
     )
-    def test_failures(self, x, q):
+    def test_failures(self, x, q, condition):
         # each take grows a scale first; a failure leaves the weights as they were
         nu = measure([(0, F(1, 2)), (2, F(1, 4))])
-        assert _outcome(lambda: _Residual(nu, "m").take(x, q)) == (NotInPositiveConvexOrder, "m")
+        message = f"{q}*d[{x}] is not <=_pc the target: {condition}"
+        assert _outcome(lambda: _Residual(nu).take(x, q)) == (NotInPositiveConvexOrder, message)
+        assert oracle_atom_failure(q, x, nu) == condition
         residual = _run_against_oracle(nu, [(x, q), (x, q)])
         assert residual.measure() == nu and residual.e == 4
         _run_against_oracle(nu, [(x, q), (F(1, 3), F(1, 4)), (x, q)])
@@ -220,18 +216,22 @@ class TestAgainstSlowReference:
     @given(seeds, st.sampled_from(["pc", "random", "spread", "reversed", "shrunk", "grown"]))
     def test_shadow_decides_order_as_interval_search(self, seed, kind):
         # `shadow` is the fold of mu's atoms through one residual: several takes
-        mu, nu = _pair(random.Random(seed), kind)
+        mu, nu = random_pair(random.Random(seed), kind)
 
         def fold():
             result = shadow(mu, nu)
             return result.shadow, result.residual
 
         got = _outcome(fold)
-        assert got == _outcome(lambda: oracle_hull_shadow(mu, nu))
+        hull = _outcome(lambda: oracle_hull_shadow(mu, nu))
         if oracle_positive_convex_order_leq(mu, nu):
-            assert got == oracle_shadow(mu, nu)
+            assert got == hull == oracle_shadow(mu, nu)
         else:
-            assert got == (NotInPositiveConvexOrder, "source measure is not <=_pc the target")
+            # the verdict is the hull's; the message names the first atom whose
+            # `oracle_take` fails, with its condition, as the interval search does
+            assert hull[0] is NotInPositiveConvexOrder
+            assert got == _outcome(lambda: _oracle_fold(mu, nu)) == _outcome(lambda: oracle_shadow(mu, nu))
+            assert got[0] is NotInPositiveConvexOrder
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -348,19 +348,26 @@ class TestShadow:
     def test_more_mass_than_target(self):
         # on a one-point grid every put and call gap is 0: only the mass decides
         mu, nu = DiscreteMeasure.dirac(3, 1), DiscreteMeasure.dirac(3, F(1, 4))
-        with pytest.raises(NotInPositiveConvexOrder, match="source measure is not"):
-            shadow(mu, nu)
-        with pytest.raises(NotInPositiveConvexOrder, match=r"^1\*d\[3\] is not"):
-            shadow_atom(1, 3, nu)
+        message = "1*d[3] is not <=_pc the target: q is more than the mass left"
+        assert _outcome(lambda: shadow(mu, nu)) == (NotInPositiveConvexOrder, message)
+        assert _outcome(lambda: shadow_atom(1, 3, nu)) == (NotInPositiveConvexOrder, message)
 
     def test_source_atom_outside_target_hull(self):
         nu = measure([(-1, F(1, 2)), (1, F(1, 2))])
-        for mu in (DiscreteMeasure.dirac(2, F(1, 8)), DiscreteMeasure.dirac(-2, F(1, 8))):
+        for x, side in ((2, "right of the barycenter of the rightmost"), (-2, "left of the barycenter of the leftmost")):
             # right of the hull a call fails (last slope), left of it a put (first slope)
-            with pytest.raises(NotInPositiveConvexOrder, match="source measure is not"):
-                shadow(mu, nu)
-            with pytest.raises(NotInPositiveConvexOrder, match=r"1/8\*d\["):
-                shadow_atom(F(1, 8), mu.support[0], nu)
+            failure = (NotInPositiveConvexOrder, f"1/8*d[{x}] is not <=_pc the target: x is {side} mass q")
+            assert _outcome(lambda: shadow(DiscreteMeasure.dirac(x, F(1, 8)), nu)) == failure
+            assert _outcome(lambda: shadow_atom(F(1, 8), x, nu)) == failure
+
+    def test_fold_names_the_first_atom_that_fails(self):
+        # 1/4*d[-1] takes 1/8 at -2 and 1/8 at 0, so the rightmost mass 1/2
+        # left has barycenter 1 < 3/2; 1/8*d[2] alone would fit
+        nu = measure([(-2, F(1, 4)), (0, F(1, 2)), (2, F(1, 4))])
+        mu = measure([(-1, F(1, 4)), (F(3, 2), F(1, 2)), (2, F(1, 8))])
+        message = "1/2*d[3/2] is not <=_pc the target: x is right of the barycenter of the rightmost mass q"
+        assert _outcome(lambda: shadow(mu, nu)) == (NotInPositiveConvexOrder, message)
+        assert _outcome(lambda: _oracle_fold(mu, nu)) == (NotInPositiveConvexOrder, message)
 
     def test_fold_order_does_not_matter(self):
         rng = random.Random(43)
