@@ -217,12 +217,7 @@ def cmd_left_monotone(args) -> int:
         raise SchemaError("", "left-monotone needs at least two marginal files")
     if args.max_paths < 1:
         raise SchemaError("--max-paths", "must be at least 1")
-    policy = (
-        KernelPolicy.LP_FEASIBLE
-        if args.policy == "lp-feasible"
-        else KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS
-    )
-    P = left_monotone_multistep(marginals, policy, max_paths=args.max_paths)
+    P = left_monotone_multistep(marginals, KernelPolicy(args.policy), max_paths=args.max_paths)
     payload = {
         "coupling": _coupling_json(P, args.approx),
         "strong_order": strong_order_holds(marginals),
@@ -519,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("left-monotone", help="multistep left-monotone transport")
     p.add_argument("files", nargs="+", metavar="marginal.json")
-    p.add_argument("--policy", choices=["left-curtain", "lp-feasible"], default="left-curtain")
+    default = KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS.value
+    p.add_argument("--policy", choices=[k.value for k in KernelPolicy], default=default)
     p.add_argument("--max-paths", type=int, default=10**6)
     p.set_defaults(func=cmd_left_monotone)
 

@@ -4,9 +4,10 @@ Left-monotonicity is the no-crossing rule: among paths that agree up to
 date t-1, a path starting strictly to the right may not step in between two
 continuations at date t.  Nondegeneracy requires every up-move to be matched
 by a down-move from the same history and vice versa.  Both are verified by
-exhaustive scans of `SupportSet.branches(t)`, which reads histories and
-their values in increasing order, so a failed scan's witness is the first
-in history order, date by date, as in `PathMeasure.kernels`; competitor
+exhaustive scans of `SupportSet.branches(t)`, which groups consecutive
+points of the sorted tuple that `PathMeasure` builds, so it reads histories
+and their values in increasing order and a failed scan's witness is the
+first in history order, date by date, as in `PathMeasure.kernels`; competitor
 search solves an exact LP over reweightings that preserve the history
 projection, the last marginal, and all conditional barycenters.
 """
@@ -27,30 +28,26 @@ from .simplex import solve_lp
 
 @dataclass(frozen=True)
 class SupportSet:
-    """A finite set of support paths in R^(n+1)."""
+    """A finite set of support paths in R^(n+1), read and checked by
+    `PathMeasure`: `points` is its support, sorted and distinct."""
 
     n: int
-    points: frozenset
+    points: Tuple[Path, ...]
 
     def __init__(self, n: int, points):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"step count must be a nonnegative integer, got {n!r}")
-        pts = frozenset(tuple(rat(c) for c in p) for p in points)
-        for p in pts:
-            if len(p) != n + 1:
-                raise ValueError(f"point {p} does not have {n + 1} coordinates")
+        support = PathMeasure(n, ((p, 1) for p in points)).support
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", support)
 
     @staticmethod
     def of(P: PathMeasure) -> "SupportSet":
         return SupportSet(P.n, P.support)
 
     def branches(self, t: int) -> Dict[Path, List[Fraction]]:
-        """The values x_t that follow each history x_0..x_{t-1} in the set:
-        histories in increasing order, each one's values increasing and distinct."""
-        prefixes = sorted({p[: t + 1] for p in self.points})
-        return {h: [p[-1] for p in group] for h, group in groupby(prefixes, lambda p: p[:-1])}
+        """The values x_t that follow each history x_0..x_{t-1}, grouped from
+        consecutive points: histories and each one's values increasing and distinct."""
+        groups = groupby(self.points, lambda p: p[:t])
+        return {h: [y for y, _ in groupby(p[t] for p in group)] for h, group in groups}
 
 
 @dataclass(frozen=True)

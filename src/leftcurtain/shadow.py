@@ -213,9 +213,13 @@ def obstructed_shadow(
     """Obstructed shadow of mu0_part through the chain of targets.
 
     Iterates the plain shadow through chain[0], chain[1], ... and returns the
-    terminal measure; with a single target this is the plain shadow.
+    terminal measure; with a single target this is the plain shadow.  A fold
+    that fails names its date, the 1-based position of its target in chain.
     """
     theta = mu0_part
-    for nu in chain:
-        theta = shadow(theta, nu).shadow
+    for t, nu in enumerate(chain, start=1):
+        try:
+            theta = shadow(theta, nu).shadow
+        except NotInPositiveConvexOrder as exc:
+            raise NotInPositiveConvexOrder(f"date {t}: {exc}") from None
     return theta

@@ -31,7 +31,9 @@ martingale check from per-history drift sums that the kernels of
 `PathMeasure.kernels` replaced.  `oracle_scan_left_monotone_set` and
 `oracle_scan_nondegenerate_set` are the support scans over frozenset
 projections, read in hash order, that the sorted `SupportSet.branches`
-replaced; they fix the verdicts.  `oracle_first_crossing` and
+replaced; they fix the verdicts.  `oracle_branches` is `branches` from a
+frozenset of prefixes, sorted, that the grouping of consecutive points
+replaced.  `oracle_first_crossing` and
 `oracle_first_degeneracy` fix the witnesses by the definitions: at the
 first failing date every crossing triple or one-sided history, the first
 in history order.  `oracle_potential_value`,
@@ -1172,6 +1174,15 @@ def _oracle_hash_order_branches(gamma: SupportSet, t: int) -> Dict[tuple, List[F
     for p in frozenset(p[: t + 1] for p in gamma.points):
         out.setdefault(p[:-1], []).append(p[-1])
     return out
+
+
+def oracle_branches(gamma: SupportSet, t: int) -> Dict[tuple, List[Fraction]]:
+    """Each history x_0..x_{t-1} with its sorted values x_t, histories sorted,
+    read from the frozenset of prefixes x_0..x_t."""
+    values: Dict[tuple, List[Fraction]] = {}
+    for p in sorted(frozenset(p[: t + 1] for p in gamma.points)):
+        values.setdefault(p[:-1], []).append(p[-1])
+    return values
 
 
 def oracle_scan_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitness]]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -541,6 +542,15 @@ class TestErrorHandling:
             assert code == 1 and out == ""
             report = json.loads(err)
             assert report["error"] == "usage" and report["message"].startswith(message)
+
+    def test_unknown_policy_is_the_usage_error_of_the_literal_choices(self, capsys, files):
+        reference = argparse.ArgumentParser(prog="leftcurtain left-monotone", exit_on_error=False)
+        reference.add_argument("--policy", choices=["left-curtain", "lp-feasible"])
+        with pytest.raises(argparse.ArgumentError) as expected:
+            reference.parse_args(["--policy", "foo"])
+        code, out, err = run(capsys, ["left-monotone", files["mu0"], files["mu1"], "--policy", "foo"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "usage", "message": f"leftcurtain left-monotone: {expected.value}"}
 
     def test_reward_starting_with_minus_after_equals(self, capsys, files):
         argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward=-1*abs(1,0)"]

@@ -23,6 +23,7 @@ from leftcurtain import (
 
 from conftest import (
     measure,
+    oracle_branches,
     oracle_first_crossing,
     oracle_first_degeneracy,
     oracle_scan_left_monotone_set,
@@ -45,7 +46,7 @@ class TestSupportSet:
     def test_rejects_float_coordinates(self):
         with pytest.raises(TypeError, match="not a rational"):
             SupportSet(1, [(0.1, F(1, 2))])
-        assert SupportSet(1, [("1/10", 0)]).points == frozenset({(F(1, 10), F(0))})
+        assert SupportSet(1, [("1/10", 0)]).points == ((F(1, 10), F(0)),)
 
     @pytest.mark.parametrize("n", [-1, True, 1.0, "1"])
     def test_rejects_a_step_count_that_is_not_a_nonnegative_int(self, n):
@@ -53,6 +54,27 @@ class TestSupportSet:
             SupportSet(n, [(0, 1)])
         with pytest.raises(ValueError, match="^step count must be a nonnegative integer"):
             PathMeasure(n, [((0, 1), 1)])
+
+    def test_rejects_a_point_with_the_wrong_coordinate_count(self):
+        with pytest.raises(ValueError, match=r"^path \(1, 2, 3\) does not have 2 coordinates$"):
+            SupportSet(1, [(0, 1), (1, 2, 3)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_lists(), st.data())
+    def test_every_listing_of_a_set_is_one_sorted_tuple(self, drawn, data):
+        """Shuffled, duplicated and respelled (int, str or Fraction) listings
+        of one set are `==` and hash-equal, hold its sorted distinct points
+        and read the branches of the frozenset oracle."""
+        n, points = drawn
+        extra = data.draw(st.lists(st.sampled_from(points), max_size=6))
+        listed = data.draw(st.permutations(points + extra))
+        spell = st.sampled_from([int, str, F])
+        again = SupportSet(n, [tuple(data.draw(spell)(c) for c in p) for p in listed])
+        gamma = SupportSet(n, points)
+        assert again == gamma and hash(again) == hash(gamma)
+        assert gamma.points == tuple(sorted(set(tuple(map(F, p)) for p in points)))
+        for t in range(n + 1):
+            assert list(gamma.branches(t).items()) == list(oracle_branches(again, t).items())
 
     def test_branches_read_sorted_histories_and_values(self):
         gamma = SupportSet(2, [(1, 0, 2), (0, 1, 1), (1, 0, -2), (0, -1, 0), (1, 0, 2), (0, 1, 3)])

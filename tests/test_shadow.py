@@ -434,6 +434,28 @@ class TestObstructedShadow:
         assert convex_order_leq(direct, chained)
         assert direct != chained
 
+    def test_a_failing_fold_names_its_first_failing_date(self):
+        """Each target is a spread of the one before it (the fold goes on) or
+        a random measure (it may stop): a failure names the first date at
+        which the Fraction fold fails, then that fold's words."""
+        rng = random.Random(67)
+        seen = Counter()
+        while min(seen[t] for t in (0, 1, 2, 3)) < 8:
+            part, nu = random_pc_pair(rng, max_atoms=4)
+            chain = []
+            for _ in range(3):
+                nu = mean_preserving_spread(rng, nu) if rng.random() < 0.5 else random_measure(rng)
+                chain.append(nu)
+            theta, failure = part, None
+            for t, nu in enumerate(chain, start=1):
+                got = _outcome(lambda: _oracle_fold(theta, nu)[0])
+                if not isinstance(got, DiscreteMeasure):
+                    failure = (got[0], f"date {t}: {got[1]}")
+                    break
+                theta = got
+            seen[t if failure else 0] += 1
+            assert _outcome(lambda: obstructed_shadow(part, chain)) == (failure or theta)
+
     def test_iterated_coincides_iff_shadows_ordered(self):
         rng = random.Random(61)
         agree = disagree = 0
