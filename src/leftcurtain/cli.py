@@ -15,55 +15,55 @@ adds the manifest, renders the whole text, every rational as a string
 through `_rat_to_json`, and writes it in one call.  A result rational with
 more digits than CPython writes as a string exits 2 with
 `{"error": "OutputTooLarge", ...}` and nothing on stdout.
+
+At start the CLI loads only `measure`, which also defines every library
+error that exits 2; each handler imports the modules it calls at the top
+of its body, so a command loads only what it runs (`check-order` nothing
+more, `left-monotone` `shadow` and `coupling`).  `python -X importtime`
+shows it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .coupling import (
-    KernelPolicy,
-    MarginalMismatch,
-    NotMartingale,
-    PathCountExceeded,
-    PathMeasure,
-    free_monotone_transport,
-    is_martingale,
-    left_curtain_one_step,
-    left_monotone_multistep,
-    markov_check,
-    strong_order_holds,
-    verify_left_monotone,
-)
-from .decomposition import decompose_step, free_polar_test, polar_test
-from .geometry import SupportSet, is_left_monotone_set, is_nondegenerate_set
-from .lpsolver import EXACT, FLOAT, RewardSpec, extract_dual, parse_reward, solve_free, solve_primal
 from .measure import (
     DiscreteMeasure,
+    Infeasible,
+    MarginalMismatch,
     NegativeWeight,
     NotInConvexOrder,
     NotInPositiveConvexOrder,
+    NotMartingale,
     OutputTooLarge,
+    PathCountExceeded,
     SchemaError,
+    Unbounded,
     _json_from_text,
     _rat_from_json,
     _rat_to_json,
     convex_order_leq,
     potential,
 )
-from .shadow import obstructed_shadow, shadow, shadow_atom
-from .simplex import Infeasible, Unbounded
+
+if TYPE_CHECKING:
+    from .coupling import PathMeasure
+    from .lpsolver import RewardSpec
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_MATH = 2
+
+# The values of `coupling.KernelPolicy` (the default first) and of
+# `lpsolver.EXACT` and `lpsolver.FLOAT`, spelled out so that building the
+# parser loads neither module; the tests keep them equal.
+_POLICIES = ["left-curtain", "lp-feasible"]
+_MODES = ["exact", "float"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +86,8 @@ def _load_measure(path: str) -> DiscreteMeasure:
 
 def _load_coupling(path: str) -> PathMeasure:
     """A coupling file, or a payload with a `coupling` member (as `left-monotone` writes)."""
+    from .coupling import PathMeasure
+
     node = _load_json(path)
     if isinstance(node, dict) and "coupling" in node:
         return PathMeasure.from_json(node["coupling"], f"{path}#/coupling")
@@ -118,6 +120,9 @@ def _rational(value):
 def _emit(args, inputs: Sequence[str], payload: dict, rows: List[dict]) -> None:
     """Write the payload under its manifest as JSON, or with --csv the rows."""
     if args.csv:
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else ["empty"])
         writer.writeheader()
@@ -156,6 +161,8 @@ def cmd_check_order(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import decompose_step
+
     decomposition = decompose_step(_load_measure(args.mu), _load_measure(args.nu))
     rows = [
         {
@@ -178,6 +185,8 @@ def _atoms_csv(mu: DiscreteMeasure) -> List[dict]:
 
 
 def cmd_shadow(args) -> int:
+    from .shadow import shadow, shadow_atom
+
     nu = _load_measure(args.target)
     if args.source is not None:
         if args.mass is not None or args.at is not None:
@@ -200,6 +209,8 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_obstructed_shadow(args) -> int:
+    from .shadow import obstructed_shadow
+
     part = _load_measure(args.part)
     result = obstructed_shadow(part, [_load_measure(path) for path in args.chain])
     payload = {"result": _measure_json(result, args.approx)}
@@ -212,6 +223,8 @@ def _paths_csv(P: PathMeasure) -> List[dict]:
 
 
 def cmd_left_monotone(args) -> int:
+    from .coupling import KernelPolicy, left_monotone_multistep, strong_order_holds
+
     marginals = [_load_measure(path) for path in args.files]
     if len(marginals) < 2:
         raise SchemaError("", "left-monotone needs at least two marginal files")
@@ -228,6 +241,8 @@ def cmd_left_monotone(args) -> int:
 
 def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
     """Parse a --reward argument for paths of dates 0..horizon in the given mode."""
+    from .lpsolver import EXACT, parse_reward
+
     try:
         spec = parse_reward(text)
     except ZeroDivisionError:
@@ -242,6 +257,8 @@ def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
 
 
 def cmd_solve(args) -> int:
+    from .lpsolver import EXACT, extract_dual, solve_primal
+
     marginals = [_load_measure(path) for path in args.files]
     mode = args.mode
     spec = _reward_spec(args.reward, mode, len(marginals) - 1)
@@ -260,6 +277,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify_support(args) -> int:
+    from .coupling import is_martingale, markov_check
+    from .geometry import SupportSet, is_left_monotone_set, is_nondegenerate_set
+
     P = _load_coupling(args.coupling)
     gamma = SupportSet.of(P)
     lm_ok, lm_wit = is_left_monotone_set(gamma)
@@ -292,6 +312,8 @@ def _load_paths(path: str) -> List[List[Fraction]]:
 
 
 def cmd_polar(args) -> int:
+    from .decomposition import free_polar_test, polar_test
+
     paths = _load_paths(args.paths)
     if args.steps is not None and not args.free:
         raise SchemaError("--steps", "only used with --free")
@@ -324,6 +346,9 @@ def cmd_polar(args) -> int:
 
 
 def cmd_free(args) -> int:
+    from .coupling import free_monotone_transport
+    from .lpsolver import EXACT, solve_free
+
     mu0 = _load_measure(args.mu0)
     mun = _load_measure(args.mun)
     if args.steps < 1:
@@ -345,6 +370,8 @@ def cmd_free(args) -> int:
 
 
 def _example_uniquetransport() -> dict:
+    from .coupling import PathMeasure, left_monotone_multistep, verify_left_monotone
+
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     marginals = [
         DiscreteMeasure.dirac(0),
@@ -370,6 +397,8 @@ def _example_uniquetransport() -> dict:
 
 
 def _example_notleftcurtain() -> dict:
+    from .coupling import PathMeasure, left_curtain_one_step, left_monotone_multistep, strong_order_holds
+
     h, q = Fraction(1, 2), Fraction(1, 4)
     marginals = [
         DiscreteMeasure([(-1, h), (1, h)]),
@@ -409,6 +438,9 @@ def _example_notleftcurtain() -> dict:
 
 
 def _example_notmarkovian() -> dict:
+    from .coupling import PathMeasure, left_monotone_multistep, markov_check
+    from .geometry import SupportSet, is_left_monotone_set
+
     h, q, e = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     marginals = [
         DiscreteMeasure([(0, h), (1, h)]),
@@ -430,6 +462,8 @@ def _example_notmarkovian() -> dict:
 
 
 def _example_nonunique() -> dict:
+    from .coupling import PathMeasure, verify_left_monotone
+
     h, q, e = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     marginals = [
         DiscreteMeasure.dirac(0),
@@ -514,15 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("left-monotone", help="multistep left-monotone transport")
     p.add_argument("files", nargs="+", metavar="marginal.json")
-    default = KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS.value
-    p.add_argument("--policy", choices=[k.value for k in KernelPolicy], default=default)
+    p.add_argument("--policy", choices=_POLICIES, default=_POLICIES[0])
     p.add_argument("--max-paths", type=int, default=10**6)
     p.set_defaults(func=cmd_left_monotone)
 
     p = sub.add_parser("solve", help="exact LP transport optimum with dual certificate")
     p.add_argument("files", nargs="+", metavar="marginal.json")
     p.add_argument("--reward", required=True, help="product reward, e.g. 'indicator(t=0, <=-1) * -1 * call(2, 0)'")
-    p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
+    p.add_argument("--mode", choices=_MODES, default=_MODES[0])
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-support", help="geometry checks on a coupling")
@@ -541,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mun")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--reward", help="also solve the free LP for this reward")
-    p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
+    p.add_argument("--mode", choices=_MODES, default=_MODES[0])
     p.set_defaults(func=cmd_free)
 
     p = sub.add_parser("examples", help="reproduce the built-in example instances")

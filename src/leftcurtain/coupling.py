@@ -20,7 +20,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
+    MarginalMismatch,
     NotInConvexOrder,
+    NotMartingale,
+    PathCountExceeded,
     RationalLike,
     SchemaError,
     _convex_failure,
@@ -35,18 +38,6 @@ from .measure import (
 from .shadow import _Residual, obstructed_shadow
 
 Path = Tuple[Fraction, ...]
-
-
-class MarginalMismatch(ValueError):
-    """A path measure does not have the required marginals."""
-
-
-class NotMartingale(ValueError):
-    """A path measure fails the martingale property."""
-
-
-class PathCountExceeded(RuntimeError):
-    """A construction would exceed the configured path-count cap."""
 
 
 class KernelPolicy(Enum):

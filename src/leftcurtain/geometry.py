@@ -41,7 +41,11 @@ class SupportSet:
 
     @staticmethod
     def of(P: PathMeasure) -> "SupportSet":
-        return SupportSet(P.n, P.support)
+        """The support of `P`, taken as it is: `P.support` is already sorted and distinct."""
+        gamma = object.__new__(SupportSet)
+        object.__setattr__(gamma, "n", P.n)
+        object.__setattr__(gamma, "points", P.support)
+        return gamma
 
     def branches(self, t: int) -> Dict[Path, List[Fraction]]:
         """The values x_t that follow each history x_0..x_{t-1}, grouped from

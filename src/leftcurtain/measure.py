@@ -5,6 +5,10 @@ couplings, LP duals) is equality-sensitive, so all positions and masses are
 `fractions.Fraction` and no operation ever rounds.  A measure is a finite,
 sorted tuple of atoms with strictly positive weights; zero-weight atoms are
 dropped and equal positions are merged at construction time.
+
+Every exception that the command line reports as a mathematical failure
+(exit 2) is defined here, so `cli` can name them all without loading the
+modules that raise them; `coupling` and `simplex` import their own.
 """
 
 from __future__ import annotations
@@ -38,6 +42,26 @@ class NotInPositiveConvexOrder(ValueError):
 
 class OutputTooLarge(ValueError):
     """A result rational has more digits than CPython writes as a string."""
+
+
+class MarginalMismatch(ValueError):
+    """A path measure does not have the required marginals."""
+
+
+class NotMartingale(ValueError):
+    """A path measure fails the martingale property."""
+
+
+class PathCountExceeded(RuntimeError):
+    """A construction would exceed the configured path-count cap."""
+
+
+class Infeasible(Exception):
+    """The constraint system has no nonnegative solution."""
+
+
+class Unbounded(Exception):
+    """The objective is unbounded over the feasible region."""
 
 
 class SchemaError(ValueError):

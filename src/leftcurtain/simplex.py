@@ -96,19 +96,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .measure import Infeasible, Unbounded
+
 _MAX_PIVOTS = 200_000
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 Column = List[Tuple[int, int]]  # (row, nonzero coefficient)
 Row = Sequence[Tuple[int, Fraction]]  # (column, coefficient)
-
-
-class Infeasible(Exception):
-    """The constraint system has no nonnegative solution."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded over the feasible region."""
 
 
 @dataclass

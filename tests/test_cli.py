@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import DiscreteMeasure, PathMeasure, cli
+import leftcurtain
+from leftcurtain import DiscreteMeasure, KernelPolicy, PathMeasure, cli, coupling, lpsolver, simplex
+from leftcurtain import measure as measure_module
 from leftcurtain.cli import main
 
 from conftest import measure
@@ -551,6 +553,36 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["left-monotone", files["mu0"], files["mu1"], "--policy", "foo"])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "usage", "message": f"leftcurtain left-monotone: {expected.value}"}
+
+    def test_parser_literals_are_the_library_values(self):
+        """The parser spells out `--policy` and `--mode` so that building it
+        loads neither `coupling` nor `lpsolver`; they must stay the library's."""
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+
+        def option(command, dest):
+            return next(a for a in commands[command]._actions if a.dest == dest)
+
+        policy = option("left-monotone", "policy")
+        assert policy.choices == [k.value for k in KernelPolicy]
+        assert policy.default == KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS.value
+        for command in ("solve", "free"):
+            mode = option(command, "mode")
+            assert mode.choices == [lpsolver.EXACT, lpsolver.FLOAT] and mode.default == lpsolver.EXACT
+
+    @pytest.mark.parametrize(
+        "name, module",
+        [
+            ("MarginalMismatch", coupling),
+            ("NotMartingale", coupling),
+            ("PathCountExceeded", coupling),
+            ("Infeasible", simplex),
+            ("Unbounded", simplex),
+        ],
+    )
+    def test_exit_2_errors_are_one_class_under_every_name(self, name, module):
+        cls = getattr(measure_module, name)
+        assert getattr(module, name) is cls and getattr(leftcurtain, name) is cls
+        assert cls.__module__ == "leftcurtain.measure"
 
     def test_reward_starting_with_minus_after_equals(self, capsys, files):
         argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward=-1*abs(1,0)"]

@@ -22,6 +22,7 @@ from leftcurtain import (
 )
 
 from conftest import (
+    grid_chain,
     measure,
     oracle_branches,
     oracle_first_crossing,
@@ -82,6 +83,21 @@ class TestSupportSet:
         assert list(gamma.branches(2).items()) == [
             ((0, -1), [0]), ((0, 1), [1, 3]), ((1, 0), [-2, 2])
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_lists(), st.lists(st.integers(1, 4), min_size=12, max_size=12))
+    def test_of_a_coupling_is_its_support(self, drawn, weights):
+        n, points = drawn
+        P = PathMeasure(n, zip(points, weights))
+        gamma = SupportSet.of(P)
+        assert gamma == SupportSet(P.n, P.support) and gamma.points == P.support
+
+    def test_of_the_grid_coupling_reads_its_support_without_a_second_path_measure(self, monkeypatch):
+        P = left_monotone_multistep(grid_chain(random.Random(80), 80))
+        expected = SupportSet(P.n, P.support)
+        monkeypatch.setattr(geometry, "PathMeasure", None)
+        gamma = SupportSet.of(P)
+        assert gamma == expected and gamma.points == P.support and gamma.n == 2
 
 
 class TestScanOrder:
