@@ -41,6 +41,7 @@ _HOME = {
     "NotInConvexOrder": "measure",
     "NotInPositiveConvexOrder": "measure",
     "OutputTooLarge": "measure",
+    "MathError": "measure",
     "SchemaError": "measure",
     "IrreducibleDomain": "decomposition",
     "MultistepComponent": "decomposition",
@@ -55,9 +56,9 @@ _HOME = {
     "shadow": "shadow",
     "shadow_atom": "shadow",
     "KernelPolicy": "coupling",
-    "MarginalMismatch": "measure",
-    "NotMartingale": "measure",
-    "PathCountExceeded": "measure",
+    "MarginalMismatch": "coupling",
+    "NotMartingale": "coupling",
+    "PathCountExceeded": "coupling",
     "PathMeasure": "coupling",
     "binomial_check": "coupling",
     "free_monotone_transport": "coupling",
@@ -74,9 +75,9 @@ _HOME = {
     "find_improving_competitor": "geometry",
     "is_left_monotone_set": "geometry",
     "is_nondegenerate_set": "geometry",
-    "Infeasible": "measure",
+    "Infeasible": "simplex",
     "LpResult": "simplex",
-    "Unbounded": "measure",
+    "Unbounded": "simplex",
     "solve_lp": "simplex",
     "DualCertificate": "lpsolver",
     "FreeDualCertificate": "lpsolver",

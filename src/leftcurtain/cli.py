@@ -16,11 +16,12 @@ through `_rat_to_json`, and writes it in one call.  A result rational with
 more digits than CPython writes as a string exits 2 with
 `{"error": "OutputTooLarge", ...}` and nothing on stdout.
 
-At start the CLI loads only `measure`, which also defines every library
-error that exits 2; each handler imports the modules it calls at the top
-of its body, so a command loads only what it runs (`check-order` nothing
-more, `left-monotone` `shadow` and `coupling`).  `python -X importtime`
-shows it.
+Every library error that exits 2 is a `measure.MathError`, wherever it is
+defined, so `main` names that one class (and `OverflowError`).  At start
+the CLI loads only `measure`; each handler imports the modules it calls at
+the top of its body, so a command loads only what it runs (`check-order`
+nothing more, `left-monotone` `shadow` and `coupling`).
+`python -X importtime` shows it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .measure import (
     DiscreteMeasure,
-    Infeasible,
-    MarginalMismatch,
-    NegativeWeight,
-    NotInConvexOrder,
-    NotInPositiveConvexOrder,
-    NotMartingale,
-    OutputTooLarge,
-    PathCountExceeded,
+    MathError,
     SchemaError,
-    Unbounded,
     _json_from_text,
     _rat_from_json,
     _rat_to_json,
@@ -614,18 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _report({"error": "schema", "pointer": exc.pointer, "message": str(exc)}, EXIT_IO)
     except OSError as exc:
         return _report({"error": "io", "message": str(exc)}, EXIT_IO)
-    except (
-        NotInConvexOrder,
-        NotInPositiveConvexOrder,
-        NegativeWeight,
-        MarginalMismatch,
-        NotMartingale,
-        Infeasible,
-        Unbounded,
-        PathCountExceeded,
-        OutputTooLarge,
-        OverflowError,
-    ) as exc:
+    except (MathError, OverflowError) as exc:
         return _report({"error": type(exc).__name__, "message": str(exc)}, EXIT_MATH)
     except ValueError as exc:  # any other malformed input the checks above let through
         return _report({"error": "schema", "pointer": "", "message": str(exc)}, EXIT_IO)

@@ -20,14 +20,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
-    MarginalMismatch,
+    MathError,
     NotInConvexOrder,
-    NotMartingale,
-    PathCountExceeded,
     RationalLike,
     SchemaError,
     _convex_failure,
-    _json_from_text,
     _merged,
     _rat_from_json,
     _rat_to_json,
@@ -38,6 +35,18 @@ from .measure import (
 from .shadow import _Residual, obstructed_shadow
 
 Path = Tuple[Fraction, ...]
+
+
+class MarginalMismatch(MathError, ValueError):
+    """A path measure does not have the required marginals."""
+
+
+class NotMartingale(MathError, ValueError):
+    """A path measure fails the martingale property."""
+
+
+class PathCountExceeded(MathError, RuntimeError):
+    """A construction would exceed the configured path-count cap."""
 
 
 class KernelPolicy(Enum):
@@ -183,10 +192,6 @@ class PathMeasure:
 
     def __str__(self) -> str:
         return " + ".join(f"{w}*d({', '.join(map(str, p))})" for p, w in self.paths) or "0"
-
-
-def coupling_from_json_str(text: str) -> PathMeasure:
-    return PathMeasure.from_json(_json_from_text(text, ""))
 
 
 def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:

@@ -7,13 +7,16 @@ target windows.  Chains of per-step components are the only sets a multistep
 martingale transport can charge; everything outside, or through a point of
 zero marginal mass, is polar.  When the intermediate marginals are free, the
 chain is the decomposition of (mu_0, mu_n) taken at every step.
-`_effective_paths` enumerates either domain on given grids for the LPs.
+`decompose_chain` decomposes every step of a chain from the sweeps of its
+order check, and `_effective_paths` enumerates either domain on given
+grids for the LPs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import List, Optional, Sequence, Tuple
 
 from .measure import (
@@ -22,6 +25,7 @@ from .measure import (
     NotInConvexOrder,
     RationalLike,
     _convex_failure,
+    _Sweep,
     rat,
     require_convex_order_chain,
     subtract,
@@ -64,9 +68,6 @@ class StepDecomposition:
             if comp.I.contains(x):
                 return comp
         return None
-
-    def in_diagonal_domain(self, x: Fraction) -> bool:
-        return self.component_of_point(x) is None
 
     def pair_component(self, x: Fraction, y: Fraction) -> Optional[int]:
         """Index k with (x, y) in V_k, the diagonal being k = 0; None if polar."""
@@ -111,10 +112,25 @@ def decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecompositio
     so there is no tolerance anywhere.  Raises NotInConvexOrder naming the
     first condition of the order that fails (`measure._convex_failure`).
     """
-    failure, (grid, values, _, _, d, _) = _convex_failure(mu, nu)
+    failure, sweep = _convex_failure(mu, nu)
     if failure:
         raise NotInConvexOrder(f"not in convex order: {failure}")
+    return _decomposed(mu, nu, sweep)
 
+
+def decompose_chain(marginals: Sequence[DiscreteMeasure]) -> List[StepDecomposition]:
+    """The decomposition of each step of a convex-order chain, in date order.
+
+    Each pair's sweep is made once, by `require_convex_order_chain`, which
+    raises NotInConvexOrder naming the first pair that fails.
+    """
+    sweeps = require_convex_order_chain(marginals)
+    return [_decomposed(mu, nu, sweep) for (mu, nu), sweep in zip(pairwise(marginals), sweeps)]
+
+
+def _decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep: _Sweep) -> StepDecomposition:
+    """The decomposition of mu <=_c nu read off the sweep of nu - mu."""
+    grid, values, _, _, d, _ = sweep
     # The difference vanishes outside the support hull (equal mass and
     # barycenter), so {u_mu < u_nu} is a union of open intervals whose
     # endpoints are grid points: on each linear segment the difference is
@@ -213,10 +229,7 @@ def polar_test(
     lies in no irreducible component chain.  A finite set is polar iff all
     its paths are.
     """
-    require_convex_order_chain(marginals)
-    decomps = [
-        decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))
-    ]
+    decomps = decompose_chain(marginals)
     verdicts = []
     for raw in paths:
         path = tuple(rat(x) for x in raw)

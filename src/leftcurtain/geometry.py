@@ -9,7 +9,8 @@ points of the sorted tuple that `PathMeasure` builds, so it reads histories
 and their values in increasing order and a failed scan's witness is the
 first in history order, date by date, as in `PathMeasure.kernels`; competitor
 search solves an exact LP over reweightings that preserve the history
-projection, the last marginal, and all conditional barycenters.
+projection, the last marginal, and all conditional barycenters.  Only that
+search loads `decomposition` and `simplex`, so the scans run without them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .coupling import Path, PathMeasure
-from .decomposition import StepDecomposition, effective_domain_contains
 from .measure import DiscreteMeasure, rat
-from .simplex import solve_lp
+
+if TYPE_CHECKING:
+    from .decomposition import StepDecomposition
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,9 @@ def find_improving_competitor(
     values appearing in pi with the support of `marginal` (the ambient
     marginal at the last date), when given.
     """
+    from .decomposition import effective_domain_contains
+    from .simplex import solve_lp
+
     t = pi.n
     if len(effective_domain) != t:
         raise ValueError("need one step decomposition per step of pi")

@@ -30,15 +30,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .coupling import Path, PathMeasure
-from .decomposition import _effective_paths, decompose_step
+from .decomposition import _effective_paths, decompose_chain, decompose_step
 from .geometry import SupportSet
-from .measure import (
-    DiscreteMeasure,
-    RationalLike,
-    _rat_to_json,
-    rat,
-    require_convex_order_chain,
-)
+from .measure import DiscreteMeasure, RationalLike, _rat_to_json, rat
 from .simplex import Infeasible, LpResult, solve_lp
 
 Reward = Callable[[Path], Union[Fraction, int, float]]
@@ -140,9 +134,7 @@ def _solve(program: MotProgram) -> LPSolution:
 def _constrained_program(marginals: Tuple[DiscreteMeasure, ...]) -> MotProgram:
     if not marginals:
         raise ValueError("need at least one marginal")
-    require_convex_order_chain(marginals)
-    decomps = [decompose_step(marginals[t - 1], marginals[t]) for t in range(1, len(marginals))]
-    paths = _effective_paths([mu.support for mu in marginals], decomps)
+    paths = _effective_paths([mu.support for mu in marginals], decompose_chain(marginals))
     return _program(dict(enumerate(marginals)), len(marginals) - 1, paths)
 
 

@@ -6,9 +6,9 @@ couplings, LP duals) is equality-sensitive, so all positions and masses are
 sorted tuple of atoms with strictly positive weights; zero-weight atoms are
 dropped and equal positions are merged at construction time.
 
-Every exception that the command line reports as a mathematical failure
-(exit 2) is defined here, so `cli` can name them all without loading the
-modules that raise them; `coupling` and `simplex` import their own.
+`MathError` is the base of every library error that means a mathematical
+failure (the command line's exit 2); each such error is defined in the
+module that raises it and keeps its builtin base as well.
 """
 
 from __future__ import annotations
@@ -28,40 +28,24 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
-class NegativeWeight(ValueError):
+class MathError(Exception):
+    """A mathematical failure: an order, coupling or LP condition does not hold."""
+
+
+class NegativeWeight(MathError, ValueError):
     """An operation produced or received an atom with negative weight."""
 
 
-class NotInConvexOrder(ValueError):
+class NotInConvexOrder(MathError, ValueError):
     """A pair (or chain) of measures violates the convex order."""
 
 
-class NotInPositiveConvexOrder(ValueError):
+class NotInPositiveConvexOrder(MathError, ValueError):
     """A pair of measures violates the positive convex order."""
 
 
-class OutputTooLarge(ValueError):
+class OutputTooLarge(MathError, ValueError):
     """A result rational has more digits than CPython writes as a string."""
-
-
-class MarginalMismatch(ValueError):
-    """A path measure does not have the required marginals."""
-
-
-class NotMartingale(ValueError):
-    """A path measure fails the martingale property."""
-
-
-class PathCountExceeded(RuntimeError):
-    """A construction would exceed the configured path-count cap."""
-
-
-class Infeasible(Exception):
-    """The constraint system has no nonnegative solution."""
-
-
-class Unbounded(Exception):
-    """The objective is unbounded over the feasible region."""
 
 
 class SchemaError(ValueError):
@@ -496,16 +480,13 @@ def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     return excess >= 0 and all(g >= 0 and g >= excess * k - drift for k, g in zip(grid, gap))
 
 
-def require_convex_order_chain(marginals: Iterable[DiscreteMeasure]) -> None:
+def require_convex_order_chain(marginals: Iterable[DiscreteMeasure]) -> List[_Sweep]:
+    """Check each consecutive pair of `marginals` for the convex order and
+    return the sweep of each pair (`_convex_failure`), in date order."""
+    sweeps = []
     for t, (mu, nu) in enumerate(pairwise(marginals), start=1):
-        failure = _convex_failure(mu, nu)[0]
+        failure, sweep = _convex_failure(mu, nu)
         if failure:
             raise NotInConvexOrder(f"marginals {t-1} and {t} are not in convex order: {failure}")
-
-
-def measure_to_json_str(mu: DiscreteMeasure) -> str:
-    return json.dumps(mu.to_json())
-
-
-def measure_from_json_str(text: str) -> DiscreteMeasure:
-    return DiscreteMeasure.from_json(_json_from_text(text, ""))
+        sweeps.append(sweep)
+    return sweeps

@@ -96,13 +96,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .measure import Infeasible, Unbounded
+from .measure import MathError
 
 _MAX_PIVOTS = 200_000
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 Column = List[Tuple[int, int]]  # (row, nonzero coefficient)
 Row = Sequence[Tuple[int, Fraction]]  # (column, coefficient)
+
+
+class Infeasible(MathError):
+    """The constraint system has no nonnegative solution."""
+
+
+class Unbounded(MathError):
+    """The objective is unbounded over the feasible region."""
 
 
 @dataclass

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -19,6 +21,21 @@ from leftcurtain import measure as measure_module
 from leftcurtain.cli import main
 
 from conftest import measure
+
+
+def library_errors():
+    """Every exception class that a `leftcurtain` module defines, in module order."""
+    names = sorted(info.name for info in pkgutil.iter_modules(leftcurtain.__path__))
+    modules = [leftcurtain] + [importlib.import_module(f"leftcurtain.{name}") for name in names]
+    return [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    ]
+
+
+MATH_ERRORS = [cls for cls in library_errors() if issubclass(cls, measure_module.MathError)]
 
 
 @pytest.fixture
@@ -580,9 +597,39 @@ class TestErrorHandling:
         ],
     )
     def test_exit_2_errors_are_one_class_under_every_name(self, name, module):
-        cls = getattr(measure_module, name)
-        assert getattr(module, name) is cls and getattr(leftcurtain, name) is cls
-        assert cls.__module__ == "leftcurtain.measure"
+        # each lives in the module that raises it, and `measure` does not name it
+        cls = getattr(module, name)
+        assert getattr(leftcurtain, name) is cls and cls.__module__ == module.__name__
+        assert issubclass(cls, measure_module.MathError) and not hasattr(measure_module, name)
+
+    def test_every_library_error_is_a_schema_error_or_a_math_error(self):
+        SchemaError, MathError = measure_module.SchemaError, measure_module.MathError
+        assert [cls for cls in library_errors() if cls not in MATH_ERRORS] == [SchemaError]
+        # each keeps the builtin base it had before `MathError`, so every `except` still catches it
+        assert {cls.__name__: cls.__bases__ for cls in MATH_ERRORS} == {
+            "MarginalMismatch": (MathError, ValueError),
+            "NotMartingale": (MathError, ValueError),
+            "PathCountExceeded": (MathError, RuntimeError),
+            "MathError": (Exception,),
+            "NegativeWeight": (MathError, ValueError),
+            "NotInConvexOrder": (MathError, ValueError),
+            "NotInPositiveConvexOrder": (MathError, ValueError),
+            "OutputTooLarge": (MathError, ValueError),
+            "Infeasible": (MathError,),
+            "Unbounded": (MathError,),
+        }
+        for cls in MATH_ERRORS:
+            assert cls.__name__ in leftcurtain.__all__ and getattr(leftcurtain, cls.__name__) is cls
+
+    @pytest.mark.parametrize("cls", MATH_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_math_error_exits_2_as_json(self, capsys, monkeypatch, files, cls):
+        def failing(args):
+            raise cls("the condition fails")
+
+        monkeypatch.setattr(cli, "cmd_check_order", failing)
+        code, out, err = run(capsys, ["check-order", files["mu0"]])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": cls.__name__, "message": "the condition fails"}
 
     def test_reward_starting_with_minus_after_equals(self, capsys, files):
         argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward=-1*abs(1,0)"]

@@ -37,8 +37,8 @@ from leftcurtain import (
 )
 from leftcurtain import coupling
 from leftcurtain.cli import main
-from leftcurtain.coupling import _increments, coupling_from_json_str
-from leftcurtain.measure import _convex_failure
+from leftcurtain.coupling import _increments
+from leftcurtain.measure import _convex_failure, _json_from_text
 
 from conftest import (
     Unhashable,
@@ -116,8 +116,7 @@ class TestPathMeasure:
 
     def test_json_round_trip(self):
         P = PathMeasure(2, [((0, F(-1, 2), 1), F(1, 3))])
-        blob = json.dumps(P.to_json())
-        assert coupling_from_json_str(blob) == P
+        assert PathMeasure.from_json(json.loads(json.dumps(P.to_json()))) == P
 
     @given(
         st.integers(0, 2).flatmap(
@@ -151,7 +150,7 @@ class TestPathMeasure:
     )
     def test_unreadable_text_is_a_schema_error(self, text):
         with pytest.raises(SchemaError, match="invalid JSON") as info:
-            coupling_from_json_str(text)
+            _json_from_text(text, "")
         assert info.value.pointer == ""
 
 

@@ -22,6 +22,7 @@ from leftcurtain import (
     solve_primal,
 )
 from leftcurtain import lpsolver
+from leftcurtain import measure as measure_module
 
 from conftest import (
     measure,
@@ -66,8 +67,8 @@ class TestDecomposeStep:
         d = decompose_step(mu, nu)
         assert d.diagonal == DiscreteMeasure.dirac(0, F(1, 2))
         assert len(d.components) == 2
-        assert d.in_diagonal_domain(F(0))
-        assert not d.in_diagonal_domain(F(-3))
+        assert d.component_of_point(F(0)) is None
+        assert d.component_of_point(F(-3)) is not None
 
     def test_requires_convex_order(self):
         with pytest.raises(NotInConvexOrder):
@@ -165,6 +166,12 @@ class TestPolar:
     def test_requires_convex_order(self):
         with pytest.raises(NotInConvexOrder):
             polar_test([measure([(0, 1)]), measure([(1, 1)])], [(0, 1)])
+
+    def test_each_pair_is_swept_once(self, monkeypatch, rigid_marginals):
+        sweeps, sweep = [], measure_module._put_sweep
+        monkeypatch.setattr(measure_module, "_put_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        polar_test(rigid_marginals, [(0, -1, 0), (0, 1, -2), (9, 9, 9)])
+        assert len(sweeps) == len(rigid_marginals) - 1
 
     @pytest.mark.parametrize("path", [(9, 9), (0, -1), (0, -1, 0, 0)])
     def test_rejects_wrong_path_length(self, rigid_marginals, path):

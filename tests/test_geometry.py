@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import geometry
+from leftcurtain import geometry, simplex
 from leftcurtain import (
     CrossingWitness,
     DegeneracyWitness,
@@ -225,7 +225,7 @@ class TestCompetitors:
     def test_float_reward_is_rejected_before_any_lp(self, monkeypatch):
         pi = PathMeasure(1, [((0, -1), F(1, 4)), ((0, 1), F(1, 4)), ((1, 0), F(1, 2))])
         lps = []
-        monkeypatch.setattr(geometry, "solve_lp", lambda *args: lps.append(args))
+        monkeypatch.setattr(simplex, "solve_lp", lambda *args: lps.append(args))
         with pytest.raises(TypeError, match="not a rational: 2.0"):
             find_improving_competitor(pi, lambda p: 2.0, self._ambient())
         assert lps == []

@@ -36,6 +36,7 @@ from leftcurtain import (
     tanh_sm_reward,
 )
 from leftcurtain import geometry, lpsolver, simplex
+from leftcurtain import measure as measure_module
 from leftcurtain.simplex import solve_lp
 
 from conftest import (
@@ -129,6 +130,13 @@ class TestSolvePrimal:
             sol = solve_primal(rigid_marginals, reward)
             assert sol.value == P.expectation(reward)
             assert sol.optimizer == P
+
+    def test_each_pair_is_swept_once(self, monkeypatch, rigid_marginals):
+        sweeps, sweep = [], measure_module._put_sweep
+        monkeypatch.setattr(measure_module, "_put_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        lpsolver._constrained_program.cache_clear()
+        build_program(rigid_marginals, lambda p: p[2] * p[2])
+        assert len(sweeps) == len(rigid_marginals) - 1
 
     def test_zero_reward(self, rigid_marginals):
         sol = solve_primal(rigid_marginals, lambda p: 0)
@@ -472,8 +480,9 @@ class TestAgainstDenseOracle:
             return recording_solve_lp
 
         clear_lpsolver_caches()
-        for module in (lpsolver, geometry):
-            monkeypatch.setattr(module, "solve_lp", recording(module))
+        monkeypatch.setattr(lpsolver, "solve_lp", recording(lpsolver))
+        # `geometry` reads `simplex.solve_lp` when the competitor search runs
+        monkeypatch.setattr(simplex, "solve_lp", recording(geometry))
         rng = random.Random(149)
         for sizes in [(2, 4, 6), (2, 4, 6), (2, 3, 5)]:
             chain = irreducible_chain(rng, sizes)
@@ -524,7 +533,7 @@ class TestDenseBuilders:
         clear_lpsolver_caches()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lpsolver, "_program", recording_program)
-            mp.setattr(geometry, "solve_lp", recording_solve_lp)
+            mp.setattr(simplex, "solve_lp", recording_solve_lp)  # read by `geometry` only
             pi = solve_primal(chain, reward).optimizer
             solve_free(mu0, mun, steps, reward)
             left_monotone_multistep(chain, KernelPolicy.LP_FEASIBLE)

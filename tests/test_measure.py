@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -28,7 +29,7 @@ from leftcurtain import (
     restrict,
     subtract,
 )
-from leftcurtain.measure import _rat_from_json, measure_from_json_str, measure_to_json_str
+from leftcurtain.measure import _json_from_text, _rat_from_json
 
 from conftest import (
     Unhashable,
@@ -444,7 +445,7 @@ class TestArithmetic:
 class TestJson:
     def test_round_trip(self):
         mu = measure([(F(-1, 3), F(2, 7)), (4, 1)])
-        assert measure_from_json_str(measure_to_json_str(mu)) == mu
+        assert DiscreteMeasure.from_json(json.loads(json.dumps(mu.to_json()))) == mu
 
     def test_integers_allowed_and_duplicates_merged(self):
         mu = DiscreteMeasure.from_json(
@@ -470,7 +471,7 @@ class TestJson:
     )
     def test_unreadable_text_is_a_schema_error(self, text):
         with pytest.raises(SchemaError, match="invalid JSON") as info:
-            measure_from_json_str(text)
+            _json_from_text(text, "")
         assert info.value.pointer == ""
 
     def test_decimal_literals(self):
