@@ -15,7 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, pairwise
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
@@ -28,7 +29,7 @@ from .measure import (
     _merged,
     _rat_from_json,
     _rat_to_json,
-    convex_order_leq,
+    _sweep,
     rat,
     require_convex_order_chain,
 )
@@ -247,18 +248,28 @@ def _feasible_martingale_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> P
     return _solve(_with_reward(program, lambda path: 0, EXACT)).optimizer
 
 
-def _increments(
-    marginals: Sequence[DiscreteMeasure],
-) -> List[List[Tuple[DiscreteMeasure, Dict[Path, List[Tuple[Fraction, Fraction]]]]]]:
+_Increment = List[Tuple[int, int, int]]
+_Take = Tuple[List[Tuple[int, int]], int]
+
+
+def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increment, List[_Take]]]]:
     """Per atom of marginals[0], left to right: per date t >= 1 its increment
-    and the kernels {(y,): pieces} that carry the increment at t - 1 to it.
+    and the takes that carry the increment at t - 1 to it, in integers.
+
+    An increment is a sorted list of (k, num, den): weight num / den, in
+    lowest terms, at the atom of index k of marginal t (at t = 0, the atom
+    itself).  Its takes are one `_Residual.take_ints` result (pieces, E)
+    per atom (j, a, b) of the increment at t - 1, in its order: what j
+    sends to each k, W / E for a piece (k, W), not divided by j's mass a /
+    b.  The increment at t is these pieces merged on the lcm of the takes'
+    scales.
 
     The increment of atom i at date t is the shadow of its increment at
     t - 1 in what the atoms before it left of marginal t, so the increments
     of atoms 0..i sum to the obstructed shadow of that prefix (shadow
     associativity), and each increment, a shadow of the one before, is >=_c
     it; `verify_left_monotone` and `strong_order_holds` check prefixes atom
-    by atom through this.  The kernels are the takes of the atoms y of the
+    by atom through this.  The takes are those of the atoms y of the
     increment at t - 1 from that residual, left to right, and they are the
     Left-Curtain coupling of the two increments: the takes of the same atoms
     from S = shadow(lower, R) alone.  For the first atom y of lower,
@@ -268,19 +279,57 @@ def _increments(
     of its set, so each is <=_c the other and they are equal.  Taking it
     from both leaves R' = R - shadow(y, R) and S - shadow(y, R), which by
     associativity is shadow(rest of lower, R'), so the argument repeats
-    atom by atom.  A piece (z, v) is what y sends to z, not divided by y's mass.
+    atom by atom.
     """
+    positions = [mu.support for mu in marginals]
     residuals = [_Residual(nu) for nu in marginals[1:]]
     out = []
-    for x, q in marginals[0].atoms:
-        lower = DiscreteMeasure.dirac(x, q)
+    for i, (_, q) in enumerate(marginals[0].atoms):
+        lower = [(i, q.numerator, q.denominator)]
         steps = []
-        for residual in residuals:
-            kernels = {(y,): residual.take(y, v) for y, v in lower.atoms}
-            lower = DiscreteMeasure(piece for pieces in kernels.values() for piece in pieces)
-            steps.append((lower, kernels))
+        for xs, residual in zip(positions, residuals):
+            takes = [residual.take_ints(xs[j], a, b) for j, a, b in lower]
+            scale = lcm(*(e for _, e in takes))
+            summed: Dict[int, int] = {}
+            for pieces, e in takes:
+                for k, w in pieces:
+                    summed[k] = summed.get(k, 0) + w * (scale // e)
+            lower = [(k, w // g, scale // g) for k, w in sorted(summed.items()) for g in (gcd(w, scale),)]
+            steps.append((lower, takes))
         out.append(steps)
     return out
+
+
+def _pair_scales(marginals: Sequence[DiscreteMeasure], sweeps: Sequence[tuple]) -> list:
+    """Per consecutive pair of `marginals`, the positions of both, each as
+    (Fractions, integers X = D*x) on the pair's position scale D, that of
+    its sweep (`require_convex_order_chain`)."""
+
+    def scaled(mu: DiscreteMeasure, d: int) -> tuple:
+        xs = mu.support
+        return xs, [x.numerator * (d // x.denominator) for x in xs]
+
+    return [(scaled(mu, sweep[4]), scaled(nu, sweep[4])) for (mu, nu), sweep in zip(pairwise(marginals), sweeps)]
+
+
+def _order_failure(lower: _Increment, upper: _Increment, below: tuple, above: tuple) -> Optional[str]:
+    """None if the increment `lower` is <=_c `upper`, else the condition that
+    fails, in the words of `_convex_failure` on the two as measures, made
+    only then.  `below` and `above` are their marginals' positions from
+    `_pair_scales`; the verdict is one integer sweep over the lcm of the
+    weight denominators."""
+    e = lcm(*(d for _, _, d in lower), *(d for _, _, d in upper))
+    signed = [(above[1][k], n * (e // d)) for k, n, d in upper]
+    signed += [(below[1][j], -n * (e // d)) for j, n, d in lower]
+    _, gap, mass, moment = _sweep(signed)
+    if not (mass or moment or min(gap) < 0):
+        return None
+    return _convex_failure(_measure(lower, below[0]), _measure(upper, above[0]))[0]
+
+
+def _measure(increment: _Increment, positions: Sequence[Fraction]) -> DiscreteMeasure:
+    """`increment` as a measure on the `positions` of its marginal."""
+    return DiscreteMeasure((positions[k], Fraction(n, d)) for k, n, d in increment)
 
 
 def left_monotone_multistep(
@@ -296,52 +345,51 @@ def left_monotone_multistep(
     shadow additivity law; the increments of consecutive dates are in convex
     order and are coupled one step at a time by the chosen policy (the
     default policy's Left-Curtain coupling is the takes that computed the
-    increment, see `_increments`).  Path weights are integer pairs, times
-    (v.numerator * m.denominator, v.denominator * m.numerator) per date for
-    kernel weight v and last value's mass m, read once as (normalised)
-    Fractions.  The bivariate projections onto dates (0, t) are uniquely
-    determined; only the full joint depends on the policy.  Raises
-    PathCountExceeded when the worst-case path count, which bounds every
-    atom's paths since they step into its increments' supports, exceeds
-    max_paths.
+    increment, see `_increments`).  Everything runs in integers: a partial
+    path carries the index of its last value and its weight as an integer
+    pair, times (W * b, E * a) per date for a piece W / E of the take of
+    its last value's atom (j, a, b), and each path makes its Fraction
+    weight once, at the end.  The bivariate projections onto dates (0, t)
+    are uniquely determined; only the full joint depends on the policy.
+    Raises PathCountExceeded when the worst-case path count, which bounds
+    every atom's paths since they step into its increments' supports,
+    exceeds max_paths.
     """
     marginals = list(marginals)
     if len(marginals) < 2:
         raise ValueError("need at least two marginals")
-    require_convex_order_chain(marginals)
+    scales = _pair_scales(marginals, require_convex_order_chain(marginals))
     n = len(marginals) - 1
-    mu0 = marginals[0]
     increments = _increments(marginals)
 
-    estimate = 0
-    for steps in increments:
-        count = 1
-        for theta, _ in steps:
-            count *= max(len(theta), 1)
-        estimate += count
+    estimate = sum(prod(max(len(theta), 1) for theta, _ in steps) for steps in increments)
     if estimate > max_paths:
         raise PathCountExceeded(
             f"worst-case path count {estimate} exceeds the cap {max_paths}"
         )
 
-    all_rows: List[Tuple[Path, Fraction]] = []
-    for (x, q), steps in zip(mu0.atoms, increments):
-        partial: List[Tuple[Path, int, int]] = [((x,), q.numerator, q.denominator)]
-        lower = DiscreteMeasure.dirac(x, q)
-        for t, (upper, kernels) in enumerate(steps, start=1):
-            failure = _convex_failure(lower, upper)[0]
+    rows: List[Tuple[Path, Fraction]] = []
+    for i, ((x, q), steps) in enumerate(zip(marginals[0].atoms, increments)):
+        partial = [((x,), i, q.numerator, q.denominator)]
+        lower = [(i, q.numerator, q.denominator)]
+        for t, (upper, takes) in enumerate(steps, start=1):
+            below, above = scales[t - 1]
+            failure = _order_failure(lower, upper, below, above)
             if failure:
                 raise NotInConvexOrder(
                     f"increments of the atom at {x} are not in convex order at date {t}: {failure}"
                 )
-            if policy is not KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
-                kernels = _feasible_martingale_coupling(lower, upper).kernels(1)
-            step = {y: [(z, v.numerator * m.denominator, v.denominator * m.numerator)
-                        for z, v in kernels[(y,)]] for y, m in lower.atoms}
-            partial = [(p + (z,), a * b, c * d) for p, a, c in partial for z, b, d in step[p[-1]]]
+            ys = above[0]
+            if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
+                step = {j: [(k, w * b, e * a) for k, w in pieces] for (j, a, b), (pieces, e) in zip(lower, takes)}
+            else:
+                kernels = _feasible_martingale_coupling(_measure(lower, below[0]), _measure(upper, ys)).kernels(1).values()
+                step = {j: [(bisect_left(ys, z), v.numerator * b, v.denominator * a) for z, v in kernel]
+                        for (j, a, b), kernel in zip(lower, kernels)}
+            partial = [(p + (ys[k],), k, a * b, c * d) for p, j, a, c in partial for k, b, d in step[j]]
             lower = upper
-        all_rows.extend((p, Fraction(a, c)) for p, a, c in partial)
-    return PathMeasure(n, all_rows)
+        rows.extend((p, Fraction(a, c)) for p, _, a, c in partial)
+    return PathMeasure(n, rows)
 
 
 @dataclass(frozen=True)
@@ -380,9 +428,10 @@ def verify_left_monotone(
 
     # the marginal at 0 matches, so the paths from each atom, in order, are one group
     slices = (tuple(group) for _, group in groupby(P.paths, lambda pair: pair[0][0]))
+    positions = [mu.support for mu in marginals]
     for i, ((a, _), steps, paths) in enumerate(zip(marginals[0].atoms, _increments(marginals), slices)):
         for t, (increment, _) in enumerate(steps, start=1):
-            if DiscreteMeasure((p[t], w) for p, w in paths) != increment:
+            if DiscreteMeasure((p[t], w) for p, w in paths) != _measure(increment, positions[t]):
                 image = P.restrict_first(a).marginal(t)
                 expected = obstructed_shadow(DiscreteMeasure(marginals[0].atoms[: i + 1]), marginals[1 : t + 1])
                 return False, PrefixImageRecord(a, t, image, expected)
@@ -394,8 +443,8 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
 
     Exactly when this holds do the bivariate projections of a left-monotone
     transport reduce to one-step Left-Curtain couplings.  It is checked atom
-    by atom: the takes of each atom of the first marginal from one residual
-    per date must increase in convex order.  (<=) A prefix's shadows are
+    by atom: the integer takes of each atom of the first marginal from one
+    residual per date must increase in convex order (`_order_failure`).  (<=) A prefix's shadows are
     sums of its atoms' takes (shadow associativity), and sums of pairs in
     convex order are in convex order.  (=>) Fix a prefix p; if S_t(p) <=_c
     S_{t+1}(p), S_t being the shadow in mu_t, then S_{t+1}(p) lies in
@@ -406,13 +455,15 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     increments, and by `_increments` these increase.
     """
     marginals = list(marginals)
-    require_convex_order_chain(marginals)
+    sweeps = require_convex_order_chain(marginals)
     if len(marginals) <= 2:
         return True
+    scales = _pair_scales(marginals, sweeps)[1:]
     residuals = [_Residual(nu) for nu in marginals[1:]]
     for x, q in marginals[0].atoms:
-        takes = [DiscreteMeasure(r.take(x, q)) for r in residuals]
-        if not all(map(convex_order_leq, takes, takes[1:])):
+        takes = [r.take_ints(x, q.numerator, q.denominator) for r in residuals]
+        takes = [[(k, w, e) for k, w in pieces] for pieces, e in takes]
+        if any(_order_failure(lo, hi, *scale) for lo, hi, scale in zip(takes, takes[1:], scales)):
             return False
     return True
 

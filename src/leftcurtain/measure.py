@@ -233,7 +233,9 @@ class DiscreteMeasure:
 
     @property
     def support(self) -> Tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.atoms)
+        # From a list: tuple(generator) allocates at one size and frees at
+        # another, which fills CPython's tuple free lists on every call.
+        return tuple([x for x, _ in self.atoms])
 
     @property
     def mass(self) -> Fraction:
@@ -357,6 +359,12 @@ def _put_sweep(
     signed = [(x.numerator * (d // x.denominator), w.numerator * (e // w.denominator)) for x, w in plus]
     signed += [(x.numerator * (d // x.denominator), -w.numerator * (e // w.denominator)) for x, w in minus]
     signed += [(k.numerator * (d // k.denominator), 0) for k in points]
+    return (*_sweep(signed), d, e)
+
+
+def _sweep(signed: List[Tuple[int, int]]) -> Tuple[List[int], List[int], int, int]:
+    """(grid, puts, mass, moment) of `_put_sweep` for signed atoms (X, W)
+    already on one position and one weight scale; sorts `signed` in place."""
     signed.sort(key=itemgetter(0))
     grid: List[int] = []
     puts: List[int] = []
@@ -367,7 +375,7 @@ def _put_sweep(
             puts.append(x * mass - moment)
         mass += w
         moment += w * x
-    return grid, puts, mass, moment, d, e
+    return grid, puts, mass, moment
 
 
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:

@@ -51,44 +51,53 @@ class ShadowResult:
     residual: DiscreteMeasure
 
 
-def _take_failure(q: Fraction, x: Fraction, condition: str) -> NotInPositiveConvexOrder:
-    return NotInPositiveConvexOrder(f"{q}*d[{x}] is not <=_pc the target: {condition}")
+def _take_failure(q_num: int, q_den: int, x: Fraction, condition: str) -> NotInPositiveConvexOrder:
+    return NotInPositiveConvexOrder(f"{Fraction(q_num, q_den)}*d[{x}] is not <=_pc the target: {condition}")
 
 
 class _Residual:
-    """What is left of a target measure, consumed in place by `take`.
+    """What is left of a target measure, consumed in place by `take_ints`.
 
-    The atoms are kept sorted, in Python integers.  Positions share one
+    The atoms are kept sorted, in Python integers.  `held` lists the index
+    in the target (`support`) of each atom still held.  Positions share one
     scale D = `d`, the lcm of their denominators: x is held as X = D*x in
-    `xs`, beside the position Fractions in `positions`, which the returned
-    pieces reuse.  Each weight is held in lowest terms as `nums[i] /
-    dens[i]`, and `den_count` counts the held denominators, so their lcm
-    E = `e` is the one reduced weight scale: every weight w reads as the
-    integer W = E*w = nums[i] * (E // dens[i]), and gcd(E, all W) == 1.  A
-    take works over E, grown first by the factor that q's denominator
-    lacks and, when its last stretch's step is not whole, by the factor
-    that makes it whole, so nothing is rounded; x's denominator grows D the
-    same way.  Only the atoms of the window and those it slides across are
-    read and rewritten: the weights a take keeps go back in lowest terms
-    and E is recomputed from `den_count`, so no take rescales the atoms it
-    does not touch.  Fractions are made only for the pieces a take returns
-    and in `measure`.
+    `xs`.  Each weight is held in lowest terms as `nums[i] / dens[i]`, and
+    `den_count` counts the held denominators, so their lcm E = `e` is the
+    one reduced weight scale: every weight w reads as the integer W = E*w =
+    nums[i] * (E // dens[i]), and gcd(E, all W) == 1.  A take works over E,
+    grown first by the factor that q's denominator lacks and, when its last
+    stretch's step is not whole, by the factor that makes it whole, so
+    nothing is rounded; x's denominator grows D the same way.  Only the
+    atoms of the window and those it slides across are read and rewritten:
+    the weights a take keeps go back in lowest terms and E is recomputed
+    from `den_count`, so no take rescales the atoms it does not touch.  A
+    take returns target indices and integer weights over its scale;
+    Fractions are made only for the pieces that `take` returns and in
+    `measure`.
     """
 
     def __init__(self, nu: DiscreteMeasure):
-        self.positions = [x for x, _ in nu.atoms]
-        self.d = lcm(*{x.denominator for x in self.positions})
-        self.xs = [x.numerator * (self.d // x.denominator) for x in self.positions]
+        self.support = nu.support
+        self.held = list(range(len(self.support)))
+        self.d = lcm(*{x.denominator for x in self.support})
+        self.xs = [x.numerator * (self.d // x.denominator) for x in self.support]
         self.nums = [w.numerator for _, w in nu.atoms]
         self.dens = [w.denominator for _, w in nu.atoms]
         self.den_count = dict(Counter(self.dens))
         self.e = lcm(*self.den_count)
 
     def measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure(zip(self.positions, map(Fraction, self.nums, self.dens)))
+        return DiscreteMeasure(zip(map(self.support.__getitem__, self.held), map(Fraction, self.nums, self.dens)))
 
     def take(self, x: Fraction, q: Fraction) -> List[Tuple[Fraction, Fraction]]:
-        """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted here.
+        """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted here."""
+        pieces, e = self.take_ints(x, q.numerator, q.denominator)
+        return [(self.support[i], Fraction(w, e)) for i, w in pieces]
+
+    def take_ints(self, x: Fraction, q_num: int, q_den: int) -> Tuple[List[Tuple[int, int]], int]:
+        """The shadow of q*delta_x, q = q_num / q_den >= 0, subtracted here:
+        its sorted pieces as (index in the target, W) with W/E the weight,
+        and this take's weight scale E.
 
         The window starts with the q mass from x rightward, or with the
         rightmost q mass when less lies right of x, so its first moment m is
@@ -98,16 +107,16 @@ class _Residual:
         that reaches q*x is solved exactly.  Raises NotInPositiveConvexOrder
         naming q*d[x] and which condition of the module notes fails.
         """
-        if q == 0:
-            return []
+        if q_num == 0:
+            return [], 1
         if self.d % x.denominator:
             factor = x.denominator // gcd(self.d, x.denominator)
             self.d *= factor
             self.xs[:] = [y * factor for y in self.xs]
         xs, nums, dens = self.xs, self.nums, self.dens
-        e = lcm(self.e, q.denominator)  # this take's weight scale
+        e = lcm(self.e, q_den)  # this take's weight scale
         x_int = x.numerator * (self.d // x.denominator)
-        q_int = q.numerator * (e // q.denominator)
+        q_int = q_num * (e // q_den)
         # The window holds atoms l..r: all of atom l but its lowest `out_l`,
         # all of atom r but its highest `out_r` (both cuts in one atom if l == r);
         # the moments below are D*E times the rational ones.
@@ -124,18 +133,18 @@ class _Residual:
                 l -= 1
                 filled += nums[l] * (e // dens[l])
             if filled < q_int:
-                raise _take_failure(q, x, "q is more than the mass left")
+                raise _take_failure(q_num, q_den, x, "q is more than the mass left")
             r = len(xs) - 1
             out_l, out_r = filled - q_int, 0
         moment = sum(xs[i] * nums[i] * (e // dens[i]) for i in range(l, r + 1))
         moment -= out_l * xs[l] + out_r * xs[r]
         target = q_int * x_int
         if moment < target:
-            raise _take_failure(q, x, "x is right of the barycenter of the rightmost mass q")
+            raise _take_failure(q_num, q_den, x, "x is right of the barycenter of the rightmost mass q")
         while moment != target:
             if out_l == 0:
                 if l == 0:
-                    raise _take_failure(q, x, "x is left of the barycenter of the leftmost mass q")
+                    raise _take_failure(q_num, q_den, x, "x is left of the barycenter of the leftmost mass q")
                 l -= 1
                 out_l = nums[l] * (e // dens[l])
                 continue
@@ -166,7 +175,8 @@ class _Residual:
             window[0] -= out_l
             window[-1] -= out_r
             kept = [(l, out_l), (r, out_r)]
-        pieces = [(y, Fraction(w, e)) for y, w in zip(self.positions[l : r + 1], window) if w]
+        held = self.held
+        pieces = [(i, w) for i, w in zip(held[l : r + 1], window) if w]
         kept = [(i, w // g, e // g) for i, w in kept if w for g in (gcd(w, e),)]  # w/e in lowest terms
         count = self.den_count
         for den in dens[l : r + 1]:
@@ -177,12 +187,11 @@ class _Residual:
         for _, _, den in kept:
             count[den] = count.get(den, 0) + 1
         self.e = lcm(*count)
-        positions = self.positions
-        positions[l : r + 1] = [positions[i] for i, _, _ in kept]
+        held[l : r + 1] = [held[i] for i, _, _ in kept]
         xs[l : r + 1] = [xs[i] for i, _, _ in kept]
         nums[l : r + 1] = [n for _, n, _ in kept]
         dens[l : r + 1] = [den for _, _, den in kept]
-        return pieces
+        return pieces, e
 
 
 def shadow_atom(q: RationalLike, x: RationalLike, nu: DiscreteMeasure) -> ShadowResult:

@@ -18,7 +18,10 @@ paper's three n-step families, which the effective domain of the
 (`oracle_left_monotone`, `oracle_prefix_records`, `oracle_verify`,
 `oracle_strong_order`) recompute the couplings and verdicts with it.
 `OracleResidual` and `oracle_take` are that fold's residual in Fraction
-arithmetic, which the integer `_Residual` replaced.
+arithmetic, which the integer `_Residual` replaced.  `oracle_increments`
+is the construction's per-atom increments and takes built from it as
+measures and Fraction pieces, which the integer increments of
+`coupling._increments` replaced.
 `oracle_running_strong_order` is the strong-order check from running
 prefix shadows that the per-atom check of `strong_order_holds` replaced.
 `oracle_solve_lp` is the dense simplex tableau that the revised engine
@@ -68,6 +71,7 @@ from leftcurtain import (
     DualCertificate,
     Interval,
     IrreducibleDomain,
+    MathError,
     NegativeWeight,
     NotInConvexOrder,
     NotInPositiveConvexOrder,
@@ -824,10 +828,10 @@ class Unhashable(Fraction):
 
 
 def outcome(fn, *args):
-    """fn's result, or the type and message of the ValueError it raised."""
+    """fn's result, or the type and message of the ValueError or MathError it raised."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, MathError) as exc:
         return type(exc), str(exc)
 
 
@@ -1117,6 +1121,27 @@ def oracle_take(residual: OracleResidual, x: Fraction, q: Fraction) -> List[Tupl
     xs[l : r + 1] = [y for y, _ in kept]
     ws[l : r + 1] = [w for _, w in kept]
     return [(y, w) for y, w in pieces if w]
+
+
+def oracle_increments(
+    marginals: Sequence[DiscreteMeasure],
+) -> List[List[Tuple[DiscreteMeasure, Dict[tuple, List[Tuple[Fraction, Fraction]]]]]]:
+    """Per atom of marginals[0], left to right: per date t >= 1 its increment
+    and the kernels {(y,): pieces} that carry the increment at t - 1 to it,
+    the takes of the atoms y of that increment, left to right, from one
+    Fraction residual per date.  A piece (z, v) is what y sends to z, not
+    divided by y's mass."""
+    residuals = [OracleResidual(nu) for nu in marginals[1:]]
+    out = []
+    for x, q in marginals[0].atoms:
+        lower = DiscreteMeasure.dirac(x, q)
+        steps = []
+        for residual in residuals:
+            kernels = {(y,): residual.take(y, v) for y, v in lower.atoms}
+            lower = DiscreteMeasure(piece for pieces in kernels.values() for piece in pieces)
+            steps.append((lower, kernels))
+        out.append(steps)
+    return out
 
 
 def oracle_left_curtain_rows(lower: DiscreteMeasure, upper: DiscreteMeasure) -> List[Tuple[Tuple[Fraction, Fraction], Fraction]]:

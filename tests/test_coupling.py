@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -37,12 +38,13 @@ from leftcurtain import (
 )
 from leftcurtain import coupling
 from leftcurtain.cli import main
-from leftcurtain.coupling import _increments
+from leftcurtain.coupling import _increments, _order_failure
 from leftcurtain.measure import _convex_failure, _json_from_text
 
 from conftest import (
     Unhashable,
     grid_chain,
+    irreducible_chain,
     measure,
     merge_positions,
     merge_weights,
@@ -50,6 +52,7 @@ from conftest import (
     mirror_measure,
     oracle_convex_failure,
     oracle_convex_order_leq,
+    oracle_increments,
     oracle_is_martingale,
     oracle_left_curtain_rows,
     oracle_left_monotone,
@@ -461,18 +464,74 @@ class TestAgainstOracleShadows:
             assert verify_left_monotone(P, chain) == (True, None)
 
 
+def read_increments(marginals):
+    """`coupling._increments` read as Fractions, in the form of
+    `oracle_increments`, after checking that every increment is sorted by
+    index, with positive weights in lowest terms."""
+    positions = [mu.support for mu in marginals]
+    out = []
+    for (x, _), steps in zip(marginals[0], _increments(marginals)):
+        ys, read = [x], []
+        for t, (upper, takes) in enumerate(steps, start=1):
+            assert [k for k, _, _ in upper] == sorted({k for k, _, _ in upper})
+            assert all(n > 0 and d > 0 and math.gcd(n, d) == 1 for _, n, d in upper)
+            kernels = {(y,): [(positions[t][k], F(w, e)) for k, w in pieces] for y, (pieces, e) in zip(ys, takes)}
+            read.append((measure((positions[t][k], F(n, d)) for k, n, d in upper), kernels))
+            ys = [positions[t][k] for k, _, _ in upper]
+        out.append(read)
+    return out
+
+
+def couple_by(policy):
+    """The one-step coupling of consecutive increments that `policy` asks
+    for: the first feasible point for LP_FEASIBLE, else the Left-Curtain
+    coupling from hull shadows."""
+    if policy is KernelPolicy.LP_FEASIBLE:
+        return coupling._feasible_martingale_coupling
+    return lambda lower, upper: oracle_path_measure(1, oracle_left_curtain_rows(lower, upper))
+
+
+def expected_outcome(chain, policy):
+    """What `left_monotone_multistep(chain, policy)` returns or raises, from
+    the oracles: the first pair out of convex order in the words of
+    `oracle_convex_failure`, else the transport recomputed from hull
+    shadows."""
+    for t in range(1, len(chain)):
+        failure = oracle_convex_failure(chain[t - 1], chain[t])
+        if failure:
+            return NotInConvexOrder, f"marginals {t - 1} and {t} are not in convex order: {failure}"
+    return oracle_left_monotone(chain, couple_by(policy))
+
+
+# A grid of 40 atoms and two spreads (40 / 52 / 75 atoms, strong order
+# holds, so every prefix is checked), an irreducible chain of 4 / 6 / 10
+# atoms, and three random chains of up to 7 atoms.
+CHAINS = {
+    "grid": grid_chain(random.Random(45), 40),
+    "irreducible": irreducible_chain(random.Random(4610), (4, 6, 10)),
+    **{f"random-{seed}": random_marginal_chain(random.Random(seed), 3, max_support=7, start_atoms=4)
+       for seed in (5, 6, 7)},
+}
+
+
 class TestFoldIsTheIncrementCoupling:
-    """The default policy couples consecutive increments by the takes that
-    computed them; their kernels must be those of the Left-Curtain coupling
-    of the pair."""
+    """The integer increments and takes, read as Fractions, against those of
+    the Fraction residual; the default policy couples consecutive increments
+    by these takes, which must be the Left-Curtain coupling of the pair."""
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_named_chains(self, name):
+        assert read_increments(CHAINS[name]) == oracle_increments(CHAINS[name])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3))
     def test_fold_rows_are_left_curtain_of_the_pair(self, seed, steps):
         chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
-        for (x, q), increments in zip(chain[0], _increments(chain)):
+        increments = read_increments(chain)
+        assert increments == oracle_increments(chain)
+        for (x, q), steps in zip(chain[0], increments):
             lower = DiscreteMeasure.dirac(x, q)
-            for upper, kernels in increments:
+            for upper, kernels in steps:
                 # the takes are sorted, positive and distinct: a measure's atoms
                 taken = {history: tuple(pieces) for history, pieces in kernels.items()}
                 for expected in (
@@ -484,21 +543,17 @@ class TestFoldIsTheIncrementCoupling:
 
 
 class TestGridChainAgainstHullOracle:
-    """A 40-atom grid and two spreads (40 / 52 / 75 atoms, strong order holds,
-    so every prefix is checked), each construction against its recomputation
+    """The grid of `CHAINS`, each construction against its recomputation
     from hull shadows in about a second."""
 
-    chain = grid_chain(random.Random(45), 40)
+    chain = CHAINS["grid"]
 
     def test_left_curtain_policy(self):
-        def couple(lower, upper):
-            return PathMeasure(1, oracle_left_curtain_rows(lower, upper))
-
-        assert left_monotone_multistep(self.chain) == oracle_left_monotone(self.chain, couple)
+        assert left_monotone_multistep(self.chain) == oracle_left_monotone(self.chain, couple_by(None))
 
     def test_lp_feasible_policy(self):
         P = left_monotone_multistep(self.chain, KernelPolicy.LP_FEASIBLE)
-        assert P == oracle_left_monotone(self.chain, coupling._feasible_martingale_coupling)
+        assert P == oracle_left_monotone(self.chain, couple_by(KernelPolicy.LP_FEASIBLE))
 
     def test_strong_order(self):
         assert strong_order_holds(self.chain) == oracle_strong_order(self.chain)
@@ -507,6 +562,70 @@ class TestGridChainAgainstHullOracle:
         # the records read only the (0, t) projections, which the policies share
         P = left_monotone_multistep(self.chain)
         assert verify_left_monotone(P, self.chain) == oracle_verify(P, self.chain)
+
+
+class TestNamedChainsAgainstOracles:
+    """The chains of `CHAINS` but the grid against the oracles as the grid
+    is above, and every chain reversed and at every path cap."""
+
+    @pytest.mark.parametrize("policy", KernelPolicy, ids=lambda policy: policy.value)
+    @pytest.mark.parametrize("name", [name for name in CHAINS if name != "grid"])
+    def test_coupling_strong_order_and_verify(self, name, policy):
+        chain = CHAINS[name]
+        P = left_monotone_multistep(chain, policy)
+        assert P == oracle_left_monotone(chain, couple_by(policy))
+        assert strong_order_holds(chain) == oracle_strong_order(chain)
+        assert verify_left_monotone(P, chain) == oracle_verify(P, chain) == (True, None)
+        mirrored = mirror_coupling(left_monotone_multistep([mirror_measure(mu) for mu in chain], policy))
+        assert verify_left_monotone(mirrored, chain) == oracle_verify(mirrored, chain)
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_reversed_chain(self, name):
+        chain = CHAINS[name][::-1]
+        for policy in KernelPolicy:
+            assert outcome(left_monotone_multistep, chain, policy) == expected_outcome(chain, policy)
+        assert outcome(strong_order_holds, chain) == outcome(left_monotone_multistep, chain)
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_every_path_cap(self, name):
+        chain = CHAINS[name]
+        estimate = sum(math.prod(len(upper) for upper, _ in steps) for steps in oracle_increments(chain))
+        for policy in KernelPolicy:
+            built = oracle_left_monotone(chain, couple_by(policy))
+            caps = range(1, estimate + 2) if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS else (estimate - 1, estimate)
+            for cap in caps:
+                expected = (PathCountExceeded, f"worst-case path count {estimate} exceeds the cap {cap}")
+                assert outcome(left_monotone_multistep, chain, policy, cap) == (expected if cap < estimate else built)
+
+
+class TestNoPositionIsHashed:
+    """`DiscreteMeasure` and `PathMeasure` take positions and weights that
+    cannot be hashed, and so do the constructions and `strong_order_holds`."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unhashable_positions_and_weights(self, seed):
+        chain = random_marginal_chain(random.Random(seed), 3, max_support=7, start_atoms=4)
+        unhashable = [DiscreteMeasure((Unhashable(x), Unhashable(w)) for x, w in mu) for mu in chain]
+        assert all(type(x) is Unhashable for mu in unhashable for x, _ in mu)
+        assert left_monotone_multistep(unhashable) == left_monotone_multistep(chain)
+        assert left_curtain_one_step(unhashable[0], unhashable[2]) == left_curtain_one_step(chain[0], chain[2])
+        assert free_monotone_transport(unhashable[0], unhashable[3], 2) == free_monotone_transport(chain[0], chain[3], 2)
+        assert strong_order_holds(unhashable) == strong_order_holds(chain)
+
+    def test_default_policy_builds_no_measure(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return DiscreteMeasure(*args)
+
+        monkeypatch.setattr(coupling, "DiscreteMeasure", counted)
+        chain = CHAINS["grid"]
+        left_monotone_multistep(chain)
+        strong_order_holds(chain)
+        assert built == []
+        left_monotone_multistep(chain[:2], KernelPolicy.LP_FEASIBLE)
+        assert built  # the LP policy builds its increments' measures in its own branch
 
 
 class TestGridChainBytes:
@@ -572,10 +691,10 @@ class TestPerAtomChecksAgainstPrefixSums:
         assert oracle_running_strong_order(chain) is True
 
 
-def _reversed_failure(lower, upper):
-    """A forged increment check: the words of the reversed pair, so it fails
+def _reversed_failure(lower, upper, below, above):
+    """A forged increment verdict: that of the reversed pair, so it fails
     where the increments differ (they are in convex order by construction)."""
-    return _convex_failure(upper, lower)
+    return _order_failure(upper, lower, above, below)
 
 
 # d[0] then 1/2*d[-1] + 1/2*d[1]: reversed, P_nu(0) = 0 < 1/2 = P_mu(0)
@@ -584,7 +703,7 @@ _FORGED = "increments of the atom at 0 are not in convex order at date 1: P_nu(k
 
 class TestIncrementCheck:
     def test_failed_increment_check_names_atom_and_date(self, monkeypatch, rigid_marginals):
-        monkeypatch.setattr(coupling, "_convex_failure", _reversed_failure)
+        monkeypatch.setattr(coupling, "_order_failure", _reversed_failure)
         assert outcome(left_monotone_multistep, rigid_marginals) == (NotInConvexOrder, _FORGED)
         lower, upper = rigid_marginals[0], rigid_marginals[1]
         assert _FORGED.endswith(": " + oracle_convex_failure(upper, lower))
@@ -595,7 +714,7 @@ class TestIncrementCheck:
             path = tmp_path / f"mu{t}.json"
             path.write_text(json.dumps(mu.to_json()))
             files.append(str(path))
-        monkeypatch.setattr(coupling, "_convex_failure", _reversed_failure)
+        monkeypatch.setattr(coupling, "_order_failure", _reversed_failure)
         assert main(["left-monotone", *files]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -629,8 +748,8 @@ class TestOneWording:
         assert words("marginals 0 and 1 are not in convex order: ", left_monotone_multistep, [mu, nu]) == failure
         assert words("marginals 1 and 2 are not in convex order: ", left_monotone_multistep, [mu, mu, nu]) == failure
         with pytest.MonkeyPatch.context() as patch:
-            # the increments are in convex order by construction: forge the check with (mu, nu)
-            patch.setattr(coupling, "_convex_failure", lambda lower, upper: _convex_failure(mu, nu))
+            # the increments are in convex order by construction: forge the verdict with (mu, nu)
+            patch.setattr(coupling, "_order_failure", lambda *increments: _convex_failure(mu, nu)[0])
             prefix = f"increments of the atom at {mu.support[0]} are not in convex order at date 1: "
             assert words(prefix, left_monotone_multistep, [mu, mu]) == failure
         if failure is not None and failure.startswith("P_nu(k) < P_mu(k) first at k = "):

@@ -101,6 +101,16 @@ class TestResidualTake:
             residual.take(F(0), F(1, 2))
 
 
+    def test_integer_take_names_target_indices(self):
+        nu = measure([(-4, F(1, 4)), (0, F(1, 2)), (4, F(1, 4))])
+        residual = _Residual(nu)
+        assert residual.take_ints(F(-1), 1, 2) == ([(0, 1), (1, 3)], 8)
+        assert residual.take_ints(F(0), 1, 8) == ([(1, 1)], 8)
+        assert residual.held == [0, 2]
+        assert residual.take_ints(F(4), 1, 4) == ([(2, 2)], 8)  # the scale of what is held
+        assert residual.take_ints(F(-4), 0, 1) == ([], 1)
+
+
 _positions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 _takes = st.lists(
     st.tuples(
