@@ -173,25 +173,44 @@ except ValueError:
 sys.exit(rat("0e100000000") != 0)""", timeout=10)
 
 
-def left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies():
+def write_grid(name: str, k: int) -> tuple:
+    """The test suite's grid chain of k atoms, `grid_chain(random.Random(k), k)`,
+    as the files name0.json, name1.json, name2.json, whose names it returns."""
     python("""
 import json, random, sys
 sys.path.insert(0, sys.argv[1])
 from conftest import grid_chain
-for t, mu in enumerate(grid_chain(random.Random(400), 400)):
-    open(f"grid{t}.json", "w").write(json.dumps(mu.to_json()))""", str(CHECKOUT / "tests"))
-    grids = ("grid0.json", "grid1.json", "grid2.json")
+for t, mu in enumerate(grid_chain(random.Random(int(sys.argv[3])), int(sys.argv[3]))):
+    open(f"{sys.argv[2]}{t}.json", "w").write(json.dumps(mu.to_json()))""", str(CHECKOUT / "tests"), name, str(k))
+    return tuple(f"{name}{t}.json" for t in range(3))
+
+
+def verify_left_monotone_holds(grids: tuple, coupling: str, timeout: int) -> None:
+    """`verify_left_monotone` of the installed package returns (True, None)
+    on the coupling in the `left-monotone` output `coupling` of `grids`."""
+    python("""
+import json, sys
+from leftcurtain import DiscreteMeasure, PathMeasure, verify_left_monotone
+marginals = [DiscreteMeasure.from_json(json.load(open(name))) for name in sys.argv[2:]]
+P = PathMeasure.from_json(json.load(open(sys.argv[1]))["coupling"])
+sys.exit(verify_left_monotone(P, marginals) != (True, None))""", coupling, *grids, timeout=timeout)
+
+
+def left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies():
+    grids = write_grid("grid", 400)
     Path("grid-installed.json").write_bytes(same_as_source("left-monotone", *grids, timeout=60))
     out = installed("verify-support", "grid-installed.json", timeout=60)[0]
     report = json.loads(out)
     expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
     expect(out == source("verify-support", "grid-installed.json", timeout=60)[0], "installed and source verify-support differ")
-    python("""
-import json, sys
-from leftcurtain import DiscreteMeasure, PathMeasure, verify_left_monotone
-marginals = [DiscreteMeasure.from_json(json.load(open(f"grid{t}.json"))) for t in range(3)]
-P = PathMeasure.from_json(json.load(open("grid-installed.json"))["coupling"])
-sys.exit(verify_left_monotone(P, marginals) != (True, None))""", timeout=60)
+    verify_left_monotone_holds(grids, "grid-installed.json", timeout=60)
+
+
+def left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies():
+    # 1600 / 2301 / 3096 atoms, 14 011 paths, taken in index order as built
+    grids = write_grid("big", 1600)
+    Path("big-installed.json").write_bytes(same_as_source("left-monotone", *grids, timeout=120))
+    verify_left_monotone_holds(grids, "big-installed.json", timeout=120)
 
 
 def left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid():
@@ -246,6 +265,7 @@ CHECKS = [
     a_huge_exponent_is_a_schema_error_at_once,
     a_huge_exponent_in_the_library_is_a_value_error_or_zero_at_once,
     left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies,
+    left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid,
     solve_on_a_240_variable_lp_matches_the_source_tree,
     shadow_approx_on_a_1e400_atom_is_a_json_math_error,

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby, pairwise
 from math import gcd, lcm, prod
+from operator import getitem, lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
@@ -65,7 +66,8 @@ class KernelPolicy(Enum):
 @dataclass(frozen=True)
 class PathMeasure:
     """Sparse measure on R^(n+1) given by weighted support paths, read in
-    input order, then sorted and merged in one pass (`measure._merged`)."""
+    input order, then sorted and merged in one pass (`measure._merged`);
+    `left_monotone_multistep` builds its own in order (`_in_order`)."""
 
     n: int
     paths: Tuple[Tuple[Path, Fraction], ...] = ()
@@ -117,8 +119,7 @@ class PathMeasure:
         in increasing history order (the paths are sorted, so their prefixes are)."""
         if not 0 <= t <= self.n:
             raise IndexError(f"kernel index {t} out of range")
-        groups = groupby(self.paths, lambda pair: pair[0][:t])
-        return {history: DiscreteMeasure((p[t], w) for p, w in group) for history, group in groups}
+        return {history: DiscreteMeasure(group) for history, group in _histories(self.paths, t)}
 
     def project(self, indices: Sequence[int]) -> "PathMeasure":
         """Pushforward under coordinate selection, aggregating weights."""
@@ -195,12 +196,21 @@ class PathMeasure:
         return " + ".join(f"{w}*d({', '.join(map(str, p))})" for p, w in self.paths) or "0"
 
 
+def _histories(paths: Sequence[Tuple[Path, Fraction]], t: int) -> Iterable[Tuple[Path, Iterable[Tuple[Fraction, Fraction]]]]:
+    """Each history x_0..x_{t-1} of the sorted `paths`, in increasing order,
+    with the (x_t, w) pairs of its paths, grouped from consecutive paths: no
+    history is hashed.  Each group is read before the next history."""
+    for history, group in groupby(paths, lambda pair: pair[0][:t]):
+        yield history, ((p[t], w) for p, w in group)
+
+
 def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:
     """Exact martingale check; the witness is the first history, date by date,
     whose kernel's barycenter is not its last value."""
     for t in range(1, P.n + 1 if P.paths else 1):
-        for history, kernel in P.kernels(t).items():
-            if kernel.first_moment != kernel.mass * history[-1]:
+        for history, group in _histories(P.paths, t):
+            x = history[-1]
+            if sum(w * (y - x) for y, w in group):
                 return False, history
     return True, None
 
@@ -223,8 +233,8 @@ def markov_check(P: PathMeasure) -> bool:
 def binomial_check(P: PathMeasure) -> bool:
     """True iff every positive-mass history branches into at most two points."""
     for t in range(1, P.n + 1 if P.paths else 1):
-        for kernel in P.kernels(t).values():
-            if len(kernel) > 2:
+        for _, group in _histories(P.paths, t):
+            if sum(1 for _ in groupby(y for y, _ in group)) > 2:
                 return False
     return True
 
@@ -346,10 +356,12 @@ def left_monotone_multistep(
     order and are coupled one step at a time by the chosen policy (the
     default policy's Left-Curtain coupling is the takes that computed the
     increment, see `_increments`).  Everything runs in integers: a partial
-    path carries the index of its last value and its weight as an integer
-    pair, times (W * b, E * a) per date for a piece W / E of the take of
-    its last value's atom (j, a, b), and each path makes its Fraction
-    weight once, at the end.  The bivariate projections onto dates (0, t)
+    path is its tuple of support indices (k_0, ..., k_t) and its weight as
+    an integer pair, times (W * b, E * a) per date for a piece W / E of the
+    take of its last atom (j, a, b).  The paths come out in strictly
+    increasing index order, so each finished path reads its positions and
+    makes its Fraction weight once and the result is built as it is, with
+    no sort or merge (`_in_order`).  The bivariate projections onto dates (0, t)
     are uniquely determined; only the full joint depends on the policy.
     Raises PathCountExceeded when the worst-case path count, which bounds
     every atom's paths since they step into its increments' supports,
@@ -368,28 +380,44 @@ def left_monotone_multistep(
             f"worst-case path count {estimate} exceeds the cap {max_paths}"
         )
 
-    rows: List[Tuple[Path, Fraction]] = []
-    for i, ((x, q), steps) in enumerate(zip(marginals[0].atoms, increments)):
-        partial = [((x,), i, q.numerator, q.denominator)]
+    supports = [mu.support for mu in marginals]
+    done: List[Tuple[Tuple[int, ...], int, int]] = []
+    for i, ((_, q), steps) in enumerate(zip(marginals[0].atoms, increments)):
+        partial = [((i,), q.numerator, q.denominator)]
         lower = [(i, q.numerator, q.denominator)]
         for t, (upper, takes) in enumerate(steps, start=1):
             below, above = scales[t - 1]
             failure = _order_failure(lower, upper, below, above)
             if failure:
                 raise NotInConvexOrder(
-                    f"increments of the atom at {x} are not in convex order at date {t}: {failure}"
+                    f"increments of the atom at {supports[0][i]} are not in convex order at date {t}: {failure}"
                 )
-            ys = above[0]
             if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
                 step = {j: [(k, w * b, e * a) for k, w in pieces] for (j, a, b), (pieces, e) in zip(lower, takes)}
             else:
+                ys = supports[t]
                 kernels = _feasible_martingale_coupling(_measure(lower, below[0]), _measure(upper, ys)).kernels(1).values()
                 step = {j: [(bisect_left(ys, z), v.numerator * b, v.denominator * a) for z, v in kernel]
                         for (j, a, b), kernel in zip(lower, kernels)}
-            partial = [(p + (ys[k],), k, a * b, c * d) for p, j, a, c in partial for k, b, d in step[j]]
+            partial = [(ks + (k,), a * b, c * d) for ks, a, c in partial for k, b, d in step[ks[-1]]]
             lower = upper
-        rows.extend((p, Fraction(a, c)) for p, _, a, c in partial)
-    return PathMeasure(n, rows)
+        done += partial
+    return _in_order(n, supports, done)
+
+
+def _in_order(n: int, supports: Sequence[Tuple[Fraction, ...]], done: list) -> PathMeasure:
+    """The PathMeasure of the finished paths (ks, a, c), each through the
+    atoms of indices ks of `supports` with weight a / c, taken as they are,
+    the way `SupportSet.of` skips `__init__`: the walk emits the index
+    tuples in increasing order and the supports increase, so one pass that
+    checks the tuples (raising under `python -O` too) replaces the merge."""
+    keys = [ks for ks, _, _ in done]
+    if not all(map(lt, keys, keys[1:])):
+        raise AssertionError("the construction's paths are not in increasing index order")
+    P = object.__new__(PathMeasure)
+    object.__setattr__(P, "n", n)
+    object.__setattr__(P, "paths", tuple([(tuple(map(getitem, supports, ks)), Fraction(a, c)) for ks, a, c in done]))
+    return P
 
 
 @dataclass(frozen=True)

@@ -309,14 +309,21 @@ def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def subtract(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """mu - nu, requiring nu <= mu atomwise; raises NegativeWeight otherwise."""
-    weights = {x: w for x, w in mu.atoms}
+    """mu - nu, requiring nu <= mu atomwise; raises NegativeWeight otherwise,
+    at the leftmost atom of nu that fails.  One walk of the two sorted atom
+    tuples: no position is hashed."""
+    atoms, i, kept = mu.atoms, 0, []
     for x, w in nu.atoms:
-        remaining = weights.get(x, Fraction(0)) - w
-        if remaining < 0:
-            raise NegativeWeight(f"subtraction drives weight at {x} to {remaining}")
-        weights[x] = remaining
-    return DiscreteMeasure(weights.items())
+        while i < len(atoms) and atoms[i][0] < x:
+            kept.append(atoms[i])
+            i += 1
+        held = atoms[i][1] if i < len(atoms) and atoms[i][0] == x else Fraction(0)
+        if held < w:
+            raise NegativeWeight(f"subtraction drives weight at {x} to {held - w}")
+        kept.append((atoms[i][0], held - w))  # w > 0, so held is the weight of atoms[i]
+        i += 1
+    kept.extend(atoms[i:])
+    return DiscreteMeasure(kept)
 
 
 def restrict(mu: DiscreteMeasure, interval: Interval) -> DiscreteMeasure:

@@ -45,7 +45,8 @@ in history order.  `oracle_potential_value`,
 `bisect` lookups of `PotentialFunction`, `DiscreteMeasure.weight_at` and
 `PathMeasure.weight_at` replaced.  `oracle_atoms` and `oracle_paths` are
 the dict merges of the `DiscreteMeasure` and `PathMeasure` constructors
-that their one sorted pass replaced; `oracle_path_measure` builds a
+that their one sorted pass replaced, and `oracle_subtract` the dict
+merge that the sorted walk of `subtract` replaced; `oracle_path_measure` builds a
 PathMeasure from `oracle_paths` without calling the constructor, and
 `spelled` draws equal values as distinct inputs for both merges.
 """
@@ -847,6 +848,17 @@ def oracle_atoms(atoms) -> Tuple[Tuple[Fraction, Fraction], ...]:
         before = merged.get(x)
         merged[x] = w if before is None else before + w
     return tuple(sorted(merged.items(), key=itemgetter(0)))
+
+
+def oracle_subtract(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """mu - nu merged in a dict keyed by position, as `subtract` was."""
+    weights = {x: w for x, w in mu.atoms}
+    for x, w in nu.atoms:
+        remaining = weights.get(x, Fraction(0)) - w
+        if remaining < 0:
+            raise NegativeWeight(f"subtraction drives weight at {x} to {remaining}")
+        weights[x] = remaining
+    return DiscreteMeasure(weights.items())
 
 
 def oracle_paths(n: int, paths) -> Tuple[Tuple[tuple, Fraction], ...]:

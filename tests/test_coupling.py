@@ -4,6 +4,8 @@ import math
 import random
 import sys
 import time
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +42,7 @@ from leftcurtain import coupling
 from leftcurtain.cli import main
 from leftcurtain.coupling import _increments, _order_failure
 from leftcurtain.measure import _convex_failure, _json_from_text
+from leftcurtain.shadow import _Residual
 
 from conftest import (
     Unhashable,
@@ -612,6 +615,29 @@ class TestNoPositionIsHashed:
         assert free_monotone_transport(unhashable[0], unhashable[3], 2) == free_monotone_transport(chain[0], chain[3], 2)
         assert strong_order_holds(unhashable) == strong_order_holds(chain)
 
+    def test_checks_take_unhashable_positions(self):
+        # the checks of built and mirrored couplings, and a drifting copy
+        records = 0
+        for seed in range(6):
+            chain = random_marginal_chain(random.Random(seed), 3, max_support=7, start_atoms=4)
+            unhashable = [DiscreteMeasure((Unhashable(x), w) for x, w in mu) for mu in chain]
+            built = left_monotone_multistep(chain)
+            mirrored = mirror_coupling(left_monotone_multistep([mirror_measure(mu) for mu in chain]))
+            (p, w), *rest = built.paths
+            drifting = PathMeasure(3, [(p[:-1] + (p[-1] + 1,), w), *rest])
+            for P in (built, mirrored, drifting):
+                spoiled = PathMeasure(P.n, ((tuple(map(Unhashable, p)), w) for p, w in P.paths))
+                assert all(type(c) is Unhashable for p, _ in spoiled.paths for c in p)
+                assert is_martingale(spoiled) == is_martingale(P)
+                assert binomial_check(spoiled) == binomial_check(P) == all(
+                    len(kernel) <= 2 for t in range(1, 4) for kernel in P.kernels(t).values()
+                )
+                if P is not drifting:
+                    assert verify_left_monotone(spoiled, unhashable) == verify_left_monotone(P, chain)
+                    records += not verify_left_monotone(P, chain)[0]
+            assert not is_martingale(drifting)[0]
+        assert records >= 1
+
     def test_default_policy_builds_no_measure(self, monkeypatch):
         built = []
 
@@ -626,6 +652,53 @@ class TestNoPositionIsHashed:
         assert built == []
         left_monotone_multistep(chain[:2], KernelPolicy.LP_FEASIBLE)
         assert built  # the LP policy builds its increments' measures in its own branch
+
+
+class TestIndexWalk:
+    """The construction walks index tuples in increasing order and takes its
+    finished paths as they are: the result equals the constructor's merge of
+    its own paths, each coordinate is its marginal's support object, no
+    Fraction is compared or hashed, and paths out of order raise."""
+
+    @staticmethod
+    def assert_taken_as_built(P, chain):
+        assert P == PathMeasure(P.n, list(P.paths))
+        supports = [mu.support for mu in chain]
+        assert all(c is xs[bisect_left(xs, c)] for p, _ in P.paths for c, xs in zip(p, supports))
+
+    @pytest.mark.parametrize("policy", KernelPolicy, ids=lambda policy: policy.value)
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_named_chains(self, name, policy):
+        self.assert_taken_as_built(left_monotone_multistep(CHAINS[name], policy), CHAINS[name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3), st.sampled_from(list(KernelPolicy)))
+    def test_random_chains(self, seed, steps, policy):
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
+        self.assert_taken_as_built(left_monotone_multistep(chain, policy), chain)
+
+    def test_grid_compares_and_hashes_no_fraction(self, monkeypatch):
+        calls = Counter()
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+            def counted(*args, name=name, original=getattr(F, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(F, name, counted)
+        left_monotone_multistep(CHAINS["grid"])
+        monkeypatch.undo()
+        assert dict(calls) == {}
+
+    def test_paths_out_of_order_raise(self, monkeypatch):
+        take = _Residual.take_ints
+
+        def reversed_take(residual, *args):
+            pieces, e = take(residual, *args)
+            return pieces[::-1], e
+
+        monkeypatch.setattr(_Residual, "take_ints", reversed_take)
+        with pytest.raises(AssertionError, match="^the construction's paths are not in increasing index order$"):
+            left_monotone_multistep(CHAINS["grid"])
 
 
 class TestGridChainBytes:
@@ -655,6 +728,16 @@ class TestGridChainBytes:
         P = left_monotone_multistep(self.chain, policy)
         assert P == oracle_left_monotone(self.chain, couple)
         assert hashlib.sha256(json.dumps(P.to_json()).encode()).hexdigest() == digest
+
+    def test_left_monotone_output_on_a_400_atom_grid(self, tmp_path, monkeypatch, capsys):
+        # 400 / 574 / 780 atoms, 3505 paths: the JSON bytes of the command
+        monkeypatch.chdir(tmp_path)
+        files = [f"grid{t}.json" for t in range(3)]
+        for name, mu in zip(files, grid_chain(random.Random(400), 400)):
+            (tmp_path / name).write_text(json.dumps(mu.to_json()))
+        assert main(["left-monotone", *files]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "4213c0406ac04d87ed4ea914c241195c517a92f5c99f2e2ed82ef2a8528c75fb"
 
 
 class TestPerAtomChecksAgainstPrefixSums:

@@ -40,6 +40,7 @@ from conftest import (
     merge_positions,
     merge_weights,
     oracle_atoms,
+    oracle_subtract,
     oracle_convex_order_leq,
     oracle_left_derivative,
     oracle_positive_convex_order_leq,
@@ -125,6 +126,35 @@ class TestMergeAgainstDictOracle:
     def test_no_position_is_hashed(self):
         mu = DiscreteMeasure([(Unhashable(1, 2), 1), (Unhashable(0), 2), (Unhashable(2, 4), 1)])
         assert mu.atoms == ((F(0), F(2)), (F(1, 2), F(2)))
+
+
+class TestSubtractAgainstDictOracle:
+    """The sorted walk of `subtract` against the dict merge it replaced."""
+
+    @given(
+        st.lists(st.tuples(merge_positions, merge_weights), max_size=8),
+        st.lists(st.tuples(merge_positions, merge_weights), max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_difference_and_failure_equal_the_oracle(self, plus, minus, contained):
+        mu, nu = DiscreteMeasure(plus), DiscreteMeasure(minus)
+        if contained:  # nu <= mu atomwise, so the difference is defined
+            mu = add(mu, nu)
+        expected = outcome(oracle_subtract, mu, nu)
+        assert outcome(subtract, mu, nu) == expected
+        assert isinstance(expected, DiscreteMeasure) or not contained
+        unhashable = [DiscreteMeasure((Unhashable(x), w) for x, w in m) for m in (mu, nu)]
+        assert outcome(subtract, *unhashable) == expected
+
+    def test_leftmost_failing_atom_is_named(self):
+        mu = measure([(0, 1), (1, F(1, 2)), (3, 1)])
+        with pytest.raises(NegativeWeight, match=r"^subtraction drives weight at 1 to -1/4$"):
+            subtract(mu, measure([(1, F(3, 4)), (2, 1), (3, 2)]))
+        with pytest.raises(NegativeWeight, match=r"^subtraction drives weight at -1 to -1$"):
+            subtract(mu, measure([(-1, 1), (1, 1)]))
+        with pytest.raises(NegativeWeight, match=r"^subtraction drives weight at 4 to -1/3$"):
+            subtract(mu, measure([(3, 1), (4, F(1, 3))]))
 
 
 class TestPotential:
