@@ -115,6 +115,20 @@ def decompose_csv_matches_the_source_tree():
     same_as_source("decompose", "narrow.json", "wide.json", "--csv")
 
 
+def decompose_on_134_components_matches_the_source_tree():
+    # 200 atoms at 4j, each split to 4j +- 2 unless j % 3 == 2: 134
+    # components and 67 single-point diagonal intervals
+    def atoms(pairs) -> str:
+        return json.dumps({"atoms": [{"x": str(x), "w": w} for x, w in pairs]})
+
+    write("many-mu.json", atoms((4 * j, "1/200") for j in range(200)))
+    split = ([(4 * j, "1/200")] if j % 3 == 2 else [(4 * j - 2, "1/400"), (4 * j + 2, "1/400")] for j in range(200))
+    write("many-nu.json", atoms(atom for pair in split for atom in pair))
+    report = json.loads(same_as_source("decompose", "many-mu.json", "many-nu.json"))
+    expect(len(report["components"]) == 134, f"decompose found {len(report['components'])} components, not 134")
+    same_as_source("decompose", "many-mu.json", "many-nu.json", "--csv")
+
+
 def obstructed_shadow_csv_matches_the_source_tree():
     same_as_source("obstructed-shadow", "--part", "narrow.json", "wide.json", "--csv")
 
@@ -257,6 +271,7 @@ CHECKS = [
     check_order_verdict_is_json,
     check_order_loads_no_coupling_simplex_or_lpsolver,
     decompose_csv_matches_the_source_tree,
+    decompose_on_134_components_matches_the_source_tree,
     obstructed_shadow_csv_matches_the_source_tree,
     an_empty_coupling_is_checked_at_once,
     verify_support_reads_left_monotone_output,

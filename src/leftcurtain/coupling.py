@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby, pairwise
 from math import gcd, lcm, prod
-from operator import getitem, lt
+from operator import getitem, itemgetter, lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .measure import (
@@ -216,17 +216,19 @@ def is_martingale(P: PathMeasure) -> Tuple[bool, Optional[Path]]:
 
 
 def markov_check(P: PathMeasure) -> bool:
-    """True iff every conditional kernel depends only on the current state."""
+    """True iff every conditional kernel depends only on the current state:
+    per date, each history's kernel, divided by its mass, is paired with the
+    history's last value, and the pairs, stably sorted by state, share one
+    law per run of equal states.  No state or history is hashed."""
     for t in range(1, P.n + 1 if P.paths else 1):
-        by_state: Dict[Fraction, DiscreteMeasure] = {}
-        for prefix, kernel in P.kernels(t).items():
-            normalized = kernel.scaled(1 / kernel.mass)
-            state = prefix[-1]
-            if state in by_state:
-                if by_state[state] != normalized:
-                    return False
-            else:
-                by_state[state] = normalized
+        laws = []
+        for history, group in _histories(P.paths, t):
+            kernel = [(y, sum(w for _, w in ys)) for y, ys in groupby(group, itemgetter(0))]
+            mass = sum(w for _, w in kernel)
+            laws.append((history[-1], [(y, w / mass) for y, w in kernel]))
+        laws.sort(key=itemgetter(0))
+        if any(x == y and law != other for (x, law), (y, other) in pairwise(laws)):
+            return False
     return True
 
 

@@ -3,7 +3,9 @@
 A one-step problem mu -> nu splits into a diagonal part (where the potentials
 agree and any martingale transport is the identity) and irreducible components
 (I_k, J_k), the maximal open intervals where u_mu < u_nu together with their
-target windows.  Chains of per-step components are the only sets a multistep
+target windows.  The components lie between consecutive zeros of the put gap
+P_nu - P_mu on the grid of both supports, read off the sweep of the order
+check.  Chains of per-step components are the only sets a multistep
 martingale transport can charge; everything outside, or through a point of
 zero marginal mass, is polar.  When the intermediate marginals are free, the
 chain is the decomposition of (mu_0, mu_n) taken at every step.
@@ -14,6 +16,7 @@ grids for the LPs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -77,20 +80,10 @@ class StepDecomposition:
         return 0 if y == x else None
 
     def diagonal_intervals(self) -> Tuple[Interval, ...]:
-        """The maximal intervals making up the diagonal domain I_0."""
-        if not self.components:
-            return (Interval.real_line(),)
-        pieces: List[Interval] = []
-        first = self.components[0]
-        pieces.append(Interval(None, first.I.lo, False, True))
-        for left, right in zip(self.components, self.components[1:]):
-            if left.I.hi == right.I.lo:
-                pieces.append(Interval.point(left.I.hi))
-            else:
-                pieces.append(Interval(left.I.hi, right.I.lo, True, True))
-        last = self.components[-1]
-        pieces.append(Interval(last.I.hi, None, True, False))
-        return tuple(pieces)
+        """The maximal intervals making up the diagonal domain I_0: the ends
+        -inf, lo_1, hi_1, ..., hi_K, +inf paired up, closed at each finite end."""
+        ends = [None, *(end for comp in self.components for end in (comp.I.lo, comp.I.hi)), None]
+        return tuple(Interval(lo, hi, lo is not None, hi is not None) for lo, hi in zip(ends[::2], ends[1::2]))
 
     def to_json(self) -> dict:
         return {
@@ -131,41 +124,31 @@ def decompose_chain(marginals: Sequence[DiscreteMeasure]) -> List[StepDecomposit
 def _decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep: _Sweep) -> StepDecomposition:
     """The decomposition of mu <=_c nu read off the sweep of nu - mu."""
     grid, values, _, _, d, _ = sweep
-    # The difference vanishes outside the support hull (equal mass and
-    # barycenter), so {u_mu < u_nu} is a union of open intervals whose
-    # endpoints are grid points: on each linear segment the difference is
-    # positive somewhere iff it is positive at an endpoint.  Two consecutive
-    # positive segments belong to the same component only if the difference
-    # is positive at the shared grid point; an interior zero splits them.
-    # The sweep's values are the difference times a positive integer, so
-    # their signs and zeros are exact.
-    open_intervals: List[Tuple[Fraction, Fraction]] = []
-    run_start: Optional[int] = None
-    for i in range(len(grid) - 1):
-        if values[i] > 0 or values[i + 1] > 0:
-            if run_start is None:
-                run_start = i
-            if values[i + 1] == 0 or i + 1 == len(grid) - 1:
-                open_intervals.append((Fraction(grid[run_start], d), Fraction(grid[i + 1], d)))
-                run_start = None
-    if run_start is not None:
+    # The difference vanishes at both ends of the support hull (equal mass
+    # and barycenter) and is linear between grid points, so {u_mu < u_nu} is
+    # the union of the open stretches between consecutive zeros of the gap
+    # with a grid point inside; between adjacent zeros the gap is 0.  The
+    # sweep's values are the difference times a positive integer, so their
+    # signs and zeros are exact.
+    if grid and (values[0] or values[-1]):
         raise AssertionError("potential difference positive at the support edge")
-
+    spans = [(a, b) for a, b in pairwise(i for i, v in enumerate(values) if not v) if b > a + 1]
+    mu_at, nu_at = mu.support, nu.support
     components: List[IrreducibleDomain] = []
-    for k, (lo, hi) in enumerate(open_intervals, start=1):
-        interior = Interval.open(lo, hi)
-        mu_k = mu.restrict(interior)
-        nu_inside = nu.restrict(interior)
+    for k, (a, b) in enumerate(spans, start=1):
+        lo, hi = Fraction(grid[a], d), Fraction(grid[b], d)
+        mu_k = DiscreteMeasure(mu.atoms[bisect_right(mu_at, lo):bisect_left(mu_at, hi)])
+        nu_inside = nu.atoms[bisect_right(nu_at, lo):bisect_left(nu_at, hi)]
         # Endpoint fractions from the component's mass/barycenter equations.
-        need_mass = mu_k.mass - nu_inside.mass
-        need_fm = mu_k.first_moment - nu_inside.first_moment
+        need_mass = mu_k.mass - sum(w for _, w in nu_inside)
+        need_fm = mu_k.first_moment - sum(w * x for x, w in nu_inside)
         frac_hi = (need_fm - lo * need_mass) / (hi - lo)
         frac_lo = need_mass - frac_hi
         if frac_lo < 0 or frac_lo > nu.weight_at(lo) or frac_hi < 0 or frac_hi > nu.weight_at(hi):
             raise AssertionError("component endpoint assignment out of bounds")
-        nu_k = DiscreteMeasure([*nu_inside.atoms, (lo, frac_lo), (hi, frac_hi)])
+        nu_k = DiscreteMeasure([*nu_inside, (lo, frac_lo), (hi, frac_hi)])
         J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
-        components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
+        components.append(IrreducibleDomain(k, Interval.open(lo, hi), J, mu_k, nu_k))
 
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     nu_diagonal = subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k]))

@@ -9,6 +9,11 @@ shares code with the combinatorial implementations they are used to check.  `ora
 Fraction put sweep that the integer sweep of `measure` replaced, and the
 `oracle_sweep_*` functions are the order tests, potentials, put and call
 values and step decomposition as they were computed from it.
+`oracle_decomposed` is the run loop over the integer sweep's segments,
+with `restrict` to each component, that the reading of components between
+consecutive zeros replaced (`oracle_decompose_step` runs it after the
+order check), and `oracle_diagonal_intervals` the case analysis that
+pairing up the components' ends replaced.
 `oracle_free_chargeable` is the free problem's membership test by the
 paper's three n-step families, which the effective domain of the
 (mu_0, mu_n) decomposition taken at every step replaced, and
@@ -31,7 +36,9 @@ formats.  `oracle_superhedge` is the per-path superhedge formula that
 `DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
 extraction and checks built on it.  `oracle_is_martingale` is the
 martingale check from per-history drift sums that the kernels of
-`PathMeasure.kernels` replaced.  `oracle_scan_left_monotone_set` and
+`PathMeasure.kernels` replaced, and `oracle_markov_check` the dict of
+normalized kernels keyed by state that the sorted (state, law) pairs of
+`markov_check` replaced.  `oracle_scan_left_monotone_set` and
 `oracle_scan_nondegenerate_set` are the support scans over frozenset
 projections, read in hash order, that the sorted `SupportSet.branches`
 replaced; they fix the verdicts.  `oracle_branches` is `branches` from a
@@ -89,6 +96,7 @@ from leftcurtain import (
 )
 from leftcurtain import simplex
 from leftcurtain.coupling import PrefixImageRecord
+from leftcurtain.measure import _convex_failure
 from leftcurtain.simplex import Infeasible, LpResult, Unbounded, solve_lp
 
 F = Fraction
@@ -746,6 +754,64 @@ def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Ste
     return StepDecomposition(diagonal, tuple(components))
 
 
+def oracle_decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep) -> StepDecomposition:
+    """`decomposition._decomposed` from the integer sweep by a run loop over
+    its segments, restricting mu and nu to each component's open interval.
+    Its last run closes at the grid's end, so a sweep positive there is
+    read as a component, not an error."""
+    grid, values, _, _, d, _ = sweep
+    open_intervals: List[Tuple[Fraction, Fraction]] = []
+    run_start: Optional[int] = None
+    for i in range(len(grid) - 1):
+        if values[i] > 0 or values[i + 1] > 0:
+            if run_start is None:
+                run_start = i
+            if values[i + 1] == 0 or i + 1 == len(grid) - 1:
+                open_intervals.append((Fraction(grid[run_start], d), Fraction(grid[i + 1], d)))
+                run_start = None
+    components = []
+    for k, (lo, hi) in enumerate(open_intervals, start=1):
+        interior = Interval.open(lo, hi)
+        mu_k = mu.restrict(interior)
+        nu_inside = nu.restrict(interior)
+        need_mass = mu_k.mass - nu_inside.mass
+        need_fm = mu_k.first_moment - nu_inside.first_moment
+        frac_hi = (need_fm - lo * need_mass) / (hi - lo)
+        frac_lo = need_mass - frac_hi
+        if frac_lo < 0 or frac_lo > nu.weight_at(lo) or frac_hi < 0 or frac_hi > nu.weight_at(hi):
+            raise AssertionError("component endpoint assignment out of bounds")
+        nu_k = DiscreteMeasure([*nu_inside.atoms, (lo, frac_lo), (hi, frac_hi)])
+        J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
+        components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
+    diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
+    if diagonal != subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k])):
+        raise AssertionError("diagonal parts of mu and nu disagree")
+    return StepDecomposition(diagonal, tuple(components))
+
+
+def oracle_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepDecomposition:
+    failure, sweep = _convex_failure(mu, nu)
+    if failure:
+        raise NotInConvexOrder(f"not in convex order: {failure}")
+    return oracle_decomposed(mu, nu, sweep)
+
+
+def oracle_diagonal_intervals(decomposition: StepDecomposition) -> Tuple[Interval, ...]:
+    """`StepDecomposition.diagonal_intervals` by cases: the real line without
+    components, else the closed gaps between them, a point where two meet."""
+    if not decomposition.components:
+        return (Interval.real_line(),)
+    first, last = decomposition.components[0], decomposition.components[-1]
+    pieces = [Interval(None, first.I.lo, False, True)]
+    for left, right in zip(decomposition.components, decomposition.components[1:]):
+        if left.I.hi == right.I.lo:
+            pieces.append(Interval.point(left.I.hi))
+        else:
+            pieces.append(Interval(left.I.hi, right.I.lo, True, True))
+    pieces.append(Interval(last.I.hi, None, True, False))
+    return tuple(pieces)
+
+
 # --- scans of the sorted tables --------------------------------------------------
 #
 # Potential values, one-sided derivatives and atom and path weights as they
@@ -1190,6 +1256,18 @@ def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMe
             lower = upper
         rows += partial
     return oracle_path_measure(len(marginals) - 1, rows)
+
+
+def oracle_markov_check(P: PathMeasure) -> bool:
+    """`markov_check` from `PathMeasure.kernels`, each kernel normalized and
+    keyed in a dict by its history's last value."""
+    for t in range(1, P.n + 1 if P.paths else 1):
+        by_state: Dict[Fraction, DiscreteMeasure] = {}
+        for prefix, kernel in P.kernels(t).items():
+            normalized = kernel.scaled(1 / kernel.mass)
+            if by_state.setdefault(prefix[-1], normalized) != normalized:
+                return False
+    return True
 
 
 def oracle_is_martingale(P: PathMeasure) -> Tuple[bool, Optional[tuple]]:

@@ -57,6 +57,7 @@ from conftest import (
     oracle_convex_order_leq,
     oracle_increments,
     oracle_is_martingale,
+    oracle_markov_check,
     oracle_left_curtain_rows,
     oracle_left_monotone,
     oracle_path_measure,
@@ -235,6 +236,37 @@ class TestMartingaleCheck:
         P = PathMeasure(steps, paths)
         assert is_martingale(P) == oracle_is_martingale(P)
         assert kind != "none" or is_martingale(P) == (True, None)
+
+
+class TestMarkovAgainstDictOracle:
+    """`markov_check` sorts the (state, law) pairs of each date; the oracle
+    keys the normalized kernels of `PathMeasure.kernels` by state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from(list(KernelPolicy)),
+        st.booleans(),
+    )
+    def test_verdict_equals_oracle(self, seed, steps, policy, reverse):
+        # built couplings and their time reversals, which are often not Markov
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=5, start_atoms=3)
+        P = left_monotone_multistep(chain, policy)
+        if reverse:
+            P = PathMeasure(steps, ((p[::-1], w) for p, w in P.paths))
+        spoiled = PathMeasure(steps, ((tuple(map(Unhashable, p)), w) for p, w in P.paths))
+        assert markov_check(P) == markov_check(spoiled) == oracle_markov_check(P)
+
+    def test_both_verdicts_occur(self):
+        verdicts = Counter()
+        for seed in range(40):
+            chain = random_marginal_chain(random.Random(seed), 2, max_support=5, start_atoms=3)
+            P = left_monotone_multistep(chain)
+            for Q in (P, PathMeasure(2, ((p[::-1], w) for p, w in P.paths))):
+                verdicts[markov_check(Q)] += 1
+                assert markov_check(Q) == oracle_markov_check(Q)
+        assert verdicts[True] and verdicts[False]
 
 
 class TestLeftCurtainOneStep:
@@ -603,7 +635,8 @@ class TestNamedChainsAgainstOracles:
 
 class TestNoPositionIsHashed:
     """`DiscreteMeasure` and `PathMeasure` take positions and weights that
-    cannot be hashed, and so do the constructions and `strong_order_holds`."""
+    cannot be hashed, and so do the constructions, `strong_order_holds` and
+    the checks of a coupling."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unhashable_positions_and_weights(self, seed):
@@ -629,6 +662,7 @@ class TestNoPositionIsHashed:
                 spoiled = PathMeasure(P.n, ((tuple(map(Unhashable, p)), w) for p, w in P.paths))
                 assert all(type(c) is Unhashable for p, _ in spoiled.paths for c in p)
                 assert is_martingale(spoiled) == is_martingale(P)
+                assert markov_check(spoiled) == markov_check(P)
                 assert binomial_check(spoiled) == binomial_check(P) == all(
                     len(kernel) <= 2 for t in range(1, 4) for kernel in P.kernels(t).values()
                 )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -21,11 +22,15 @@ from leftcurtain import (
     solve_free,
     solve_primal,
 )
-from leftcurtain import lpsolver
+from leftcurtain import decomposition, lpsolver
+from leftcurtain.cli import main
 from leftcurtain import measure as measure_module
 
 from conftest import (
+    grid_chain,
     measure,
+    oracle_decompose_step,
+    oracle_diagonal_intervals,
     oracle_free_chargeable,
     oracle_free_paths,
     outcome,
@@ -116,6 +121,69 @@ class TestDecomposeStep:
         parsed = json.loads(blob)
         assert parsed["diagonal_intervals"][0]["lo"] == "-inf"
         assert parsed["diagonal_intervals"][-1]["hi"] == "inf"
+
+
+class TestAgainstRunLoopOracle:
+    """Components read between consecutive zeros of the sweep, and the
+    diagonal intervals paired up from their ends, against the run loop and
+    the case analysis they replaced."""
+
+    @staticmethod
+    def check(mu, nu):
+        d, o = decompose_step(mu, nu), oracle_decompose_step(mu, nu)
+        assert d == o
+        assert d.diagonal_intervals() == oracle_diagonal_intervals(o)
+        expected = {**o.to_json(), "diagonal_intervals": [iv.to_json() for iv in oracle_diagonal_intervals(o)]}
+        assert json.dumps(d.to_json()) == json.dumps(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_random_chains(self, seed, steps, data):
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
+        s = data.draw(st.integers(0, steps))
+        self.check(chain[s], chain[data.draw(st.integers(s, steps))])
+
+    @pytest.mark.parametrize("k", [8, 40])
+    def test_grid_chains(self, k):
+        chain = grid_chain(random.Random(k), k)
+        for s, t in itertools.combinations_with_replacement(range(3), 2):
+            self.check(chain[s], chain[t])
+
+    def test_zero_measure_has_no_components(self):
+        d = decompose_step(DiscreteMeasure.zero(), DiscreteMeasure.zero())
+        assert d.components == () and d.diagonal.is_zero
+        assert d.diagonal_intervals() == (Interval.real_line(),)
+
+    def test_a_sweep_positive_at_the_edge_is_an_error(self):
+        # a forged sweep of (delta_0, the +-1 split) whose last gap is 5;
+        # the run loop read it as the component (-1, 1)
+        mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(AssertionError, match="potential difference positive at the support edge"):
+            decomposition._decomposed(mu, nu, ([-1, 1], [0, 5], 0, 0, 1, 1))
+
+    def test_many_components_bytes(self, tmp_path, monkeypatch, capsys):
+        # 200 atoms at 4j, each split to 4j +- 2 unless j % 3 == 2: 134
+        # components, 67 of them meeting the next at a single diagonal point
+        monkeypatch.chdir(tmp_path)
+        mu = DiscreteMeasure((4 * j, F(1, 200)) for j in range(200))
+        nu = DiscreteMeasure(
+            atom
+            for j in range(200)
+            for atom in ([(4 * j, F(1, 200))] if j % 3 == 2 else [(4 * j - 2, F(1, 400)), (4 * j + 2, F(1, 400))])
+        )
+        (tmp_path / "mu.json").write_text(json.dumps(mu.to_json()))
+        (tmp_path / "nu.json").write_text(json.dumps(nu.to_json()))
+        d = decompose_step(mu, nu)
+        assert len(d.components) == 134
+        assert sum(iv.lo == iv.hi for iv in d.diagonal_intervals()) == 67
+        digests = []
+        for extra in ([], ["--csv"]):
+            assert main(["decompose", "mu.json", "nu.json", *extra]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == [
+            "04ec20c9d757649ed6be07d0067809188ac81ab8b8fdac011b551cdc72d39791",
+            "70c82249ecf0dccbf4e4d272ec586729719c01207fd0ee23ee0fcb17a9245056",
+        ]
 
 
 class TestEffectiveDomain:
