@@ -227,6 +227,15 @@ def left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies():
     verify_left_monotone_holds(grids, "big-installed.json", timeout=120)
 
 
+def left_monotone_lp_feasible_on_a_200_atom_grid_matches_the_source_tree_and_verifies():
+    # the LP policy zips each increment's atoms with the histories of its
+    # feasible coupling; no other check builds with it
+    grids = write_grid("lp-grid", 200)
+    Path("lp-grid-installed.json").write_bytes(same_as_source("left-monotone", *grids, "--policy", "lp-feasible", timeout=60))
+    report = json.loads(installed("verify-support", "lp-grid-installed.json", timeout=60)[0])
+    expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
+
+
 def left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid():
     errors = []
     for command in ("left-monotone", "decompose"):
@@ -281,6 +290,7 @@ CHECKS = [
     a_huge_exponent_in_the_library_is_a_value_error_or_zero_at_once,
     left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies,
+    left_monotone_lp_feasible_on_a_200_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid,
     solve_on_a_240_variable_lp_matches_the_source_tree,
     shadow_approx_on_a_1e400_atom_is_a_json_math_error,

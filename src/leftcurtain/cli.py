@@ -236,6 +236,8 @@ def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
     """Parse a --reward argument for paths of dates 0..horizon in the given mode."""
     from .lpsolver import EXACT, parse_reward
 
+    if not isinstance(text, str):  # argparse turns `--reward=--` into []
+        raise SchemaError("--reward", "reward '--' is not a product of factors")
     try:
         spec = parse_reward(text)
     except ZeroDivisionError:
@@ -258,7 +260,7 @@ def cmd_solve(args) -> int:
     solution = solve_primal(marginals, spec, mode)
     payload = {
         "reward": args.reward,
-        "value": solution.exact_value if mode == EXACT else solution.value,
+        "value": solution.value,
         "optimizer": _coupling_json(solution.optimizer, args.approx),
     }
     if args.approx:
@@ -340,7 +342,7 @@ def cmd_polar(args) -> int:
 
 def cmd_free(args) -> int:
     from .coupling import free_monotone_transport
-    from .lpsolver import EXACT, solve_free
+    from .lpsolver import solve_free
 
     mu0 = _load_measure(args.mu0)
     mun = _load_measure(args.mun)
@@ -352,7 +354,7 @@ def cmd_free(args) -> int:
     if spec is not None:
         solution = solve_free(mu0, mun, args.steps, spec, mode=args.mode)
         payload["reward"] = args.reward
-        payload["value"] = solution.exact_value if args.mode == EXACT else solution.value
+        payload["value"] = solution.value
         payload["optimizer"] = _coupling_json(solution.optimizer, args.approx)
         payload["certificate"] = solution.certificate.to_json()
     _emit(args, [args.mu0, args.mun], payload, _paths_csv(P))

@@ -1,12 +1,14 @@
 """Path measures and left-monotone martingale couplings.
 
 A PathMeasure is a finitely supported measure on paths (x_0, ..., x_n); its
-conditional laws, read by every check and by the competitor LP of
-`geometry`, are `PathMeasure.kernels(t)`.  The constructions here build the
-multistep left-monotone transport (prefixes of the first marginal are sent
-to their obstructed shadows, each atom's paths composing one kernel per
-date), whose case n = 1 is the one-step Left-Curtain coupling, and the
-degenerate monotone transport of the free-intermediate-marginal problem.
+conditional laws are read by one ordered walk, `_histories(paths, t)`, which
+groups the sorted paths by history without hashing one: the checks here,
+the LP policy and the competitor LP of `geometry` read it.  The
+constructions here build the multistep left-monotone transport (prefixes of
+the first marginal are sent to their obstructed shadows, each atom's paths
+composing one kernel per date), whose case n = 1 is the one-step
+Left-Curtain coupling, and the degenerate monotone transport of the
+free-intermediate-marginal problem.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ class PathMeasure:
         if not 0 <= t <= self.n:
             raise IndexError(f"marginal index {t} out of range")
         return DiscreteMeasure((p[t], w) for p, w in self.paths)
-
-    def kernels(self, t: int) -> Dict[Path, DiscreteMeasure]:
-        """Unnormalized law of x_t given each positive-mass history x_0..x_{t-1},
-        in increasing history order (the paths are sorted, so their prefixes are)."""
-        if not 0 <= t <= self.n:
-            raise IndexError(f"kernel index {t} out of range")
-        return {history: DiscreteMeasure(group) for history, group in _histories(self.paths, t)}
 
     def project(self, indices: Sequence[int]) -> "PathMeasure":
         """Pushforward under coordinate selection, aggregating weights."""
@@ -398,9 +393,9 @@ def left_monotone_multistep(
                 step = {j: [(k, w * b, e * a) for k, w in pieces] for (j, a, b), (pieces, e) in zip(lower, takes)}
             else:
                 ys = supports[t]
-                kernels = _feasible_martingale_coupling(_measure(lower, below[0]), _measure(upper, ys)).kernels(1).values()
-                step = {j: [(bisect_left(ys, z), v.numerator * b, v.denominator * a) for z, v in kernel]
-                        for (j, a, b), kernel in zip(lower, kernels)}
+                feasible = _feasible_martingale_coupling(_measure(lower, below[0]), _measure(upper, ys))
+                step = {j: [(bisect_left(ys, z), v.numerator * b, v.denominator * a) for z, v in group]
+                        for (j, a, b), (_, group) in zip(lower, _histories(feasible.paths, 1))}
             partial = [(ks + (k,), a * b, c * d) for ks, a, c in partial for k, b, d in step[ks[-1]]]
             lower = upper
         done += partial

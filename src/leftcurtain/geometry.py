@@ -7,10 +7,11 @@ by a down-move from the same history and vice versa.  Both are verified by
 exhaustive scans of `SupportSet.branches(t)`, which groups consecutive
 points of the sorted tuple that `PathMeasure` builds, so it reads histories
 and their values in increasing order and a failed scan's witness is the
-first in history order, date by date, as in `PathMeasure.kernels`; competitor
-search solves an exact LP over reweightings that preserve the history
-projection, the last marginal, and all conditional barycenters.  Only that
-search loads `decomposition` and `simplex`, so the scans run without them.
+first in history order, date by date, as in `coupling._histories`.  The
+competitor search reads each history's mass and barycenter from that walk,
+hashing no position, and solves an exact LP over reweightings that preserve
+the history projection, the last marginal, and all conditional barycenters.
+Only that search loads `decomposition` and `simplex`, so the scans run without them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .coupling import Path, PathMeasure
+from .coupling import Path, PathMeasure, _histories
 from .measure import DiscreteMeasure, rat
 
 if TYPE_CHECKING:
@@ -49,11 +50,11 @@ class SupportSet:
         object.__setattr__(gamma, "points", P.support)
         return gamma
 
-    def branches(self, t: int) -> Dict[Path, List[Fraction]]:
-        """The values x_t that follow each history x_0..x_{t-1}, grouped from
-        consecutive points: histories and each one's values increasing and distinct."""
+    def branches(self, t: int) -> Tuple[Tuple[Path, List[Fraction]], ...]:
+        """(history x_0..x_{t-1}, the values x_t that follow it) pairs, grouped
+        from consecutive points: histories and each one's values increasing and distinct."""
         groups = groupby(self.points, lambda p: p[:t])
-        return {h: [y for y, _ in groupby(p[t] for p in group)] for h, group in groups}
+        return tuple((h, [y for y, _ in groupby(p[t] for p in group)]) for h, group in groups)
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
     """
     for t in range(1, gamma.n + 1 if gamma.points else 1):
         groups = gamma.branches(t)
-        spreads = ((h, ys[0], ys[-1]) for h, ys in groups.items() if len(ys) > 1)
+        spreads = ((h, ys[0], ys[-1]) for h, ys in groups if len(ys) > 1)
         for history, lo, hi in spreads:
-            for other, ys in groups.items():
+            for other, ys in groups:
                 if other[0] <= history[0]:
                     continue
                 i = bisect_right(ys, lo)
@@ -100,7 +101,7 @@ def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWi
     witness is the first one-sided history in `branches` order, date by date,
     with its greatest value (up-moves only) or its least (down-moves only)."""
     for t in range(1, gamma.n + 1 if gamma.points else 1):
-        for history, ys in gamma.branches(t).items():
+        for history, ys in gamma.branches(t):
             up, down = ys[-1] > history[-1], ys[0] < history[-1]
             if up != down:
                 return False, DegeneracyWitness(t, history, ys[-1] if up else ys[0])
@@ -137,31 +138,30 @@ def find_improving_competitor(
     t = pi.n
     if len(effective_domain) != t:
         raise ValueError("need one step decomposition per step of pi")
-    last = dict(pi.marginal(t).atoms)
-    grid = set(last)
-    if marginal is not None:
-        grid.update(marginal.support)
-    grid = sorted(grid)
+    last = pi.marginal(t)
+    extra = marginal.support if marginal is not None else ()
+    grid = [y for y, _ in groupby(sorted((*last.support, *extra)))]
 
     # Per history its mass and barycenter rows, then one row per last value.
     cols: List[Tuple[Path, Fraction]] = []
     rows: List[List[Tuple[int, Fraction]]] = []
     rhs: List[Fraction] = []
-    last_rows: Dict[Fraction, List[Tuple[int, Fraction]]] = {y: [] for y in grid}
+    last_rows: List[List[Tuple[int, Fraction]]] = [[] for _ in grid]
     one = Fraction(1)
-    for h, kernel in pi.kernels(t).items():
+    for h, group in _histories(pi.paths, t):
         ks = []
-        for y in grid:
+        for i, y in enumerate(grid):
             if effective_domain_contains(effective_domain, h + (y,)) is not None:
                 ks.append(len(cols))
-                last_rows[y].append((len(cols), one))
+                last_rows[i].append((len(cols), one))
                 cols.append((h, y))
         rows += [[(k, one) for k in ks], [(k, cols[k][1]) for k in ks]]
-        rhs += [kernel.mass, kernel.first_moment]
+        kernel = list(group)
+        rhs += [sum(w for _, w in kernel), sum(w * y for y, w in kernel)]
     if not cols:
         return None
-    rows += [last_rows[y] for y in grid]
-    rhs += [last.get(y, Fraction(0)) for y in grid]
+    rows += last_rows
+    rhs += map(last.weight_at, grid)
 
     objective = [rat(reward(h + (y,))) for h, y in cols]
     result = solve_lp(objective, rows, rhs)

@@ -35,10 +35,13 @@ the sparse ones replaced.  `sparse` and `dense` convert between the two row
 formats.  `oracle_superhedge` is the per-path superhedge formula that
 `DualCertificate.hedges` replaced, and `oracle_extract_dual` the dual
 extraction and checks built on it.  `oracle_is_martingale` is the
-martingale check from per-history drift sums that the kernels of
-`PathMeasure.kernels` replaced, and `oracle_markov_check` the dict of
-normalized kernels keyed by state that the sorted (state, law) pairs of
-`markov_check` replaced.  `oracle_scan_left_monotone_set` and
+martingale check from per-history drift sums that the grouped walk of
+`coupling._histories` replaced.  `oracle_kernels` is the dict of each
+history's law that `PathMeasure.kernels` built, which the competitor LP
+and the LP policy read before they walked the groups of `_histories`
+themselves, and `oracle_markov_check` the dict of normalized kernels keyed
+by state that the sorted (state, law) pairs of `markov_check` replaced.
+`oracle_scan_left_monotone_set` and
 `oracle_scan_nondegenerate_set` are the support scans over frozenset
 projections, read in hash order, that the sorted `SupportSet.branches`
 replaced; they fix the verdicts.  `oracle_branches` is `branches` from a
@@ -1258,12 +1261,21 @@ def oracle_left_monotone(marginals: Sequence[DiscreteMeasure], couple) -> PathMe
     return oracle_path_measure(len(marginals) - 1, rows)
 
 
+def oracle_kernels(P: PathMeasure, t: int) -> Dict[tuple, DiscreteMeasure]:
+    """Unnormalized law of x_t given each positive-mass history x_0..x_{t-1},
+    keyed in a dict by history, histories sorted."""
+    laws: Dict[tuple, list] = {}
+    for p, w in P.paths:
+        laws.setdefault(p[:t], []).append((p[t], w))
+    return {history: DiscreteMeasure(laws[history]) for history in sorted(laws)}
+
+
 def oracle_markov_check(P: PathMeasure) -> bool:
-    """`markov_check` from `PathMeasure.kernels`, each kernel normalized and
+    """`markov_check` from `oracle_kernels`, each kernel normalized and
     keyed in a dict by its history's last value."""
     for t in range(1, P.n + 1 if P.paths else 1):
         by_state: Dict[Fraction, DiscreteMeasure] = {}
-        for prefix, kernel in P.kernels(t).items():
+        for prefix, kernel in oracle_kernels(P, t).items():
             normalized = kernel.scaled(1 / kernel.mass)
             if by_state.setdefault(prefix[-1], normalized) != normalized:
                 return False

@@ -848,7 +848,7 @@ _measure_lists = st.one_of(
 _reward_texts = st.one_of(
     st.sampled_from([
         "abs(1, 0)", "indicator(t=0, <=-1) * -1 * call(1, 0)", "put(2, 1/2) * 2", "call(3, 0)",
-        "tanh_sm(1)", "1/0", "abs(1, 1/0)", "indicator(t=0, >=0)", "", "*", "call(1,)",
+        "tanh_sm(1)", "1/0", "abs(1, 1/0)", "indicator(t=0, >=0)", "", "*", "call(1,)", "--",
     ]),
     st.text(alphabet="()*,/=<>-+0123 abcdeilnoprstu_", max_size=16),
 )

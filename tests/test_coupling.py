@@ -57,6 +57,7 @@ from conftest import (
     oracle_convex_order_leq,
     oracle_increments,
     oracle_is_martingale,
+    oracle_kernels,
     oracle_markov_check,
     oracle_left_curtain_rows,
     oracle_left_monotone,
@@ -110,16 +111,6 @@ class TestPathMeasure:
             1, [((0, -2), F(1, 4)), ((0, 0), F(1, 2)), ((0, 2), F(1, 4))]
         )
         assert P.project((0, 1, 2)) == P
-
-    def test_kernels(self, rigid_marginals):
-        P = left_monotone_multistep(rigid_marginals)
-        assert P.kernels(0) == {(): P.marginal(0)}
-        assert list(P.kernels(2).items()) == [
-            ((F(0), F(-1)), measure([(-2, F(1, 4)), (0, F(1, 4))])),
-            ((F(0), F(1)), measure([(0, F(1, 4)), (2, F(1, 4))])),
-        ]
-        with pytest.raises(IndexError):
-            P.kernels(3)
 
     def test_json_round_trip(self):
         P = PathMeasure(2, [((0, F(-1, 2), 1), F(1, 3))])
@@ -240,7 +231,7 @@ class TestMartingaleCheck:
 
 class TestMarkovAgainstDictOracle:
     """`markov_check` sorts the (state, law) pairs of each date; the oracle
-    keys the normalized kernels of `PathMeasure.kernels` by state."""
+    keys the normalized kernels of `oracle_kernels` by state."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -573,7 +564,7 @@ class TestFoldIsTheIncrementCoupling:
                     left_curtain_one_step(lower, upper),
                     PathMeasure(1, oracle_left_curtain_rows(lower, upper)),
                 ):
-                    assert taken == {h: k.atoms for h, k in expected.kernels(1).items()}
+                    assert taken == {h: k.atoms for h, k in oracle_kernels(expected, 1).items()}
                 lower = upper
 
 
@@ -664,7 +655,7 @@ class TestNoPositionIsHashed:
                 assert is_martingale(spoiled) == is_martingale(P)
                 assert markov_check(spoiled) == markov_check(P)
                 assert binomial_check(spoiled) == binomial_check(P) == all(
-                    len(kernel) <= 2 for t in range(1, 4) for kernel in P.kernels(t).values()
+                    len(kernel) <= 2 for t in range(1, 4) for kernel in oracle_kernels(P, t).values()
                 )
                 if P is not drifting:
                     assert verify_left_monotone(spoiled, unhashable) == verify_left_monotone(P, chain)

@@ -10,6 +10,7 @@ from leftcurtain import (
     CrossingWitness,
     DegeneracyWitness,
     DiscreteMeasure,
+    KernelPolicy,
     PathMeasure,
     SupportSet,
     decompose_step,
@@ -19,10 +20,13 @@ from leftcurtain import (
     left_curtain_one_step,
     left_monotone_multistep,
     left_tail_put_reward,
+    solve_primal,
 )
 
 from conftest import (
+    Unhashable,
     grid_chain,
+    irreducible_chain,
     measure,
     oracle_branches,
     oracle_first_crossing,
@@ -75,14 +79,14 @@ class TestSupportSet:
         assert again == gamma and hash(again) == hash(gamma)
         assert gamma.points == tuple(sorted(set(tuple(map(F, p)) for p in points)))
         for t in range(n + 1):
-            assert list(gamma.branches(t).items()) == list(oracle_branches(again, t).items())
+            assert gamma.branches(t) == tuple(oracle_branches(again, t).items())
 
     def test_branches_read_sorted_histories_and_values(self):
         gamma = SupportSet(2, [(1, 0, 2), (0, 1, 1), (1, 0, -2), (0, -1, 0), (1, 0, 2), (0, 1, 3)])
-        assert list(gamma.branches(1).items()) == [((0,), [-1, 1]), ((1,), [0])]
-        assert list(gamma.branches(2).items()) == [
+        assert gamma.branches(1) == (((0,), [-1, 1]), ((1,), [0]))
+        assert gamma.branches(2) == (
             ((0, -1), [0]), ((0, 1), [1, 3]), ((1, 0), [-2, 2])
-        ]
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(point_lists(), st.lists(st.integers(1, 4), min_size=12, max_size=12))
@@ -238,3 +242,59 @@ class TestCompetitors:
             pi, lambda p: -abs(p[1]), [decompose_step(mu, nu)]
         )
         assert improvement is None
+
+
+def spoiled(P: PathMeasure) -> PathMeasure:
+    """`P` with every coordinate of every path an `Unhashable` copy."""
+    return PathMeasure(P.n, ((tuple(map(Unhashable, p)), w) for p, w in P.paths))
+
+
+class TestNoPositionIsHashed:
+    """`branches`, both scans and the competitor search read histories in
+    order and hash no position: on `Unhashable` copies they return what
+    they return on the originals."""
+
+    @staticmethod
+    def assert_scans_alike(gamma: SupportSet, copy: SupportSet):
+        assert all(type(c) is Unhashable for p in copy.points for c in p)
+        for t in range(gamma.n + 1):
+            assert copy.branches(t) == gamma.branches(t)
+        assert is_left_monotone_set(copy) == is_left_monotone_set(gamma)
+        assert is_nondegenerate_set(copy) == is_nondegenerate_set(gamma)
+
+    def test_crossing_support_set(self):
+        points = [(3, 0), (1, -3), (2, 1), (1, 3), (0, -2), (1, 2), (0, 2), (2, -1), (1, -2)]
+        copy = SupportSet(1, [tuple(map(Unhashable, p)) for p in points])
+        self.assert_scans_alike(SupportSet(1, points), copy)
+        assert is_left_monotone_set(copy)[1] == CrossingWitness(1, (F(0),), F(-2), F(2), (F(2),), F(-1))
+        assert is_nondegenerate_set(copy)[1] == DegeneracyWitness(1, (F(2),), F(-1))
+
+    @pytest.mark.parametrize("policy", KernelPolicy, ids=lambda policy: policy.value)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_built_couplings(self, seed, policy):
+        chain = random_marginal_chain(random.Random(seed), 2, max_support=5, start_atoms=3)
+        P = left_monotone_multistep(chain, policy)
+        self.assert_scans_alike(SupportSet.of(P), SupportSet.of(spoiled(P)))
+        decomps = [decompose_step(chain[t - 1], chain[t]) for t in (1, 2)]
+        reward = lambda p: -((p[2] - p[1]) ** 3)
+        last = DiscreteMeasure((Unhashable(x), w) for x, w in chain[2])
+        expected = find_improving_competitor(P, reward, decomps, chain[2])
+        assert find_improving_competitor(spoiled(P), reward, decomps, last) == expected
+
+    def test_lp_optimizers(self):
+        # optimizers of a left-tail put, two of which cross, and competitors
+        # that improve on all three for another reward
+        rng = random.Random(149)
+        crossings = 0
+        for sizes in [(2, 4, 6), (3, 4, 5), (2, 3, 5)]:
+            chain = irreducible_chain(rng, sizes)
+            P = solve_primal(chain, left_tail_put_reward(chain[0].support[0], 2, chain[2].support[2])).optimizer
+            self.assert_scans_alike(SupportSet.of(P), SupportSet.of(spoiled(P)))
+            crossings += not is_left_monotone_set(SupportSet.of(P))[0]
+            decomps = [decompose_step(chain[t - 1], chain[t]) for t in (1, 2)]
+            reward = lambda p: p[1] * p[2] * p[2]
+            last = DiscreteMeasure((Unhashable(x), w) for x, w in chain[2])
+            expected = find_improving_competitor(P, reward, decomps, chain[2])
+            assert expected is not None
+            assert find_improving_competitor(spoiled(P), reward, decomps, last) == expected
+        assert crossings == 2
