@@ -151,6 +151,19 @@ def verify_support_reads_left_monotone_output():
     expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
 
 
+def a_lone_double_dash_option_value_is_a_json_error():
+    # argparse before 3.13 dropped a lone `--` from an option's value
+    for args in (
+        ("free", "narrow.json", "wide.json", "--steps=--"),
+        ("left-monotone", "narrow.json", "wide.json", "--max-paths=--"),
+        ("examples", "--name=--"),
+        ("polar", "narrow.json", "wide.json", "--paths=--"),
+    ):
+        out, err = installed(*args, code=1)
+        expect(out == b"" and b"Traceback" not in err, f"{args} wrote {out!r} and {err!r}")
+        expect(err.count(b"\n") == 1 and isinstance(error_of(err), dict), f"{args} reads {err!r}")
+
+
 def a_file_that_is_not_utf8_is_named():
     Path("latin1.json").write_bytes(b'{"atoms": [{"x": "\xff", "w": "1"}]}')
     out, err = installed("check-order", "latin1.json", "narrow.json", code=1)
@@ -284,6 +297,7 @@ CHECKS = [
     obstructed_shadow_csv_matches_the_source_tree,
     an_empty_coupling_is_checked_at_once,
     verify_support_reads_left_monotone_output,
+    a_lone_double_dash_option_value_is_a_json_error,
     a_file_that_is_not_utf8_is_named,
     deep_nesting_is_a_schema_error_at_once,
     a_huge_exponent_is_a_schema_error_at_once,

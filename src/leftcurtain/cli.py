@@ -63,6 +63,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are I/O errors, not math ones
         self.exit(_report({"error": "usage", "message": f"{self.prog}: {message}"}, EXIT_IO))
 
+    def _get_values(self, action, arg_strings):
+        # before 3.13 argparse drops a lone `--` from an option's value too; read it as 3.13 does
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _load_json(path: str):
     try:
@@ -236,8 +244,6 @@ def _reward_spec(text: str, mode: str, horizon: int) -> RewardSpec:
     """Parse a --reward argument for paths of dates 0..horizon in the given mode."""
     from .lpsolver import EXACT, parse_reward
 
-    if not isinstance(text, str):  # argparse turns `--reward=--` into []
-        raise SchemaError("--reward", "reward '--' is not a product of factors")
     try:
         spec = parse_reward(text)
     except ZeroDivisionError:

@@ -25,10 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .measure import (
     DiscreteMeasure,
     MathError,
-    NotInConvexOrder,
     RationalLike,
     SchemaError,
-    _convex_failure,
     _merged,
     _rat_from_json,
     _rat_to_json,
@@ -274,13 +272,15 @@ def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increm
     The increment of atom i at date t is the shadow of its increment at
     t - 1 in what the atoms before it left of marginal t, so the increments
     of atoms 0..i sum to the obstructed shadow of that prefix (shadow
-    associativity), and each increment, a shadow of the one before, is >=_c
-    it; `verify_left_monotone` and `strong_order_holds` check prefixes atom
-    by atom through this.  The takes are those of the atoms y of the
-    increment at t - 1 from that residual, left to right, and they are the
-    Left-Curtain coupling of the two increments: the takes of the same atoms
-    from S = shadow(lower, R) alone.  For the first atom y of lower,
-    associativity gives shadow(y, R) <= S, so shadow(y, R) lies in
+    associativity); `verify_left_monotone` and `strong_order_holds` check
+    prefixes atom by atom through this.  Each increment is <=_c the next,
+    for every input, by Jensen's inequality: the take of an atom q*delta_x
+    returns exactly the mass q and ends only when its first moment is q*x,
+    so q*delta_x <=_c the take, and sums keep <=_c.  The takes are those of
+    the atoms y of the increment at t - 1 from that residual, left to right,
+    and they are the Left-Curtain coupling of the two increments: the takes
+    of the same atoms from S = shadow(lower, R) alone.  For the first atom y
+    of lower, associativity gives shadow(y, R) <= S, so shadow(y, R) lies in
     {theta : y <=_c theta <= S}; and shadow(y, S) lies in
     {theta : y <=_c theta <= R}, since S <= R.  Each is the least element
     of its set, so each is <=_c the other and they are equal.  Taking it
@@ -308,30 +308,25 @@ def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increm
 
 
 def _pair_scales(marginals: Sequence[DiscreteMeasure], sweeps: Sequence[tuple]) -> list:
-    """Per consecutive pair of `marginals`, the positions of both, each as
-    (Fractions, integers X = D*x) on the pair's position scale D, that of
-    its sweep (`require_convex_order_chain`)."""
+    """Per consecutive pair of `marginals`, the positions of both as
+    integers X = D*x on the pair's position scale D, that of its sweep
+    (`require_convex_order_chain`)."""
 
-    def scaled(mu: DiscreteMeasure, d: int) -> tuple:
-        xs = mu.support
-        return xs, [x.numerator * (d // x.denominator) for x in xs]
+    def scaled(mu: DiscreteMeasure, d: int) -> list:
+        return [x.numerator * (d // x.denominator) for x in mu.support]
 
     return [(scaled(mu, sweep[4]), scaled(nu, sweep[4])) for (mu, nu), sweep in zip(pairwise(marginals), sweeps)]
 
 
-def _order_failure(lower: _Increment, upper: _Increment, below: tuple, above: tuple) -> Optional[str]:
-    """None if the increment `lower` is <=_c `upper`, else the condition that
-    fails, in the words of `_convex_failure` on the two as measures, made
-    only then.  `below` and `above` are their marginals' positions from
-    `_pair_scales`; the verdict is one integer sweep over the lcm of the
-    weight denominators."""
+def _order_failure(lower: _Increment, upper: _Increment, below: list, above: list) -> bool:
+    """Whether the increment `lower` is not <=_c `upper`: one integer sweep
+    over the lcm of the weight denominators, `below` and `above` being the
+    integer positions of their marginals from `_pair_scales`."""
     e = lcm(*(d for _, _, d in lower), *(d for _, _, d in upper))
-    signed = [(above[1][k], n * (e // d)) for k, n, d in upper]
-    signed += [(below[1][j], -n * (e // d)) for j, n, d in lower]
+    signed = [(above[k], n * (e // d)) for k, n, d in upper]
+    signed += [(below[j], -n * (e // d)) for j, n, d in lower]
     _, gap, mass, moment = _sweep(signed)
-    if not (mass or moment or min(gap) < 0):
-        return None
-    return _convex_failure(_measure(lower, below[0]), _measure(upper, above[0]))[0]
+    return bool(mass or moment or min(gap) < 0)
 
 
 def _measure(increment: _Increment, positions: Sequence[Fraction]) -> DiscreteMeasure:
@@ -350,7 +345,8 @@ def left_monotone_multistep(
     at each date t the increment of the obstructed shadows of the prefix
     restrictions, computed incrementally against residual targets via the
     shadow additivity law; the increments of consecutive dates are in convex
-    order and are coupled one step at a time by the chosen policy (the
+    order by construction (see `_increments`) and are coupled one step at
+    a time by the chosen policy (the
     default policy's Left-Curtain coupling is the takes that computed the
     increment, see `_increments`).  Everything runs in integers: a partial
     path is its tuple of support indices (k_0, ..., k_t) and its weight as
@@ -367,7 +363,7 @@ def left_monotone_multistep(
     marginals = list(marginals)
     if len(marginals) < 2:
         raise ValueError("need at least two marginals")
-    scales = _pair_scales(marginals, require_convex_order_chain(marginals))
+    require_convex_order_chain(marginals)
     n = len(marginals) - 1
     increments = _increments(marginals)
 
@@ -383,17 +379,11 @@ def left_monotone_multistep(
         partial = [((i,), q.numerator, q.denominator)]
         lower = [(i, q.numerator, q.denominator)]
         for t, (upper, takes) in enumerate(steps, start=1):
-            below, above = scales[t - 1]
-            failure = _order_failure(lower, upper, below, above)
-            if failure:
-                raise NotInConvexOrder(
-                    f"increments of the atom at {supports[0][i]} are not in convex order at date {t}: {failure}"
-                )
             if policy is KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS:
                 step = {j: [(k, w * b, e * a) for k, w in pieces] for (j, a, b), (pieces, e) in zip(lower, takes)}
             else:
                 ys = supports[t]
-                feasible = _feasible_martingale_coupling(_measure(lower, below[0]), _measure(upper, ys))
+                feasible = _feasible_martingale_coupling(_measure(lower, supports[t - 1]), _measure(upper, ys))
                 step = {j: [(bisect_left(ys, z), v.numerator * b, v.denominator * a) for z, v in group]
                         for (j, a, b), (_, group) in zip(lower, _histories(feasible.paths, 1))}
             partial = [(ks + (k,), a * b, c * d) for ks, a, c in partial for k, b, d in step[ks[-1]]]
@@ -469,15 +459,17 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     Exactly when this holds do the bivariate projections of a left-monotone
     transport reduce to one-step Left-Curtain couplings.  It is checked atom
     by atom: the integer takes of each atom of the first marginal from one
-    residual per date must increase in convex order (`_order_failure`).  (<=) A prefix's shadows are
-    sums of its atoms' takes (shadow associativity), and sums of pairs in
-    convex order are in convex order.  (=>) Fix a prefix p; if S_t(p) <=_c
-    S_{t+1}(p), S_t being the shadow in mu_t, then S_{t+1}(p) lies in
+    residual per date must increase in convex order, one integer sweep per
+    pair (`_order_failure`).  (<=) A prefix's shadows are sums of its atoms'
+    takes (shadow associativity), and sums of pairs in convex order are in
+    convex order.  (=>) Fix a prefix p; if S_t(p) <=_c S_{t+1}(p), S_t being
+    the shadow in mu_t, then S_{t+1}(p) lies in
     {theta : S_t(p) <=_c theta <= mu_{t+1}}, whose least element
-    S_{t+1}(S_t(p)) lies in the larger set {theta : p <=_c theta <= mu_{t+1}},
-    whose least element is S_{t+1}(p).  So the two are equal, by induction
-    on t every obstructed shadow is plain, each atom's takes are its
-    increments, and by `_increments` these increase.
+    S_{t+1}(S_t(p)) lies in the larger set
+    {theta : p <=_c theta <= mu_{t+1}}, whose least element is S_{t+1}(p).
+    So the two are equal, by induction on t every obstructed shadow is
+    plain, each atom's takes are its increments, and by `_increments` these
+    increase.
     """
     marginals = list(marginals)
     sweeps = require_convex_order_chain(marginals)

@@ -571,6 +571,58 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "usage", "message": f"leftcurtain left-monotone: {expected.value}"}
 
+    # Every single-value option of every subcommand, given a lone `--` as its
+    # value: argparse before 3.13 dropped it, so the handlers saw [].
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["left-monotone", "mu0", "mu1", "--policy=--"],
+            ["left-monotone", "mu0", "mu1", "--max-paths=--"],
+            ["solve", "mu0", "mu1", "mu2", "--reward=--"],
+            ["solve", "mu0", "mu1", "mu2", "--reward=abs(1, 0)", "--mode=--"],
+            ["free", "mu0", "mu2", "--steps=--"],
+            ["free", "mu0", "mu2", "--steps", "2", "--reward=--"],
+            ["free", "mu0", "mu2", "--steps", "2", "--mode=--"],
+            ["polar", "mu0", "mu2", "--free", "--steps=--", "--paths", "paths"],
+            ["polar", "mu0", "mu1", "mu2", "--paths=--"],
+            ["shadow", "--source=--", "--target", "mu1"],
+            ["shadow", "--source", "mu0", "--target=--"],
+            ["shadow", "--mass=--", "--at", "0", "--target", "mu1"],
+            ["shadow", "--mass", "1", "--at=--", "--target", "mu1"],
+            ["obstructed-shadow", "--part=--", "mu1", "mu2"],
+            ["examples", "--name=--"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_lone_double_dash_option_value_is_a_json_error(self, capsys, files, argv):
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and isinstance(json.loads(err), dict)
+
+    @pytest.mark.parametrize(
+        "argv, report",
+        [
+            (
+                ["free", "mu0", "mu2", "--steps=--"],
+                {"error": "usage", "message": "leftcurtain free: argument --steps: invalid int value: '--'"},
+            ),
+            (
+                ["examples", "--name=--"],
+                {"error": "schema", "pointer": "", "message": "unknown example '--'; choose from "
+                 "['nonunique', 'notleftcurtain', 'notmarkovian', 'uniquetransport']"},
+            ),
+            (
+                ["solve", "mu0", "mu1", "mu2", "--reward=--"],
+                {"error": "schema", "pointer": "--reward", "message": "--reward: cannot parse reward factor '--' at character 0"},
+            ),
+        ],
+        ids=["free --steps", "examples --name", "solve --reward"],
+    )
+    def test_a_lone_double_dash_is_the_option_value(self, capsys, files, argv, report):
+        # the bytes of Python 3.13, whose argparse keeps `--` as an option's value
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert (code, out, err) == (1, "", json.dumps(report) + "\n")
+
     def test_parser_literals_are_the_library_values(self):
         """The parser spells out `--policy` and `--mode` so that building it
         loads neither `coupling` nor `lpsolver`; they must stay the library's."""
@@ -950,7 +1002,7 @@ class TestOrderAndTransportTotality:
 _argument_rationals = st.one_of(
     st.sampled_from([
         "1/2", "1", "0", "-1", "-1/3", "2", "1/0", "0.5", "1e-1", "1e-5000", "1e5000",
-        "true", "abc", "", " 1/2 ", "--1", "[1]", "{}",
+        "true", "abc", "", " 1/2 ", "--1", "[1]", "{}", "--",
     ]),
     st.text(alphabet="-+/.0123456789 eE_ab", max_size=8),
 )

@@ -39,9 +39,10 @@ from leftcurtain import (
     verify_left_monotone,
 )
 from leftcurtain import coupling
+from leftcurtain import measure as measure_module
 from leftcurtain.cli import main
-from leftcurtain.coupling import _increments, _order_failure
-from leftcurtain.measure import _convex_failure, _json_from_text
+from leftcurtain.coupling import _increments
+from leftcurtain.measure import _json_from_text
 from leftcurtain.shadow import _Residual
 
 from conftest import (
@@ -568,6 +569,49 @@ class TestFoldIsTheIncrementCoupling:
                 lower = upper
 
 
+class TestIncrementsIncrease:
+    """Each atom's consecutive increments are in convex order for every input
+    (the Jensen argument of `_increments`), so the construction sweeps only
+    the chain of marginals: the invariant against `oracle_convex_failure`
+    on Fraction measures, and the count of sweeps."""
+
+    @staticmethod
+    def assert_increasing(chain):
+        for (x, q), steps in zip(chain[0], read_increments(chain)):
+            lower = DiscreteMeasure.dirac(x, q)
+            for upper, _ in steps:
+                assert oracle_convex_failure(lower, upper) is None
+                lower = upper
+
+    @pytest.mark.parametrize(
+        "chain",
+        [*CHAINS.values(), grid_chain(random.Random(8), 8), grid_chain(random.Random(40), 40)],
+        ids=[*CHAINS, "grid-8", "grid-40"],
+    )
+    def test_named_chains(self, chain):
+        self.assert_increasing(chain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3))
+    def test_random_chains(self, seed, steps):
+        self.assert_increasing(random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4))
+
+    @pytest.mark.parametrize("policy", KernelPolicy, ids=lambda policy: policy.value)
+    def test_only_the_chain_check_sweeps(self, monkeypatch, policy):
+        # 40 / 60 / 78 atoms: one sweep per pair of marginals, none per atom and date
+        chain = grid_chain(random.Random(40), 40)
+        assert [len(mu) for mu in chain] == [40, 60, 78]
+        calls = []
+        for module in (measure_module, coupling):  # `coupling` binds its own `_sweep`
+            def counted(signed, original=module._sweep):
+                calls.append(len(signed))
+                return original(signed)
+
+            monkeypatch.setattr(module, "_sweep", counted)
+        left_monotone_multistep(chain, policy)
+        assert len(calls) == 2
+
+
 class TestGridChainAgainstHullOracle:
     """The grid of `CHAINS`, each construction against its recomputation
     from hull shadows in about a second."""
@@ -799,40 +843,10 @@ class TestPerAtomChecksAgainstPrefixSums:
         assert oracle_running_strong_order(chain) is True
 
 
-def _reversed_failure(lower, upper, below, above):
-    """A forged increment verdict: that of the reversed pair, so it fails
-    where the increments differ (they are in convex order by construction)."""
-    return _order_failure(upper, lower, above, below)
-
-
-# d[0] then 1/2*d[-1] + 1/2*d[1]: reversed, P_nu(0) = 0 < 1/2 = P_mu(0)
-_FORGED = "increments of the atom at 0 are not in convex order at date 1: P_nu(k) < P_mu(k) first at k = 0"
-
-
-class TestIncrementCheck:
-    def test_failed_increment_check_names_atom_and_date(self, monkeypatch, rigid_marginals):
-        monkeypatch.setattr(coupling, "_order_failure", _reversed_failure)
-        assert outcome(left_monotone_multistep, rigid_marginals) == (NotInConvexOrder, _FORGED)
-        lower, upper = rigid_marginals[0], rigid_marginals[1]
-        assert _FORGED.endswith(": " + oracle_convex_failure(upper, lower))
-
-    def test_cli_reports_it_as_a_math_error(self, monkeypatch, capsys, tmp_path, rigid_marginals):
-        files = []
-        for t, mu in enumerate(rigid_marginals):
-            path = tmp_path / f"mu{t}.json"
-            path.write_text(json.dumps(mu.to_json()))
-            files.append(str(path))
-        monkeypatch.setattr(coupling, "_order_failure", _reversed_failure)
-        assert main(["left-monotone", *files]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {"error": "NotInConvexOrder", "message": _FORGED}
-
-
 class TestOneWording:
     """Every convex-order error names the condition that fails in the words of
-    `oracle_convex_failure` (Fractions): `decompose_step`, the chain check
-    of the construction and its per-atom increment check."""
+    `oracle_convex_failure` (Fractions): `decompose_step` and the chain
+    check of the construction."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -855,11 +869,6 @@ class TestOneWording:
         assert words("not in convex order: ", decompose_step, mu, nu) == failure
         assert words("marginals 0 and 1 are not in convex order: ", left_monotone_multistep, [mu, nu]) == failure
         assert words("marginals 1 and 2 are not in convex order: ", left_monotone_multistep, [mu, mu, nu]) == failure
-        with pytest.MonkeyPatch.context() as patch:
-            # the increments are in convex order by construction: forge the verdict with (mu, nu)
-            patch.setattr(coupling, "_order_failure", lambda *increments: _convex_failure(mu, nu)[0])
-            prefix = f"increments of the atom at {mu.support[0]} are not in convex order at date 1: "
-            assert words(prefix, left_monotone_multistep, [mu, mu]) == failure
         if failure is not None and failure.startswith("P_nu(k) < P_mu(k) first at k = "):
             # the named strike is the first grid point where the Fraction gap is negative
             grid, gap = oracle_put_gap(mu, nu)
