@@ -115,18 +115,31 @@ def decompose_csv_matches_the_source_tree():
     same_as_source("decompose", "narrow.json", "wide.json", "--csv")
 
 
-def decompose_on_134_components_matches_the_source_tree():
-    # 200 atoms at 4j, each split to 4j +- 2 unless j % 3 == 2: 134
-    # components and 67 single-point diagonal intervals
+def write_many_components() -> None:
+    """The 200-atom mu and 334-atom nu of 134 components as many-mu.json and
+    many-nu.json: 200 atoms at 4j, each split to 4j +- 2 unless j % 3 == 2,
+    which gives 67 single-point diagonal intervals."""
     def atoms(pairs) -> str:
         return json.dumps({"atoms": [{"x": str(x), "w": w} for x, w in pairs]})
 
     write("many-mu.json", atoms((4 * j, "1/200") for j in range(200)))
     split = ([(4 * j, "1/200")] if j % 3 == 2 else [(4 * j - 2, "1/400"), (4 * j + 2, "1/400")] for j in range(200))
     write("many-nu.json", atoms(atom for pair in split for atom in pair))
+
+
+def decompose_on_134_components_matches_the_source_tree():
+    write_many_components()
     report = json.loads(same_as_source("decompose", "many-mu.json", "many-nu.json"))
     expect(len(report["components"]) == 134, f"decompose found {len(report['components'])} components, not 134")
     same_as_source("decompose", "many-mu.json", "many-nu.json", "--csv")
+
+
+def solve_and_free_on_134_components_match_the_source_tree_at_once():
+    # every LP path is looked up in the 134 components; a scan of them per
+    # point took about 6 s for `solve` and 30 s for `free`
+    write_many_components()
+    same_as_source("solve", "many-mu.json", "many-nu.json", "--reward", "abs(1, 401)", timeout=10)
+    same_as_source("free", "many-mu.json", "many-nu.json", "--steps", "2", "--reward", "abs(2, 401)", timeout=10)
 
 
 def obstructed_shadow_csv_matches_the_source_tree():
@@ -294,6 +307,7 @@ CHECKS = [
     check_order_loads_no_coupling_simplex_or_lpsolver,
     decompose_csv_matches_the_source_tree,
     decompose_on_134_components_matches_the_source_tree,
+    solve_and_free_on_134_components_match_the_source_tree_at_once,
     obstructed_shadow_csv_matches_the_source_tree,
     an_empty_coupling_is_checked_at_once,
     verify_support_reads_left_monotone_output,

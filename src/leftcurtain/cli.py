@@ -18,9 +18,10 @@ more digits than CPython writes as a string exits 2 with
 
 Every library error that exits 2 is a `measure.MathError`, wherever it is
 defined, so `main` names that one class (and `OverflowError`).  At start
-the CLI loads only `measure`; each handler imports the modules it calls at
-the top of its body, so a command loads only what it runs (`check-order`
-nothing more, `left-monotone` `shadow` and `coupling`).
+the CLI loads only `measure`; each handler imports the modules it calls in
+the branch that calls them, so a command loads only what it runs
+(`check-order` nothing more, `left-monotone` and `free` without `--reward`
+`shadow` and `coupling`).
 `python -X importtime` shows it.
 """
 
@@ -348,7 +349,6 @@ def cmd_polar(args) -> int:
 
 def cmd_free(args) -> int:
     from .coupling import free_monotone_transport
-    from .lpsolver import solve_free
 
     mu0 = _load_measure(args.mu0)
     mun = _load_measure(args.mun)
@@ -358,6 +358,8 @@ def cmd_free(args) -> int:
     P = free_monotone_transport(mu0, mun, args.steps)
     payload = {"transport": _coupling_json(P, args.approx)}
     if spec is not None:
+        from .lpsolver import solve_free
+
         solution = solve_free(mu0, mun, args.steps, spec, mode=args.mode)
         payload["reward"] = args.reward
         payload["value"] = solution.value

@@ -66,11 +66,11 @@ class StepDecomposition:
     diagonal: DiscreteMeasure
     components: Tuple[IrreducibleDomain, ...]
 
-    def component_of_point(self, x: Fraction) -> Optional[IrreducibleDomain]:
-        for comp in self.components:
-            if comp.I.contains(x):
-                return comp
-        return None
+    def component_of_point(self, x: RationalLike) -> Optional[IrreducibleDomain]:
+        """The component whose I holds x, found by bisection: the I's are disjoint, open and increasing."""
+        x = rat(x)
+        i = bisect_left(self.components, x, key=lambda comp: comp.I.lo)
+        return self.components[i - 1] if i and x < self.components[i - 1].I.hi else None
 
     def pair_component(self, x: Fraction, y: Fraction) -> Optional[int]:
         """Index k with (x, y) in V_k, the diagonal being k = 0; None if polar."""
@@ -184,13 +184,8 @@ def _effective_paths(
     decomps, in lexicographic order when the grids are sorted.  A prefix
     leaving the domain is dropped before it is extended."""
     paths: List[Tuple[Fraction, ...]] = [(x,) for x in grids[0]]
-    for t in range(1, len(grids)):
-        extended = []
-        for p in paths:
-            for y in grids[t]:
-                if decomps[t - 1].pair_component(p[-1], y) is not None:
-                    extended.append(p + (y,))
-        paths = extended
+    for grid, decomp in zip(grids[1:], decomps):
+        paths = [p + (y,) for p in paths for y in grid if decomp.pair_component(p[-1], y) is not None]
     return paths
 
 

@@ -80,9 +80,7 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
         groups = gamma.branches(t)
         spreads = ((h, ys[0], ys[-1]) for h, ys in groups if len(ys) > 1)
         for history, lo, hi in spreads:
-            for other, ys in groups:
-                if other[0] <= history[0]:
-                    continue
+            for other, ys in groups[bisect_right(groups, history[0], key=lambda group: group[0][0]):]:
                 i = bisect_right(ys, lo)
                 if i < len(ys) and ys[i] < hi:
                     return False, CrossingWitness(t, history, lo, hi, other, ys[i])

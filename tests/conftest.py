@@ -13,7 +13,9 @@ values and step decomposition as they were computed from it.
 with `restrict` to each component, that the reading of components between
 consecutive zeros replaced (`oracle_decompose_step` runs it after the
 order check), and `oracle_diagonal_intervals` the case analysis that
-pairing up the components' ends replaced.
+pairing up the components' ends replaced.  `oracle_component_of_point` is
+the scan over every component that the bisection of
+`StepDecomposition.component_of_point` replaced.
 `oracle_free_chargeable` is the free problem's membership test by the
 paper's three n-step families, which the effective domain of the
 (mu_0, mu_n) decomposition taken at every step replaced, and
@@ -813,6 +815,14 @@ def oracle_diagonal_intervals(decomposition: StepDecomposition) -> Tuple[Interva
             pieces.append(Interval(left.I.hi, right.I.lo, True, True))
     pieces.append(Interval(last.I.hi, None, True, False))
     return tuple(pieces)
+
+
+def oracle_component_of_point(decomposition: StepDecomposition, x) -> Optional[IrreducibleDomain]:
+    """`StepDecomposition.component_of_point` by testing every component's I in turn."""
+    for comp in decomposition.components:
+        if comp.I.contains(x):
+            return comp
+    return None
 
 
 # --- scans of the sorted tables --------------------------------------------------

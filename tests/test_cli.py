@@ -168,6 +168,12 @@ class TestCommands:
         assert payload["value"] == "-1/4"
         assert payload["certificate"]["objective"] == "-1/4"
 
+    def test_solve_approx_adds_the_value_as_a_float(self, capsys, files):
+        argv = ["solve", files["mu0"], files["mu1"], files["mu2"], "--reward", "indicator(t=0, <=-1) * -1 * call(2, 0)"]
+        code, out, _ = run(capsys, argv + ["--approx"])
+        payload = json.loads(out)
+        assert code == 0 and payload["value"] == "-1/4" and payload["value_approx"] == -0.25
+
     def test_solve_float_requires_flag(self, capsys, files):
         code, _, err = run(
             capsys,
@@ -735,6 +741,19 @@ class TestErrorHandling:
         code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["shadow", "--target", "mu2"], "either --source or both --mass and --at are required"),
+            (["polar", "mu0", "mu1", "mu2", "--free", "--steps", "2", "--paths", "paths"], "--free needs exactly two marginal files"),
+        ],
+        ids=["shadow-no-source", "polar-free-three-files"],
+    )
+    def test_a_missing_or_extra_input_is_named(self, capsys, files, argv, message):
+        code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "schema", "pointer": "", "message": message}
 
     def test_max_paths_error_names_the_option(self, capsys, files):
         argv = ["left-monotone", files["mu0"], files["mu1"], files["mu2"], "--max-paths", "-1"]

@@ -105,6 +105,31 @@ class TestPathMeasure:
         with pytest.raises(ValueError, match="at least one coordinate"):
             PathMeasure(1, [((0, 0), 1)]).project([])
 
+    def test_projection_index_out_of_range(self):
+        with pytest.raises(IndexError, match="^coordinate index 2 out of range$"):
+            PathMeasure(1, [((0, 0), 1)]).project([0, 2])
+
+    def test_mixture_errors(self):
+        with pytest.raises(ValueError, match="^mixture of nothing$"):
+            PathMeasure.mixture([])
+        with pytest.raises(ValueError, match="^mixture components must share the step count$"):
+            PathMeasure.mixture([(PathMeasure(1, [((0, 0), 1)]), 1), (PathMeasure(2, [((0, 0, 0), 1)]), 1)])
+
+    @pytest.mark.parametrize(
+        "path, pointer, message",
+        [
+            (["0", "1"], "c/paths/0", "path must be an object with 'x' and 'w'"),
+            ({"x": "0", "w": "1"}, "c/paths/0/x", "must be an array of rationals"),
+            ({"x": ["0", "1"], "w": "0"}, "c/paths/0/w", "weight must be positive, got 0"),
+            ({"x": ["0", "1"], "w": "-1/2"}, "c/paths/0/w", "weight must be positive, got -1/2"),
+        ],
+        ids=["not-an-object", "x-not-an-array", "zero-weight", "negative-weight"],
+    )
+    def test_from_json_names_a_bad_path(self, path, pointer, message):
+        with pytest.raises(SchemaError) as info:
+            PathMeasure.from_json({"n": 1, "paths": [path]}, "c")
+        assert (info.value.pointer, info.value.message) == (pointer, message)
+
     def test_marginals_and_projection(self, rigid_marginals):
         P = left_monotone_multistep(rigid_marginals)
         assert P.marginal(0) == rigid_marginals[0]
@@ -394,6 +419,11 @@ class TestVerify:
         P = PathMeasure(2, [((0, 0, 0), 1)])
         with pytest.raises(MarginalMismatch):
             verify_left_monotone(P, rigid_marginals)
+
+    def test_marginal_count_must_match_the_step_count(self, rigid_marginals):
+        P = left_monotone_multistep(rigid_marginals)
+        with pytest.raises(MarginalMismatch, match="^marginal count does not match the step count$"):
+            verify_left_monotone(P, rigid_marginals[:2])
 
     def test_non_martingale_raises(self):
         marginals = [

@@ -5,30 +5,38 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
     Interval,
     NotInConvexOrder,
+    StepDecomposition,
     add,
+    build_program,
     convex_order_leq,
     decompose_step,
     effective_domain_contains,
+    find_improving_competitor,
     free_monotone_transport,
     free_polar_test,
+    left_monotone_multistep,
     polar_test,
     solve_free,
     solve_primal,
 )
-from leftcurtain import decomposition, lpsolver
+from leftcurtain import decomposition, lpsolver, simplex
 from leftcurtain.cli import main
+from leftcurtain.decomposition import decompose_chain
 from leftcurtain import measure as measure_module
 
 from conftest import (
+    dense,
     grid_chain,
     measure,
+    oracle_competitor_lp,
+    oracle_component_of_point,
     oracle_decompose_step,
     oracle_diagonal_intervals,
     oracle_free_chargeable,
@@ -186,6 +194,108 @@ class TestAgainstRunLoopOracle:
         ]
 
 
+@st.composite
+def reducible_chains(draw):
+    """Chains in the pattern of the 134-component pair: up to six atoms at 4j
+    with weights 1 to 3, then one to three steps.  A step keeps the atoms j
+    with j % period in a drawn set of residues and moves each other atom x
+    to x - a and x + b, the mean kept, the gaps (a, b) cycling through a
+    drawn list and halved at each step.  Small gaps give one component per
+    moved atom, some meeting at a point; wider ones overlap and merge them;
+    a step that moves nothing is mu = nu."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    chain = [DiscreteMeasure((4 * j, F(w, sum(weights))) for j, w in enumerate(weights))]
+    for step in range(draw(st.integers(1, 3))):
+        period = draw(st.integers(1, 4))
+        stays = draw(st.sets(st.integers(0, period - 1)))
+        gaps = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
+        atoms = []
+        for j, (x, w) in enumerate(chain[-1]):
+            if j % period in stays:
+                atoms.append((x, w))
+                continue
+            a, b = (F(g, 2**step) for g in gaps[j % len(gaps)])
+            atoms += [(x - a, w * b / (a + b)), (x + b, w * a / (a + b))]
+        chain.append(DiscreteMeasure(atoms))
+    return chain
+
+
+class _Solved(Exception):
+    pass
+
+
+def competitor_lp(pi, reward, decomps, marginal):
+    """The objective, dense rows and rhs of the LP that
+    `find_improving_competitor` solves, or None when it solves none."""
+    lps = []
+
+    def record(objective, rows, rhs):
+        lps.append((objective, dense(rows, len(objective)), rhs))
+        raise _Solved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "solve_lp", record)  # read by `geometry` only
+        try:
+            find_improving_competitor(pi, reward, decomps, marginal)
+        except _Solved:
+            pass
+    return lps[0] if lps else None
+
+
+class TestAgainstComponentScan:
+    """The bisection of `component_of_point` against the scan over every
+    component that it replaced, on reducible chains: every reader of the
+    domain gives what it gives with the scan patched in."""
+
+    @staticmethod
+    def readers(chain, paths, competitor):
+        n = len(chain) - 1
+        decomps, free = decompose_chain(chain), [decompose_step(chain[0], chain[-1])] * n
+        reward = lambda p: p[0] * p[-1] * p[-1]
+        lpsolver._constrained_program.cache_clear()
+        program = build_program(chain, reward)
+        pi = left_monotone_multistep(chain)
+        return {
+            "pairs": [
+                [[d.pair_component(x, y) for y in grid] for x in grid]
+                for d, grid in zip(decomps, (sorted({*mu.support, *nu.support}) for mu, nu in zip(chain, chain[1:])))
+            ],
+            "paths": decomposition._effective_paths([mu.support for mu in chain], decomps),
+            "free paths": decomposition._effective_paths([chain[0].support, *[chain[-1].support] * n], free),
+            "program": (program.paths, program.row_keys, program.rows),
+            "polar": polar_test(chain, paths),
+            "free polar": free_polar_test(chain[0], chain[-1], n, paths),
+            "competitor": [competitor(pi, reward, ds, marginal) for ds, marginal in ((decomps, chain[-1]), (free, None))],
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(reducible_chains(), st.integers(0, 2**32 - 1))
+    @example([DiscreteMeasure((4 * j, F(1, 3)) for j in range(3))] * 2, 0)
+    @example([DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])], 0)
+    def test_reducible_chains(self, chain, seed):
+        for mu, nu in zip(chain, chain[1:]):
+            d = decompose_step(mu, nu)
+            ends = {end for comp in d.components for end in (comp.I.lo, comp.I.hi)}
+            points = sorted({*mu.support, *nu.support, *ends})
+            points += [(a + b) / 2 for a, b in zip(points, points[1:])] + [points[0] - 1, points[-1] + 1]
+            for x in points:
+                found = d.component_of_point(x)
+                assert found == oracle_component_of_point(d, x)
+                spelled = [f"{x.numerator}/{x.denominator}"] + ([int(x)] if x.denominator == 1 else [])
+                assert all(d.component_of_point(v) == found == oracle_component_of_point(d, v) for v in spelled)
+
+        rng = random.Random(seed)
+        grids = [[*mu.support, F(1, 3), F(99)] for mu in chain]
+        paths = [tuple(rng.choice(g) for g in grids) for _ in range(30)]
+        paths += decomposition._effective_paths([mu.support for mu in chain], decompose_chain(chain))[::7]
+        looked_up = self.readers(chain, paths, competitor_lp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StepDecomposition, "component_of_point", oracle_component_of_point)
+            scanned = self.readers(chain, paths, oracle_competitor_lp)
+        for name, value in looked_up.items():
+            assert value == scanned[name], name
+
+
 class TestEffectiveDomain:
     def _decomps(self, rigid):
         return [decompose_step(rigid[t - 1], rigid[t]) for t in (1, 2)]
@@ -201,6 +311,11 @@ class TestEffectiveDomain:
     def test_diagonal_forces_equality(self, rigid_marginals):
         decomps = self._decomps(rigid_marginals)
         assert effective_domain_contains(decomps, (F(3), F(4), F(4))) is None
+
+    @pytest.mark.parametrize("path", [(F(0), F(-1)), (F(0), F(-1), F(0), F(0))])
+    def test_path_length_must_be_steps_plus_one(self, rigid_marginals, path):
+        with pytest.raises(ValueError, match="^path length must be number of steps plus one$"):
+            effective_domain_contains(self._decomps(rigid_marginals), path)
 
 
 class TestPolar:
@@ -308,6 +423,11 @@ class TestFreePolar:
         mun = measure([(-1, F(1, 4)), (1, F(1, 4)), (5, F(1, 2))])
         verdicts = free_polar_test(mu0, mun, 2, [(5, 5, 5), (0, 9, 1), (0, 0, 1)])
         assert [v.polar for v in verdicts] == [False, True, False]
+
+    def test_path_length_must_be_n_plus_one(self):
+        mu0, mun = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(ValueError, match="^path length must be n \\+ 1$"):
+            free_polar_test(mu0, mun, 2, [(0, 0, 1), (0, 1)])
 
     def test_pinned_tail_agrees_with_free_lp(self):
         # an endpoint atom reached early and held is chargeable

@@ -226,6 +226,18 @@ class TestCompetitors:
                     )
                     assert improvement is None
 
+    def test_one_decomposition_per_step(self):
+        pi = PathMeasure(2, [((0, 0, 0), 1)])
+        with pytest.raises(ValueError, match="^need one step decomposition per step of pi$"):
+            find_improving_competitor(pi, lambda p: 0, self._ambient())
+
+    def test_no_candidate_column_is_no_improvement_without_an_lp(self, monkeypatch):
+        # (0, 1) leaves the diagonal of delta_0 -> delta_0, the only candidate
+        monkeypatch.setattr(simplex, "solve_lp", None)
+        pi = PathMeasure(1, [((0, 1), 1)])
+        zero = decompose_step(DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(0))
+        assert find_improving_competitor(pi, lambda p: p[1], [zero]) is None
+
     def test_float_reward_is_rejected_before_any_lp(self, monkeypatch):
         pi = PathMeasure(1, [((0, -1), F(1, 4)), ((0, 1), F(1, 4)), ((1, 0), F(1, 2))])
         lps = []

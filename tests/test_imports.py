@@ -60,7 +60,8 @@ COMMANDS = [
     (["verify-support", "coupling.json"], SUPPORT_SCANS),
     (["examples"], SUPPORT_SCANS),
     (["solve", "narrow.json", "wide.json", "--reward", "abs(1, 0)"], EVERY_MODULE),
-    (["free", "narrow.json", "wide.json", "--steps", "2"], EVERY_MODULE),
+    (["free", "narrow.json", "wide.json", "--steps", "2"], ["coupling", "shadow"]),
+    (["free", "narrow.json", "wide.json", "--steps", "2", "--reward", "abs(2, 0)"], EVERY_MODULE),
 ]
 
 

@@ -348,6 +348,16 @@ class TestChainMinCall:
         with pytest.raises(Infeasible):
             chain_min_call(DiscreteMeasure.dirac(0, 2), [DiscreteMeasure.dirac(0)], 1, 0)
 
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_date_out_of_range(self, t):
+        with pytest.raises(ValueError, match="^t must lie between 1 and the chain length$"):
+            chain_min_call(DiscreteMeasure.dirac(0), [DiscreteMeasure.dirac(0)], t, 0)
+
+    def test_zero_part_is_zero_without_an_lp(self, monkeypatch):
+        monkeypatch.setattr(lpsolver, "solve_lp", None)
+        value = chain_min_call(DiscreteMeasure.zero(), [DiscreteMeasure.dirac(0)], 1, -5)
+        assert value == 0 and isinstance(value, F)
+
     def test_matches_obstructed_shadow_calls(self):
         rng = random.Random(137)
         for _ in range(10):

@@ -464,6 +464,13 @@ class TestArithmetic:
         with pytest.raises(NegativeWeight):
             subtract(mu, DiscreteMeasure.dirac(5, F(1, 8)))
 
+    def test_scaled(self):
+        mu = measure([(0, 1), (2, F(1, 2))])
+        assert mu.scaled("2/3") == measure([(0, F(2, 3)), (2, F(1, 3))])
+        assert mu.scaled(0).is_zero
+        with pytest.raises(NegativeWeight, match="^cannot scale by negative factor -1/2$"):
+            mu.scaled("-1/2")
+
     @given(small_measures(), small_measures())
     @settings(max_examples=40, deadline=None)
     def test_add_is_linear_in_mass_and_moment(self, mu, nu):

@@ -281,6 +281,11 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match=message):
             solve_lp(objective, rows, rhs, senses)
 
+    def test_solve_from_needs_one_coefficient_per_column(self):
+        state = phase1(2, [[(0, 1), (1, 1)]], [2])
+        with pytest.raises(ValueError, match="^objective has 1 coefficients, expected 2$"):
+            solve_from(state, [1])
+
 
 def random_lp(rng):
     m = rng.randint(1, 5)
