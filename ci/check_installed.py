@@ -57,8 +57,13 @@ def importtime(*args, code=0):
     return run([PYTHON, "-X", "importtime", shutil.which("leftcurtain"), *args], code)
 
 
+def imported(log: bytes, name: str) -> bool:
+    """Whether the import log holds the module of full dotted name `name`."""
+    return re.search(rb"\| +" + re.escape(name.encode()) + rb"$", log, re.MULTILINE) is not None
+
+
 def loaded(log: bytes, module: str) -> bool:
-    return re.search(rb"\| +leftcurtain\." + module.encode() + rb"$", log, re.MULTILINE) is not None
+    return imported(log, "leftcurtain." + module)
 
 
 def python(code: str, *args, timeout=None):
@@ -162,6 +167,14 @@ def verify_support_reads_left_monotone_output():
         expect(not loaded(log, module), f"verify-support loaded leftcurtain.{module}")
     report = json.loads(out)
     expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
+
+
+def commands_without_an_lp_load_no_dataclasses():
+    # `dataclasses` loads `inspect`, `dis`, `ast` and `tokenize`: only the LP layer imports it
+    for args, code in ((("check-order", "wide.json", "narrow.json"), 2), (("verify-support", "lm.json"), 0)):
+        log = importtime(*args, code=code)[1]
+        for name in ("dataclasses", "inspect"):
+            expect(not imported(log, name), f"{args[0]} loaded {name}")
 
 
 def a_lone_double_dash_option_value_is_a_json_error():
@@ -311,6 +324,7 @@ CHECKS = [
     obstructed_shadow_csv_matches_the_source_tree,
     an_empty_coupling_is_checked_at_once,
     verify_support_reads_left_monotone_output,
+    commands_without_an_lp_load_no_dataclasses,
     a_lone_double_dash_option_value_is_a_json_error,
     a_file_that_is_not_utf8_is_named,
     deep_nesting_is_a_schema_error_at_once,

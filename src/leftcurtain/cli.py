@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -290,9 +289,9 @@ def cmd_verify_support(args) -> int:
     checks = {"left_monotone": lm_ok, "nondegenerate": nd_ok, "martingale": mart_ok}
     payload = {**checks, "markov": markov_check(P)}
     if lm_wit is not None:
-        payload["crossing_witness"] = asdict(lm_wit)
+        payload["crossing_witness"] = lm_wit._asdict()
     if nd_wit is not None:
-        payload["degeneracy_witness"] = asdict(nd_wit)
+        payload["degeneracy_witness"] = nd_wit._asdict()
     if mart_wit is not None:
         payload["martingale_witness"] = mart_wit
     rows = [{"check": check, "ok": ok} for check, ok in checks.items()]
@@ -336,7 +335,7 @@ def cmd_polar(args) -> int:
     else:
         verdicts = polar_test(marginals, paths)
     payload = {
-        "verdicts": [asdict(v) for v in verdicts],
+        "verdicts": [v._asdict() for v in verdicts],
         "all_polar": all(v.polar for v in verdicts),
     }
     rows = [

@@ -14,13 +14,12 @@ free-intermediate-marginal problem.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby, pairwise
 from math import gcd, lcm, prod
 from operator import getitem, itemgetter, lt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
@@ -31,6 +30,7 @@ from .measure import (
     _rat_from_json,
     _rat_to_json,
     _sweep,
+    _Value,
     rat,
     require_convex_order_chain,
 )
@@ -63,14 +63,14 @@ class KernelPolicy(Enum):
     LP_FEASIBLE = "lp-feasible"
 
 
-@dataclass(frozen=True)
-class PathMeasure:
+class PathMeasure(_Value):
     """Sparse measure on R^(n+1) given by weighted support paths, read in
     input order, then sorted and merged in one pass (`measure._merged`);
     `left_monotone_multistep` builds its own in order (`_in_order`)."""
 
+    __slots__ = ("n", "paths")
     n: int
-    paths: Tuple[Tuple[Path, Fraction], ...] = ()
+    paths: Tuple[Tuple[Path, Fraction], ...]
 
     def __init__(self, n: int, paths: Iterable[Tuple[Sequence[RationalLike], RationalLike]] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -407,8 +407,7 @@ def _in_order(n: int, supports: Sequence[Tuple[Fraction, ...]], done: list) -> P
     return P
 
 
-@dataclass(frozen=True)
-class PrefixImageRecord:
+class PrefixImageRecord(NamedTuple):
     """A prefix image that differs from the obstructed shadow of its prefix."""
 
     prefix: Fraction

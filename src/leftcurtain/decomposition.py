@@ -17,10 +17,9 @@ grids for the LPs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .measure import (
     DiscreteMeasure,
@@ -29,14 +28,14 @@ from .measure import (
     RationalLike,
     _convex_failure,
     _Sweep,
+    _Value,
     rat,
     require_convex_order_chain,
     subtract,
 )
 
 
-@dataclass(frozen=True)
-class IrreducibleDomain:
+class IrreducibleDomain(NamedTuple):
     """One irreducible component of a one-step problem.
 
     I is the open interval {u_mu < u_nu}; J adds those endpoints of I that
@@ -59,12 +58,16 @@ class IrreducibleDomain:
         }
 
 
-@dataclass(frozen=True)
-class StepDecomposition:
+class StepDecomposition(_Value):
     """Diagonal part plus irreducible components of one transport step."""
 
+    __slots__ = ("diagonal", "components")
     diagonal: DiscreteMeasure
     components: Tuple[IrreducibleDomain, ...]
+
+    def __init__(self, diagonal: DiscreteMeasure, components: Tuple[IrreducibleDomain, ...]):
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "components", components)
 
     def component_of_point(self, x: RationalLike) -> Optional[IrreducibleDomain]:
         """The component whose I holds x, found by bisection: the I's are disjoint, open and increasing."""
@@ -189,8 +192,7 @@ def _effective_paths(
     return paths
 
 
-@dataclass(frozen=True)
-class PolarVerdict:
+class PolarVerdict(NamedTuple):
     path: Tuple[Fraction, ...]
     polar: bool
     reason: str

@@ -17,23 +17,22 @@ Only that search loads `decomposition` and `simplex`, so the scans run without t
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coupling import Path, PathMeasure, _histories
-from .measure import DiscreteMeasure, rat
+from .measure import DiscreteMeasure, _Value, rat
 
 if TYPE_CHECKING:
     from .decomposition import StepDecomposition
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(_Value):
     """A finite set of support paths in R^(n+1), read and checked by
     `PathMeasure`: `points` is its support, sorted and distinct."""
 
+    __slots__ = ("n", "points")
     n: int
     points: Tuple[Path, ...]
 
@@ -57,8 +56,7 @@ class SupportSet:
         return tuple((h, [y for y, _ in groupby(p[t] for p in group)]) for h, group in groups)
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(NamedTuple):
     t: int
     history: Path
     y_minus: Fraction
@@ -87,8 +85,7 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
     return True, None
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
+class DegeneracyWitness(NamedTuple):
     t: int
     history: Path
     y: Fraction
@@ -106,8 +103,7 @@ def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWi
     return True, None
 
 
-@dataclass(frozen=True)
-class Improvement:
+class Improvement(NamedTuple):
     competitor: PathMeasure
     value: Fraction
     baseline: Fraction

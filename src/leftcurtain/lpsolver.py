@@ -27,13 +27,15 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .coupling import Path, PathMeasure
 from .decomposition import _effective_paths, decompose_chain, decompose_step
-from .geometry import SupportSet
 from .measure import DiscreteMeasure, RationalLike, _rat_to_json, rat
 from .simplex import Infeasible, LpResult, solve_lp
+
+if TYPE_CHECKING:
+    from .geometry import SupportSet
 
 Reward = Callable[[Path], Union[Fraction, int, float]]
 
@@ -252,6 +254,8 @@ def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
 
 def contact_set(certificate: DualCertificate, reward: Reward) -> SupportSet:
     """Effective-domain grid paths where the hedge touches the reward."""
+    from .geometry import SupportSet
+
     program = certificate.program
     touching = [
         path

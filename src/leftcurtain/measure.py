@@ -17,12 +17,11 @@ import json
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -124,8 +123,44 @@ def _rat_to_json(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Value:
+    """An immutable value with its own constructor: its fields are the
+    subclass's `__slots__`, each set once through `object.__setattr__`.  It
+    compares, hashes and prints by its fields as a frozen dataclass does,
+    refuses assignment and deletion, and is copied and pickled field by
+    field.  It is no tuple, so a result is never mistaken for a pair."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    __getstate__ = _values
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Interval(NamedTuple):
     """A real interval with optional rational endpoints.
 
     ``lo is None`` / ``hi is None`` encode the unbounded ends; the closed
@@ -198,8 +233,7 @@ def _merged(pairs: Iterable[tuple], name: Callable[[object], str]) -> tuple:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Value):
     """A finitely supported nonnegative measure on the real line.
 
     Atoms are stored sorted by position with strictly positive weights, read
@@ -207,7 +241,8 @@ class DiscreteMeasure:
     are immutable and hashable; every operation returns a fresh measure.
     """
 
-    atoms: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("atoms",)
+    atoms: Tuple[Tuple[Fraction, Fraction], ...]
 
     def __init__(self, atoms: Iterable[Tuple[RationalLike, RationalLike]] = ()):
         pairs = ((rat(x), rat(w)) for x, w in atoms)
@@ -401,8 +436,7 @@ def put_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     return Fraction(puts[bisect_left(grid, k)], d * e)
 
 
-@dataclass(frozen=True)
-class PotentialFunction:
+class PotentialFunction(NamedTuple):
     """Piecewise-linear convex function x -> integral of |x - y| d(mu).
 
     Breakpoints sit exactly at the atoms of the measure; outside the support

@@ -35,16 +35,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .measure import DiscreteMeasure, NotInPositiveConvexOrder, RationalLike, rat
 
 
-@dataclass(frozen=True)
-class ShadowResult:
+class ShadowResult(NamedTuple):
     """A shadow together with what is left of the target."""
 
     shadow: DiscreteMeasure

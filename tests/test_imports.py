@@ -15,9 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The support scans of `geometry` need no LP code.
+# The support scans of `geometry` need no LP code, and the LPs need no
+# `geometry` (only `lpsolver.contact_set` builds a support set).
 SUPPORT_SCANS = ["coupling", "geometry", "shadow"]
-EVERY_MODULE = ["coupling", "decomposition", "geometry", "lpsolver", "shadow", "simplex"]
+LP_MODULES = ["coupling", "decomposition", "lpsolver", "shadow", "simplex"]
+# Loaded by `dataclasses`, which only the LP layer imports.
+COLD_START = ["dataclasses", "inspect"]
 
 
 def child(code: str, cwd=ROOT):
@@ -56,12 +59,12 @@ COMMANDS = [
     (["shadow", "--mass", "1/2", "--at", "0", "--target", "wide.json"], ["shadow"]),
     (["obstructed-shadow", "--part", "narrow.json", "wide.json"], ["shadow"]),
     (["left-monotone", "narrow.json", "wide.json"], ["coupling", "shadow"]),
-    (["left-monotone", "narrow.json", "wide.json", "--policy", "lp-feasible"], EVERY_MODULE),
+    (["left-monotone", "narrow.json", "wide.json", "--policy", "lp-feasible"], LP_MODULES),
     (["verify-support", "coupling.json"], SUPPORT_SCANS),
     (["examples"], SUPPORT_SCANS),
-    (["solve", "narrow.json", "wide.json", "--reward", "abs(1, 0)"], EVERY_MODULE),
+    (["solve", "narrow.json", "wide.json", "--reward", "abs(1, 0)"], LP_MODULES),
     (["free", "narrow.json", "wide.json", "--steps", "2"], ["coupling", "shadow"]),
-    (["free", "narrow.json", "wide.json", "--steps", "2", "--reward", "abs(2, 0)"], EVERY_MODULE),
+    (["free", "narrow.json", "wide.json", "--steps", "2", "--reward", "abs(2, 0)"], LP_MODULES),
 ]
 
 
@@ -74,7 +77,8 @@ def test_each_command_loads_only_the_modules_it_calls(inputs, argv, extra):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main({argv!r})
         mods = sorted(m for m in sys.modules if m.split(".")[0] == "leftcurtain")
-        print(json.dumps({{"code": code, "modules": mods, "csv": "csv" in sys.modules}}))
+        cold = [m for m in {COLD_START!r} if m in sys.modules]
+        print(json.dumps({{"code": code, "modules": mods, "csv": "csv" in sys.modules, "cold": cold}}))
         """,
         cwd=inputs,
     )
@@ -82,6 +86,20 @@ def test_each_command_loads_only_the_modules_it_calls(inputs, argv, extra):
     assert loaded["code"] == 0
     assert loaded["modules"] == sorted(expected + [f"leftcurtain.{m}" for m in extra])
     assert loaded["csv"] is ("--csv" in argv)
+    if "lpsolver" not in extra:
+        assert loaded["cold"] == []
+
+
+@pytest.mark.parametrize("module", ["geometry", "decomposition"])
+def test_the_value_types_load_no_dataclasses(module):
+    loaded = child(
+        f"""
+        import json, sys
+        import leftcurtain.{module}
+        print(json.dumps([m for m in {COLD_START!r} if m in sys.modules]))
+        """
+    )
+    assert loaded == []
 
 
 def test_a_bare_import_loads_no_module():
