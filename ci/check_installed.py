@@ -249,9 +249,19 @@ P = PathMeasure.from_json(json.load(open(sys.argv[1]))["coupling"])
 sys.exit(verify_left_monotone(P, marginals) != (True, None))""", coupling, *grids, timeout=timeout)
 
 
+def strong_order_reads(output: bytes, holds: bool) -> None:
+    """The `left-monotone` output's "strong_order" is `holds`: a verdict wrong
+    in both trees would pass the byte comparison."""
+    got = json.loads(output)["strong_order"]
+    expect(got is holds, f"left-monotone reads strong_order {got}, not {holds}")
+
+
 def left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies():
+    # the one grid of the test suite where strong order holds
     grids = write_grid("grid", 400)
-    Path("grid-installed.json").write_bytes(same_as_source("left-monotone", *grids, timeout=60))
+    coupling = same_as_source("left-monotone", *grids, timeout=60)
+    Path("grid-installed.json").write_bytes(coupling)
+    strong_order_reads(coupling, True)
     out = installed("verify-support", "grid-installed.json", timeout=60)[0]
     report = json.loads(out)
     expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
@@ -262,7 +272,9 @@ def left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies():
 def left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies():
     # 1600 / 2301 / 3096 atoms, 14 011 paths, taken in index order as built
     grids = write_grid("big", 1600)
-    Path("big-installed.json").write_bytes(same_as_source("left-monotone", *grids, timeout=120))
+    coupling = same_as_source("left-monotone", *grids, timeout=120)
+    Path("big-installed.json").write_bytes(coupling)
+    strong_order_reads(coupling, False)
     verify_left_monotone_holds(grids, "big-installed.json", timeout=120)
 
 

@@ -27,9 +27,9 @@ from .measure import (
     RationalLike,
     SchemaError,
     _merged,
+    _put_sweep,
     _rat_from_json,
     _rat_to_json,
-    _sweep,
     _Value,
     rat,
     require_convex_order_chain,
@@ -307,28 +307,6 @@ def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increm
     return out
 
 
-def _pair_scales(marginals: Sequence[DiscreteMeasure], sweeps: Sequence[tuple]) -> list:
-    """Per consecutive pair of `marginals`, the positions of both as
-    integers X = D*x on the pair's position scale D, that of its sweep
-    (`require_convex_order_chain`)."""
-
-    def scaled(mu: DiscreteMeasure, d: int) -> list:
-        return [x.numerator * (d // x.denominator) for x in mu.support]
-
-    return [(scaled(mu, sweep[4]), scaled(nu, sweep[4])) for (mu, nu), sweep in zip(pairwise(marginals), sweeps)]
-
-
-def _order_failure(lower: _Increment, upper: _Increment, below: list, above: list) -> bool:
-    """Whether the increment `lower` is not <=_c `upper`: one integer sweep
-    over the lcm of the weight denominators, `below` and `above` being the
-    integer positions of their marginals from `_pair_scales`."""
-    e = lcm(*(d for _, _, d in lower), *(d for _, _, d in upper))
-    signed = [(above[k], n * (e // d)) for k, n, d in upper]
-    signed += [(below[j], -n * (e // d)) for j, n, d in lower]
-    _, gap, mass, moment = _sweep(signed)
-    return bool(mass or moment or min(gap) < 0)
-
-
 def _measure(increment: _Increment, positions: Sequence[Fraction]) -> DiscreteMeasure:
     """`increment` as a measure on the `positions` of its marginal."""
     return DiscreteMeasure((positions[k], Fraction(n, d)) for k, n, d in increment)
@@ -458,12 +436,13 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     Exactly when this holds do the bivariate projections of a left-monotone
     transport reduce to one-step Left-Curtain couplings.  It is checked atom
     by atom: the integer takes of each atom of the first marginal from one
-    residual per date must increase in convex order, one integer sweep per
-    pair (`_order_failure`).  (<=) A prefix's shadows are sums of its atoms'
-    takes (shadow associativity), and sums of pairs in convex order are in
-    convex order.  (=>) Fix a prefix p; if S_t(p) <=_c S_{t+1}(p), S_t being
-    the shadow in mu_t, then S_{t+1}(p) lies in
-    {theta : S_t(p) <=_c theta <= mu_{t+1}}, whose least element
+    residual per date must increase in convex order.  Each consecutive pair
+    of takes, put on one weight scale as ints, is one `_put_sweep`, which
+    fails on the conditions of `measure._convex_failure`.  (<=) A prefix's
+    shadows are sums of its atoms' takes (shadow associativity), and sums of
+    pairs in convex order are in convex order.  (=>) Fix a prefix p; if
+    S_t(p) <=_c S_{t+1}(p), S_t being the shadow in mu_t, then S_{t+1}(p)
+    lies in {theta : S_t(p) <=_c theta <= mu_{t+1}}, whose least element
     S_{t+1}(S_t(p)) lies in the larger set
     {theta : p <=_c theta <= mu_{t+1}}, whose least element is S_{t+1}(p).
     So the two are equal, by induction on t every obstructed shadow is
@@ -471,16 +450,21 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     increase.
     """
     marginals = list(marginals)
-    sweeps = require_convex_order_chain(marginals)
+    require_convex_order_chain(marginals)
     if len(marginals) <= 2:
         return True
-    scales = _pair_scales(marginals, sweeps)[1:]
+    positions = [mu.support for mu in marginals[1:]]
     residuals = [_Residual(nu) for nu in marginals[1:]]
     for x, q in marginals[0].atoms:
         takes = [r.take_ints(x, q.numerator, q.denominator) for r in residuals]
-        takes = [[(k, w, e) for k, w in pieces] for pieces, e in takes]
-        if any(_order_failure(lo, hi, *scale) for lo, hi, scale in zip(takes, takes[1:], scales)):
-            return False
+        for (lower, d), (upper, e), below, above in zip(takes, takes[1:], positions, positions[1:]):
+            scale = lcm(d, e)
+            _, gap, mass, moment, _, _ = _put_sweep(
+                [(above[k], w * (scale // e)) for k, w in upper],
+                [(below[j], w * (scale // d)) for j, w in lower],
+            )
+            if mass or moment or min(gap) < 0:
+                return False
     return True
 
 

@@ -375,11 +375,12 @@ def _put_sweep(
 ) -> _Sweep:
     """The put potential of the signed measure plus - minus, in integers.
 
-    `plus` and `minus` are (position, weight) atoms sorted by position.  D,
-    the lcm of the position denominators (of `points` too), and E, the lcm
-    of the weight denominators, scale every position to an integer X = D*x
-    and every weight to an integer W = E*w.  With M and Mo the scaled mass
-    and first moment strictly below K = D*k,
+    `plus` and `minus` are (position, weight) atoms sorted by position, a
+    weight being a rational: a `Fraction` or an int.  D, the lcm of the
+    position denominators (of `points` too), and E, the lcm of the weight
+    denominators, scale every position to an integer X = D*x and every
+    weight to an integer W = E*w.  With M and Mo the scaled mass and first
+    moment strictly below K = D*k,
 
         D*E * P(k) = D*E * sum_{y < k} w * (k - y) = K*M - Mo,
 
@@ -401,12 +402,6 @@ def _put_sweep(
     signed = [(x.numerator * (d // x.denominator), w.numerator * (e // w.denominator)) for x, w in plus]
     signed += [(x.numerator * (d // x.denominator), -w.numerator * (e // w.denominator)) for x, w in minus]
     signed += [(k.numerator * (d // k.denominator), 0) for k in points]
-    return (*_sweep(signed), d, e)
-
-
-def _sweep(signed: List[Tuple[int, int]]) -> Tuple[List[int], List[int], int, int]:
-    """(grid, puts, mass, moment) of `_put_sweep` for signed atoms (X, W)
-    already on one position and one weight scale; sorts `signed` in place."""
     signed.sort(key=itemgetter(0))
     grid: List[int] = []
     puts: List[int] = []
@@ -417,7 +412,7 @@ def _sweep(signed: List[Tuple[int, int]]) -> Tuple[List[int], List[int], int, in
             puts.append(x * mass - moment)
         mass += w
         moment += w * x
-    return grid, puts, mass, moment
+    return grid, puts, mass, moment, d, e
 
 
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:

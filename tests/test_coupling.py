@@ -33,6 +33,7 @@ from leftcurtain import (
     is_nondegenerate_set,
     left_curtain_one_step,
     left_monotone_multistep,
+    left_tail_put_reward,
     markov_check,
     solve_primal,
     strong_order_holds,
@@ -632,12 +633,12 @@ class TestIncrementsIncrease:
         chain = grid_chain(random.Random(40), 40)
         assert [len(mu) for mu in chain] == [40, 60, 78]
         calls = []
-        for module in (measure_module, coupling):  # `coupling` binds its own `_sweep`
-            def counted(signed, original=module._sweep):
-                calls.append(len(signed))
-                return original(signed)
+        for module in (measure_module, coupling):  # `coupling` binds its own `_put_sweep`
+            def counted(*args, original=module._put_sweep):
+                calls.append(args)
+                return original(*args)
 
-            monkeypatch.setattr(module, "_sweep", counted)
+            monkeypatch.setattr(module, "_put_sweep", counted)
         left_monotone_multistep(chain, policy)
         assert len(calls) == 2
 
@@ -871,6 +872,46 @@ class TestPerAtomChecksAgainstPrefixSums:
         chain = grid_chain(random.Random(45), 160)
         assert strong_order_holds(chain) is True
         assert oracle_running_strong_order(chain) is True
+
+    @pytest.mark.parametrize("k, holds", [(200, False), (400, True), (1600, False)])
+    def test_strong_order_at_size(self, k, holds):
+        # strong order holds on the 400-atom grid, so every atom's takes are swept
+        chain = grid_chain(random.Random(k), k)
+        assert strong_order_holds(chain) is holds
+        if k == 400:
+            assert oracle_running_strong_order(chain) is holds
+
+
+class TestFirstTwoCharacterizationsAgree:
+    """A martingale coupling of the marginals has a support without crossings
+    (`is_left_monotone_set`) exactly when its prefix images are the
+    obstructed shadows (`verify_left_monotone`): both verdicts on the two
+    constructions, `feasible_transport`, and the LP optimizers of a
+    `left_tail_put_reward` probe and of its negation."""
+
+    @staticmethod
+    def verdicts(seed, steps):
+        rng = random.Random(seed)
+        chain = random_marginal_chain(rng, steps, max_support=4, start_atoms=4)
+        t = rng.randint(1, steps)
+        probe = left_tail_put_reward(rng.choice(chain[0].support), t, rng.choice(chain[t].support))
+        couplings = [left_monotone_multistep(chain, policy) for policy in KernelPolicy]
+        couplings.append(feasible_transport(chain))
+        couplings += [solve_primal(chain, probe).optimizer, solve_primal(chain, lambda p: -probe(p)).optimizer]
+        return [(is_left_monotone_set(SupportSet.of(P))[0], verify_left_monotone(P, chain)[0]) for P in couplings]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 2))
+    def test_verdicts_agree(self, seed, steps):
+        for crossing_free, images_match in self.verdicts(seed, steps):
+            assert crossing_free == images_match
+
+    @pytest.mark.parametrize("seed, steps, falses", [(0, 1, 0), (13, 1, 3), (20, 2, 3)])
+    def test_both_verdicts_occur(self, seed, steps, falses):
+        # the two verdicts agree on every coupling, False on some of two chains
+        verdicts = self.verdicts(seed, steps)
+        assert verdicts.count((False, False)) == falses
+        assert verdicts.count((True, True)) == len(verdicts) - falses
 
 
 class TestOneWording:

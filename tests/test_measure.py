@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -29,7 +30,7 @@ from leftcurtain import (
     restrict,
     subtract,
 )
-from leftcurtain.measure import _json_from_text, _rat_from_json
+from leftcurtain.measure import _json_from_text, _put_sweep, _rat_from_json
 
 from conftest import (
     Unhashable,
@@ -437,6 +438,25 @@ class TestPutSweepAgainstFractionOracle:
         assert decompose_step(zero, zero) == oracle_sweep_decompose_step(zero, zero)
         assert potential(zero) == oracle_sweep_potential(zero)
         assert put_value(zero, 5) == call_value(zero, -5) == 0
+
+
+class TestPutSweepIntegerWeights:
+    """A weight of `_put_sweep` is a rational: on int weights E*w, E the lcm
+    of the weight denominators, the sweep is that of the Fraction weights w
+    with weight scale 1 for E (`strong_order_holds` sweeps int takes)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_pairs(), st.lists(_positions, max_size=3))
+    def test_int_weights_sweep_as_their_fractions(self, pair, points):
+        mu, nu = pair
+        e = math.lcm(*(w.denominator for _, w in mu.atoms + nu.atoms))
+
+        def scaled(m):
+            return [(x, int(e * w)) for x, w in m.atoms]
+
+        *sweep, d, scale = _put_sweep(nu.atoms, mu.atoms, points)
+        assert scale == e
+        assert _put_sweep(scaled(nu), scaled(mu), points) == (*sweep, d, 1)
 
 
 class TestArithmetic:
