@@ -136,6 +136,14 @@ def decompose_on_134_components_matches_the_source_tree():
     write_many_components()
     report = json.loads(same_as_source("decompose", "many-mu.json", "many-nu.json"))
     expect(len(report["components"]) == 134, f"decompose found {len(report['components'])} components, not 134")
+    for comp in report["components"]:
+        I, J, atoms = comp["I"], comp["J"], comp["nu"]["atoms"]
+        ends = [atoms[0], atoms[-1]]
+        expect(J["lo_closed"] and J["hi_closed"], f"component {comp['k']} has J = {J}, not I's closure")
+        expect(
+            [(a["x"], a["w"]) for a in ends] == [(I["lo"], "1/400"), (I["hi"], "1/400")],
+            f"component {comp['k']} has nu's end atoms {ends}, not 1/400 at each end of {I}",
+        )
     same_as_source("decompose", "many-mu.json", "many-nu.json", "--csv")
 
 

@@ -131,10 +131,6 @@ class PathMeasure(_Value):
         hi = rat(hi)
         return PathMeasure(self.n, ((p, w) for p, w in self.paths if p[0] <= hi))
 
-    def scaled(self, factor: RationalLike) -> "PathMeasure":
-        factor = rat(factor)
-        return PathMeasure(self.n, ((p, w * factor) for p, w in self.paths))
-
     @staticmethod
     def mixture(parts: Sequence[Tuple["PathMeasure", RationalLike]]) -> "PathMeasure":
         if not parts:

@@ -38,8 +38,8 @@ from .measure import (
 class IrreducibleDomain(NamedTuple):
     """One irreducible component of a one-step problem.
 
-    I is the open interval {u_mu < u_nu}; J adds those endpoints of I that
-    carry an atom of the component's target nu_k.
+    I is the open interval {u_mu < u_nu}; J is its closure, as both
+    endpoints of I carry an atom of the component's target nu_k.
     """
 
     index: int
@@ -126,7 +126,7 @@ def decompose_chain(marginals: Sequence[DiscreteMeasure]) -> List[StepDecomposit
 
 def _decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep: _Sweep) -> StepDecomposition:
     """The decomposition of mu <=_c nu read off the sweep of nu - mu."""
-    grid, values, _, _, d, _ = sweep
+    grid, values, _, _, d, e = sweep
     # The difference vanishes at both ends of the support hull (equal mass
     # and barycenter) and is linear between grid points, so {u_mu < u_nu} is
     # the union of the open stretches between consecutive zeros of the gap
@@ -142,16 +142,15 @@ def _decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep: _Sweep) -> Step
         lo, hi = Fraction(grid[a], d), Fraction(grid[b], d)
         mu_k = DiscreteMeasure(mu.atoms[bisect_right(mu_at, lo):bisect_left(mu_at, hi)])
         nu_inside = nu.atoms[bisect_right(nu_at, lo):bisect_left(nu_at, hi)]
-        # Endpoint fractions from the component's mass/barycenter equations.
-        need_mass = mu_k.mass - sum(w for _, w in nu_inside)
-        need_fm = mu_k.first_moment - sum(w * x for x, w in nu_inside)
-        frac_hi = (need_fm - lo * need_mass) / (hi - lo)
-        frac_lo = need_mass - frac_hi
-        if frac_lo < 0 or frac_lo > nu.weight_at(lo) or frac_hi < 0 or frac_hi > nu.weight_at(hi):
+        # The puts are D*E*(P_nu - P_mu) at K = D*k, so d(puts) / (E*dK) right of lo
+        # is (nu - mu)((-inf, lo]), nu_k's share of nu's atom at lo (nu = mu on the
+        # diagonal, earlier components balance); at hi, -(nu - mu)((-inf, hi)).
+        frac_lo = Fraction(values[a + 1] - values[a], e * (grid[a + 1] - grid[a]))
+        frac_hi = Fraction(values[b - 1] - values[b], e * (grid[b] - grid[b - 1]))
+        if frac_lo > nu.weight_at(lo) or frac_hi > nu.weight_at(hi):
             raise AssertionError("component endpoint assignment out of bounds")
         nu_k = DiscreteMeasure([*nu_inside, (lo, frac_lo), (hi, frac_hi)])
-        J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
-        components.append(IrreducibleDomain(k, Interval.open(lo, hi), J, mu_k, nu_k))
+        components.append(IrreducibleDomain(k, Interval.open(lo, hi), Interval.closed(lo, hi), mu_k, nu_k))
 
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     nu_diagonal = subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k]))
@@ -242,7 +241,7 @@ def free_polar_test(
     A path is polar iff mu0 gives no mass to its start, or mun none to its
     end, or it leaves the effective domain of n steps that each decompose
     as (mu0, mun) does.  That domain is the paper's n-step components: from
-    I_k a step stays in J_k; a closed endpoint p of J_k lies in no I_j (the
+    I_k a step stays in J_k; an endpoint p of J_k lies in no I_j (the
     potential gap vanishes there), so the diagonal then holds the path at p;
     and a path starting in I_0 is constant.  Hence I_k^n x J_k, the pinned
     I_k^t x {p}^(n-t+1) and the constant paths in I_0, and nothing else.

@@ -35,6 +35,7 @@ from leftcurtain import (
     left_monotone_multistep,
     left_tail_put_reward,
     markov_check,
+    obstructed_shadow,
     solve_primal,
     strong_order_holds,
     verify_left_monotone,
@@ -102,6 +103,10 @@ class TestPathMeasure:
         assert str(PathMeasure(0, [((5,), 1)])) == "1*d(5)"
         assert str(PathMeasure(2)) == "0"
 
+    def test_marginal_index_out_of_range(self):
+        with pytest.raises(IndexError, match="^marginal index 2 out of range$"):
+            PathMeasure(1, [((0, 0), 1)]).marginal(2)
+
     def test_projection_needs_a_coordinate(self):
         with pytest.raises(ValueError, match="at least one coordinate"):
             PathMeasure(1, [((0, 0), 1)]).project([])
@@ -130,6 +135,11 @@ class TestPathMeasure:
         with pytest.raises(SchemaError) as info:
             PathMeasure.from_json({"n": 1, "paths": [path]}, "c")
         assert (info.value.pointer, info.value.message) == (pointer, message)
+
+    def test_from_json_paths_must_be_an_array(self):
+        with pytest.raises(SchemaError) as info:
+            PathMeasure.from_json({"n": 1, "paths": {"x": ["0", "1"], "w": "1"}}, "c")
+        assert (info.value.pointer, info.value.message) == ("c/paths", "must be an array")
 
     def test_marginals_and_projection(self, rigid_marginals):
         P = left_monotone_multistep(rigid_marginals)
@@ -326,6 +336,10 @@ class TestLeftCurtainOneStep:
 
 
 class TestMultistepConstruction:
+    def test_needs_two_marginals(self):
+        with pytest.raises(ValueError, match="^need at least two marginals$"):
+            left_monotone_multistep([DiscreteMeasure.dirac(0)])
+
     def test_rigid_instance_reproduced(self, rigid_marginals):
         P = left_monotone_multistep(rigid_marginals)
         assert P == PathMeasure(
@@ -912,6 +926,22 @@ class TestFirstTwoCharacterizationsAgree:
         verdicts = self.verdicts(seed, steps)
         assert verdicts.count((False, False)) == falses
         assert verdicts.count((True, True)) == len(verdicts) - falses
+
+    @pytest.mark.parametrize("k", [40, 80])
+    @pytest.mark.parametrize("policy", list(KernelPolicy))
+    def test_grid_constructions_and_their_mirror_images(self, k, policy):
+        # the mirror image of a left-monotone coupling is right-monotone: it
+        # crosses, and its first unmatched prefix image is named exactly
+        chain = grid_chain(random.Random(k), k)
+        P = left_monotone_multistep(chain, policy)
+        assert (is_left_monotone_set(SupportSet.of(P))[0], verify_left_monotone(P, chain)[0]) == (True, True)
+        mirrored, Q = [mirror_measure(mu) for mu in chain], mirror_coupling(P)
+        ok, record = verify_left_monotone(Q, mirrored)
+        assert (is_left_monotone_set(SupportSet.of(Q))[0], ok) == (False, False)
+        a, t, image, expected = record
+        i = mirrored[0].support.index(a)
+        assert expected == obstructed_shadow(DiscreteMeasure(mirrored[0].atoms[: i + 1]), mirrored[1 : t + 1])
+        assert image == Q.restrict_first(a).marginal(t) != expected
 
 
 class TestOneWording:

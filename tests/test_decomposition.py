@@ -131,67 +131,17 @@ class TestDecomposeStep:
         assert parsed["diagonal_intervals"][-1]["hi"] == "inf"
 
 
-class TestAgainstRunLoopOracle:
-    """Components read between consecutive zeros of the sweep, and the
-    diagonal intervals paired up from their ends, against the run loop and
-    the case analysis they replaced."""
-
-    @staticmethod
-    def check(mu, nu):
-        d, o = decompose_step(mu, nu), oracle_decompose_step(mu, nu)
-        assert d == o
-        assert d.diagonal_intervals() == oracle_diagonal_intervals(o)
-        expected = {**o.to_json(), "diagonal_intervals": [iv.to_json() for iv in oracle_diagonal_intervals(o)]}
-        assert json.dumps(d.to_json()) == json.dumps(expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
-    def test_random_chains(self, seed, steps, data):
-        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
-        s = data.draw(st.integers(0, steps))
-        self.check(chain[s], chain[data.draw(st.integers(s, steps))])
-
-    @pytest.mark.parametrize("k", [8, 40])
-    def test_grid_chains(self, k):
-        chain = grid_chain(random.Random(k), k)
-        for s, t in itertools.combinations_with_replacement(range(3), 2):
-            self.check(chain[s], chain[t])
-
-    def test_zero_measure_has_no_components(self):
-        d = decompose_step(DiscreteMeasure.zero(), DiscreteMeasure.zero())
-        assert d.components == () and d.diagonal.is_zero
-        assert d.diagonal_intervals() == (Interval.real_line(),)
-
-    def test_a_sweep_positive_at_the_edge_is_an_error(self):
-        # a forged sweep of (delta_0, the +-1 split) whose last gap is 5;
-        # the run loop read it as the component (-1, 1)
-        mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
-        with pytest.raises(AssertionError, match="potential difference positive at the support edge"):
-            decomposition._decomposed(mu, nu, ([-1, 1], [0, 5], 0, 0, 1, 1))
-
-    def test_many_components_bytes(self, tmp_path, monkeypatch, capsys):
-        # 200 atoms at 4j, each split to 4j +- 2 unless j % 3 == 2: 134
-        # components, 67 of them meeting the next at a single diagonal point
-        monkeypatch.chdir(tmp_path)
-        mu = DiscreteMeasure((4 * j, F(1, 200)) for j in range(200))
-        nu = DiscreteMeasure(
-            atom
-            for j in range(200)
-            for atom in ([(4 * j, F(1, 200))] if j % 3 == 2 else [(4 * j - 2, F(1, 400)), (4 * j + 2, F(1, 400))])
-        )
-        (tmp_path / "mu.json").write_text(json.dumps(mu.to_json()))
-        (tmp_path / "nu.json").write_text(json.dumps(nu.to_json()))
-        d = decompose_step(mu, nu)
-        assert len(d.components) == 134
-        assert sum(iv.lo == iv.hi for iv in d.diagonal_intervals()) == 67
-        digests = []
-        for extra in ([], ["--csv"]):
-            assert main(["decompose", "mu.json", "nu.json", *extra]) == 0
-            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
-        assert digests == [
-            "04ec20c9d757649ed6be07d0067809188ac81ab8b8fdac011b551cdc72d39791",
-            "70c82249ecf0dccbf4e4d272ec586729719c01207fd0ee23ee0fcb17a9245056",
-        ]
+def many_components_pair(n):
+    """n atoms at 4j, each split to 4j +- 2 unless j % 3 == 2: one component
+    per split atom, neighbours meeting at a shared atom of nu or at a
+    diagonal point."""
+    mu = DiscreteMeasure((4 * j, F(1, n)) for j in range(n))
+    nu = DiscreteMeasure(
+        atom
+        for j in range(n)
+        for atom in ([(4 * j, F(1, n))] if j % 3 == 2 else [(4 * j - 2, F(1, 2 * n)), (4 * j + 2, F(1, 2 * n))])
+    )
+    return mu, nu
 
 
 @st.composite
@@ -218,6 +168,75 @@ def reducible_chains(draw):
             atoms += [(x - a, w * b / (a + b)), (x + b, w * a / (a + b))]
         chain.append(DiscreteMeasure(atoms))
     return chain
+
+
+class TestAgainstRunLoopOracle:
+    """Components read between consecutive zeros of the sweep, and the
+    diagonal intervals paired up from their ends, against the run loop and
+    the case analysis they replaced."""
+
+    @staticmethod
+    def check(mu, nu):
+        d, o = decompose_step(mu, nu), oracle_decompose_step(mu, nu)
+        assert d == o
+        assert d.diagonal_intervals() == oracle_diagonal_intervals(o)
+        expected = {**o.to_json(), "diagonal_intervals": [iv.to_json() for iv in oracle_diagonal_intervals(o)]}
+        assert json.dumps(d.to_json()) == json.dumps(expected)
+        assert all(comp.J == Interval.closed(comp.I.lo, comp.I.hi) for comp in d.components)
+        return d
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_random_chains(self, seed, steps, data):
+        chain = random_marginal_chain(random.Random(seed), steps, max_support=7, start_atoms=4)
+        s = data.draw(st.integers(0, steps))
+        self.check(chain[s], chain[data.draw(st.integers(s, steps))])
+
+    @pytest.mark.parametrize("k", [8, 40])
+    def test_grid_chains(self, k):
+        chain = grid_chain(random.Random(k), k)
+        for s, t in itertools.combinations_with_replacement(range(3), 2):
+            self.check(chain[s], chain[t])
+
+    @settings(max_examples=100, deadline=None)
+    @given(reducible_chains(), st.data())
+    def test_reducible_chains(self, chain, data):
+        # touching components split a shared atom of nu between them
+        s = data.draw(st.integers(0, len(chain) - 1))
+        self.check(chain[s], chain[data.draw(st.integers(s, len(chain) - 1))])
+
+    def test_many_components(self):
+        assert len(self.check(*many_components_pair(400)).components) == 267
+
+    def test_zero_measure_has_no_components(self):
+        d = decompose_step(DiscreteMeasure.zero(), DiscreteMeasure.zero())
+        assert d.components == () and d.diagonal.is_zero
+        assert d.diagonal_intervals() == (Interval.real_line(),)
+
+    def test_a_sweep_positive_at_the_edge_is_an_error(self):
+        # a forged sweep of (delta_0, the +-1 split) whose last gap is 5;
+        # the run loop read it as the component (-1, 1)
+        mu, nu = DiscreteMeasure.dirac(0), measure([(-1, F(1, 2)), (1, F(1, 2))])
+        with pytest.raises(AssertionError, match="potential difference positive at the support edge"):
+            decomposition._decomposed(mu, nu, ([-1, 1], [0, 5], 0, 0, 1, 1))
+
+    def test_many_components_bytes(self, tmp_path, monkeypatch, capsys):
+        # 134 components, 67 of them meeting the next at a single diagonal point
+        monkeypatch.chdir(tmp_path)
+        mu, nu = many_components_pair(200)
+        (tmp_path / "mu.json").write_text(json.dumps(mu.to_json()))
+        (tmp_path / "nu.json").write_text(json.dumps(nu.to_json()))
+        d = decompose_step(mu, nu)
+        assert len(d.components) == 134
+        assert sum(iv.lo == iv.hi for iv in d.diagonal_intervals()) == 67
+        digests = []
+        for extra in ([], ["--csv"]):
+            assert main(["decompose", "mu.json", "nu.json", *extra]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == [
+            "04ec20c9d757649ed6be07d0067809188ac81ab8b8fdac011b551cdc72d39791",
+            "70c82249ecf0dccbf4e4d272ec586729719c01207fd0ee23ee0fcb17a9245056",
+        ]
 
 
 class _Solved(Exception):

@@ -23,6 +23,7 @@ from leftcurtain import (
     call_value,
     convex_order_leq,
     decompose_step,
+    mass,
     positive_convex_order_leq,
     potential,
     put_value,
@@ -90,6 +91,7 @@ class TestConstruction:
     def test_zero_measure(self):
         zero = DiscreteMeasure.zero()
         assert zero.is_zero and zero.mass == 0 and zero.barycenter == 0
+        assert str(zero) == "0"
 
     def test_rational_strings_accepted(self):
         mu = DiscreteMeasure([("1/2", "3/4")])
@@ -467,10 +469,16 @@ class TestArithmetic:
         assert restrict(two, Interval.real_line()) == two
         assert restrict(two, Interval.open(-1, 1)).is_zero
 
+    def test_interval_str(self):
+        assert str(Interval.real_line()) == "(-inf, inf)"
+        assert str(Interval.closed(-1, F(1, 2))) == "[-1, 1/2]"
+        assert str(Interval(F(0), None, False, False)) == "(0, inf)"
+        assert str(Interval.at_most(2)) == "(-inf, 2]"
+
     def test_barycenter_divides_by_mass(self):
         mu = measure([(-4, F(1, 8)), (0, F(3, 8))])
         assert mu.first_moment == F(-1, 2) and mu.mass == F(1, 2)
-        assert barycenter(mu) == -1
+        assert barycenter(mu) == -1 and mass(mu) == F(1, 2)
 
     def test_add_and_subtract(self):
         mu = measure([(0, 1), (2, F(1, 2))])

@@ -78,3 +78,9 @@ def test_value_contract(cls, fields, other):
     for made in copies:
         assert type(made) is cls and made == value and hash(made) == hash(value)
     assert isinstance(value, tuple) is (cls not in NOT_TUPLES)
+
+
+def test_values_of_different_classes_are_unequal():
+    line = PathMeasure(0, [((0,), 1)])
+    assert MU.__eq__(line) is NotImplemented and line.__eq__(MU) is NotImplemented
+    assert MU != line and not MU == line
