@@ -316,6 +316,33 @@ for t, mu in enumerate(irreducible_chain(random.Random(4610), (4, 6, 10))):
     same_as_source("solve", "lp0.json", "lp1.json", "lp2.json", "--reward", reward, timeout=60)
 
 
+def a_forged_certificate_is_refused_under_O():
+    # extract_dual raises its AssertionErrors itself, so -O keeps every check.
+    run([PYTHON, "-O", "-c", """
+import dataclasses, random, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import irreducible_chain, oracle_extract_dual
+from leftcurtain import extract_dual, left_tail_put_reward, solve_primal
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+chain = irreducible_chain(random.Random(4610), (3, 4, 5))
+solution = solve_primal(chain, left_tail_put_reward(chain[0].support[1], 2, chain[2].support[2]))
+program = solution.program
+i = next(i for i, key in enumerate(program.row_keys) if key[0] == "martingale" and any(a for _, a in program.rows[i]))
+duals = list(solution.lp.duals)
+duals[i] += 1
+forged = dataclasses.replace(solution, lp=dataclasses.replace(solution.lp, duals=duals))
+messages = []
+for extract in (extract_dual, oracle_extract_dual):
+    try:
+        extract(program, forged)
+        sys.exit(f"{extract.__name__} accepted a forged certificate")
+    except AssertionError as exc:
+        messages.append(str(exc))
+sys.exit(messages[0] != messages[1] and f"extract_dual says {messages[0]!r}, the oracle {messages[1]!r}")""",
+         str(CHECKOUT / "tests")])
+
+
 def shadow_approx_on_a_1e400_atom_is_a_json_math_error():
     write("e400.json", '{"atoms": [{"x": "1e400", "w": "1"}]}\n')
     out, err = installed("shadow", "--approx", "--source", "e400.json", "--target", "e400.json", code=2)
@@ -355,6 +382,7 @@ CHECKS = [
     left_monotone_lp_feasible_on_a_200_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid,
     solve_on_a_240_variable_lp_matches_the_source_tree,
+    a_forged_certificate_is_refused_under_O,
     shadow_approx_on_a_1e400_atom_is_a_json_math_error,
     a_failed_obstructed_shadow_names_its_date,
 ]

@@ -447,6 +447,11 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     """
     marginals = list(marginals)
     require_convex_order_chain(marginals)
+    return _strong_order_of_chain(marginals)
+
+
+def _strong_order_of_chain(marginals: List[DiscreteMeasure]) -> bool:
+    """`strong_order_holds` on a chain already known to be in convex order."""
     if len(marginals) <= 2:
         return True
     positions = [mu.support for mu in marginals[1:]]

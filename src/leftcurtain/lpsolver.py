@@ -15,9 +15,12 @@ the convex-order precondition and the decomposition) is a reward-free
 kind: a probe family solves one polytope for many rewards.  A reward makes
 a copy that shares the rows, tuples of (column, coefficient) tuples, so
 `simplex.phase1` remembers its end state for them and each probe's
-`solve_lp` runs phase 2 only.  The dual check reads the hedge of every path
-off the same rows, as y . A_j for the certificate's dual vector y.
-Reward ingestion, the LP and the dual checks run on every call.
+`solve_lp` runs phase 2 only.  The dual checks read the hedge of every path
+off the same rows, as y . A_j for the certificate's dual vector y, in
+Python ints: the program keeps its rows and right sides over one scale each
+(`MotProgram.scaled`), shared by the copies too, and the duals are put over
+theirs, so no `Fraction` is made per path.  Reward ingestion, the LP and
+the dual checks run on every call.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .coupling import Path, PathMeasure
 from .decomposition import _effective_paths, decompose_chain, decompose_step
 from .measure import DiscreteMeasure, RationalLike, _rat_to_json, rat
-from .simplex import Infeasible, LpResult, solve_lp
+from .simplex import Infeasible, LpResult, _scale_to_int, solve_lp
 
 if TYPE_CHECKING:
     from .geometry import SupportSet
@@ -73,8 +77,11 @@ class MotProgram:
     Martingale rows exist for every history prefix of a variable path;
     prefixes extendable by no variable are vacuous and their dual is
     reported as zero.  `rows` and `rhs` are the system the program is
-    solved on, the tuples of `lp_rows` unless given; programs that differ
-    only in their reward share them.
+    solved on, the tuples of `lp_rows` unless given, and `scaled` is the
+    same system in ints, (rows, row scale, rhs, rhs scale): every
+    coefficient times the least common denominator of all of them, and
+    every right side times theirs.  Programs that differ only in their
+    reward share all three.
     """
 
     marginals: Dict[int, DiscreteMeasure]
@@ -85,11 +92,17 @@ class MotProgram:
     row_keys: Tuple[tuple, ...]
     rows: Optional[tuple] = field(default=None, compare=False, repr=False)
     rhs: Optional[tuple] = field(default=None, compare=False, repr=False)
+    scaled: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows is None:
             rows, rhs = self.lp_rows()
             self.rows, self.rhs = tuple(map(tuple, rows)), tuple(rhs)
+        if self.scaled is None:
+            d = math.lcm(*[a.denominator for row in self.rows for _, a in row])
+            rows = [tuple([(j, a.numerator * (d // a.denominator)) for j, a in row]) for row in self.rows]
+            rhs, e = _scale_to_int(self.rhs)
+            self.scaled = (tuple(rows), d, tuple(rhs), e)
 
     def lp_rows(self) -> Tuple[List[List[Tuple[int, Fraction]]], List[Fraction]]:
         """The constraint rows as `simplex` reads them, (column, coefficient)
@@ -120,7 +133,7 @@ def _program(pinned: Dict[int, DiscreteMeasure], n: int, paths: Sequence[Path]) 
 
 def _with_reward(program: MotProgram, reward: Reward, mode: str) -> MotProgram:
     """`program` with the reward's values; the copy shares its rows."""
-    values = tuple(_ingest(reward(p), mode) for p in program.paths)
+    values = tuple([_ingest(reward(p), mode) for p in program.paths])
     return replace(program, marginals=dict(program.marginals), reward_values=values, mode=mode)
 
 
@@ -197,13 +210,12 @@ class DualCertificate:
         y . A_j for the path's column A_j of `program.rows` and the duals y
         that `phi` and `H` give the rows (zero where they have none)."""
         zero = Fraction(0)
-        hedge = [zero] * len(self.program.paths)
-        for (kind, t, key), row in zip(self.program.row_keys, self.program.rows):
-            y = self.phi.get(t, {}).get(key, zero) if kind == "marginal" else self.H.get((t, key), zero)
-            if y:
-                for j, a in row:
-                    hedge[j] += y * a
-        return hedge
+        ys, scale = _scale_to_int([
+            self.phi.get(t, {}).get(key, zero) if kind == "marginal" else self.H.get((t, key), zero)
+            for kind, t, key in self.program.row_keys
+        ])
+        scale *= self.program.scaled[1]
+        return [Fraction(h, scale) for h in _scaled_hedges(self.program, ys)]
 
     def to_json(self) -> dict:
         return {
@@ -219,14 +231,52 @@ class DualCertificate:
         }
 
 
+def _scaled_hedges(program: MotProgram, ys: Sequence[int]) -> List[int]:
+    """The hedge y . A_j of every program path, times the duals' scale and
+    the rows', for the row duals y given as ints `ys` over one scale."""
+    hedges = [0] * len(program.paths)
+    for y, row in zip(ys, program.scaled[0]):
+        if y:
+            for j, a in row:
+                hedges[j] += y * a
+    return hedges
+
+
+def _check_duals(
+    program: MotProgram, duals: Sequence[Fraction], value: Fraction, x: Sequence[Fraction]
+) -> Fraction:
+    """The dual objective of the duals of `program`'s rows, checked in ints.
+
+    Zero gap (the objective is the primal `value`), then path by path
+    superhedging (hedge >= reward) and complementary slackness (hedge ==
+    reward where x > 0); the first failure raises AssertionError naming it.
+    The duals go over their least common denominator and the rows and right
+    sides are `program.scaled`, so a path's integer hedge h and reward p/q
+    compare as h * q against p * scale.
+    """
+    ys, y_scale = _scale_to_int(duals)
+    _, a_scale, rhs, b_scale = program.scaled
+    objective = Fraction(sum(map(mul, ys, rhs)), y_scale * b_scale)
+    if objective != value:
+        raise AssertionError("dual objective does not match the primal value")
+    scale = y_scale * a_scale
+    for path, f, w, h in zip(program.paths, program.reward_values, x, _scaled_hedges(program, ys)):
+        hedge, reward = h * f.denominator, f.numerator * scale
+        if hedge < reward:
+            raise AssertionError(f"superhedging fails on {path}")
+        if hedge != reward and w > 0:
+            raise AssertionError(f"complementary slackness fails on {path}")
+    return objective
+
+
 def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
     """Read the dual optimizer off the optimal basis and verify it.
 
     Zero duality gap (the duals times the program's right sides), the
     superhedging inequality on every program path and complementary
-    slackness on the support of the optimizer are checked, on the
-    certificate's own `hedges`, before the certificate is returned.  Raises
-    ValueError when `solution` was solved on another program.
+    slackness on the support of the optimizer are checked in ints
+    (`_check_duals`) before the certificate is returned.  Raises ValueError
+    when `solution` was solved on another program.
     """
     if program is not solution.program and program != solution.program:
         raise ValueError("the solution was solved on another program")
@@ -238,18 +288,8 @@ def extract_dual(program: MotProgram, solution: LPSolution) -> DualCertificate:
             phi[t][key] = y
         elif y != 0:
             H[(t, key)] = y
-    objective = sum((y * b for y, b in zip(duals, program.rhs)), Fraction(0))
-    certificate = DualCertificate(phi, H, objective, program)
-    if objective != solution.exact_value:
-        raise AssertionError("dual objective does not match the primal value")
-    for path, f_val, w, hedge in zip(
-        program.paths, program.reward_values, solution.lp.x, certificate.hedges()
-    ):
-        if hedge < f_val:
-            raise AssertionError(f"superhedging fails on {path}")
-        if w > 0 and hedge != f_val:
-            raise AssertionError(f"complementary slackness fails on {path}")
-    return certificate
+    objective = _check_duals(program, duals, solution.exact_value, solution.lp.x)
+    return DualCertificate(phi, H, objective, program)
 
 
 def contact_set(certificate: DualCertificate, reward: Reward) -> SupportSet:
@@ -289,7 +329,8 @@ def chain_min_call(
     if mu0_part.is_zero:
         return Fraction(0)
     cols, rows, rhs, senses = _chain_min_skeleton(mu0_part, tuple(chain[:t]))
-    objective = [y - b if s == t and y > b else Fraction(0) for s, _, y in cols]
+    zero = Fraction(0)
+    objective = [y - b if s == t and y > b else zero for s, _, y in cols]
     return solve_lp(objective, rows, rhs, senses, maximize=False).value
 
 
@@ -414,12 +455,13 @@ def left_tail_put_reward(a: RationalLike, t: int, b: RationalLike) -> Reward:
     Left-monotone transports attain the transport optimum simultaneously for
     every member of this family.
     """
-    a, b = rat(a), rat(b)
+    a, b, zero = rat(a), rat(b), Fraction(0)
 
     def reward(path: Path):
         if path[0] > a:
-            return Fraction(0)
-        return -max(path[t] - b, Fraction(0))
+            return zero
+        y = path[t]
+        return b - y if y > b else zero
 
     return reward
 

@@ -128,9 +128,11 @@ class _Value:
     subclass's `__slots__`, each set once through `object.__setattr__`.  It
     compares, hashes and prints by its fields as a frozen dataclass does,
     refuses assignment and deletion, and is copied and pickled field by
-    field.  It is no tuple, so a result is never mistaken for a pair."""
+    field.  It is no tuple, so a result is never mistaken for a pair.  The
+    hash is computed on first use and kept in `_hash`, a slot of this class
+    that is no field: a cache key pays for its fields' hashes once."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -141,7 +143,11 @@ class _Value:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values()))
+            return self._hash
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -141,7 +141,9 @@ def _fraction(v) -> Fraction:
 
 
 def _scale_to_int(row: Sequence[Fraction]) -> Tuple[List[int], int]:
-    denom = math.lcm(*(f.denominator for f in row)) if row else 1
+    """`row` as ints over its least common denominator, and that denominator."""
+    # From a list: a generator's tuple of arguments fills CPython's tuple free lists.
+    denom = math.lcm(*[f.denominator for f in row])
     return [f.numerator * (denom // f.denominator) for f in row], denom
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leftcurtain
-from leftcurtain import DiscreteMeasure, KernelPolicy, PathMeasure, cli, coupling, lpsolver, simplex
+from leftcurtain import DiscreteMeasure, KernelPolicy, PathMeasure, cli, coupling, decomposition, lpsolver, simplex
 from leftcurtain import measure as measure_module
 from leftcurtain.cli import main
 
@@ -153,6 +153,23 @@ class TestCommands:
         P = PathMeasure.from_json(payload["coupling"])
         assert PathMeasure.from_json(json.loads(json.dumps(payload["coupling"]))) == P
         assert P.mass == 1
+
+    def test_left_monotone_checks_the_chain_once(self, capsys, files, monkeypatch):
+        """The construction checks the convex order of the chain; the strong
+        order verdict reads the chain without checking it again."""
+        checks = []
+        check = measure_module.require_convex_order_chain
+
+        def counted(marginals):
+            checks.append(len(marginals))
+            return check(marginals)
+
+        for module in (measure_module, coupling, decomposition):
+            monkeypatch.setattr(module, "require_convex_order_chain", counted)
+        for chain, strong in ((("mu0", "mu1", "mu2"), False), (("wide0", "wide1", "wide2"), True)):
+            checks.clear()
+            code, out, _ = run(capsys, ["left-monotone", *(files[m] for m in chain)])
+            assert (code, json.loads(out)["strong_order"], checks) == (0, strong, [3])
 
     def test_solve_exact_with_certificate(self, capsys, files):
         code, out, _ = run(

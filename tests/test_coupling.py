@@ -26,6 +26,7 @@ from leftcurtain import (
     SupportSet,
     binomial_check,
     decompose_step,
+    extract_dual,
     feasible_transport,
     free_monotone_transport,
     is_left_monotone_set,
@@ -490,6 +491,13 @@ class TestStrongOrder:
         ]
         assert strong_order_holds(widening)
 
+    def test_requires_convex_order(self):
+        # The check of the chain stays in the public function; only the
+        # command line, whose construction has checked it, skips it.
+        message = "marginals 1 and 2 are not in convex order: barycenters 0 vs 1"
+        chain = [DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(0), DiscreteMeasure.dirac(1)]
+        assert outcome(strong_order_holds, chain) == (NotInConvexOrder, message)
+
     def test_equivalence_with_curtain_projections(self):
         rng = random.Random(97)
         holds = fails = 0
@@ -772,7 +780,8 @@ class TestIndexWalk:
     """The construction walks index tuples in increasing order and takes its
     finished paths as they are: the result equals the constructor's merge of
     its own paths, each coordinate is its marginal's support object, no
-    Fraction is compared or hashed, and paths out of order raise."""
+    Fraction is compared or hashed, and paths out of order raise.  A probe
+    re-solved on the same marginals hashes no measure again either."""
 
     @staticmethod
     def assert_taken_as_built(P, chain):
@@ -802,6 +811,44 @@ class TestIndexWalk:
         left_monotone_multistep(CHAINS["grid"])
         monkeypatch.undo()
         assert dict(calls) == {}
+
+    def test_a_repeated_probe_hashes_no_measure_and_no_path(self, monkeypatch):
+        """The second solve and dual on the same marginals hash no measure (the
+        hash is kept) and a Fraction only for the certificate's own dict keys:
+        phi's points and the prefixes of H's keys, not the paths."""
+        chain = irreducible_chain(random.Random(4610), (3, 4, 5))
+        reward = left_tail_put_reward(chain[0].support[1], 2, chain[2].support[2])
+        solution = solve_primal(chain, reward)
+        extract_dual(solution.program, solution)
+        hashed, fields_read = Counter(), Counter()
+
+        def fraction_hash(value, original=F.__hash__):
+            hashed["Fraction"] += 1
+            return original(value)
+
+        def values(value, original=measure_module._Value._values):
+            fields_read[type(value).__name__] += 1
+            return original(value)
+
+        monkeypatch.setattr(F, "__hash__", fraction_hash)
+        monkeypatch.setattr(measure_module._Value, "_values", values)
+        solution = solve_primal(chain, reward)
+        certificate = extract_dual(solution.program, solution)
+        monkeypatch.undo()
+        assert fields_read["DiscreteMeasure"] == 0
+        keys = sum(map(len, certificate.phi.values())) + sum(len(prefix) for _, prefix in certificate.H)
+        assert 0 < hashed["Fraction"] <= keys < len(solution.program.paths)
+
+        grid = st.sampled_from([F(k, 2) for k in range(-4, 5)])
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(grid, min_size=1, max_size=4), grid, grid, st.data())
+        def put_probe_is_its_formula(path, a, b, data):
+            t = data.draw(st.integers(0, len(path) - 1))
+            value = left_tail_put_reward(a, t, b)(tuple(path))
+            assert type(value) is F and value == -max(path[t] - b, 0) * (path[0] <= a)
+
+        put_probe_is_its_formula()
 
     def test_paths_out_of_order_raise(self, monkeypatch):
         take = _Residual.take_ints

@@ -310,6 +310,46 @@ class TestHedges:
                 shifted_rows += 1
         assert shifted_rows > 300
 
+    @pytest.mark.parametrize("mode", [lpsolver.EXACT, lpsolver.FLOAT])
+    def test_shifts_onto_and_just_below_a_reward_are_caught_as_the_oracle_catches_them(self, mode):
+        """For each path with slack and each row with an entry a on it, shift
+        the row's dual by the least amount that puts the path's hedge exactly
+        on its reward, -slack / a, and by the least that puts it 1/(2**61 - 1)
+        below: the two sides of the integer comparisons.  In float mode the
+        rewards are tanh_sm's, whose dyadic denominators make the integer
+        scales large."""
+        rng = random.Random(233)
+        below = F(1, 2**61 - 1)
+        seen = Counter()
+        for _ in range(30):
+            chain = irreducible_chain(rng, rng.choice([(2, 4), (3, 5), (2, 3, 4)]))
+            t = rng.randint(1, len(chain) - 1)
+            if mode == lpsolver.EXACT:
+                reward = left_tail_put_reward(rng.choice(chain[0].support), t, rng.choice(chain[t].support))
+            else:
+                reward = tanh_sm_reward(t)
+            sol = solve_primal(chain, reward, mode)
+            program = sol.program
+            cert = extract_dual(program, sol)
+            assert cert == oracle_extract_dual(program, sol)
+            hedges = [oracle_superhedge(cert, path) for path in program.paths]
+            assert cert.hedges() == hedges
+            slack = [h - f for h, f in zip(hedges, program.reward_values)]
+            for i, row in enumerate(program.rows):
+                for j, a in row:
+                    if not slack[j]:
+                        continue
+                    for gap in (0, below):
+                        duals = list(sol.lp.duals)
+                        duals[i] -= (slack[j] + gap) / a
+                        shifted = dataclasses.replace(sol, lp=dataclasses.replace(sol.lp, duals=duals))
+                        outcome = _outcome(extract_dual, program, shifted)
+                        assert outcome == _outcome(oracle_extract_dual, program, shifted)
+                        words = outcome.split(" fails")[0] if isinstance(outcome, str) else "certificate"
+                        seen[gap, words] += 1
+        assert seen[0, "certificate"] and seen[below, "superhedging"] and seen[0, "complementary slackness"]
+        assert not seen[below, "certificate"]
+
     def test_solution_of_another_program_is_rejected(self):
         # Two chains with the same supports, hence the same row keys.
         first = [measure([(-1, F(1, 2)), (1, F(1, 2))]), measure([(-2, F(1, 4)), (0, F(1, 2)), (2, F(1, 4))])]

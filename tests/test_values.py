@@ -84,3 +84,28 @@ def test_values_of_different_classes_are_unequal():
     line = PathMeasure(0, [((0,), 1)])
     assert MU.__eq__(line) is NotImplemented and line.__eq__(MU) is NotImplemented
     assert MU != line and not MU == line
+
+
+@pytest.mark.parametrize("cls", sorted(NOT_TUPLES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_hash_is_kept_outside_the_fields(cls):
+    """`measure._Value` keeps its hash in a slot that is no field: equal values
+    hash equal whichever was hashed first, copies of a hashed and an unhashed
+    value compare and hash equal, and the fields alone are read, shown,
+    copied and pickled."""
+    fields, other = next((fields, other) for c, fields, other in CASES if c is cls)
+    first, second = cls(*fields.values()), cls(*fields.values())
+    assert hash(second) == hash(first) == hash(second) and first == second
+    assert hash(cls(*other.values())) != hash(first)
+    unhashed = cls(*fields.values())
+    for value in (first, unhashed):
+        assert value._values() == value.__getstate__() == tuple(fields.values())
+        assert "_hash" not in repr(value) and repr(value) == repr(second)
+        made = [copy.copy(value), copy.deepcopy(value)]
+        made += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in made:
+            assert twin == value and twin._values() == tuple(fields.values())
+            assert hash(twin) == hash(first)
+        for name in (*fields, "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    assert hash(unhashed) == hash(first)
