@@ -286,6 +286,13 @@ def left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies():
     verify_left_monotone_holds(grids, "big-installed.json", timeout=120)
 
 
+def verify_support_on_the_1600_atom_coupling_matches_the_source_tree_at_once():
+    # 14 011 paths: the crossing scan compares the ints of the support's
+    # integer view; on Fractions it took about 27 s
+    report = json.loads(same_as_source("verify-support", "big-installed.json", timeout=10))
+    expect(all(report[c] is True for c in ("left_monotone", "nondegenerate", "martingale")), f"verify-support reads {report}")
+
+
 def left_monotone_lp_feasible_on_a_200_atom_grid_matches_the_source_tree_and_verifies():
     # the LP policy zips each increment's atoms with the histories of its
     # feasible coupling; no other check builds with it
@@ -379,6 +386,7 @@ CHECKS = [
     a_huge_exponent_in_the_library_is_a_value_error_or_zero_at_once,
     left_monotone_on_a_400_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_on_a_1600_atom_grid_matches_the_source_tree_and_verifies,
+    verify_support_on_the_1600_atom_coupling_matches_the_source_tree_at_once,
     left_monotone_lp_feasible_on_a_200_atom_grid_matches_the_source_tree_and_verifies,
     left_monotone_and_decompose_name_the_same_failure_on_the_reversed_grid,
     solve_on_a_240_variable_lp_matches_the_source_tree,

@@ -89,6 +89,9 @@ class PathMeasure(_Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "paths", _merged(read(), name))
 
+    def _lattice_of(self) -> "_PathView":
+        return _path_lattice(self.support)
+
     def __iter__(self):
         return iter(self.paths)
 
@@ -183,6 +186,21 @@ class PathMeasure(_Value):
 
     def __str__(self) -> str:
         return " + ".join(f"{w}*d({', '.join(map(str, p))})" for p, w in self.paths) or "0"
+
+
+# The integer view of sorted paths: per date t a scale D_t, and per path its
+# coordinates D_t * x_t, in path order.
+_PathView = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _path_lattice(points: Sequence[Path]) -> _PathView:
+    """The integer view of `points`: D_t is the lcm of the denominators of
+    the coordinates x_t.  Every D_t > 0, so the int rows sort, group and
+    compare date by date as the paths do."""
+    columns = list(zip(*points))
+    scales = tuple([lcm(*{x.denominator for x in column}) for column in columns])
+    ints = [[x.numerator * (d // x.denominator) for x in column] for d, column in zip(scales, columns)]
+    return scales, tuple(zip(*ints))
 
 
 def _histories(paths: Sequence[Tuple[Path, Fraction]], t: int) -> Iterable[Tuple[Path, Iterable[Tuple[Fraction, Fraction]]]]:
@@ -284,14 +302,14 @@ def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increm
     associativity is shadow(rest of lower, R'), so the argument repeats
     atom by atom.
     """
-    positions = [mu.support for mu in marginals]
+    lattices = [mu._lattice()[:2] for mu in marginals]
     residuals = [_Residual(nu) for nu in marginals[1:]]
     out = []
     for i, (_, q) in enumerate(marginals[0].atoms):
         lower = [(i, q.numerator, q.denominator)]
         steps = []
-        for xs, residual in zip(positions, residuals):
-            takes = [residual.take_ints(xs[j], a, b) for j, a, b in lower]
+        for (d, xs), residual in zip(lattices, residuals):
+            takes = [residual.take_ints(xs[j], d, a, b) for j, a, b in lower]
             scale = lcm(*(e for _, e in takes))
             summed: Dict[int, int] = {}
             for pieces, e in takes:
@@ -432,9 +450,11 @@ def strong_order_holds(marginals: Sequence[DiscreteMeasure]) -> bool:
     Exactly when this holds do the bivariate projections of a left-monotone
     transport reduce to one-step Left-Curtain couplings.  It is checked atom
     by atom: the integer takes of each atom of the first marginal from one
-    residual per date must increase in convex order.  Each consecutive pair
-    of takes, put on one weight scale as ints, is one `_put_sweep`, which
-    fails on the conditions of `measure._convex_failure`.  (<=) A prefix's
+    residual per date must increase in convex order.  Each take is an
+    integer view, its positions read from the marginal's and its weights
+    over the take's scale, and each consecutive pair of them is one
+    `_put_sweep`, which fails on the conditions of
+    `measure._convex_failure`.  (<=) A prefix's
     shadows are sums of its atoms' takes (shadow associativity), and sums of
     pairs in convex order are in convex order.  (=>) Fix a prefix p; if
     S_t(p) <=_c S_{t+1}(p), S_t being the shadow in mu_t, then S_{t+1}(p)
@@ -454,16 +474,15 @@ def _strong_order_of_chain(marginals: List[DiscreteMeasure]) -> bool:
     """`strong_order_holds` on a chain already known to be in convex order."""
     if len(marginals) <= 2:
         return True
-    positions = [mu.support for mu in marginals[1:]]
+    (d0, starts, _, _), *lattices = [mu._lattice() for mu in marginals]
     residuals = [_Residual(nu) for nu in marginals[1:]]
-    for x, q in marginals[0].atoms:
-        takes = [r.take_ints(x, q.numerator, q.denominator) for r in residuals]
-        for (lower, d), (upper, e), below, above in zip(takes, takes[1:], positions, positions[1:]):
-            scale = lcm(d, e)
-            _, gap, mass, moment, _, _ = _put_sweep(
-                [(above[k], w * (scale // e)) for k, w in upper],
-                [(below[j], w * (scale // d)) for j, w in lower],
-            )
+    for x, (_, q) in zip(starts, marginals[0].atoms):
+        views = []
+        for (d, xs, _, _), residual in zip(lattices, residuals):
+            pieces, e = residual.take_ints(x, d0, q.numerator, q.denominator)
+            views.append((d, [xs[k] for k, _ in pieces], e, [w for _, w in pieces]))
+        for lower, upper in zip(views, views[1:]):
+            _, gap, mass, moment, _, _ = _put_sweep(upper, lower)
             if mass or moment or min(gap) < 0:
                 return False
     return True

@@ -8,6 +8,9 @@ exhaustive scans of `SupportSet.branches(t)`, which groups consecutive
 points of the sorted tuple that `PathMeasure` builds, so it reads histories
 and their values in increasing order and a failed scan's witness is the
 first in history order, date by date, as in `coupling._histories`.  The
+scans read the groups off the support's integer view (`_path_lattice`,
+shared with the `PathMeasure` by `SupportSet.of`), so they compare ints,
+and map a witness back to the points by index.  The
 competitor search reads each history's mass and barycenter from that walk,
 hashing no position, and solves an exact LP over reweightings that preserve
 the history projection, the last marginal, and all conditional barycenters.
@@ -19,9 +22,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coupling import Path, PathMeasure, _histories
+from .coupling import Path, PathMeasure, _histories, _path_lattice, _PathView
 from .measure import DiscreteMeasure, _Value, rat
 
 if TYPE_CHECKING:
@@ -43,11 +47,16 @@ class SupportSet(_Value):
 
     @staticmethod
     def of(P: PathMeasure) -> "SupportSet":
-        """The support of `P`, taken as it is: `P.support` is already sorted and distinct."""
+        """The support of `P`, taken as it is: `P.support` is already sorted
+        and distinct, and its integer view is `P`'s, shared."""
         gamma = object.__new__(SupportSet)
         object.__setattr__(gamma, "n", P.n)
         object.__setattr__(gamma, "points", P.support)
+        object.__setattr__(gamma, "_ints", P._lattice())
         return gamma
+
+    def _lattice_of(self) -> _PathView:
+        return _path_lattice(self.points)
 
     def branches(self, t: int) -> Tuple[Tuple[Path, List[Fraction]], ...]:
         """(history x_0..x_{t-1}, the values x_t that follow it) pairs, grouped
@@ -65,6 +74,18 @@ class CrossingWitness(NamedTuple):
     y_prime: Fraction
 
 
+def _int_branches(rows: Sequence[Tuple[int, ...]], t: int) -> List[Tuple[int, int, List[int]]]:
+    """`SupportSet.branches(t)` on the int rows of its view, by index:
+    (start, stop, ys) per history, the rows start..stop-1 sharing it and ys
+    their distinct values at t, increasing."""
+    groups, start = [], 0
+    for _, group in groupby(rows, itemgetter(slice(0, t))):
+        ys = [row[t] for row in group]
+        groups.append((start, start + len(ys), list(dict.fromkeys(ys))))
+        start += len(ys)
+    return groups
+
+
 def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitness]]:
     """Scan every time projection for the forbidden crossing configuration.
 
@@ -72,16 +93,31 @@ def is_left_monotone_set(gamma: SupportSet) -> Tuple[bool, Optional[CrossingWitn
     path from a strictly larger starting point whose date-t value lies
     strictly between them.  The witness is the first such history in
     `branches` order, date by date, with its least and greatest values, the
-    first other history in that order, and its least value in between.
+    first other history in that order, and its least value in between.  The
+    scan compares the ints of `gamma`'s view; the witness is read back from
+    the points by index.
     """
-    for t in range(1, gamma.n + 1 if gamma.points else 1):
-        groups = gamma.branches(t)
-        spreads = ((h, ys[0], ys[-1]) for h, ys in groups if len(ys) > 1)
-        for history, lo, hi in spreads:
-            for other, ys in groups[bisect_right(groups, history[0], key=lambda group: group[0][0]):]:
-                i = bisect_right(ys, lo)
-                if i < len(ys) and ys[i] < hi:
-                    return False, CrossingWitness(t, history, lo, hi, other, ys[i])
+    points = gamma.points
+    _, rows = gamma._lattice()
+    for t in range(1, gamma.n + 1 if points else 1):
+        groups = _int_branches(rows, t)
+        starts = [rows[start][0] for start, _, _ in groups]
+        # each history's values end with one above every value at t, so a
+        # value above lo is always found and is in between if below hi
+        top = max(row[t] for row in rows) + 1
+        values = [[*ys, top] for _, _, ys in groups]
+        for start, stop, ys in groups:
+            if len(ys) == 1:
+                continue
+            lo, hi = ys[0], ys[-1]
+            for i in range(bisect_right(starts, rows[start][0]), len(groups)):
+                y = values[i][bisect_right(values[i], lo)]
+                if y < hi:
+                    begin, end, _ = groups[i]
+                    crossing = next(k for k in range(begin, end) if rows[k][t] == y)
+                    return False, CrossingWitness(
+                        t, points[start][:t], points[start][t], points[stop - 1][t], points[begin][:t], points[crossing][t]
+                    )
     return True, None
 
 
@@ -94,12 +130,16 @@ class DegeneracyWitness(NamedTuple):
 def is_nondegenerate_set(gamma: SupportSet) -> Tuple[bool, Optional[DegeneracyWitness]]:
     """Every up-move needs a matching down-move from the same history.  The
     witness is the first one-sided history in `branches` order, date by date,
-    with its greatest value (up-moves only) or its least (down-moves only)."""
-    for t in range(1, gamma.n + 1 if gamma.points else 1):
-        for history, ys in gamma.branches(t):
-            up, down = ys[-1] > history[-1], ys[0] < history[-1]
+    with its greatest value (up-moves only) or its least (down-moves only).
+    Values of dates t - 1 and t are compared on the product of their scales."""
+    points = gamma.points
+    scales, rows = gamma._lattice()
+    for t in range(1, gamma.n + 1 if points else 1):
+        for start, stop, ys in _int_branches(rows, t):
+            x = rows[start][t - 1] * scales[t]
+            up, down = ys[-1] * scales[t - 1] > x, ys[0] * scales[t - 1] < x
             if up != down:
-                return False, DegeneracyWitness(t, history, ys[-1] if up else ys[0])
+                return False, DegeneracyWitness(t, points[start][:t], points[stop - 1 if up else start][t])
     return True, None
 
 

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -418,15 +419,14 @@ def solve_free(
     the marginals.
     """
     _require_mode(mode)
-    points = set(mu0.support) | set(mun.support) if grid is None else {rat(g) for g in grid}
-    inner = tuple(sorted(points))
+    inner = None if grid is None else tuple(sorted({rat(g) for g in grid}))
     program = _free_program(mu0, mun, n, inner)
     try:
         solution = _solve(_with_reward(program, reward, mode))
     except Infeasible:
         raise Infeasible(
             f"no martingale transport of the marginals in {n} steps lives on the grid "
-            f"[{', '.join(map(str, inner))}]"
+            f"[{', '.join(map(str, _free_grid(mu0, mun, inner)))}]"
         ) from None
     dual = extract_dual(solution.program, solution)
     certificate = FreeDualCertificate(
@@ -438,12 +438,22 @@ def solve_free(
 # Typed, so that a float n, which raises TypeError, is not served an int's entry.
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _free_program(
-    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Tuple[Fraction, ...]
+    mu0: DiscreteMeasure, mun: DiscreteMeasure, n: int, inner: Optional[Tuple[Fraction, ...]]
 ) -> MotProgram:
+    """Keyed on the measures alone, whose hashes are kept, when no grid is given (`inner` None)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    grids = [mu0.support] + [inner] * (n - 1) + [mun.support]
+    grids = [mu0.support] + [_free_grid(mu0, mun, inner)] * (n - 1) + [mun.support]
     return _program({0: mu0, n: mun}, n, _effective_paths(grids, [decompose_step(mu0, mun)] * n))
+
+
+def _free_grid(mu0: DiscreteMeasure, mun: DiscreteMeasure, inner: Optional[Tuple[Fraction, ...]]) -> Tuple[Fraction, ...]:
+    """`inner`, or by default the union of the two supports, merged from the
+    two increasing supports: `sorted` finds them as two runs and merges
+    them, and no position is hashed."""
+    if inner is not None:
+        return inner
+    return tuple([x for x, _ in groupby(sorted(mu0.support + mun.support))])
 
 
 # --- reward helpers and the CLI mini-language ------------------------------

@@ -128,11 +128,20 @@ class _Value:
     subclass's `__slots__`, each set once through `object.__setattr__`.  It
     compares, hashes and prints by its fields as a frozen dataclass does,
     refuses assignment and deletion, and is copied and pickled field by
-    field.  It is no tuple, so a result is never mistaken for a pair.  The
-    hash is computed on first use and kept in `_hash`, a slot of this class
-    that is no field: a cache key pays for its fields' hashes once."""
+    field.  It is no tuple, so a result is never mistaken for a pair.  Two
+    slots of this class are no fields and are filled on first use: no
+    constructor seeds them (`SupportSet.of` shares the view of its path
+    measure), and a copy or an unpickled value fills its own.
 
-    __slots__ = ("_hash",)
+    - `_hash` keeps the hash, so a cache key pays for its fields' hashes once.
+    - `_ints` keeps the integer view that `_lattice_of` makes, for the
+      classes that define it: a measure's (D, X, E, W), read by
+      `_put_sweep` and `shadow._Residual`, and the int coordinates of a
+      path measure's or a support set's paths, read by the scans of
+      `geometry`.  Every check that reads a view compares ints only.
+    """
+
+    __slots__ = ("_hash", "_ints")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -148,6 +157,14 @@ class _Value:
         except AttributeError:
             object.__setattr__(self, "_hash", hash(self._values()))
             return self._hash
+
+    def _lattice(self):
+        """The integer view of this value (`_lattice_of`), made once."""
+        try:
+            return self._ints
+        except AttributeError:
+            object.__setattr__(self, "_ints", self._lattice_of())
+            return self._ints
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -262,6 +279,18 @@ class DiscreteMeasure(_Value):
     def dirac(x: RationalLike, weight: RationalLike = 1) -> "DiscreteMeasure":
         return DiscreteMeasure([(x, weight)])
 
+    def _lattice_of(self) -> "_View":
+        """(D, X, E, W): D and E the lcms of the position and of the weight
+        denominators, X the positions times D and W the weights times E, as
+        ints in atom order.  D, E > 0, so X increases and every order and
+        sign of the rationals is that of the ints."""
+        atoms = self.atoms
+        d = lcm(*{x.denominator for x, _ in atoms})
+        e = lcm(*{w.denominator for _, w in atoms})
+        xs = tuple([x.numerator * (d // x.denominator) for x, _ in atoms])
+        ws = tuple([w.numerator * (e // w.denominator) for _, w in atoms])
+        return d, xs, e, ws
+
     def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
         return iter(self.atoms)
 
@@ -371,22 +400,28 @@ def restrict(mu: DiscreteMeasure, interval: Interval) -> DiscreteMeasure:
     return mu.restrict(interval)
 
 
+# The integer view of a measure (`DiscreteMeasure._lattice_of`), or of any
+# atoms sorted by position: (D, X, E, W), the positions X/D, the weights W/E.
+_View = Tuple[int, Sequence[int], int, Sequence[int]]
+_NO_ATOMS: _View = (1, (), 1, ())
 _Sweep = Tuple[List[int], List[int], int, int, int, int]
 
 
-def _put_sweep(
-    plus: Sequence[Tuple[Fraction, Fraction]],
-    minus: Sequence[Tuple[Fraction, Fraction]] = (),
-    points: Sequence[Fraction] = (),
-) -> _Sweep:
+def _rescaled(values: Sequence[int], factor: int) -> Sequence[int]:
+    return values if factor == 1 else [v * factor for v in values]
+
+
+def _put_sweep(plus: _View, minus: _View = _NO_ATOMS, points: Sequence[Fraction] = ()) -> _Sweep:
     """The put potential of the signed measure plus - minus, in integers.
 
-    `plus` and `minus` are (position, weight) atoms sorted by position, a
-    weight being a rational: a `Fraction` or an int.  D, the lcm of the
-    position denominators (of `points` too), and E, the lcm of the weight
-    denominators, scale every position to an integer X = D*x and every
-    weight to an integer W = E*w.  With M and Mo the scaled mass and first
-    moment strictly below K = D*k,
+    `plus` and `minus` are integer views (D, X, E, W) of atoms sorted by
+    position: a measure's own (`DiscreteMeasure._lattice`) or one made of
+    its ints, as the takes of `coupling._strong_order_of_chain`.  D, the lcm
+    of the two position scales and of the denominators of `points`, and E,
+    the lcm of the two weight scales, put every position on one integer
+    X = D*x and every weight on one integer W = E*w; a view already on D or
+    E is read as it is.  With M and Mo the scaled mass and first moment
+    strictly below K = D*k,
 
         D*E * P(k) = D*E * sum_{y < k} w * (k - y) = K*M - Mo,
 
@@ -402,11 +437,12 @@ def _put_sweep(
     potential functions are read off the puts by parity:
     C = P - mass * k + first moment and u = 2P - mass * x + first moment.
     """
-    d = lcm(*{x.denominator for x, _ in plus}, *{x.denominator for x, _ in minus},
-            *{k.denominator for k in points})
-    e = lcm(*{w.denominator for _, w in plus}, *{w.denominator for _, w in minus})
-    signed = [(x.numerator * (d // x.denominator), w.numerator * (e // w.denominator)) for x, w in plus]
-    signed += [(x.numerator * (d // x.denominator), -w.numerator * (e // w.denominator)) for x, w in minus]
+    (d_plus, x_plus, e_plus, w_plus), (d_minus, x_minus, e_minus, w_minus) = plus, minus
+    d = lcm(d_plus, d_minus, *[k.denominator for k in points])
+    e = lcm(e_plus, e_minus)
+    signed = list(zip(_rescaled(x_plus, d // d_plus), _rescaled(w_plus, e // e_plus)))
+    factor = e // e_minus
+    signed += zip(_rescaled(x_minus, d // d_minus), [-w * factor for w in w_minus])
     signed += [(k.numerator * (d // k.denominator), 0) for k in points]
     signed.sort(key=itemgetter(0))
     grid: List[int] = []
@@ -424,7 +460,7 @@ def _put_sweep(
 def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the call integral sum_i w_i * max(y_i - b, 0)."""
     b = rat(b)
-    grid, puts, mass, moment, d, e = _put_sweep(mu.atoms, points=(b,))
+    grid, puts, mass, moment, d, e = _put_sweep(mu._lattice(), points=(b,))
     k = b.numerator * (d // b.denominator)
     return Fraction(puts[bisect_left(grid, k)] - mass * k + moment, d * e)
 
@@ -432,7 +468,7 @@ def call_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
 def put_value(mu: DiscreteMeasure, b: RationalLike) -> Fraction:
     """Exact value of the put integral sum_i w_i * max(b - y_i, 0)."""
     b = rat(b)
-    grid, puts, _, _, d, e = _put_sweep(mu.atoms, points=(b,))
+    grid, puts, _, _, d, e = _put_sweep(mu._lattice(), points=(b,))
     k = b.numerator * (d // b.denominator)
     return Fraction(puts[bisect_left(grid, k)], d * e)
 
@@ -481,7 +517,7 @@ class PotentialFunction(NamedTuple):
 
 def potential(mu: DiscreteMeasure) -> PotentialFunction:
     """The potential function u_mu(x) = integral of |x - y| mu(dy), exactly."""
-    grid, puts, mass, moment, d, e = _put_sweep(mu.atoms)
+    grid, puts, mass, moment, d, e = _put_sweep(mu._lattice())
     scale = d * e
     breakpoints = tuple(
         (x, Fraction(2 * p - mass * k + moment, scale))
@@ -498,7 +534,7 @@ def _convex_failure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Tuple[Optional[
     where P_nu(k) < P_mu(k).  With mass and mean equal the put order is the
     order of the potential functions, and piecewise linearity makes the
     finitely many checks complete.  Words are made only on failure."""
-    sweep = grid, gap, mass, moment, d, _ = _put_sweep(nu.atoms, mu.atoms)
+    sweep = grid, gap, mass, moment, d, _ = _put_sweep(nu._lattice(), mu._lattice())
     if mass:
         return f"masses {mu.mass} vs {nu.mass}", sweep
     if moment:
@@ -526,7 +562,7 @@ def positive_convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     is the put gap minus (excess * b - drift), where the sweep's mass and
     moment are the excess and the drift in its scale.
     """
-    grid, gap, excess, drift, _, _ = _put_sweep(nu.atoms, mu.atoms)
+    grid, gap, excess, drift, _, _ = _put_sweep(nu._lattice(), mu._lattice())
     return excess >= 0 and all(g >= 0 and g >= excess * k - drift for k, g in zip(grid, gap))
 
 

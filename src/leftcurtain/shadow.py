@@ -49,8 +49,10 @@ class ShadowResult(NamedTuple):
     residual: DiscreteMeasure
 
 
-def _take_failure(q_num: int, q_den: int, x: Fraction, condition: str) -> NotInPositiveConvexOrder:
-    return NotInPositiveConvexOrder(f"{Fraction(q_num, q_den)}*d[{x}] is not <=_pc the target: {condition}")
+def _take_failure(q_num: int, q_den: int, x_num: int, x_den: int, condition: str) -> NotInPositiveConvexOrder:
+    return NotInPositiveConvexOrder(
+        f"{Fraction(q_num, q_den)}*d[{Fraction(x_num, x_den)}] is not <=_pc the target: {condition}"
+    )
 
 
 class _Residual:
@@ -59,13 +61,15 @@ class _Residual:
     The atoms are kept sorted, in Python integers.  `held` lists the index
     in the target (`support`) of each atom still held.  Positions share one
     scale D = `d`, the lcm of their denominators: x is held as X = D*x in
-    `xs`.  Each weight is held in lowest terms as `nums[i] / dens[i]`, and
-    `den_count` counts the held denominators, so their lcm E = `e` is the
-    one reduced weight scale: every weight w reads as the integer W = E*w =
-    nums[i] * (E // dens[i]), and gcd(E, all W) == 1.  A take works over E,
-    grown first by the factor that q's denominator lacks and, when its last
-    stretch's step is not whole, by the factor that makes it whole, so
-    nothing is rounded; x's denominator grows D the same way.  Only the
+    `xs`, D and X copied from the target's integer view
+    (`measure._Value._lattice`).  Each weight is held in lowest terms as
+    `nums[i] / dens[i]`, and `den_count` counts the held denominators, so
+    their lcm E = `e` is the one reduced weight scale: every weight w reads
+    as the integer W = E*w = nums[i] * (E // dens[i]), and
+    gcd(E, all W) == 1.  A take works over E, grown first by the factor that
+    q's denominator lacks and, when its last stretch's step is not whole,
+    by the factor that makes it whole, so nothing is rounded; x's
+    denominator grows D the same way.  Only the
     atoms of the window and those it slides across are read and rewritten:
     the weights a take keeps go back in lowest terms and E is recomputed
     from `den_count`, so no take rescales the atoms it does not touch.  A
@@ -77,8 +81,8 @@ class _Residual:
     def __init__(self, nu: DiscreteMeasure):
         self.support = nu.support
         self.held = list(range(len(self.support)))
-        self.d = lcm(*{x.denominator for x in self.support})
-        self.xs = [x.numerator * (self.d // x.denominator) for x in self.support]
+        self.d, xs, _, _ = nu._lattice()
+        self.xs = list(xs)
         self.nums = [w.numerator for _, w in nu.atoms]
         self.dens = [w.denominator for _, w in nu.atoms]
         self.den_count = dict(Counter(self.dens))
@@ -89,13 +93,14 @@ class _Residual:
 
     def take(self, x: Fraction, q: Fraction) -> List[Tuple[Fraction, Fraction]]:
         """The shadow of q*delta_x (q >= 0) as sorted (y, w) pieces, subtracted here."""
-        pieces, e = self.take_ints(x, q.numerator, q.denominator)
+        pieces, e = self.take_ints(x.numerator, x.denominator, q.numerator, q.denominator)
         return [(self.support[i], Fraction(w, e)) for i, w in pieces]
 
-    def take_ints(self, x: Fraction, q_num: int, q_den: int) -> Tuple[List[Tuple[int, int]], int]:
-        """The shadow of q*delta_x, q = q_num / q_den >= 0, subtracted here:
-        its sorted pieces as (index in the target, W) with W/E the weight,
-        and this take's weight scale E.
+    def take_ints(self, x_num: int, x_den: int, q_num: int, q_den: int) -> Tuple[List[Tuple[int, int]], int]:
+        """The shadow of q*delta_x, x = x_num / x_den and q = q_num / q_den >= 0
+        (x_den, q_den > 0, neither need be in lowest terms, as a position of
+        an integer view), subtracted here: its sorted pieces as (index in the
+        target, W) with W/E the weight, and this take's weight scale E.
 
         The window starts with the q mass from x rightward, or with the
         rightmost q mass when less lies right of x, so its first moment m is
@@ -107,13 +112,13 @@ class _Residual:
         """
         if q_num == 0:
             return [], 1
-        if self.d % x.denominator:
-            factor = x.denominator // gcd(self.d, x.denominator)
+        if self.d % x_den:
+            factor = x_den // gcd(self.d, x_den)
             self.d *= factor
             self.xs[:] = [y * factor for y in self.xs]
         xs, nums, dens = self.xs, self.nums, self.dens
         e = lcm(self.e, q_den)  # this take's weight scale
-        x_int = x.numerator * (self.d // x.denominator)
+        x_int = x_num * (self.d // x_den)
         q_int = q_num * (e // q_den)
         # The window holds atoms l..r: all of atom l but its lowest `out_l`,
         # all of atom r but its highest `out_r` (both cuts in one atom if l == r);
@@ -131,18 +136,18 @@ class _Residual:
                 l -= 1
                 filled += nums[l] * (e // dens[l])
             if filled < q_int:
-                raise _take_failure(q_num, q_den, x, "q is more than the mass left")
+                raise _take_failure(q_num, q_den, x_num, x_den, "q is more than the mass left")
             r = len(xs) - 1
             out_l, out_r = filled - q_int, 0
         moment = sum(xs[i] * nums[i] * (e // dens[i]) for i in range(l, r + 1))
         moment -= out_l * xs[l] + out_r * xs[r]
         target = q_int * x_int
         if moment < target:
-            raise _take_failure(q_num, q_den, x, "x is right of the barycenter of the rightmost mass q")
+            raise _take_failure(q_num, q_den, x_num, x_den, "x is right of the barycenter of the rightmost mass q")
         while moment != target:
             if out_l == 0:
                 if l == 0:
-                    raise _take_failure(q_num, q_den, x, "x is left of the barycenter of the leftmost mass q")
+                    raise _take_failure(q_num, q_den, x_num, x_den, "x is left of the barycenter of the leftmost mass q")
                 l -= 1
                 out_l = nums[l] * (e // dens[l])
                 continue

@@ -303,22 +303,24 @@ def phase1(
     on malformed input (a column out of range, not an int or named twice in
     a row, rhs or senses without one entry per row, an unknown sense) and
     Infeasible.  A system whose rows, every row and every pair are tuples is
-    remembered (see the module notes); failures are not.
+    remembered (see the module notes); failures are not.  The memory is
+    looked up first: a hit holds the very objects passed in, which were
+    checked to be tuples when they were remembered.
     """
+    key = (n, id(rows), id(rhs), id(senses))
+    entry = _remembered.get(key)
+    if entry is not None:
+        _remembered.move_to_end(key)
+        return entry[1]
     frozen = (
         type(rows) is tuple and type(rhs) is tuple and (senses is None or type(senses) is tuple)
         and all(type(row) is tuple and all(type(p) is tuple for p in row) for row in rows)
     )
     if not frozen:
         return _phase1(n, rows, rhs, senses)
-    key = (n, id(rows), id(rhs), id(senses))
-    entry = _remembered.get(key)
-    if entry is not None:
-        _remembered.move_to_end(key)
-    else:
-        entry = _remembered[key] = ((rows, rhs, senses), _phase1(n, rows, rhs, senses))
-        if len(_remembered) > _REMEMBERED:
-            _remembered.popitem(last=False)
+    entry = _remembered[key] = ((rows, rhs, senses), _phase1(n, rows, rhs, senses))
+    if len(_remembered) > _REMEMBERED:
+        _remembered.popitem(last=False)
     return entry[1]
 
 

@@ -59,6 +59,7 @@ from conftest import (
     mirror_measure,
     oracle_convex_failure,
     oracle_convex_order_leq,
+    oracle_first_crossing,
     oracle_increments,
     oracle_is_martingale,
     oracle_kernels,
@@ -70,6 +71,7 @@ from conftest import (
     oracle_paths,
     oracle_put_gap,
     oracle_running_strong_order,
+    oracle_scan_left_monotone_set,
     oracle_shadow,
     oracle_strong_order,
     oracle_verify,
@@ -974,17 +976,23 @@ class TestFirstTwoCharacterizationsAgree:
         assert verdicts.count((False, False)) == falses
         assert verdicts.count((True, True)) == len(verdicts) - falses
 
-    @pytest.mark.parametrize("k", [40, 80])
-    @pytest.mark.parametrize("policy", list(KernelPolicy))
-    def test_grid_constructions_and_their_mirror_images(self, k, policy):
+    @pytest.mark.parametrize(
+        "policy, k", [(policy, k) for policy in KernelPolicy for k in (40, 80)] + [(KernelPolicy.LEFT_CURTAIN_WITHIN_INCREMENTS, 400)]
+    )
+    def test_grid_constructions_and_their_mirror_images(self, policy, k):
         # the mirror image of a left-monotone coupling is right-monotone: it
-        # crosses, and its first unmatched prefix image is named exactly
+        # crosses, at the first crossing in history order, and its first
+        # unmatched prefix image is named exactly
         chain = grid_chain(random.Random(k), k)
         P = left_monotone_multistep(chain, policy)
         assert (is_left_monotone_set(SupportSet.of(P))[0], verify_left_monotone(P, chain)[0]) == (True, True)
         mirrored, Q = [mirror_measure(mu) for mu in chain], mirror_coupling(P)
         ok, record = verify_left_monotone(Q, mirrored)
-        assert (is_left_monotone_set(SupportSet.of(Q))[0], ok) == (False, False)
+        gamma = SupportSet.of(Q)
+        crossing = is_left_monotone_set(gamma)
+        assert (crossing[0], ok) == (False, False)
+        assert crossing == oracle_first_crossing(gamma)
+        assert oracle_scan_left_monotone_set(gamma)[0] is False
         a, t, image, expected = record
         i = mirrored[0].support.index(a)
         assert expected == obstructed_shadow(DiscreteMeasure(mirrored[0].atoms[: i + 1]), mirrored[1 : t + 1])

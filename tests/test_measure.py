@@ -47,6 +47,8 @@ from conftest import (
     oracle_left_derivative,
     oracle_positive_convex_order_leq,
     oracle_potential_value,
+    oracle_put_gap,
+    oracle_put_values,
     oracle_right_derivative,
     oracle_sweep_call_value,
     oracle_sweep_convex_order_leq,
@@ -442,23 +444,34 @@ class TestPutSweepAgainstFractionOracle:
         assert put_value(zero, 5) == call_value(zero, -5) == 0
 
 
-class TestPutSweepIntegerWeights:
-    """A weight of `_put_sweep` is a rational: on int weights E*w, E the lcm
-    of the weight denominators, the sweep is that of the Fraction weights w
-    with weight scale 1 for E (`strong_order_holds` sweeps int takes)."""
+class TestPutSweepOfViews:
+    """`_put_sweep` of two measures' integer views against the Fraction sweep
+    `oracle_put_gap`: with D the lcm of the position denominators (of the
+    extra `points` too) and E that of the weight denominators, its grid is
+    the oracle's times D and its gap, mass and moment are the oracle's
+    times D*E.  Views on multiples a*D and b*E of their scales, as a take
+    of `coupling._strong_order_of_chain` is, sweep on a*D and b*E."""
 
     @settings(max_examples=200, deadline=None)
-    @given(sweep_pairs(), st.lists(_positions, max_size=3))
-    def test_int_weights_sweep_as_their_fractions(self, pair, points):
+    @given(sweep_pairs(), st.lists(_positions, max_size=3), st.integers(1, 6), st.integers(1, 6))
+    def test_views_sweep_as_the_fraction_oracle(self, pair, points, a, b):
         mu, nu = pair
-        e = math.lcm(*(w.denominator for _, w in mu.atoms + nu.atoms))
+        d = math.lcm(a * math.lcm(*(x.denominator for x in mu.support + nu.support)), *(k.denominator for k in points))
+        e = b * math.lcm(*(w.denominator for _, w in mu.atoms + nu.atoms))
+        grid, _ = oracle_put_gap(mu, nu)
+        grid = sorted({*grid, *points})
+        signed = sorted(nu.atoms + tuple((x, -w) for x, w in mu.atoms), key=lambda atom: atom[0])
+        gap = oracle_put_values(signed, grid)
 
-        def scaled(m):
-            return [(x, int(e * w)) for x, w in m.atoms]
+        def view(m):
+            m_d, xs, m_e, ws = m._lattice()
+            assert (xs, ws) == (tuple(x * m_d for x in m.support), tuple(w * m_e for _, w in m.atoms))
+            return a * m_d, [a * x for x in xs], b * m_e, [b * w for w in ws]
 
-        *sweep, d, scale = _put_sweep(nu.atoms, mu.atoms, points)
-        assert scale == e
-        assert _put_sweep(scaled(nu), scaled(mu), points) == (*sweep, d, 1)
+        swept = _put_sweep(view(nu), view(mu), points)
+        mass, moment = nu.mass - mu.mass, nu.first_moment - mu.first_moment
+        assert swept == ([x * d for x in grid], [g * d * e for g in gap], mass * e, moment * d * e, d, e)
+        assert all(type(v) is int for v in (*swept[0], *swept[1], *swept[2:]))
 
 
 class TestArithmetic:

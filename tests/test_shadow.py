@@ -104,11 +104,11 @@ class TestResidualTake:
     def test_integer_take_names_target_indices(self):
         nu = measure([(-4, F(1, 4)), (0, F(1, 2)), (4, F(1, 4))])
         residual = _Residual(nu)
-        assert residual.take_ints(F(-1), 1, 2) == ([(0, 1), (1, 3)], 8)
-        assert residual.take_ints(F(0), 1, 8) == ([(1, 1)], 8)
+        assert residual.take_ints(-1, 1, 1, 2) == ([(0, 1), (1, 3)], 8)
+        assert residual.take_ints(0, 1, 1, 8) == ([(1, 1)], 8)
         assert residual.held == [0, 2]
-        assert residual.take_ints(F(4), 1, 4) == ([(2, 2)], 8)  # the scale of what is held
-        assert residual.take_ints(F(-4), 0, 1) == ([], 1)
+        assert residual.take_ints(8, 2, 1, 4) == ([(2, 2)], 8)  # the scale of what is held; x = 8/2
+        assert residual.take_ints(-4, 1, 0, 1) == ([], 1)
 
 
 _positions = st.fractions(min_value=-6, max_value=6, max_denominator=6)

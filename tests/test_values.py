@@ -88,24 +88,37 @@ def test_values_of_different_classes_are_unequal():
 
 @pytest.mark.parametrize("cls", sorted(NOT_TUPLES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
 def test_hash_is_kept_outside_the_fields(cls):
-    """`measure._Value` keeps its hash in a slot that is no field: equal values
-    hash equal whichever was hashed first, copies of a hashed and an unhashed
-    value compare and hash equal, and the fields alone are read, shown,
-    copied and pickled."""
+    """`measure._Value` keeps its hash, and the integer view of the classes
+    that define one (`_lattice_of`), in slots that are no fields: equal
+    values hash equal whichever was hashed first, copies of a hashed and an
+    unhashed value compare and hash equal, a copy makes its own view, equal
+    to the original's, and the fields alone are read, shown, copied and
+    pickled."""
     fields, other = next((fields, other) for c, fields, other in CASES if c is cls)
     first, second = cls(*fields.values()), cls(*fields.values())
     assert hash(second) == hash(first) == hash(second) and first == second
     assert hash(cls(*other.values())) != hash(first)
+    viewed = hasattr(cls, "_lattice_of")
+    view = first._lattice() if viewed else None
+    assert not viewed or first._lattice() is view
     unhashed = cls(*fields.values())
     for value in (first, unhashed):
         assert value._values() == value.__getstate__() == tuple(fields.values())
-        assert "_hash" not in repr(value) and repr(value) == repr(second)
+        assert "_hash" not in repr(value) and "_ints" not in repr(value) and repr(value) == repr(second)
         made = [copy.copy(value), copy.deepcopy(value)]
         made += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in made:
             assert twin == value and twin._values() == tuple(fields.values())
             assert hash(twin) == hash(first)
-        for name in (*fields, "_hash"):
+            assert not hasattr(twin, "_ints")
+            assert not viewed or (twin._lattice() == view and twin._lattice() is not view)
+        for name in (*fields, "_hash", "_ints"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
     assert hash(unhashed) == hash(first)
+    assert not hasattr(unhashed, "_ints") and (not viewed or unhashed._lattice() == view)
+
+
+def test_a_support_set_shares_the_view_of_its_path_measure():
+    assert SupportSet.of(P)._lattice() is P._lattice()
+    assert SupportSet(P.n, P.support)._lattice() == P._lattice() == ((1, 1), ((0, -1), (0, 1)))
