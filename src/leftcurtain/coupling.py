@@ -310,12 +310,16 @@ def _increments(marginals: Sequence[DiscreteMeasure]) -> List[List[Tuple[_Increm
         steps = []
         for (d, xs), residual in zip(lattices, residuals):
             takes = [residual.take_ints(xs[j], d, a, b) for j, a, b in lower]
-            scale = lcm(*(e for _, e in takes))
-            summed: Dict[int, int] = {}
-            for pieces, e in takes:
-                for k, w in pieces:
-                    summed[k] = summed.get(k, 0) + w * (scale // e)
-            lower = [(k, w // g, scale // g) for k, w in sorted(summed.items()) for g in (gcd(w, scale),)]
+            if len(takes) == 1:  # one take's pieces are already sorted, distinct and positive
+                (merged, scale), = takes
+            else:
+                scale = lcm(*(e for _, e in takes))
+                summed: Dict[int, int] = {}
+                for pieces, e in takes:
+                    for k, w in pieces:
+                        summed[k] = summed.get(k, 0) + w * (scale // e)
+                merged = sorted(summed.items())
+            lower = [(k, w // g, scale // g) for k, w in merged for g in (gcd(w, scale),)]
             steps.append((lower, takes))
         out.append(steps)
     return out

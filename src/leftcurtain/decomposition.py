@@ -44,9 +44,12 @@ class IrreducibleDomain(NamedTuple):
 
     index: int
     I: Interval
-    J: Interval
     mu_k: DiscreteMeasure
     nu_k: DiscreteMeasure
+
+    @property
+    def J(self) -> Interval:
+        return Interval.closed(self.I.lo, self.I.hi)
 
     def to_json(self) -> dict:
         return {
@@ -79,7 +82,7 @@ class StepDecomposition(_Value):
         """Index k with (x, y) in V_k, the diagonal being k = 0; None if polar."""
         comp = self.component_of_point(x)
         if comp is not None:
-            return comp.index if comp.J.contains(y) else None
+            return comp.index if comp.I.lo <= rat(y) <= comp.I.hi else None
         return 0 if y == x else None
 
     def diagonal_intervals(self) -> Tuple[Interval, ...]:
@@ -150,7 +153,7 @@ def _decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep: _Sweep) -> Step
         if frac_lo > nu.weight_at(lo) or frac_hi > nu.weight_at(hi):
             raise AssertionError("component endpoint assignment out of bounds")
         nu_k = DiscreteMeasure([*nu_inside, (lo, frac_lo), (hi, frac_hi)])
-        components.append(IrreducibleDomain(k, Interval.open(lo, hi), Interval.closed(lo, hi), mu_k, nu_k))
+        components.append(IrreducibleDomain(k, Interval.open(lo, hi), mu_k, nu_k))
 
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     nu_diagonal = subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k]))

@@ -70,9 +70,11 @@ class _Residual:
     q's denominator lacks and, when its last stretch's step is not whole,
     by the factor that makes it whole, so nothing is rounded; x's
     denominator grows D the same way.  Only the
-    atoms of the window and those it slides across are read and rewritten:
-    the weights a take keeps go back in lowest terms and E is recomputed
-    from `den_count`, so no take rescales the atoms it does not touch.  A
+    atoms of the window and those it slides across are read, each once:
+    the take carries their W in a list through the slide, rescaled when E
+    grows.  The end atoms it keeps are written back in one pass, in lowest
+    terms, and E is recomputed from `den_count`, so no take rescales the
+    atoms it does not touch.  A
     take returns target indices and integer weights over its scale;
     Fractions are made only for the pieces that `take` returns and in
     `measure`.
@@ -120,13 +122,17 @@ class _Residual:
         e = lcm(self.e, q_den)  # this take's weight scale
         x_int = x_num * (self.d // x_den)
         q_int = q_num * (e // q_den)
-        # The window holds atoms l..r: all of atom l but its lowest `out_l`,
-        # all of atom r but its highest `out_r` (both cuts in one atom if l == r);
-        # the moments below are D*E times the rational ones.
+        # The window holds atoms l..r, their weights W in `window`: all of atom
+        # l but its lowest `out_l`, all of atom r but its highest `out_r` (both
+        # cuts in one atom if l == r); the moments are D*E times the rational ones.
         l = r = bisect_left(xs, x_int)
-        filled = 0
+        window = []
+        filled = moment = 0
         while r < len(xs) and filled < q_int:
-            filled += nums[r] * (e // dens[r])
+            w = nums[r] * (e // dens[r])
+            window.append(w)
+            filled += w
+            moment += xs[r] * w
             r += 1
         if filled >= q_int:
             r -= 1
@@ -134,12 +140,14 @@ class _Residual:
         else:
             while l > 0 and filled < q_int:
                 l -= 1
-                filled += nums[l] * (e // dens[l])
+                w = nums[l] * (e // dens[l])
+                window.insert(0, w)
+                filled += w
+                moment += xs[l] * w
             if filled < q_int:
                 raise _take_failure(q_num, q_den, x_num, x_den, "q is more than the mass left")
             r = len(xs) - 1
             out_l, out_r = filled - q_int, 0
-        moment = sum(xs[i] * nums[i] * (e // dens[i]) for i in range(l, r + 1))
         moment -= out_l * xs[l] + out_r * xs[r]
         target = q_int * x_int
         if moment < target:
@@ -150,9 +158,11 @@ class _Residual:
                     raise _take_failure(q_num, q_den, x_num, x_den, "x is left of the barycenter of the leftmost mass q")
                 l -= 1
                 out_l = nums[l] * (e // dens[l])
+                window.insert(0, out_l)
                 continue
-            inside_r = nums[r] * (e // dens[r]) - out_r - (out_l if l == r else 0)
+            inside_r = window[-1] - out_r - (out_l if l == r else 0)
             if inside_r == 0:
+                window.pop()
                 r -= 1
                 out_r = 0
                 continue
@@ -163,6 +173,7 @@ class _Residual:
                 if excess % rate:  # make the step whole: E grows by what rate lacks
                     factor = rate // gcd(excess, rate)
                     e *= factor
+                    window = [w * factor for w in window]
                     out_l, out_r, excess, target = out_l * factor, out_r * factor, excess * factor, target * factor
                 step = excess // rate
                 moment = target
@@ -170,30 +181,25 @@ class _Residual:
                 moment -= step * rate
             out_l -= step
             out_r += step
-        window = [nums[i] * (e // dens[i]) for i in range(l, r + 1)]
-        if l == r:
-            window[0] -= out_l + out_r
-            kept = [(l, out_l + out_r)]
-        else:
-            window[0] -= out_l
-            window[-1] -= out_r
-            kept = [(l, out_l), (r, out_r)]
+        window[0] -= out_l
+        window[-1] -= out_r  # the same atom as window[0] if l == r
         held = self.held
         pieces = [(i, w) for i, w in zip(held[l : r + 1], window) if w]
-        kept = [(i, w // g, e // g) for i, w in kept if w for g in (gcd(w, e),)]  # w/e in lowest terms
         count = self.den_count
         for den in dens[l : r + 1]:
             if count[den] == 1:
                 del count[den]
             else:
                 count[den] -= 1
-        for _, _, den in kept:
-            count[den] = count.get(den, 0) + 1
+        kept = []  # (index, X, num, den) of the end atoms left, w/E in lowest terms
+        for i, w in [(l, out_l + out_r)] if l == r else [(l, out_l), (r, out_r)]:
+            if w:
+                g = gcd(w, e)
+                den = e // g
+                count[den] = count.get(den, 0) + 1
+                kept.append((held[i], xs[i], w // g, den))
         self.e = lcm(*count)
-        held[l : r + 1] = [held[i] for i, _, _ in kept]
-        xs[l : r + 1] = [xs[i] for i, _, _ in kept]
-        nums[l : r + 1] = [n for _, n, _ in kept]
-        dens[l : r + 1] = [den for _, _, den in kept]
+        held[l : r + 1], xs[l : r + 1], nums[l : r + 1], dens[l : r + 1] = zip(*kept) if kept else ((),) * 4
         return pieces, e
 
 

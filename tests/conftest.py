@@ -753,8 +753,9 @@ def oracle_sweep_decompose_step(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Ste
         frac_hi = (mu_k.first_moment - nu_inside.first_moment - lo * need_mass) / (hi - lo)
         frac_lo = need_mass - frac_hi
         nu_k = add(nu_inside, DiscreteMeasure([(lo, frac_lo), (hi, frac_hi)]))
-        J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
-        components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
+        if not (frac_lo > 0 and frac_hi > 0):
+            raise AssertionError("J is not the closure of I")
+        components.append(IrreducibleDomain(k, interior, mu_k, nu_k))
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     return StepDecomposition(diagonal, tuple(components))
 
@@ -786,8 +787,9 @@ def oracle_decomposed(mu: DiscreteMeasure, nu: DiscreteMeasure, sweep) -> StepDe
         if frac_lo < 0 or frac_lo > nu.weight_at(lo) or frac_hi < 0 or frac_hi > nu.weight_at(hi):
             raise AssertionError("component endpoint assignment out of bounds")
         nu_k = DiscreteMeasure([*nu_inside.atoms, (lo, frac_lo), (hi, frac_hi)])
-        J = Interval(lo, hi, frac_lo > 0, frac_hi > 0)
-        components.append(IrreducibleDomain(k, interior, J, mu_k, nu_k))
+        if not (frac_lo > 0 and frac_hi > 0):
+            raise AssertionError("J is not the closure of I")
+        components.append(IrreducibleDomain(k, interior, mu_k, nu_k))
     diagonal = subtract(mu, DiscreteMeasure([a for c in components for a in c.mu_k]))
     if diagonal != subtract(nu, DiscreteMeasure([a for c in components for a in c.nu_k])):
         raise AssertionError("diagonal parts of mu and nu disagree")

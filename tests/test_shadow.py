@@ -149,7 +149,7 @@ class TestIntegerResidual:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.tuples(_positions, st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12)), max_size=6),
+        st.lists(st.tuples(_positions, st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12)), max_size=12),
         _takes,
     )
     def test_takes_equal_the_fraction_residual(self, atoms, takes):
@@ -185,6 +185,22 @@ class TestIntegerResidual:
         residual = _run_against_oracle(nu, [(F(0), F(1, 2))])
         assert (residual.e, _scaled_weights(residual)) == (4, [1, 1])
 
+    def test_rightmost_mass_slides_across_atoms(self):
+        # less than q lies right of x = 3, so the window starts as the rightmost
+        # q mass, atoms 2..8; its right cut then slides down across 8, 7 and 6
+        nu = measure([*((y, F(1, 8)) for y in range(6)), *((y, F(1, 24)) for y in (6, 7, 8))])
+        residual = _run_against_oracle(nu, [(F(3), F(13, 24))])
+        assert residual.measure() == measure([(0, F(1, 8)), *((y, F(1, 24)) for y in (1, 5, 6, 7, 8))])
+        _run_against_oracle(nu, [(F(3), F(13, 24)), (F(6), F(1, 8)), (F(2), F(1, 6))])
+
+    def test_step_that_is_not_whole_rescales_the_read_window(self):
+        # the window holds four atoms, read over E = 4, when the last step grows E to 40
+        nu = measure([(y, F(1, 4)) for y in range(4)])
+        residual = _Residual(nu)
+        assert residual.take_ints(13, 10, 3, 4) == ([(0, 7), (1, 10), (2, 10), (3, 3)], 40)
+        assert (residual.held, residual.e, _scaled_weights(residual)) == ([0, 3], 40, [3, 7])
+        _run_against_oracle(nu, [(F(13, 10), F(3, 4)), (F(1), F(1, 5))])
+
     def test_consumed_weights_leave_the_scale(self):
         nu = measure([(0, F(1, 2)), (1, F(1, 4)), (2, F(1, 4))])
         residual = _run_against_oracle(nu, [(F(3, 2), F(1, 2))])
@@ -209,6 +225,11 @@ class TestIntegerResidual:
         assert oracle_atom_failure(q, x, nu) == condition
         residual = _run_against_oracle(nu, [(x, q), (x, q)])
         assert residual.measure() == nu and residual.e == 4
+        residual = _run_against_oracle(nu, [(F(1, 3), F(1, 4))])
+        held = (residual.held[:], residual.nums[:], residual.dens[:], dict(residual.den_count), residual.e)
+        with pytest.raises(NotInPositiveConvexOrder):
+            residual.take(x, q)
+        assert (residual.held, residual.nums, residual.dens, residual.den_count, residual.e) == held
         _run_against_oracle(nu, [(x, q), (F(1, 3), F(1, 4)), (x, q)])
 
 

@@ -30,7 +30,7 @@ from leftcurtain.coupling import PrefixImageRecord
 MU = DiscreteMeasure([(0, 1)])
 NU = DiscreteMeasure([(-1, F(1, 2)), (1, F(1, 2))])
 P = PathMeasure(1, [((0, -1), F(1, 2)), ((0, 1), F(1, 2))])
-DOMAIN = IrreducibleDomain(1, Interval.open(-1, 1), Interval.closed(-1, 1), MU, NU)
+DOMAIN = IrreducibleDomain(1, Interval.open(-1, 1), MU, NU)
 
 # Each type with two sets of field values, in field order, that differ.
 CASES = [
@@ -44,8 +44,8 @@ CASES = [
     (PrefixImageRecord, {"prefix": F(0), "t": 1, "image": MU, "expected": NU},
      {"prefix": F(0), "t": 2, "image": MU, "expected": NU}),
     (SupportSet, {"n": 1, "points": P.support}, {"n": 1, "points": P.support[:1]}),
-    (IrreducibleDomain, {"index": 1, "I": DOMAIN.I, "J": DOMAIN.J, "mu_k": MU, "nu_k": NU},
-     {"index": 2, "I": DOMAIN.I, "J": DOMAIN.J, "mu_k": MU, "nu_k": NU}),
+    (IrreducibleDomain, {"index": 1, "I": DOMAIN.I, "mu_k": MU, "nu_k": NU},
+     {"index": 2, "I": DOMAIN.I, "mu_k": MU, "nu_k": NU}),
     (StepDecomposition, {"diagonal": MU, "components": (DOMAIN,)}, {"diagonal": MU, "components": ()}),
     (PolarVerdict, {"path": (F(0), F(1)), "polar": False, "reason": "chargeable", "component": (1,)},
      {"path": (F(0), F(1)), "polar": True, "reason": "outside the effective domain", "component": None}),
